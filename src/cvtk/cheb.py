@@ -19,6 +19,12 @@ _g: dict = {}
 _G: dict = {}
 
 
+def require_family_index(n) -> None:
+    """Reject anything but an integer n >= 2, the index of the knot J(2n, 2n)."""
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"the knot family is indexed by integers n >= 2, got {n!r}")
+
+
 def f_poly(j: int) -> UniPoly:
     """f_j, degree j-1 for j >= 1; f_0 = 0."""
     if j < 0:

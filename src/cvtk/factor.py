@@ -15,7 +15,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .ratpoly import ExactArithError, UniPoly, poly_gcd
+from .ratpoly import (
+    ExactArithError,
+    UniPoly,
+    _gf_add,
+    _gf_deriv,
+    _gf_divmod,
+    _gf_gcd,
+    _gf_gcdex,
+    _gf_monic,
+    _gf_mul,
+    _gf_pow_mod,
+    _gf_red,
+    _gf_sub,
+    _trim,
+    frac_str,
+    poly_gcd,
+)
 
 
 def iter_primes():
@@ -33,106 +49,6 @@ def iter_primes():
                 break
             if c % p == 0:
                 break
-
-
-# -- GF(p) arithmetic on ascending int lists ---------------------------------
-
-
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _gf_red(a, p):
-    return _trim([c % p for c in a])
-
-
-def _gf_add(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
-
-
-def _gf_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
-
-
-def _gf_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
-
-
-def _gf_divmod(a, b, p):
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - db, 0)
-    r = list(a)
-    while True:
-        _trim(r)
-        if len(r) - 1 < db:
-            break
-        k = len(r) - 1 - db
-        c = r[-1] * inv % p
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[i + k] = (r[i + k] - c * bc) % p
-    return _trim(q), r
-
-
-def _gf_monic(a, p):
-    if not a or a[-1] == 1:
-        return list(a)
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def _gf_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _gf_divmod(a, b, p)[1]
-    return _gf_monic(a, p)
-
-
-def _gf_gcdex(a, b, p):
-    """Extended Euclid: returns (s, t) with s*a + t*b = 1; inputs coprime."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _gf_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
-        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
-    if len(r0) != 1:
-        raise ExactArithError("gcdex of non-coprime polynomials")
-    inv = pow(r0[0], p - 2, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
-
-
-def _gf_deriv(a, p):
-    return _trim([k * c % p for k, c in enumerate(a)][1:])
-
-
-def _gf_pow_mod(a, e, mod, p):
-    out = [1]
-    base = _gf_divmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            out = _gf_divmod(_gf_mul(out, base, p), mod, p)[1]
-        e >>= 1
-        if e:
-            base = _gf_divmod(_gf_mul(base, base, p), mod, p)[1]
-    return out
 
 
 def _gf_ddf(f, p):
@@ -195,63 +111,18 @@ def _gf_factor_sqf(f, p, rng):
 # -- Hensel lifting (ascending int lists, coefficients in [0, m)) -------------
 
 
-def _zp_red(a, m):
-    return _trim([c % m for c in a])
-
-
-def _zp_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % m
-    return _trim(out)
-
-
-def _zp_add(a, b, m):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m
-                  for i in range(n)])
-
-
-def _zp_sub(a, b, m):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m
-                  for i in range(n)])
-
-
-def _zp_divmod_monic(a, b, m):
-    """Division by a monic b, coefficient arithmetic mod m."""
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    r = list(a)
-    while True:
-        _trim(r)
-        if len(r) - 1 < db:
-            break
-        k = len(r) - 1 - db
-        c = r[-1] % m
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[i + k] = (r[i + k] - c * bc) % m
-    return _trim(q), r
-
-
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic lift: from f = g*h, s*g + t*h = 1 (mod m) to mod m*m.
     h stays monic; g carries lc(f)."""
     m2 = m * m
-    e = _zp_sub(_zp_red(f, m2), _zp_mul(g, h, m2), m2)
-    q, r = _zp_divmod_monic(_zp_mul(s, e, m2), h, m2)
-    g1 = _zp_add(_zp_add(g, _zp_mul(t, e, m2), m2), _zp_mul(q, g, m2), m2)
-    h1 = _zp_add(h, r, m2)
-    b = _zp_sub(_zp_add(_zp_mul(s, g1, m2), _zp_mul(t, h1, m2), m2), [1], m2)
-    c, d = _zp_divmod_monic(_zp_mul(s, b, m2), h1, m2)
-    s1 = _zp_sub(s, d, m2)
-    t1 = _zp_sub(_zp_sub(t, _zp_mul(t, b, m2), m2), _zp_mul(c, g1, m2), m2)
+    e = _gf_sub(_gf_red(f, m2), _gf_mul(g, h, m2), m2)
+    q, r = _gf_divmod(_gf_mul(s, e, m2), h, m2)
+    g1 = _gf_add(_gf_add(g, _gf_mul(t, e, m2), m2), _gf_mul(q, g, m2), m2)
+    h1 = _gf_add(h, r, m2)
+    b = _gf_sub(_gf_add(_gf_mul(s, g1, m2), _gf_mul(t, h1, m2), m2), [1], m2)
+    c, d = _gf_divmod(_gf_mul(s, b, m2), h1, m2)
+    s1 = _gf_sub(s, d, m2)
+    t1 = _gf_sub(_gf_sub(t, _gf_mul(t, b, m2), m2), _gf_mul(c, g1, m2), m2)
     return g1, h1, s1, t1
 
 
@@ -261,7 +132,7 @@ def _hensel_lift(f, facs, p, l):
     pl = p ** l
     if len(facs) == 1:
         lcinv = pow(f[-1] % pl, -1, pl)
-        return [_zp_red([c * lcinv for c in f], pl)]
+        return [_gf_red([c * lcinv for c in f], pl)]
     k = len(facs) // 2
     left, right = facs[:k], facs[k:]
     g = [f[-1] % p]
@@ -319,7 +190,7 @@ def _zassenhaus(F: UniPoly):
         for sub in itertools.combinations(cands, size):
             prod = [int(cur.lc)]
             for i in sub:
-                prod = _zp_mul(prod, lifted[i], pl)
+                prod = _gf_mul(prod, lifted[i], pl)
             g = UniPoly(_sym(prod, pl), F.var).primitive()
             if g.degree < 1:
                 continue
@@ -355,17 +226,13 @@ class Factorization:
         return out
 
     def __str__(self) -> str:
-        bits = [] if self.unit == 1 and self.factors else [f"({frac(self.unit)})"]
+        bits = [] if self.unit == 1 and self.factors else [f"({frac_str(self.unit)})"]
         for poly, mult in self.factors:
             s = f"({poly})"
             if mult > 1:
                 s += f"^{mult}"
             bits.append(s)
         return " * ".join(bits) if bits else "1"
-
-
-def frac(c):
-    return str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:

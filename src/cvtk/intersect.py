@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cheb import G_poly, f_poly
+from .cheb import G_poly, f_poly, require_family_index
 from .factor import factor_over_rationals
 from .numfield import (
     IntegralityVerdict,
@@ -36,7 +36,7 @@ from .trace import (
     longitude_trace,
     reducible_character,
 )
-from .variety import x_variety_poly
+from .variety import x_relation
 
 
 @dataclass
@@ -93,8 +93,7 @@ class IntersectionLocus:
 
 def intersection_loci(n: int):
     """One locus per irreducible factor of G_n; no meridian data yet."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"the knot family is indexed by integers n >= 2, got {n!r}")
+    require_family_index(n)
     G = UniPoly(G_poly(n).coeffs, "r")
     fac = factor_over_rationals(G)
     loci = []
@@ -216,8 +215,7 @@ def build_intersection_report(n: int) -> IntersectionReport:
         locus.longitude_verdict = verdict
 
     reducible = reducible_character(n)
-    F2 = x_variety_poly(n).halve_exponents("x", "X")
-    on_model = F2.eval(Fraction(2), reducible.x_squared) == 0
+    on_model = x_relation(n, Fraction(2), reducible.x_squared) == 0
     if not on_model:
         raise VerificationError(
             f"the reducible character of n = {n} does not lie on the variety"

@@ -27,6 +27,7 @@ from math import gcd
 
 import mpmath
 
+from .cheb import require_family_index
 from .ratpoly import ExactArithError, UniPoly
 
 _INV = {"a": "A", "A": "a", "b": "B", "B": "b"}
@@ -138,8 +139,7 @@ class FamilyWords:
 
 def family_words(n: int) -> FamilyWords:
     """w, the relator a w^n b^-1 w^-n, Seifert generators, and longitude."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"the knot family is indexed by integers n >= 2, got {n!r}")
+    require_family_index(n)
     w = FreeWord("aB") ** n * FreeWord("Ab") ** n
     wn = w ** n
     relator = FreeWord("a") * wn * FreeWord("B") * wn.inverse()
@@ -188,7 +188,6 @@ class NumericRep:
     r: complex
     A: tuple
     B: tuple
-    precision_target: float = 1e-12
 
     def letter_matrices(self) -> dict:
         return {

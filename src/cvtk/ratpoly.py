@@ -5,6 +5,10 @@ always in lowest terms with positive denominator, so canonical form holds by
 construction. Univariate polynomials are dense ascending coefficient tuples,
 bivariate ones sparse exponent dictionaries. Everything here is deterministic
 and exact; no floating point.
+
+The module also holds the arithmetic on integer coefficient lists modulo p
+(the _gf_* helpers), shared by the modular coprimality test of poly_gcd and
+by the factoring code.
 """
 
 from __future__ import annotations
@@ -641,12 +645,113 @@ class RatMatrix:
     def trace(self) -> Fraction:
         return sum(self.rows[i][i] for i in range(self.n))
 
-    def det(self) -> Fraction:
-        cp = char_poly(self)
-        return (-1) ** self.n * cp[0]
-
     def __repr__(self) -> str:
         return f"RatMatrix({[list(map(frac_str, row)) for row in self.rows]})"
+
+
+# ---------------------------------------------------------------------------
+# GF(p) arithmetic on ascending int lists
+# ---------------------------------------------------------------------------
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _gf_red(a, p):
+    return _trim([c % p for c in a])
+
+
+def _gf_add(a, b, p):
+    n = max(len(a), len(b))
+    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
+                  for i in range(n)])
+
+
+def _gf_sub(a, b, p):
+    n = max(len(a), len(b))
+    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
+                  for i in range(n)])
+
+
+def _gf_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = (out[i + j] + x * y) % p
+    return _trim(out)
+
+
+def _gf_divmod(a, b, p):
+    """Quotient and remainder mod p.  A monic b needs no inverse, so p may
+    also be a prime power, as in Hensel lifting, where pow(lc, p - 2, p) is
+    not an inverse."""
+    db = len(b) - 1
+    inv = 1 if b[-1] == 1 else pow(b[-1], p - 2, p)
+    q = [0] * max(len(a) - db, 0)
+    r = list(a)
+    while True:
+        _trim(r)
+        if len(r) - 1 < db:
+            break
+        k = len(r) - 1 - db
+        c = r[-1] * inv % p
+        q[k] = c
+        for i, bc in enumerate(b):
+            r[i + k] = (r[i + k] - c * bc) % p
+    return _trim(q), r
+
+
+def _gf_monic(a, p):
+    if not a or a[-1] == 1:
+        return list(a)
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _gf_gcd(a, b, p):
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _gf_divmod(a, b, p)[1]
+    return _gf_monic(a, p)
+
+
+def _gf_gcdex(a, b, p):
+    """Extended Euclid: returns (s, t) with s*a + t*b = 1; inputs coprime."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = _gf_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
+        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
+    if len(r0) != 1:
+        raise ExactArithError("gcdex of non-coprime polynomials")
+    inv = pow(r0[0], p - 2, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _gf_deriv(a, p):
+    return _trim([k * c % p for k, c in enumerate(a)][1:])
+
+
+def _gf_pow_mod(a, e, mod, p):
+    out = [1]
+    base = _gf_divmod(a, mod, p)[1]
+    while e:
+        if e & 1:
+            out = _gf_divmod(_gf_mul(out, base, p), mod, p)[1]
+        e >>= 1
+        if e:
+            base = _gf_divmod(_gf_mul(base, base, p), mod, p)[1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +761,6 @@ class RatMatrix:
 
 def _deg(a) -> int:
     return len(a) - 1
-
-
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
 
 
 def _prem(a, b):
@@ -751,28 +850,6 @@ def resultant_in(p: BiPoly, q: BiPoly, var: str) -> UniPoly:
 _CERT_PRIMES = (2147483647, 2147482951, 2147482763)
 
 
-def _gcd_degree_mod(a: UniPoly, b: UniPoly, p: int) -> int:
-    """Degree of gcd(a, b) modulo p; inputs are integer polynomials."""
-    fa = [c.numerator % p for c in a.coeffs]
-    fb = [c.numerator % p for c in b.coeffs]
-    _trim(fa)
-    _trim(fb)
-    while fb:
-        db = len(fb) - 1
-        inv = pow(fb[-1], p - 2, p)
-        r = list(fa)
-        while len(r) - 1 >= db:
-            c = r[-1] * inv % p
-            k = len(r) - 1 - db
-            for i, bc in enumerate(fb):
-                r[i + k] = (r[i + k] - c * bc) % p
-            _trim(r)
-            if not r:
-                break
-        fa, fb = fb, r
-    return len(fa) - 1
-
-
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic gcd over Q (primitive PRS with a modular coprimality fast path)."""
     if p.is_zero and q.is_zero:
@@ -789,7 +866,8 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     for pr in _CERT_PRIMES:
         if a.lc.numerator % pr == 0 or b.lc.numerator % pr == 0:
             continue
-        if _gcd_degree_mod(a, b, pr) == 0:
+        fa, fb = _gf_red(a.int_coeffs(), pr), _gf_red(b.int_coeffs(), pr)
+        if len(_gf_gcd(fa, fb, pr)) == 1:
             return UniPoly.const(1, var)
         break
     if a.degree < b.degree:

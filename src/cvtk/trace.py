@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cheb import f_poly
+from .cheb import f_poly, require_family_index
 from .numfield import (
     IntegralityVerdict,
     NFElem,
@@ -76,8 +76,7 @@ class TraceContext:
     """
 
     def __init__(self, n: int, r, x_squared, t=None):
-        if not isinstance(n, int) or n < 2:
-            raise ValueError(f"the knot family is indexed by integers n >= 2, got {n!r}")
+        require_family_index(n)
         self.n = n
         self.r = r
         self.x_squared = x_squared
@@ -230,8 +229,7 @@ def reducible_character(n: int) -> ReducibleCharacter:
     have trace 2.  The meridian trace is never an algebraic integer for
     n >= 2 (bad primes = the primes dividing n).
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"the knot family is indexed by integers n >= 2, got {n!r}")
+    require_family_index(n)
     two = Fraction(2)
     x2 = Fraction(4 * n * n - 1, n * n)
     x_min_poly = UniPoly([-x2, 0, 1], "x")
@@ -263,8 +261,7 @@ def reducible_character(n: int) -> ReducibleCharacter:
 
 def alexander_poly(n: int):
     """Alexander polynomial n^2 t^2 + (1 - 2n^2) t + n^2 and its discriminant."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"the knot family is indexed by integers n >= 2, got {n!r}")
+    require_family_index(n)
     poly = UniPoly([n * n, 1 - 2 * n * n, n * n], "t")
     return poly, 1 - 4 * n * n
 
@@ -287,8 +284,7 @@ def boundary_slope_candidates(n: int):
     Slopes are read off the expansions; the all-even expansion [2n, 2n]
     carries the slope-0 (Seifert) surface.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"the knot family is indexed by integers n >= 2, got {n!r}")
+    require_family_index(n)
     return (
         SlopeCandidate(
             "[-2,...,-2,-3,-2,...,-2]",

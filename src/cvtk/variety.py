@@ -18,6 +18,13 @@ model, t = (2 - r)(x^2 - 2 - r) f_n(r)^2 + 2, which factors through the
 double covering (r, x) -> (r, y) = (r, x^2 - 2) followed by the birational
 map (r, y) -> (r, (2 - r)(y - r) f_n(r)^2 + 2).
 
+F is written once, as x_relation(n, r, x^2): a function of r and x^2 over
+any commutative ring, with t taken from the birational map.  Evaluated at
+the BiPoly generators it expands to x_variety_poly(n); evaluated at r = 2
+it gives the point check of the reducible character and, with x^2 = X*X for
+a UniPoly X, the restriction F(2, x) = n^2 (4 - x^2) - 1, without expanding
+the bivariate F.
+
 The module also carries the plane Bezout bookkeeping for the frozen n = 2
 and n = 3 component pairs: total intersection number of the two components,
 the affine part (computed from eliminants, with spurious resultant factors
@@ -30,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cheb import f_poly, g_poly
+from .cheb import f_poly, g_poly, require_family_index
 from .golden import default_fixtures
 from .ratpoly import BiPoly, UniPoly, poly_gcd, resultant_in
 
@@ -38,42 +45,31 @@ RX = ("r", "x")
 RT = ("r", "t")
 
 
-def _require_n(n: int) -> None:
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"the knot family is indexed by integers n >= 2, got {n!r}")
-
-
 def _in_var(p: UniPoly, var: str) -> UniPoly:
     return UniPoly(p.coeffs, var)
 
 
-def t_of_rx(n: int) -> BiPoly:
-    """tr(ab) as a polynomial function of (r, x) on the (r, x) model."""
-    _require_n(n)
-    r = BiPoly.gen("r", RX)
-    x = BiPoly.gen("x", RX)
-    fn = BiPoly.from_uni(_in_var(f_poly(n), "r"), RX)
-    return (2 - r) * (x * x - 2 - r) * fn * fn + 2
+def x_relation(n: int, r, x_squared):
+    """F(r, x) as a function of (r, x^2), over any commutative ring.
+
+    F = f_n(t) * (f_n(r) g_n(r) (2 + r - x^2) - 1) + f_{n-1}(t)
+    with t the second coordinate of birational_image(n, (r, x^2 - 2)),
+    which also rejects an n that is not an integer >= 2.
+    """
+    _, t = birational_image(n, (r, x_squared - 2))
+    fn = f_poly(n)
+    return fn(t) * (fn(r) * g_poly(n)(r) * (2 + r - x_squared) - 1) + f_poly(n - 1)(t)
 
 
 def x_variety_poly(n: int) -> BiPoly:
-    """Defining polynomial F(r, x) of the (r, x) model.
-
-    F = f_n(t) * (f_n(r) g_n(r) (-x^2 + 2 + r) - 1) + f_{n-1}(t)
-    with t = t_of_rx(n) substituted.
-    """
-    _require_n(n)
-    r = BiPoly.gen("r", RX)
+    """Defining polynomial F(r, x) of the (r, x) model: x_relation expanded."""
     x = BiPoly.gen("x", RX)
-    fn = BiPoly.from_uni(_in_var(f_poly(n), "r"), RX)
-    gn = BiPoly.from_uni(_in_var(g_poly(n), "r"), RX)
-    t = t_of_rx(n)
-    return f_poly(n)(t) * (fn * gn * (2 + r - x * x) - 1) + f_poly(n - 1)(t)
+    return x_relation(n, BiPoly.gen("r", RX), x * x)
 
 
 def d_variety_poly(n: int) -> BiPoly:
     """Defining polynomial D(r, t) = g_{n+1}(r) g_n(t) - g_n(r) g_{n+1}(t)."""
-    _require_n(n)
+    require_family_index(n)
     gn_r = BiPoly.from_uni(_in_var(g_poly(n), "r"), RT)
     gn1_r = BiPoly.from_uni(_in_var(g_poly(n + 1), "r"), RT)
     gn_t = BiPoly.from_uni(_in_var(g_poly(n), "t"), RT)
@@ -116,9 +112,9 @@ def birational_image(n: int, point):
     """The birational map (r, y) -> (r, (2 - r)(y - r) f_n(r)^2 + 2).
 
     Works over any commutative ring containing the coordinates; composing it
-    with covering_image recovers t_of_rx.
+    with covering_image gives t = tr(ab) on the (r, x) model.
     """
-    _require_n(n)
+    require_family_index(n)
     r, y = point
     fr = f_poly(n)(r)
     return (r, (2 - r) * (y - r) * fr * fr + 2)
@@ -129,8 +125,10 @@ def meridian_derivative_at_two(n: int) -> UniPoly:
 
     On the line r = 2 this collapses to -2 n^2 x, which is the source of the
     x^2 = (4n^2 - 1)/n^2 coordinate of the reducible intersection character.
+    r = 2 is substituted before differentiating, so F is never expanded.
     """
-    return x_variety_poly(n).partial("x").subs("r", 2)
+    X = UniPoly.gen("x")
+    return x_relation(n, Fraction(2), X * X).derivative()
 
 
 @dataclass(frozen=True)

