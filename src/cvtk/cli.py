@@ -5,9 +5,10 @@ and rep exercise the group-theoretic layer, intersect and detect run the full
 pipeline, alexander and slopes print the classical invariants, and
 verify-paper replays every frozen datum and prints a named check table.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error. JSON output is
-canonical (sorted keys, two-space indent, rationals as "num/den" strings) so
-parsing and re-serializing is byte-identical.
+Exit codes: 0 success, 1 verification failure or internal error (an exact
+arithmetic invariant that failed inside the library), 2 usage error. JSON
+output is canonical (sorted keys, two-space indent, rationals as "num/den"
+strings) so parsing and re-serializing is byte-identical.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .knotgrp import (
     two_bridge_word,
     word_eval,
 )
+from .ratpoly import ExactArithError
 from .trace import VerificationError, alexander_poly, boundary_slope_candidates
 from .variety import d_split, d_variety_poly, x_variety_poly
 from .verify import (
@@ -279,6 +281,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
+    except ExactArithError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,20 @@
 """Squarefree decomposition and factorization over Q.
 
-Zassenhaus route: reduce a primitive squarefree integer polynomial modulo the
-smallest usable prime, split with distinct-degree plus Cantor-Zassenhaus
-equal-degree factorization, Hensel-lift the factors to twice the Mignotte
-bound, then recombine subsets by trial division. Deterministic: fixed RNG
-seed, deterministic prime choice, factors sorted canonically.
+Zassenhaus route for a primitive squarefree integer polynomial F:
+
+* Split F by distinct degree modulo each of the first MODULAR_PRIMES usable
+  primes.  A factor of F over Q has a degree that is a subset sum of the
+  modular factor degrees for every prime, so when the intersection of these
+  degree sets is {0, deg F}, F is irreducible with no lifting (Musser 1975).
+* Otherwise take the prime with the fewest modular factors, split them with
+  Cantor-Zassenhaus equal-degree factorization, Hensel-lift them to twice
+  the Mignotte bound, and recombine subsets by trial division.  A subset is
+  tried only if its degree lies in the degree set and its constant term
+  passes the trailing-coefficient test (Abbott, Shoup and Zimmermann 2000);
+  more than RECOMBINATION_BUDGET subsets raise ExactArithError.
+
+Deterministic: fixed RNG seed, deterministic prime choice, factors sorted
+canonically.
 """
 
 from __future__ import annotations
@@ -32,6 +42,18 @@ from .ratpoly import (
     frac_str,
     poly_gcd,
 )
+
+
+# Usable primes (not dividing the leading coefficient, squarefree image)
+# tried before lifting.  For n <= 32, G_n and every meridian polynomial but
+# one are proven irreducible by at most 6 of them; the n = 9 meridian
+# polynomial needs 9, so it is lifted from 3 modular factors instead.
+MODULAR_PRIMES = 8
+
+# Subsets of lifted factors tried in recombination before giving up.  Most
+# fail the degree or trailing-coefficient test at a few microseconds each, so
+# the cap bounds the search to about a second.
+RECOMBINATION_BUDGET = 100_000
 
 
 def iter_primes():
@@ -101,13 +123,6 @@ def _gf_edf(f, d, p, rng):
     return out
 
 
-def _gf_factor_sqf(f, p, rng):
-    out = []
-    for g, d in _gf_ddf(f, p):
-        out.extend(_gf_edf(g, d, p, rng))
-    return sorted(out)
-
-
 # -- Hensel lifting (ascending int lists, coefficients in [0, m)) -------------
 
 
@@ -162,18 +177,35 @@ def _zassenhaus(F: UniPoly):
     fz = F.int_coeffs()
     b = fz[-1]
     rng = random.Random(0x5EED + n)
-    p = None
+    # Bit k of `degrees` is set while k may still be the degree of a factor
+    # over Q.  The distinct-degree split alone gives the modular degrees; only
+    # the prime kept for lifting is split into irreducibles.
+    degrees = (1 << (n + 1)) - 1
+    best = None
+    usable = 0
     for q in iter_primes():
+        if usable == MODULAR_PRIMES:
+            break
         if b % q == 0:
             continue
         fq = _gf_monic(_gf_red(fz, q), q)
-        if len(_gf_gcd(fq, _gf_deriv(fq, q), q)) == 1:
-            p = q
-            fp = fq
-            break
-    facs = _gf_factor_sqf(fp, p, rng)
-    if len(facs) == 1:
-        return [F]
+        if len(_gf_gcd(fq, _gf_deriv(fq, q), q)) != 1:
+            continue
+        usable += 1
+        split = _gf_ddf(fq, q)
+        count = 0
+        sums = 1
+        for g, d in split:
+            for _ in range((len(g) - 1) // d):
+                sums |= sums << d
+                count += 1
+        degrees &= sums
+        if degrees == 1 | 1 << n:
+            return [F]  # Musser's certificate: no proper factor degree is left
+        if best is None or count < best[0]:
+            best = (count, q, split)
+    _, p, split = best
+    facs = sorted(h for g, d in split for h in _gf_edf(g, d, p, rng))
     maxnorm = max(abs(c) for c in fz)
     mignotte = (isqrt(n + 1) + 1) * (1 << n) * maxnorm * abs(b)
     l = 1
@@ -185,10 +217,30 @@ def _zassenhaus(F: UniPoly):
     cur = F
     cands = list(range(len(lifted)))
     size = 1
+    tried = 0
     while 2 * size <= len(cands):
         progress = False
+        lc = int(cur.lc)
+        target = lc * int(cur[0])
         for sub in itertools.combinations(cands, size):
-            prod = [int(cur.lc)]
+            tried += 1
+            if tried > RECOMBINATION_BUDGET:
+                raise ExactArithError(
+                    f"factor recombination exceeded {RECOMBINATION_BUDGET} subsets: "
+                    f"degree {n}, prime {p}, {len(facs)} modular factors"
+                )
+            if not degrees >> sum(len(lifted[i]) - 1 for i in sub) & 1:
+                continue
+            # Trailing-coefficient test: the constant term of a true factor
+            # (scaled to leading coefficient lc) divides lc * cur(0).
+            g0 = lc
+            for i in sub:
+                g0 = g0 * lifted[i][0] % pl
+            if g0 > pl // 2:
+                g0 -= pl
+            if target % g0 if g0 else target:
+                continue
+            prod = [lc]
             for i in sub:
                 prod = _gf_mul(prod, lifted[i], pl)
             g = UniPoly(_sym(prod, pl), F.var).primitive()

@@ -4,7 +4,10 @@ Elements are coordinate vectors in the power basis 1, r, ..., r^(k-1).
 Minimal polynomials come from the characteristic polynomial of the
 multiplication-by-alpha matrix: the modulus is irreducible, so that
 characteristic polynomial is a power of the minimal polynomial and the
-squarefree part recovers it exactly.
+squarefree part recovers it exactly.  Both the characteristic polynomial and
+the check that the result vanishes at alpha run on the integer matrix D*M,
+D the common denominator of the multiplication matrix M (Cohen, GTM 138,
+section 2.2), not on Fractions.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .factor import iter_primes, squarefree_part
 from .ratpoly import ExactArithError, RatMatrix, UniPoly, char_poly
@@ -194,28 +198,52 @@ class NFElem:
 
 
 def multiplication_matrix(a: NFElem) -> RatMatrix:
-    """Matrix of x -> a*x in the power basis (columns are a * r^i)."""
-    k = a.field.degree
+    """Matrix of x -> a*x in the power basis (columns are a * r^i).
+
+    Each column is the previous one times r: a shift, then r^k rewritten
+    through the modulus.
+    """
+    low = [-c for c in a.field.modulus.coeffs[:-1]]  # r^k in the power basis
+    col = list(a.coeffs)
     cols = []
-    cur = a
-    gen = a.field.gen()
-    for _ in range(k):
-        cols.append(cur.coeffs)
-        cur = cur * gen
-    return RatMatrix([[cols[j][i] for j in range(k)] for i in range(k)])
+    for _ in range(a.field.degree):
+        cols.append(col)
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [c + top * m for c, m in zip(col, low)]
+    return RatMatrix(zip(*cols))
 
 
 def nf_minimal_polynomial(a: NFElem, var: str = "u") -> UniPoly:
-    """Monic minimal polynomial of a over Q."""
-    cp = char_poly(multiplication_matrix(a), var)
-    mp = squarefree_part(cp)
+    """Monic minimal polynomial of a over Q, checked to vanish at a."""
+    m = multiplication_matrix(a)
+    mp = squarefree_part(char_poly(m, var))
     # the char poly of an element of a field is a power of one irreducible
-    val = mp(a)
-    if not (val.is_zero if isinstance(val, NFElem) else val == 0):
+    if not _vanishes(mp, m):
         raise ExactArithError("minimal polynomial does not vanish; bad modulus?")
     if a.field.degree % mp.degree != 0:
         raise ExactArithError("minimal polynomial degree must divide field degree")
     return mp
+
+
+def _vanishes(mp: UniPoly, m: RatMatrix) -> bool:
+    """Whether mp(a) = 0, for m the multiplication matrix of a.
+
+    With A = D*m an integer matrix, P(u) = L * D**d * mp(u / D) has integer
+    coefficients and P(D*a) = L * D**d * mp(a); Horner on A applied to the
+    coordinates of 1 gives the coordinates of P(D*a).
+    """
+    d, rows = m.integer_form()
+    deg = mp.degree
+    scaled = [c * d ** (deg - j) for j, c in enumerate(mp.coeffs)]
+    den = lcm(*(c.denominator for c in scaled))
+    coeffs = [c.numerator * (den // c.denominator) for c in scaled]
+    v = [0] * len(rows)
+    for c in reversed(coeffs):
+        v = [sum(map(mul, row, v)) for row in rows]
+        v[0] += c
+    return not any(v)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import lcm as _int_lcm
+from operator import mul
 from typing import Iterable
 
 
@@ -645,6 +647,11 @@ class RatMatrix:
     def trace(self) -> Fraction:
         return sum(self.rows[i][i] for i in range(self.n))
 
+    def integer_form(self):
+        """(D, rows of D*self as int lists), D the least common denominator."""
+        d = _int_lcm(*(c.denominator for row in self.rows for c in row))
+        return d, [[c.numerator * (d // c.denominator) for c in row] for row in self.rows]
+
     def __repr__(self) -> str:
         return f"RatMatrix({[list(map(frac_str, row)) for row in self.rows]})"
 
@@ -679,33 +686,30 @@ def _gf_sub(a, b, p):
 def _gf_mul(a, b, p):
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    lb = len(b)
+    out = [0] * (len(a) + lb - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
+            out[i:i + lb] = [s + x * y for s, y in zip(out[i:i + lb], b)]
+    return _trim([c % p for c in out])
 
 
 def _gf_divmod(a, b, p):
     """Quotient and remainder mod p.  A monic b needs no inverse, so p may
     also be a prime power, as in Hensel lifting, where pow(lc, p - 2, p) is
-    not an inverse."""
+    not an inverse.  Entries of the running remainder are reduced only once,
+    at the end."""
     db = len(b) - 1
     inv = 1 if b[-1] == 1 else pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - db, 0)
     r = list(a)
-    while True:
-        _trim(r)
-        if len(r) - 1 < db:
-            break
-        k = len(r) - 1 - db
-        c = r[-1] * inv % p
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[i + k] = (r[i + k] - c * bc) % p
-    return _trim(q), r
+    q = [0] * max(len(r) - db, 0)
+    low = b[:db]
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] * inv % p
+        if c:
+            q[k] = c
+            r[k:k + db] = [s - c * y for s, y in zip(r[k:k + db], low)]
+    return _trim(q), _trim([c % p for c in r[:db]])
 
 
 def _gf_monic(a, p):
@@ -879,26 +883,28 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
 
 
 def char_poly(m: RatMatrix, var: str = "u") -> UniPoly:
-    """Monic characteristic polynomial det(var*I - m), division-free (Berkowitz)."""
-    n = m.n
-    rows = m.rows
-    p = [Fraction(1)]
-    for i in range(n):
-        a = rows[i][i]
+    """Monic characteristic polynomial det(var*I - m).
+
+    Division-free Berkowitz on the integer matrix A = D*m, D the least common
+    denominator of the entries: det(var*I - m) = D**-k * det(D*var*I - A), so
+    coefficient j of the result is coefficient j of det(var*I - A) over
+    D**(k - j).  Only the k output coefficients are Fractions.
+    """
+    d, rows = m.integer_form()
+    p = [1]  # descending coefficients of the leading principal minor's char poly
+    for i in range(len(rows)):
         rvec = rows[i][:i]
-        cvec = [rows[j][i] for j in range(i)]
         sub = [row[:i] for row in rows[:i]]
-        t = [Fraction(1), -a]
-        v = list(cvec)
-        for _ in range(i):
-            t.append(-sum(x * y for x, y in zip(rvec, v)))
-            v = [sum(sub[r][c] * v[c] for c in range(i)) for r in range(i)]
-        q = [Fraction(0)] * (i + 2)
+        v = [rows[j][i] for j in range(i)]
+        t = [1, -rows[i][i]]
+        for step in range(i):
+            t.append(-sum(map(mul, rvec, v)))
+            if step + 1 < i:
+                v = [sum(map(mul, row, v)) for row in sub]
+        q = [0] * (i + 2)
         for j, pj in enumerate(p):
-            if not pj:
-                continue
-            for k, tk in enumerate(t):
-                if j + k < i + 2 and tk:
-                    q[j + k] += tk * pj
+            if pj:
+                for s, ts in enumerate(t[: i + 2 - j]):
+                    q[j + s] += ts * pj
         p = q
-    return UniPoly(list(reversed(p)), var)
+    return UniPoly([Fraction(c, d ** j) for j, c in enumerate(p)][::-1], var)

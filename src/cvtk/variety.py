@@ -40,6 +40,7 @@ from fractions import Fraction
 from .cheb import f_poly, g_poly, require_family_index
 from .golden import default_fixtures
 from .ratpoly import BiPoly, UniPoly, poly_gcd, resultant_in
+from .trace import VerificationError
 
 RX = ("r", "x")
 RT = ("r", "t")
@@ -95,7 +96,7 @@ def d_split(n: int) -> ComponentPair:
     line = r - t
     q, rem = D.divmod_in(line, "r")
     if not rem.is_zero:
-        raise RuntimeError(
+        raise VerificationError(
             "hard invariant violated: (r - t) does not divide D(r, t) "
             f"for n = {n}"
         )

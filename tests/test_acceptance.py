@@ -1,4 +1,4 @@
-"""Acceptance gate: the fourteen published-data criteria.
+"""Acceptance gate: the published-data criteria and the runtime budgets.
 
 Each test is one criterion, named so the verbose test listing reads as one
 pass/fail line per criterion. Exact polynomial data is pinned against the
@@ -201,3 +201,11 @@ def test_criterion_14_negative_control(tmp_path, monkeypatch, capsys):
         line.split()[1] for line in out.splitlines() if line.startswith("FAIL")
     }
     assert "meridian-n2-exact" in fail_names
+
+
+def test_criterion_15_detect_n20_budget():
+    start = time.monotonic()
+    report = build_intersection_report(20)
+    assert report.status == "ok"
+    assert report.slope.detected_slope == 0
+    assert time.monotonic() - start < 15.0

@@ -91,6 +91,27 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_internal_error_exits_one(monkeypatch, capsys):
+    from cvtk import numfield
+
+    good = numfield.squarefree_part
+    monkeypatch.setattr(numfield, "squarefree_part", lambda p: good(p) + 1)
+    assert main(["detect", "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ")
+    assert "does not vanish" in err
+
+
+def test_d_split_invariant_failure_exits_one(monkeypatch, capsys):
+    from cvtk import variety
+
+    good = variety.d_variety_poly
+    monkeypatch.setattr(variety, "d_variety_poly", lambda n: good(n) + 1)
+    assert main(["variety", "--n", "2", "--model", "D", "--split"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: hard invariant violated")
+
+
 def test_cheb_command(capsys):
     assert main(["cheb", "--kind", "g", "--j", "3"]) == 0
     assert capsys.readouterr().out.strip() == "u^2 - u - 1"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cvtk import factor
 from cvtk.cheb import G_poly
 from cvtk.factor import (
     factor_over_rationals,
@@ -269,3 +270,44 @@ def test_factor_agrees_with_sympy_on_random_products():
         for _ in range(rng.randint(3, 6)):
             p = p * rand_poly(rng, rng.randint(1, 3)) ** rng.randint(1, 2)
         assert_agrees_with_sympy(p)
+
+
+def swinnerton_dyer(primes):
+    """Minimal polynomial of the sum of sqrt(p), p in primes: degree 2**len.
+
+    Irreducible over Q, yet it splits into factors of degree <= 2 modulo
+    every prime.  Built as S(u) -> S(u + y) S(u - y) with y^2 = p, writing
+    S(u + y) = A(u) + y B(u)."""
+    s = U
+    for p in primes:
+        a, b = UniPoly.zero(), UniPoly.zero()
+        for c in reversed(s.coeffs):
+            a, b = a * U + p * b + c, a + b * U
+        s = a * a - p * b * b
+    return s
+
+
+def test_factor_agrees_with_sympy_on_swinnerton_dyer():
+    sd = [swinnerton_dyer((2, 3, 5, 7)[:k]) for k in (2, 3, 4)]
+    assert [p.degree for p in sd] == [4, 8, 16]
+    for p in sd:
+        assert_agrees_with_sympy(p)
+    assert_agrees_with_sympy(sd[1] * swinnerton_dyer((2, 3, 7)))
+
+
+def test_recombination_budget_raises(monkeypatch):
+    monkeypatch.setattr(factor, "RECOMBINATION_BUDGET", 3)
+    with pytest.raises(ExactArithError, match="degree 8, prime .*modular factors"):
+        factor_over_rationals(swinnerton_dyer((2, 3, 5)))
+
+
+@pytest.mark.parametrize("n", [18, 19])
+def test_meridian_irreducibility_needs_no_lifting(n, monkeypatch):
+    def no_lift(*args):
+        raise AssertionError("Hensel lifting ran")
+
+    monkeypatch.setattr(factor, "_hensel_lift", no_lift)
+    (locus,) = intersection_loci(n)
+    p = nf_minimal_polynomial(x_squared_at(locus), "x").inflate(2)
+    assert p.degree == 4 * n - 4
+    assert is_irreducible(p)

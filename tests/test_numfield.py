@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cvtk import numfield
 from cvtk.numfield import (
     IntegralityVerdict,
     NumberField,
@@ -10,7 +11,8 @@ from cvtk.numfield import (
     multiplication_matrix,
     nf_minimal_polynomial,
 )
-from cvtk.ratpoly import ExactArithError, UniPoly
+from cvtk.intersect import intersection_loci, x_squared_at
+from cvtk.ratpoly import ExactArithError, UniPoly, char_poly
 
 U = UniPoly.gen("u")
 R = UniPoly.gen("r")
@@ -108,6 +110,24 @@ def test_min_poly_properties():
             from cvtk.factor import is_irreducible
 
             assert mp.degree == 1 or is_irreducible(mp)
+
+
+def test_min_poly_of_subfield_element():
+    # r = sqrt(2) + sqrt(3); r^2 = 5 + 2 sqrt(6) lies in a quadratic subfield,
+    # so the char poly is the square of the minimal polynomial
+    k = NumberField(R ** 4 - 10 * R ** 2 + 1)
+    a = k.gen() ** 2
+    mp = U ** 2 - 10 * U + 1
+    assert char_poly(multiplication_matrix(a)) == mp ** 2
+    assert nf_minimal_polynomial(a) == mp
+
+
+def test_min_poly_vanishing_check_catches_a_wrong_polynomial(monkeypatch):
+    good = numfield.squarefree_part
+    monkeypatch.setattr(numfield, "squarefree_part", lambda p: good(p) + 1)
+    (locus,) = intersection_loci(3)
+    with pytest.raises(ExactArithError, match="does not vanish"):
+        nf_minimal_polynomial(x_squared_at(locus))
 
 
 def test_multiplication_matrix_trace():

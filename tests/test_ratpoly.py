@@ -348,3 +348,33 @@ def test_char_poly_cayley_hamilton():
                     rows[i][j] += c * power.rows[i][j]
             power = power * m
         assert all(v == 0 for row in rows for v in row)
+
+
+def sympy_char_poly(m):
+    """Ascending coefficients of det(u*I - m), from sympy."""
+    sympy = pytest.importorskip("sympy")
+    M = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
+                      for row in m.rows])
+    return [Fraction(int(c.p), int(c.q)) for c in M.charpoly().all_coeffs()[::-1]]
+
+
+def test_char_poly_agrees_with_sympy_on_mixed_denominators():
+    rng = random.Random(52)
+    for k in range(1, 9):
+        for _ in range(3):
+            m = RatMatrix([[Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 7, 12, 35]))
+                            for _ in range(k)] for _ in range(k)])
+            assert list(char_poly(m).coeffs) == sympy_char_poly(m)
+
+
+def test_char_poly_agrees_with_sympy_on_family_elements():
+    from cvtk.intersect import intersection_loci, x_squared_at
+    from cvtk.numfield import multiplication_matrix
+    from cvtk.trace import longitude_trace
+
+    for n in range(2, 9):
+        for locus in intersection_loci(n):
+            locus.x_squared = x_squared_at(locus)
+            for a in (locus.x_squared, longitude_trace(locus)[0]):
+                m = multiplication_matrix(a)
+                assert list(char_poly(m).coeffs) == sympy_char_poly(m)
