@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import gcd
+from math import exp, gcd, log, pi
 
 import mpmath
 
@@ -241,13 +241,85 @@ def mu_from_x(x: complex, branch: int = 1) -> complex:
     return (x + root) / 2 if branch >= 0 else (x - root) / 2
 
 
-def complex_roots(p: UniPoly, dps: int = 40):
+ROOT_DPS = 40  # decimal digits to which complex_roots converges
+
+
+def _horner(coeffs, z):
+    """(p(z), p'(z)) for coefficients listed highest degree first."""
+    p = dp = 0j
+    for c in coeffs:
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp
+
+
+def _aberth_seeds(coeffs: list):
+    """Float approximations of the roots of an integer polynomial (highest
+    degree first) by the Aberth-Ehrlich iteration, to start Durand-Kerner.
+
+    The sweeps stop once every |p(z)| is within rounding error of the Horner
+    sum of |a_k| |z|^k (Bini's test): floats cannot place the roots better.
+    None if a seed is not finite.
+    """
+    deg = len(coeffs) - 1
+    scale = 1 << max(abs(c).bit_length() for c in coeffs)
+    fwd = [c / scale for c in coeffs]  # int true division: never overflows
+    rev = fwd[::-1]
+    abs_fwd, abs_rev = [abs(c) for c in fwd], [abs(c) for c in rev]
+    lo = abs(coeffs[-1]) or 1
+    radius = exp((log(lo) - log(abs(coeffs[0]))) / deg)
+    zs = [radius * cmath.exp(2j * pi * (k + 0.25) / deg) for k in range(deg)]
+    for _ in range(100):
+        converged = True
+        for i, z in enumerate(zs):
+            if abs(z) <= 1:
+                (den, num), bound = _horner(fwd, z), _horner(abs_fwd, abs(z))[0]
+            else:  # p(z) = z^deg rev(w) with w = 1/z keeps the powers bounded
+                w = 1 / z
+                (den, dr), bound = _horner(rev, w), _horner(abs_rev, abs(w))[0]
+                num = w * (deg * den - w * dr)
+            # num / den = p'(z) / p(z)
+            converged = converged and abs(den) <= 4 * deg * 2.0 ** -53 * bound.real
+            denom = num - den * sum(1 / (z - y) for y in zs if y != z)
+            if den != 0 and denom != 0:
+                zs[i] = z - den / denom
+        if converged:
+            break
+    if all(cmath.isfinite(z) for z in zs):
+        return [mpmath.mpc(z) for z in zs]
+    return None
+
+
+def complex_roots(p: UniPoly):
     """All complex roots of p, isolated well past 1e-12 and sorted by
-    (real, imaginary) lexicographically."""
+    (real, imaginary) lexicographically.
+
+    The roots are those of mpmath.polyroots(maxsteps=200, extraprec=120) at
+    ROOT_DPS digits, with its convergence tolerance and its cleanup of tiny
+    real and imaginary parts. Two things change only where that Durand-Kerner
+    iteration starts and what degree it sees: float Aberth-Ehrlich seeds, and
+    for even p(x) = h(x^2) the roots +-sqrt(u) over the roots u of h.
+    Non-convergence raises ExactArithError.
+    """
     if p.degree < 1:
         raise ExactArithError("root isolation needs a nonconstant polynomial")
     coeffs = list(reversed(p.primitive().int_coeffs()))
-    with mpmath.workdps(dps):
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)
+    even = p.degree % 2 == 0 and not any(coeffs[1::2])
+    if even:
+        coeffs = coeffs[::2]
+    with mpmath.workdps(ROOT_DPS):
+        try:
+            roots = mpmath.polyroots(
+                coeffs, maxsteps=200, extraprec=120,
+                roots_init=_aberth_seeds(coeffs),
+            )
+        except mpmath.mp.NoConvergence as exc:
+            bits = max(abs(c).bit_length() for c in coeffs)
+            raise ExactArithError(
+                f"root approximation did not converge for a degree-{p.degree} "
+                f"polynomial with {bits}-bit coefficients: {exc}"
+            ) from exc
+        if even:
+            roots = [s * mpmath.sqrt(u) for u in roots for s in (1, -1)]
         out = [complex(z) for z in roots]
     return sorted(out, key=lambda z: (round(z.real, 12), round(z.imag, 12)))

@@ -209,3 +209,10 @@ def test_criterion_15_detect_n20_budget():
     assert report.status == "ok"
     assert report.slope.detected_slope == 0
     assert time.monotonic() - start < 15.0
+
+
+def test_criterion_16_intersect_n16_budget(capsys):
+    start = time.monotonic()
+    assert main(["intersect", "--n", "16"]) == 0
+    assert time.monotonic() - start < 5.0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"

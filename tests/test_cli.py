@@ -102,6 +102,19 @@ def test_internal_error_exits_one(monkeypatch, capsys):
     assert "does not vanish" in err
 
 
+def test_root_nonconvergence_exits_one(monkeypatch, capsys):
+    import mpmath
+
+    def no_convergence(*args, **kwargs):
+        raise mpmath.mp.NoConvergence("Didn't converge in maxsteps=200 steps.")
+
+    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+    assert main(["intersect", "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: root approximation did not converge")
+    assert "degree-" in err and "-bit coefficients" in err
+
+
 def test_d_split_invariant_failure_exits_one(monkeypatch, capsys):
     from cvtk import variety
 

@@ -9,11 +9,13 @@ import cmath
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from cvtk.cheb import f_poly
+from cvtk.cli import complex_str
 from cvtk.golden import default_fixtures
-from cvtk.intersect import intersection_loci
+from cvtk.intersect import build_intersection_report, intersection_loci
 from cvtk.knotgrp import (
     MAT_ID,
     FreeWord,
@@ -29,7 +31,7 @@ from cvtk.knotgrp import (
     two_bridge_word,
     word_eval,
 )
-from cvtk.ratpoly import ExactArithError, UniPoly
+from cvtk.ratpoly import ExactArithError, UniPoly, poly_gcd
 
 TOL = 1e-9
 
@@ -162,6 +164,46 @@ def test_complex_roots_sorted_and_complete():
         assert abs(val) < 1e-9
     with pytest.raises(ExactArithError):
         complex_roots(UniPoly([3], "x"))
+
+
+def _unseeded_root_strs(p):
+    """The 12-digit roots from mpmath's own Durand-Kerner starting points."""
+    coeffs = list(reversed(p.primitive().int_coeffs()))
+    with mpmath.workdps(40):
+        roots = [complex(z) for z in mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)]
+    roots.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    return [complex_str(z) for z in roots]
+
+
+def _random_squarefree(rng, even):
+    while True:
+        h = UniPoly([rng.randint(-20, 20) for _ in range(rng.randint(2, 9))], "x")
+        if h.degree < 1:
+            continue
+        p = UniPoly([c for a in h.coeffs for c in (a, 0)][:-1], "x") if even else h
+        if poly_gcd(p, p.derivative()).degree == 0:
+            return p
+
+
+def test_complex_roots_match_unseeded_polyroots():
+    polys = []
+    for n in range(2, 9):
+        for locus in build_intersection_report(n).loci:
+            polys.extend([locus.modulus, *locus.x_min_polys, locus.longitude_min_poly])
+    rng = random.Random(20161)
+    polys.extend(_random_squarefree(rng, even=k % 2 == 0) for k in range(100))
+    assert sum(p.degree % 2 == 0 and not any(p.coeffs[1::2]) for p in polys) >= 50
+    for p in polys:
+        assert [complex_str(z) for z in complex_roots(p)] == _unseeded_root_strs(p), p
+
+
+def test_complex_roots_of_even_polynomials_stay_on_the_axes():
+    imaginary = [complex_str(z) for z in complex_roots(UniPoly([1, 0, 3, 0, 1], "x"))]
+    assert len(imaginary) == 4 and all(s.startswith("0 ") for s in imaginary)
+    real = [complex_str(z) for z in complex_roots(UniPoly([1, 0, -10, 0, 1], "x"))]
+    assert len(real) == 4 and all(s.endswith(" + 0i") for s in real)
+    assert imaginary == _unseeded_root_strs(UniPoly([1, 0, 3, 0, 1], "x"))
+    assert real == _unseeded_root_strs(UniPoly([1, 0, -10, 0, 1], "x"))
 
 
 def test_family_relator_holds_at_loci():
