@@ -14,13 +14,12 @@ strings) so parsing and re-serializing is byte-identical.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import sys
 
 from .cheb import G_poly, f_poly, g_poly
 from .golden import load_fixtures
-from .intersect import build_intersection_report, intersection_loci
+from .intersect import build_intersection_report, intersection_loci, numeric_x
 from .knotgrp import (
     complex_roots,
     family_words,
@@ -98,7 +97,7 @@ def _augmented_report_json(report) -> dict:
     obj = report.to_json()
     for locus, locus_obj in zip(report.loci, obj["loci"]):
         x_roots = []
-        for factor in locus.x_min_polys or ():
+        for factor in locus.x_min_polys:
             x_roots.extend(_poly_root_strs(factor))
         locus_obj["approx"] = {
             "modulus_roots": _poly_root_strs(locus.modulus),
@@ -144,9 +143,7 @@ def cmd_rep(args) -> int:
     if not 0 <= args.root < len(roots):
         raise ValueError(f"root index must be in [0, {len(roots) - 1}]")
     r0 = roots[args.root]
-    fn = f_poly(args.n).coeffs
-    value = sum(complex(c) * r0 ** k for k, c in enumerate(fn))
-    x0 = cmath.sqrt(2 + r0 - 1 / (value * value))
+    x0 = numeric_x(args.n, r0)
     mu = mu_from_x(x0)
     rep = numeric_rep(args.n, mu, r0)
     fam = family_words(args.n)

@@ -8,15 +8,21 @@ trace satisfies x^2 = 2 + r - 1/f_n(r)^2, which is never an algebraic
 integer (2 always divides a denominator), while the longitude trace always
 is one.  That contrast is what detects the slope-0 surface.
 
-This module builds the loci, the meridian minimal polynomials and verdicts,
-attaches the longitude data from the trace module, and assembles the full
-report consumed by the CLI and the slope detector.
+`intersection_loci` gives one small `LocusField` per factor: the field and
+its generator r, with x^2 computed on first use.  `build_intersection_report`
+completes each into a frozen `IntersectionLocus` (meridian factors and
+verdicts, longitude trace, minimal polynomial and verdict) in one pass, and
+returns a frozen `IntersectionReport` whose status, slope verdict and point
+counts are read off its loci.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 
 from .cheb import G_poly, f_poly, require_family_index
 from .factor import factor_over_rationals
@@ -40,23 +46,39 @@ from .variety import x_relation
 
 
 @dataclass
-class IntersectionLocus:
-    """One irreducible factor of G_n and the character data over it.
+class LocusField:
+    """One irreducible factor m of G_n: the field Q[r]/(m) and its generator r.
 
-    Built in stages: intersection_loci yields the field and r only; the
-    meridian and longitude fields are filled by build_intersection_report.
+    x_squared is computed on first use and then kept.
     """
 
     n: int
     field: NumberField
     r_elem: NFElem
-    x_squared: NFElem = None
-    x_min_polys: tuple = None
-    meridian_verdict: IntegralityVerdict = None
-    factor_verdicts: tuple = None
-    longitude_elem: NFElem = None
-    longitude_min_poly: UniPoly = None
-    longitude_verdict: IntegralityVerdict = None
+
+    @property
+    def modulus(self) -> UniPoly:
+        return self.field.modulus
+
+    @cached_property
+    def x_squared(self) -> NFElem:
+        return x_squared_at(self)
+
+
+@dataclass(frozen=True)
+class IntersectionLocus:
+    """One irreducible factor of G_n and the complete character data over it."""
+
+    n: int
+    field: NumberField
+    r_elem: NFElem
+    x_squared: NFElem
+    x_min_polys: tuple
+    meridian_verdict: IntegralityVerdict
+    factor_verdicts: tuple
+    longitude_elem: NFElem
+    longitude_min_poly: UniPoly
+    longitude_verdict: IntegralityVerdict
 
     @property
     def modulus(self) -> UniPoly:
@@ -65,34 +87,27 @@ class IntersectionLocus:
     @property
     def x_min_poly(self) -> UniPoly:
         """Monic minimal polynomial of the meridian trace (factor product)."""
-        out = UniPoly.const(1, "x")
-        for p in self.x_min_polys:
-            out = out * p
-        return out
+        return prod(self.x_min_polys, start=UniPoly.const(1, "x"))
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "n": self.n,
             "modulus": self.modulus.to_json(),
             "degree": self.modulus.degree,
-        }
-        if self.x_squared is not None:
-            out["x_squared"] = self.x_squared.to_json()
-        if self.x_min_polys is not None:
-            out["x_min_polys"] = [p.to_json() for p in self.x_min_polys]
-            out["meridian_verdict"] = self.meridian_verdict.to_json()
-            out["factor_verdicts"] = [v.to_json() for v in self.factor_verdicts]
-        if self.longitude_min_poly is not None:
-            out["longitude"] = {
+            "x_squared": self.x_squared.to_json(),
+            "x_min_polys": [p.to_json() for p in self.x_min_polys],
+            "meridian_verdict": self.meridian_verdict.to_json(),
+            "factor_verdicts": [v.to_json() for v in self.factor_verdicts],
+            "longitude": {
                 "element": self.longitude_elem.to_json(),
                 "min_poly": self.longitude_min_poly.to_json(),
                 "verdict": self.longitude_verdict.to_json(),
-            }
-        return out
+            },
+        }
 
 
 def intersection_loci(n: int):
-    """One locus per irreducible factor of G_n; no meridian data yet."""
+    """One LocusField per irreducible factor of G_n."""
     require_family_index(n)
     G = UniPoly(G_poly(n).coeffs, "r")
     fac = factor_over_rationals(G)
@@ -104,7 +119,7 @@ def intersection_loci(n: int):
                 f"G_{n} is not squarefree: factor {modulus} has multiplicity {mult}"
             )
         field = NumberField(modulus)
-        loci.append(IntersectionLocus(n=n, field=field, r_elem=field.gen()))
+        loci.append(LocusField(n=n, field=field, r_elem=field.gen()))
         total += modulus.degree
     if total != 2 * n - 2:
         raise VerificationError(
@@ -113,7 +128,7 @@ def intersection_loci(n: int):
     return loci
 
 
-def x_squared_at(locus: IntersectionLocus) -> NFElem:
+def x_squared_at(locus) -> NFElem:
     """The squared meridian trace 2 + r - 1/f_n(r)^2 in the locus field.
 
     f_n(r) is invertible because gcd(G_n, f_n) = 1; a zero inverse would be
@@ -124,7 +139,13 @@ def x_squared_at(locus: IntersectionLocus) -> NFElem:
     return 2 + r - (fn * fn) ** -1
 
 
-def meridian_min_poly(locus: IntersectionLocus):
+def numeric_x(n: int, r0: complex) -> complex:
+    """The meridian trace sqrt(2 + r0 - 1/f_n(r0)^2) at a complex root r0 of G_n."""
+    fn = sum(complex(c) * r0 ** k for k, c in enumerate(f_poly(n).coeffs))
+    return cmath.sqrt(2 + r0 - 1 / (fn * fn))
+
+
+def meridian_min_poly(locus):
     """Irreducible monic factors of the minimal polynomial of x over Q.
 
     Computes the minimal polynomial p of x^2, substitutes u -> x^2, and
@@ -132,8 +153,6 @@ def meridian_min_poly(locus: IntersectionLocus):
     them are returned (their product is the minimal-polynomial of the whole
     +-x orbit over the locus).
     """
-    if locus.x_squared is None:
-        raise ValueError("locus has no x_squared; call x_squared_at first")
     p = nf_minimal_polynomial(locus.x_squared, "x")
     q = p.inflate(2)
     fac = factor_over_rationals(q)
@@ -148,34 +167,64 @@ def meridian_min_poly(locus: IntersectionLocus):
     return tuple(factors)
 
 
-def _aggregate_meridian(locus: IntersectionLocus) -> None:
-    """Fill the per-factor and product verdicts; enforce 2-adic failure."""
-    factors = locus.x_min_polys
-    locus.factor_verdicts = tuple(integrality_verdict(f) for f in factors)
-    locus.meridian_verdict = integrality_verdict(locus.x_min_poly)
-    for f, v in zip(factors, locus.factor_verdicts):
-        if v.is_algebraic_integer:
-            continue  # handled at report level: integral meridian = failure
-        if 2 not in v.bad_primes and v.prime_set_complete:
+def _complete_locus(base: LocusField) -> IntersectionLocus:
+    """Meridian factors and verdicts and the longitude data over one field.
+
+    A non-integral meridian factor whose bad primes are all known must have 2
+    among them.  An integral meridian trace is not raised here: it would
+    break the 2-adic non-integrality the slope detection rests on, and the
+    report shows it as its "verification-failure" status with the slope
+    undetermined.
+    """
+    factors = meridian_min_poly(base)
+    factor_verdicts = tuple(integrality_verdict(f) for f in factors)
+    meridian_verdict = integrality_verdict(prod(factors, start=UniPoly.const(1, "x")))
+    for f, v in zip(factors, factor_verdicts):
+        if v.is_algebraic_integer or not v.prime_set_complete:
+            continue
+        if 2 not in v.bad_primes:
             raise VerificationError(
-                f"meridian factor {f} at n = {locus.n} is non-integral but 2 "
+                f"meridian factor {f} at n = {base.n} is non-integral but 2 "
                 f"does not divide any coefficient denominator"
             )
+    return IntersectionLocus(
+        base.n,
+        base.field,
+        base.r_elem,
+        base.x_squared,
+        factors,
+        meridian_verdict,
+        factor_verdicts,
+        *longitude_trace(base),
+    )
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntersectionReport:
     """Everything the slope detector and the CLI need for one knot."""
 
     n: int
     loci: tuple
     reducible: ReducibleCharacter
-    slope: SlopeVerdict
-    status: str
-    d_point_count: int
-    x_point_count: int
     reducible_on_x_model: bool
     reducible_is_intersection: bool
+
+    @property
+    def slope(self) -> SlopeVerdict:
+        return detect_surface(self)
+
+    @property
+    def status(self) -> str:
+        """Either "ok" or "verification-failure" (a meridian trace is integral)."""
+        return "verification-failure" if self.slope.meridian_integral else "ok"
+
+    @property
+    def d_point_count(self) -> int:
+        return sum(locus.modulus.degree for locus in self.loci)
+
+    @property
+    def x_point_count(self) -> int:
+        return 2 * self.d_point_count
 
     def to_json(self) -> dict:
         return {
@@ -194,26 +243,8 @@ class IntersectionReport:
 
 
 def build_intersection_report(n: int) -> IntersectionReport:
-    """Full pipeline for one knot: loci, meridian, longitude, slope verdict.
-
-    Status is "ok" unless some locus has an algebraic-integer meridian trace,
-    which would break the 2-adic non-integrality property the slope detection
-    rests on; then the status is "verification-failure" and the slope stays
-    undetermined.
-    """
-    loci = intersection_loci(n)
-    status = "ok"
-    for locus in loci:
-        locus.x_squared = x_squared_at(locus)
-        locus.x_min_polys = meridian_min_poly(locus)
-        _aggregate_meridian(locus)
-        if locus.meridian_verdict.is_algebraic_integer:
-            status = "verification-failure"
-        tau, min_poly, verdict = longitude_trace(locus)
-        locus.longitude_elem = tau
-        locus.longitude_min_poly = min_poly
-        locus.longitude_verdict = verdict
-
+    """Full pipeline for one knot: loci, meridian, longitude, reducible character."""
+    loci = tuple(_complete_locus(base) for base in intersection_loci(n))
     reducible = reducible_character(n)
     on_model = x_relation(n, Fraction(2), reducible.x_squared) == 0
     if not on_model:
@@ -222,17 +253,10 @@ def build_intersection_report(n: int) -> IntersectionReport:
         )
     # G_n(2) = n != 0, so r = 2 is never an intersection r-coordinate.
     is_intersection = G_poly(n)(Fraction(2)) == 0
-
-    report = IntersectionReport(
+    return IntersectionReport(
         n=n,
-        loci=tuple(loci),
+        loci=loci,
         reducible=reducible,
-        slope=SlopeVerdict(False, False, "undetermined", "pending"),
-        status=status,
-        d_point_count=2 * n - 2,
-        x_point_count=2 * (2 * n - 2),
         reducible_on_x_model=on_model,
         reducible_is_intersection=is_intersection,
     )
-    report.slope = detect_surface(report)
-    return report

@@ -89,9 +89,6 @@ class NFElem:
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
 
-    def is_rational(self) -> bool:
-        return all(not c for c in self.coeffs[1:])
-
     def _coerce(self, other):
         if isinstance(other, NFElem):
             if other.field != self.field:

@@ -320,7 +320,7 @@ class SlopeVerdict:
 
 
 def detect_surface(report) -> SlopeVerdict:
-    """Slope detection from a filled intersection report.
+    """Slope detection from the loci of an intersection report.
 
     A character whose meridian trace is not an algebraic integer but whose
     longitude trace is one detects an essential surface of slope 0, and any
@@ -330,9 +330,7 @@ def detect_surface(report) -> SlopeVerdict:
         locus.meridian_verdict.is_algebraic_integer for locus in report.loci
     )
     longitude_integral = all(
-        locus.longitude_verdict is not None
-        and locus.longitude_verdict.is_algebraic_integer
-        for locus in report.loci
+        locus.longitude_verdict.is_algebraic_integer for locus in report.loci
     )
     if not meridian_integral and longitude_integral:
         return SlopeVerdict(

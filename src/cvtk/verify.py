@@ -9,17 +9,17 @@ line to FAIL; that negative control is itself part of the test suite.
 
 from __future__ import annotations
 
-import cmath
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .cheb import G_poly, f_poly, failed_identities, require_family_index
 from .golden import default_fixtures
 from .intersect import (
     build_intersection_report,
     intersection_loci,
-    meridian_min_poly,
+    numeric_x,
     x_squared_at,
 )
 from .knotgrp import (
@@ -90,18 +90,12 @@ class VerifyContext:
         return self.fixtures[n]
 
 
-def _poly_at(coeffs, z: complex) -> complex:
-    return sum(complex(c) * z ** k for k, c in enumerate(coeffs))
-
-
 def _loci_points(n: int):
-    pts = []
-    for locus in intersection_loci(n):
-        fn = f_poly(n).coeffs
-        for r0 in complex_roots(locus.modulus):
-            v = _poly_at(fn, r0)
-            pts.append((r0, cmath.sqrt(2 + r0 - 1 / (v * v))))
-    return pts
+    return [
+        (r0, numeric_x(n, r0))
+        for locus in intersection_loci(n)
+        for r0 in complex_roots(locus.modulus)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +132,6 @@ def _check_x_variety(ctx, n):
     return True, f"X = X0*X1 with x-degrees {fx.X0.degree_in('x')}+{fx.X1.degree_in('x')}"
 
 
-def check_x_variety_n2(ctx):
-    return _check_x_variety(ctx, 2)
-
-
-def check_x_variety_n3(ctx):
-    return _check_x_variety(ctx, 3)
-
-
 def check_d_split(ctx):
     for n in range(2, 21):
         pair = d_split(n)
@@ -158,20 +144,10 @@ def check_d_split(ctx):
 
 def _check_meridian_exact(ctx, n):
     fx = ctx.fixture(n)
-    locus = intersection_loci(n)[0]
-    locus.x_squared = x_squared_at(locus)
-    locus.x_min_polys = meridian_min_poly(locus)
+    locus = ctx.report(n).loci[0]
     if locus.x_min_poly != UniPoly(fx.x_poly.coeffs, "x").monic():
         return False, "meridian minimal polynomial differs from fixture"
     return True, f"degree {locus.x_min_poly.degree} matches fixture"
-
-
-def check_meridian_n2_exact(ctx):
-    return _check_meridian_exact(ctx, 2)
-
-
-def check_meridian_n3_exact(ctx):
-    return _check_meridian_exact(ctx, 3)
 
 
 def check_meridian_nonintegral(ctx):
@@ -191,14 +167,6 @@ def _check_longitude_exact(ctx, n):
         if locus.longitude_min_poly != UniPoly(fx.longitude_min_poly.coeffs, "l"):
             return False, "longitude minimal polynomial differs from fixture"
     return True, f"degree {fx.longitude_min_poly.degree} matches fixture"
-
-
-def check_longitude_n2_exact(ctx):
-    return _check_longitude_exact(ctx, 2)
-
-
-def check_longitude_n3_exact(ctx):
-    return _check_longitude_exact(ctx, 3)
 
 
 def check_longitude_integral(ctx):
@@ -229,14 +197,6 @@ def _check_bezout(ctx, n):
     return True, f"(total, affine, ideal) = {got}"
 
 
-def check_bezout_n2(ctx):
-    return _check_bezout(ctx, 2)
-
-
-def check_bezout_n3(ctx):
-    return _check_bezout(ctx, 3)
-
-
 def _check_eliminants(ctx, n):
     from .factor import squarefree_part
 
@@ -250,14 +210,6 @@ def _check_eliminants(ctx, n):
     if poly_gcd(budget.x_eliminant, budget.x_eliminant.derivative()).degree != 0:
         return False, "x-eliminant is not squarefree"
     return True, "sqfree r-eliminant = G_n; x-eliminant matches fixture, squarefree"
-
-
-def check_eliminants_n2(ctx):
-    return _check_eliminants(ctx, 2)
-
-
-def check_eliminants_n3(ctx):
-    return _check_eliminants(ctx, 3)
 
 
 def check_delta_gamma(ctx):
@@ -373,14 +325,6 @@ def _check_r_poly(ctx, n):
     return True, f"modulus product matches fixture (degree {product.degree})"
 
 
-def check_r_poly_n2(ctx):
-    return _check_r_poly(ctx, 2)
-
-
-def check_r_poly_n3(ctx):
-    return _check_r_poly(ctx, 3)
-
-
 def check_x2_element_n2(ctx):
     locus = intersection_loci(2)[0]
     r = locus.r_elem
@@ -404,20 +348,20 @@ CHECKS = (
     ("cheb-identities", check_cheb_identities),
     ("g-polynomials", check_g_polynomials),
     ("mod2-congruence", check_mod2_congruence),
-    ("x-variety-n2", check_x_variety_n2),
-    ("x-variety-n3", check_x_variety_n3),
+    ("x-variety-n2", partial(_check_x_variety, n=2)),
+    ("x-variety-n3", partial(_check_x_variety, n=3)),
     ("d-split", check_d_split),
-    ("meridian-n2-exact", check_meridian_n2_exact),
-    ("meridian-n3-exact", check_meridian_n3_exact),
+    ("meridian-n2-exact", partial(_check_meridian_exact, n=2)),
+    ("meridian-n3-exact", partial(_check_meridian_exact, n=3)),
     ("meridian-nonintegral", check_meridian_nonintegral),
-    ("longitude-n2-exact", check_longitude_n2_exact),
-    ("longitude-n3-exact", check_longitude_n3_exact),
+    ("longitude-n2-exact", partial(_check_longitude_exact, n=2)),
+    ("longitude-n3-exact", partial(_check_longitude_exact, n=3)),
     ("longitude-integral", check_longitude_integral),
     ("slope-verdict", check_slope_verdict),
-    ("bezout-n2", check_bezout_n2),
-    ("bezout-n3", check_bezout_n3),
-    ("eliminants-n2", check_eliminants_n2),
-    ("eliminants-n3", check_eliminants_n3),
+    ("bezout-n2", partial(_check_bezout, n=2)),
+    ("bezout-n3", partial(_check_bezout, n=3)),
+    ("eliminants-n2", partial(_check_eliminants, n=2)),
+    ("eliminants-n3", partial(_check_eliminants, n=3)),
     ("delta-gamma", check_delta_gamma),
     ("relator-numeric", check_relator_numeric),
     ("standard-relators", check_standard_relators),
@@ -425,24 +369,30 @@ CHECKS = (
     ("reducible-character", check_reducible),
     ("derivative-identity", check_derivative_identity),
     ("alexander", check_alexander),
-    ("r-poly-n2", check_r_poly_n2),
-    ("r-poly-n3", check_r_poly_n3),
+    ("r-poly-n2", partial(_check_r_poly, n=2)),
+    ("r-poly-n3", partial(_check_r_poly, n=3)),
     ("x2-element-n2", check_x2_element_n2),
     ("slope-candidates", check_slope_candidates),
 )
 
 
-def run_checks(fixtures=None, max_n=None) -> list:
-    """All named checks in fixed order; exceptions become failures."""
-    ctx = VerifyContext(fixtures=fixtures, max_n=max_n)
+def _run(ctx, names) -> list:
+    """The named checks of CHECKS in the given order; exceptions become failures."""
+    table = dict(CHECKS)
     results = []
-    for name, fn in CHECKS:
+    for name in names:
         try:
-            ok, detail = fn(ctx)
+            ok, detail = table[name](ctx)
         except Exception as exc:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(CheckResult(name=name, ok=ok, detail=detail))
     return results
+
+
+def run_checks(fixtures=None, max_n=None) -> list:
+    """All named checks in fixed order; exceptions become failures."""
+    ctx = VerifyContext(fixtures=fixtures, max_n=max_n)
+    return _run(ctx, [name for name, _ in CHECKS])
 
 
 PROPERTY_CHECKS = (
@@ -457,16 +407,7 @@ PROPERTY_CHECKS = (
 def run_property_checks(n: int) -> list:
     """Fixture-free invariants for a single n (no frozen data needed)."""
     require_family_index(n)
-    ctx = VerifyContext(max_n=n)
-    table = dict(CHECKS)
-    results = []
-    for name in PROPERTY_CHECKS:
-        try:
-            ok, detail = table[name](ctx)
-        except Exception as exc:
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name=name, ok=ok, detail=detail))
-    return results
+    return _run(VerifyContext(max_n=n), PROPERTY_CHECKS)
 
 
 def render_results(results) -> str:

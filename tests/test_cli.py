@@ -5,6 +5,7 @@ any single frozen coefficient, of any field type, must flip the verify table
 to exit 1 while naming a failing check.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -123,6 +124,43 @@ def test_d_split_invariant_failure_exits_one(monkeypatch, capsys):
     assert main(["variety", "--n", "2", "--model", "D", "--split"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("verification failure: hard invariant violated")
+
+
+def test_integral_meridian_is_a_verification_failure(monkeypatch, capsys):
+    from cvtk import intersect
+    from cvtk.numfield import IntegralityVerdict
+
+    integral = IntegralityVerdict(is_algebraic_integer=True, denominator_lcm=1, bad_primes=())
+    monkeypatch.setattr(intersect, "integrality_verdict", lambda poly: integral)
+    assert main(["detect", "--n", "2", "--json"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["status"] == "verification-failure"
+    assert obj["slope"]["detected_slope"] == "undetermined"
+    assert obj["slope"]["meridian_integral"] is True
+
+
+# sha256 of each command's standard output, recorded before the report records
+# became frozen. The canonical JSON must stay byte-identical under refactors.
+OUTPUT_SHA256 = {
+    ("intersect", 2): "84c4c0cdd549437ddc247d4401e1679db4a0910ac88b08b54677c2bf3c993403",
+    ("intersect", 3): "e0b7681188a2da39e9d421d3d323ba3ce5802585ada5fa81051115ca2537a1c2",
+    ("intersect", 4): "8b25241147535cbb8b8d9ca1efb06cde14423eb2fcc116d7d203c5cd5d250333",
+    ("intersect", 5): "5f72db167a494fb361f3c88c5944a572f5e57acb39f3110d19d8ac4f555457ca",
+    ("intersect", 6): "aaa37376cba7e8eff529b952b3ec14204322af7690c4168e1f26c8c44685559a",
+    ("detect", 2): "beb8244ce3e9e7ced537d6124198bee0578890959e1ccab6b2241ce56d6cae05",
+    ("detect", 3): "448cc9b5fb7f55053e144c84412bea65ed6ca5528c21a29dd69d30ac7909a112",
+    ("detect", 4): "278f3c9e2d95e16415073877410fe2d543e810e811f32174dd529fa74537d271",
+    ("detect", 5): "e2cfe824c83b9fa7706ed2658f30acb839a710a7effadc384d65a514fa2e7c1c",
+    ("detect", 6): "3e2e8deb64b4bf901a0995e8ce72db28b65338c201a7e890c9c42a8095e521ed",
+}
+
+
+@pytest.mark.parametrize("command,n", sorted(OUTPUT_SHA256))
+def test_report_output_pinned(capsys, command, n):
+    argv = [command, "--n", str(n)] + (["--json"] if command == "detect" else [])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[command, n]
 
 
 def test_cheb_command(capsys):

@@ -6,21 +6,28 @@ meridian trace from isolated roots of the modulus.
 """
 
 import cmath
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from cvtk.cheb import G_poly, f_poly
 from cvtk.golden import default_fixtures
 from cvtk.intersect import (
-    IntersectionLocus,
     build_intersection_report,
     intersection_loci,
     meridian_min_poly,
     x_squared_at,
 )
 from cvtk.knotgrp import complex_roots
+from cvtk.numfield import integrality_verdict
 from cvtk.ratpoly import UniPoly
+from cvtk.trace import longitude_trace
+
+
+def _meridian_product(locus):
+    return prod(meridian_min_poly(locus), start=UniPoly.const(1, "x"))
 
 
 def test_loci_moduli_frozen():
@@ -56,19 +63,14 @@ def test_meridian_min_poly_frozen():
     fx = default_fixtures()
     for n in (2, 3):
         locus = intersection_loci(n)[0]
-        locus.x_squared = x_squared_at(locus)
-        factors = meridian_min_poly(locus)
-        locus.x_min_polys = factors
-        product = locus.x_min_poly
-        assert product == UniPoly(fx[n].x_poly.coeffs, "x").monic()
+        assert _meridian_product(locus) == UniPoly(fx[n].x_poly.coeffs, "x").monic()
 
 
 def test_meridian_degree_bookkeeping():
     for n in range(2, 9):
         for locus in intersection_loci(n):
-            locus.x_squared = x_squared_at(locus)
-            locus.x_min_polys = meridian_min_poly(locus)
-            assert sum(p.degree for p in locus.x_min_polys) == 2 * locus.modulus.degree
+            factors = meridian_min_poly(locus)
+            assert sum(p.degree for p in factors) == 2 * locus.modulus.degree
 
 
 def test_report_n2_n3():
@@ -121,10 +123,8 @@ def test_consistency_with_fixture_elimination():
     fx = default_fixtures()
     for n in (2, 3):
         locus = intersection_loci(n)[0]
-        locus.x_squared = x_squared_at(locus)
-        locus.x_min_polys = meridian_min_poly(locus)
         budget = bezout_budget(n)
-        assert budget.x_eliminant.monic() == locus.x_min_poly
+        assert budget.x_eliminant.monic() == _meridian_product(locus)
         r_roots = set(
             (round(z.real, 9), round(z.imag, 9))
             for z in complex_roots(squarefree_part(budget.r_eliminant))
@@ -147,6 +147,40 @@ def test_report_json_shape():
     assert locus["longitude"]["min_poly"]["coeffs"] == ["772", "-28", "1"]
     assert obj["reducible"]["x_squared"] == "15/4"
     assert obj["reducible"]["is_intersection_point"] is False
+
+
+def test_report_records_are_frozen():
+    rep = build_intersection_report(2)
+    with pytest.raises(FrozenInstanceError):
+        rep.loci[0].x_squared = rep.loci[0].r_elem
+    with pytest.raises(FrozenInstanceError):
+        rep.loci[0].meridian_verdict = rep.loci[0].longitude_verdict
+    with pytest.raises(FrozenInstanceError):
+        rep.n = 3
+    with pytest.raises(FrozenInstanceError):
+        rep.loci = ()
+
+
+def test_staged_path_matches_report():
+    """The per-factor path, driven field by field as the benchmark's library
+    workload drives it, gives the data of the built report."""
+    for n in range(2, 9):
+        report_loci = build_intersection_report(n).loci
+        staged = intersection_loci(n)
+        assert len(staged) == len(report_loci)
+        for locus, done in zip(staged, report_loci):
+            locus.x_squared = x_squared_at(locus)
+            factors = meridian_min_poly(locus)
+            tau, min_poly, verdict = longitude_trace(locus)
+            assert locus.modulus == done.modulus
+            assert locus.x_squared == done.x_squared
+            assert factors == done.x_min_polys
+            assert [integrality_verdict(f) for f in factors] == list(done.factor_verdicts)
+            assert (tau, min_poly, verdict) == (
+                done.longitude_elem,
+                done.longitude_min_poly,
+                done.longitude_verdict,
+            )
 
 
 def test_input_validation():
