@@ -131,8 +131,8 @@ def intersection_loci(n: int):
 def x_squared_at(locus) -> NFElem:
     """The squared meridian trace 2 + r - 1/f_n(r)^2 in the locus field.
 
-    f_n(r) is invertible because gcd(G_n, f_n) = 1; a zero inverse would be
-    an invariant violation and surfaces as an exact-arithmetic error.
+    f_n(r) is invertible because gcd(G_n, f_n) = 1; a zero f_n(r) would be
+    an invariant violation and raises ZeroDivisionError.
     """
     r = locus.r_elem
     fn = f_poly(locus.n)(r)

@@ -1,13 +1,14 @@
-"""Arithmetic in Q[r]/(m) for a monic irreducible modulus m.
+"""Arithmetic in Q[r]/(m) for a monic irreducible modulus m in Z[r].
 
 Elements are coordinate vectors in the power basis 1, r, ..., r^(k-1).
-Minimal polynomials come from the characteristic polynomial of the
-multiplication-by-alpha matrix: the modulus is irreducible, so that
-characteristic polynomial is a power of the minimal polynomial and the
-squarefree part recovers it exactly.  Both the characteristic polynomial and
-the check that the result vanishes at alpha run on the integer matrix D*M,
-D the common denominator of the multiplication matrix M (Cohen, GTM 138,
-section 2.2), not on Fractions.
+This module alone turns an element a into a matrix: A = D*M, M the matrix of
+multiplication by a and D the least common denominator of a's coordinates,
+built as int rows.  Minimal polynomials come from the characteristic
+polynomial of M: the modulus is irreducible, so it is a power of the minimal
+polynomial and the squarefree part recovers it exactly.  The characteristic
+polynomial comes from power sums (traces) in the field, not from a
+determinant (Cohen, GTM 138, ch. 4), and the check that the result vanishes
+at a runs on the same integer matrix.
 """
 
 from __future__ import annotations
@@ -18,27 +19,29 @@ from math import lcm
 from operator import mul
 
 from .factor import iter_primes, squarefree_part
-from .ratpoly import ExactArithError, RatMatrix, UniPoly, char_poly
+from .ratpoly import ExactArithError, UniPoly, frac_str
 
 _TRIAL_BOUND = 10 ** 6
 
 
 class NumberField:
-    """Q[r]/(m); the caller guarantees m monic irreducible over Q."""
+    """Q[r]/(m) for m monic in Z[r]; the caller guarantees m irreducible over Q."""
 
     __slots__ = ("modulus", "_reduction")
 
     def __init__(self, modulus: UniPoly):
         if modulus.degree < 1 or modulus.lc != 1:
             raise ExactArithError("modulus must be monic of positive degree")
+        if any(c.denominator != 1 for c in modulus.coeffs):
+            raise ExactArithError("modulus must have integer coefficients")
         self.modulus = modulus
         k = modulus.degree
         # reduction table: r^k .. r^(2k-2) written in the power basis
         table = []
-        prev = [-c for c in modulus.coeffs[:-1]]
+        prev = [-c.numerator for c in modulus.coeffs[:-1]]
         table.append(tuple(prev))
         for _ in range(k - 2):
-            shifted = [Fraction(0)] + prev[:-1]
+            shifted = [0] + prev[:-1]
             top = prev[-1]
             prev = [s + top * t for s, t in zip(shifted, table[0])]
             table.append(tuple(prev))
@@ -185,8 +188,6 @@ class NFElem:
         return self.inverse() * other
 
     def to_json(self) -> dict:
-        from .ratpoly import frac_str
-
         return {"basis": self.field.modulus.var, "coords": [frac_str(c) for c in self.coeffs]}
 
     def __repr__(self) -> str:
@@ -194,14 +195,16 @@ class NFElem:
         return f"NFElem({UniPoly(self.coeffs, var)})"
 
 
-def multiplication_matrix(a: NFElem) -> RatMatrix:
-    """Matrix of x -> a*x in the power basis (columns are a * r^i).
+def multiplication_matrix(a: NFElem):
+    """(D, A): A = D*M as int rows, M the matrix of x -> a*x in the power basis.
 
-    Each column is the previous one times r: a shift, then r^k rewritten
-    through the modulus.
+    D is the least common denominator of a's coordinates.  Column i of A is
+    D*a*r^i: each column is the previous one times r, a shift followed by
+    r^k rewritten through the modulus.
     """
-    low = [-c for c in a.field.modulus.coeffs[:-1]]  # r^k in the power basis
-    col = list(a.coeffs)
+    d = lcm(*(c.denominator for c in a.coeffs))
+    low = [-c.numerator for c in a.field.modulus.coeffs[:-1]]  # r^k in the power basis
+    col = [c.numerator * (d // c.denominator) for c in a.coeffs]
     cols = []
     for _ in range(a.field.degree):
         cols.append(col)
@@ -209,29 +212,62 @@ def multiplication_matrix(a: NFElem) -> RatMatrix:
         col = [0] + col[:-1]
         if top:
             col = [c + top * m for c, m in zip(col, low)]
-    return RatMatrix(zip(*cols))
+    return d, list(zip(*cols))
+
+
+def char_poly(a: NFElem, var: str = "u") -> UniPoly:
+    """Monic characteristic polynomial of x -> a*x on the field."""
+    return _char_poly(a.field.modulus, *multiplication_matrix(a), var)
+
+
+def _char_poly(modulus: UniPoly, d: int, rows, var: str) -> UniPoly:
+    """det(var*I - M) from the traces s_j = Tr(A^j), A = D*M = rows.
+
+    Newton's identities on the integer modulus give tau_i = Tr(r^i), so
+    s_j = <A^j e_0, tau> (A^j e_0 holds the coordinates of (D*a)^j), k
+    mat-vecs in all.  Newton's identities again turn s_1..s_k into the
+    integer char poly of A, each step an exact division by j, and
+    det(var*I - M) = D**-k * det(D*var*I - A) divides its coefficient j by
+    D**(k - j).
+    """
+    k = len(rows)
+    m = [c.numerator for c in modulus.coeffs]
+    tau = [k]
+    for i in range(1, k):
+        tau.append(-i * m[k - i] - sum(m[k - j] * tau[i - j] for j in range(1, i)))
+    v = [1] + [0] * (k - 1)
+    s = [k]
+    for _ in range(k):
+        v = [sum(map(mul, row, v)) for row in rows]
+        s.append(sum(map(mul, v, tau)))
+    c = [1]  # descending coefficients of det(var*I - A)
+    for j in range(1, k + 1):
+        q, rem = divmod(-sum(c[j - i] * s[i] for i in range(1, j + 1)), j)
+        if rem:
+            raise ExactArithError("Newton's identities gave a non-integer coefficient")
+        c.append(q)
+    return UniPoly([Fraction(cj, d ** j) for j, cj in enumerate(c)][::-1], var)
 
 
 def nf_minimal_polynomial(a: NFElem, var: str = "u") -> UniPoly:
     """Monic minimal polynomial of a over Q, checked to vanish at a."""
-    m = multiplication_matrix(a)
-    mp = squarefree_part(char_poly(m, var))
+    d, rows = multiplication_matrix(a)
+    mp = squarefree_part(_char_poly(a.field.modulus, d, rows, var))
     # the char poly of an element of a field is a power of one irreducible
-    if not _vanishes(mp, m):
+    if not _vanishes(mp, d, rows):
         raise ExactArithError("minimal polynomial does not vanish; bad modulus?")
     if a.field.degree % mp.degree != 0:
         raise ExactArithError("minimal polynomial degree must divide field degree")
     return mp
 
 
-def _vanishes(mp: UniPoly, m: RatMatrix) -> bool:
-    """Whether mp(a) = 0, for m the multiplication matrix of a.
+def _vanishes(mp: UniPoly, d: int, rows) -> bool:
+    """Whether mp(a) = 0, for rows = D*M and M the multiplication matrix of a.
 
-    With A = D*m an integer matrix, P(u) = L * D**d * mp(u / D) has integer
-    coefficients and P(D*a) = L * D**d * mp(a); Horner on A applied to the
-    coordinates of 1 gives the coordinates of P(D*a).
+    P(u) = L * D**deg * mp(u / D) has integer coefficients and
+    P(D*a) = L * D**deg * mp(a); Horner on A = D*M applied to the coordinates
+    of 1 gives the coordinates of P(D*a).
     """
-    d, rows = m.integer_form()
     deg = mp.degree
     scaled = [c * d ** (deg - j) for j, c in enumerate(mp.coeffs)]
     den = lcm(*(c.denominator for c in scaled))

@@ -8,15 +8,14 @@ and exact; no floating point.
 
 The module also holds the arithmetic on integer coefficient lists modulo p
 (the _gf_* helpers), shared by the modular coprimality test of poly_gcd and
-by the factoring code.
+by the factoring code.  Matrices appear only in cvtk.numfield, as integer
+multiplication matrices of field elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-from math import lcm as _int_lcm
-from operator import mul
 from typing import Iterable
 
 
@@ -610,52 +609,6 @@ def _ring_pow(v, k: int):
     return out
 
 
-class RatMatrix:
-    """Immutable square matrix over Q."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rs = tuple(tuple(_frac(c) for c in row) for row in rows)
-        n = len(rs)
-        if any(len(row) != n for row in rs):
-            raise ExactArithError("matrix must be square")
-        self.rows = rs
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and self.rows == other.rows
-
-    def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        n = self.n
-        if other.n != n:
-            raise ExactArithError("dimension mismatch")
-        ocols = list(zip(*other.rows))
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ocols] for row in self.rows]
-        )
-
-    def trace(self) -> Fraction:
-        return sum(self.rows[i][i] for i in range(self.n))
-
-    def integer_form(self):
-        """(D, rows of D*self as int lists), D the least common denominator."""
-        d = _int_lcm(*(c.denominator for row in self.rows for c in row))
-        return d, [[c.numerator * (d // c.denominator) for c in row] for row in self.rows]
-
-    def __repr__(self) -> str:
-        return f"RatMatrix({[list(map(frac_str, row)) for row in self.rows]})"
-
-
 # ---------------------------------------------------------------------------
 # GF(p) arithmetic on ascending int lists
 # ---------------------------------------------------------------------------
@@ -880,31 +833,3 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
         r = UniPoly(_prem(list(a.coeffs), list(b.coeffs)), var)
         a, b = b, r.primitive()
     return a.monic()
-
-
-def char_poly(m: RatMatrix, var: str = "u") -> UniPoly:
-    """Monic characteristic polynomial det(var*I - m).
-
-    Division-free Berkowitz on the integer matrix A = D*m, D the least common
-    denominator of the entries: det(var*I - m) = D**-k * det(D*var*I - A), so
-    coefficient j of the result is coefficient j of det(var*I - A) over
-    D**(k - j).  Only the k output coefficients are Fractions.
-    """
-    d, rows = m.integer_form()
-    p = [1]  # descending coefficients of the leading principal minor's char poly
-    for i in range(len(rows)):
-        rvec = rows[i][:i]
-        sub = [row[:i] for row in rows[:i]]
-        v = [rows[j][i] for j in range(i)]
-        t = [1, -rows[i][i]]
-        for step in range(i):
-            t.append(-sum(map(mul, rvec, v)))
-            if step + 1 < i:
-                v = [sum(map(mul, row, v)) for row in sub]
-        q = [0] * (i + 2)
-        for j, pj in enumerate(p):
-            if pj:
-                for s, ts in enumerate(t[: i + 2 - j]):
-                    q[j + s] += ts * pj
-        p = q
-    return UniPoly([Fraction(c, d ** j) for j, c in enumerate(p)][::-1], var)

@@ -147,6 +147,7 @@ OUTPUT_SHA256 = {
     ("intersect", 4): "8b25241147535cbb8b8d9ca1efb06cde14423eb2fcc116d7d203c5cd5d250333",
     ("intersect", 5): "5f72db167a494fb361f3c88c5944a572f5e57acb39f3110d19d8ac4f555457ca",
     ("intersect", 6): "aaa37376cba7e8eff529b952b3ec14204322af7690c4168e1f26c8c44685559a",
+    ("intersect", 12): "2eeda1067bcb7e0091c9a4d8142d184399923e0f2ac6b97c64774b240baf2014",
     ("detect", 2): "beb8244ce3e9e7ced537d6124198bee0578890959e1ccab6b2241ce56d6cae05",
     ("detect", 3): "448cc9b5fb7f55053e144c84412bea65ed6ca5528c21a29dd69d30ac7909a112",
     ("detect", 4): "278f3c9e2d95e16415073877410fe2d543e810e811f32174dd529fa74537d271",

@@ -7,12 +7,14 @@ from cvtk import numfield
 from cvtk.numfield import (
     IntegralityVerdict,
     NumberField,
+    char_poly,
     integrality_verdict,
     multiplication_matrix,
     nf_minimal_polynomial,
 )
 from cvtk.intersect import intersection_loci, x_squared_at
-from cvtk.ratpoly import ExactArithError, UniPoly, char_poly
+from cvtk.ratpoly import ExactArithError, UniPoly
+from cvtk.trace import longitude_trace
 
 U = UniPoly.gen("u")
 R = UniPoly.gen("r")
@@ -29,6 +31,8 @@ def test_field_construction():
         NumberField(2 * R ** 2 + 1)
     with pytest.raises(ExactArithError):
         NumberField(UniPoly.const(3, "r"))
+    with pytest.raises(ExactArithError):
+        NumberField(R ** 2 + Fraction(1, 2))
 
 
 def test_basic_arithmetic():
@@ -118,7 +122,7 @@ def test_min_poly_of_subfield_element():
     k = NumberField(R ** 4 - 10 * R ** 2 + 1)
     a = k.gen() ** 2
     mp = U ** 2 - 10 * U + 1
-    assert char_poly(multiplication_matrix(a)) == mp ** 2
+    assert char_poly(a) == mp ** 2
     assert nf_minimal_polynomial(a) == mp
 
 
@@ -134,7 +138,93 @@ def test_multiplication_matrix_trace():
     # trace of mult-by-gen matrix = -(second-highest coeff of modulus)
     m = R ** 4 - 2 * R ** 3 + 3
     k = NumberField(m)
-    assert multiplication_matrix(k.gen()).trace() == 2
+    d, rows = multiplication_matrix(k.gen())
+    assert d == 1 and sum(rows[i][i] for i in range(4)) == 2
+    # a = r/2 + 1/3: D = 6 and A = 6*M = 3*M_r + 2*I, so Tr(A) = 3*2 + 2*4
+    d, rows = multiplication_matrix(k.elem((Fraction(1, 3), Fraction(1, 2))))
+    assert d == 6 and sum(rows[i][i] for i in range(4)) == 14
+
+
+# -- char_poly: oracles independent of the power-sum path ---------------------
+
+
+def test_char_poly_companion_identity():
+    # the multiplication matrix of the generator is the companion matrix
+    rng = random.Random(46)
+    for _ in range(25):
+        deg = rng.randint(1, 6)
+        p = UniPoly([rng.randint(-5, 5) for _ in range(deg)] + [1])
+        assert char_poly(NumberField(p).gen()) == p
+
+
+def test_char_poly_of_one():
+    for m in (R + 3, R ** 2 + 1, R ** 3 - R + 1, R ** 4 - 2 * R ** 3 + 3):
+        k = NumberField(m)
+        assert char_poly(k.one()) == (U - 1) ** k.degree
+
+
+def test_char_poly_cayley_hamilton():
+    rng = random.Random(47)
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        k = NumberField(UniPoly([rng.randint(-3, 3) for _ in range(n)] + [1], "r"))
+        a = k.elem([rng.randint(-3, 3) for _ in range(n)])
+        assert char_poly(a)(a).is_zero
+
+
+def sympy_char_poly(a):
+    """Ascending coefficients of det(u*I - M) from sympy, M the matrix of
+    x -> a*x built column by column as a * r^i mod m in sympy."""
+    sympy = pytest.importorskip("sympy")
+    r = sympy.Symbol("r")
+    k = a.field.degree
+    m = sympy.Poly([int(c) for c in reversed(a.field.modulus.coeffs)], r)
+    pa = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(a.coeffs)], r)
+    cols = []
+    for i in range(k):
+        col = (pa * sympy.Poly(r ** i, r)).rem(m).all_coeffs()[::-1]
+        cols.append(col + [0] * (k - len(col)))
+    M = sympy.Matrix(k, k, lambda i, j: cols[j][i])
+    return [Fraction(int(c.p), int(c.q)) for c in M.charpoly().all_coeffs()[::-1]]
+
+
+def resultant_char_poly(a):
+    """Ascending coefficients of res_r(m(r), u - a(r)), the product of u - a(rho)
+    over the roots rho of m: no matrix at all."""
+    sympy = pytest.importorskip("sympy")
+    r, u = sympy.symbols("r u")
+    m = sum(int(c) * r ** i for i, c in enumerate(a.field.modulus.coeffs))
+    ar = sum(sympy.Rational(c.numerator, c.denominator) * r ** i for i, c in enumerate(a.coeffs))
+    res = sympy.Poly(m, r, u).resultant(sympy.Poly(u - ar, r, u))
+    return [Fraction(int(c.p), int(c.q)) for c in sympy.Poly(res.as_expr(), u).all_coeffs()[::-1]]
+
+
+def family_elements(max_n):
+    """The x^2 and longitude-trace elements of every locus for n = 2..max_n."""
+    for n in range(2, max_n + 1):
+        for locus in intersection_loci(n):
+            yield locus.x_squared
+            yield longitude_trace(locus)[0]
+
+
+def test_char_poly_agrees_with_sympy_on_mixed_denominators():
+    rng = random.Random(52)
+    for k in range(1, 9):
+        for _ in range(3):
+            field = NumberField(UniPoly([rng.randint(-9, 9) for _ in range(k)] + [1], "r"))
+            a = field.elem([Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 7, 12, 35]))
+                            for _ in range(k)])
+            assert list(char_poly(a).coeffs) == sympy_char_poly(a)
+
+
+def test_char_poly_agrees_with_sympy_on_family_elements():
+    for a in family_elements(8):
+        assert list(char_poly(a).coeffs) == sympy_char_poly(a)
+
+
+def test_char_poly_agrees_with_resultant_on_family_elements():
+    for a in family_elements(8):
+        assert list(char_poly(a).coeffs) == resultant_char_poly(a)
 
 
 def test_integrality_verdicts():

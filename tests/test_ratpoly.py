@@ -6,9 +6,7 @@ import pytest
 from cvtk.ratpoly import (
     BiPoly,
     ExactArithError,
-    RatMatrix,
     UniPoly,
-    char_poly,
     frac_str,
     poly_gcd,
     resultant,
@@ -63,17 +61,6 @@ def naive_gcd(p, q):
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
-
-
-def companion(p):
-    """Companion matrix of a monic polynomial."""
-    n = p.degree
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i][i - 1] = Fraction(1)
-    for i in range(n):
-        rows[i][n - 1] = -p[i]
-    return RatMatrix(rows)
 
 
 def rand_poly(rng, deg, var="u"):
@@ -311,70 +298,3 @@ def test_bipoly_json_round_trip():
     obj = p.to_json()
     assert obj["vars"] == ["r", "x"]
     assert BiPoly.from_json(obj) == p
-
-
-# -- char_poly ----------------------------------------------------------------
-
-
-def test_char_poly_companion_identity():
-    rng = random.Random(46)
-    for _ in range(25):
-        deg = rng.randint(1, 6)
-        p = UniPoly([rng.randint(-5, 5) for _ in range(deg)] + [1])
-        assert char_poly(companion(p)) == p
-
-
-def test_char_poly_small_closed_forms():
-    m = RatMatrix([[1, 2], [3, 4]])
-    cp = char_poly(m)
-    assert cp == UniPoly([4 - 6, -5, 1])
-    assert m.trace() == 5
-    assert char_poly(RatMatrix.identity(3)) == (UniPoly.gen() - 1) ** 3
-
-
-def test_char_poly_cayley_hamilton():
-    rng = random.Random(47)
-    for _ in range(10):
-        n = rng.randint(1, 4)
-        m = RatMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        cp = char_poly(m)
-        acc = RatMatrix([[0] * n for _ in range(n)])
-        power = RatMatrix.identity(n)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for k in range(cp.degree + 1):
-            c = cp[k]
-            for i in range(n):
-                for j in range(n):
-                    rows[i][j] += c * power.rows[i][j]
-            power = power * m
-        assert all(v == 0 for row in rows for v in row)
-
-
-def sympy_char_poly(m):
-    """Ascending coefficients of det(u*I - m), from sympy."""
-    sympy = pytest.importorskip("sympy")
-    M = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
-                      for row in m.rows])
-    return [Fraction(int(c.p), int(c.q)) for c in M.charpoly().all_coeffs()[::-1]]
-
-
-def test_char_poly_agrees_with_sympy_on_mixed_denominators():
-    rng = random.Random(52)
-    for k in range(1, 9):
-        for _ in range(3):
-            m = RatMatrix([[Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 7, 12, 35]))
-                            for _ in range(k)] for _ in range(k)])
-            assert list(char_poly(m).coeffs) == sympy_char_poly(m)
-
-
-def test_char_poly_agrees_with_sympy_on_family_elements():
-    from cvtk.intersect import intersection_loci, x_squared_at
-    from cvtk.numfield import multiplication_matrix
-    from cvtk.trace import longitude_trace
-
-    for n in range(2, 9):
-        for locus in intersection_loci(n):
-            locus.x_squared = x_squared_at(locus)
-            for a in (locus.x_squared, longitude_trace(locus)[0]):
-                m = multiplication_matrix(a)
-                assert list(char_poly(m).coeffs) == sympy_char_poly(m)
