@@ -17,22 +17,38 @@ import argparse
 import json
 import sys
 
+import mpmath
+
 from .cheb import G_poly, f_poly, g_poly
 from .golden import load_fixtures
-from .intersect import build_intersection_report, intersection_loci, numeric_x
+from .intersect import (
+    build_intersection_report,
+    intersection_loci,
+    numeric_x,
+    x_squared,
+)
 from .knotgrp import (
+    ROOT_DPS,
     complex_roots,
     family_words,
     mat_trace,
+    mp_roots,
     mu_from_x,
     numeric_rep,
     relator_residual,
+    sorted_complex,
     standard_relator,
     two_bridge_word,
     word_eval,
 )
 from .ratpoly import ExactArithError
-from .trace import VerificationError, alexander_poly, boundary_slope_candidates
+from .trace import (
+    TraceContext,
+    VerificationError,
+    alexander_poly,
+    boundary_slope_candidates,
+    longitude_value,
+)
 from .variety import d_split, d_variety_poly, x_variety_poly
 from .verify import (
     all_passed,
@@ -52,10 +68,6 @@ def complex_str(z: complex, digits: int = 12) -> str:
     """12-significant-digit approximation in the form 'a + bi'."""
     sign = "+" if z.imag >= 0 else "-"
     return f"{z.real:.{digits}g} {sign} {abs(z.imag):.{digits}g}i"
-
-
-def _poly_root_strs(poly) -> list:
-    return [complex_str(z) for z in complex_roots(poly)]
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +104,30 @@ def cmd_variety(args) -> int:
     return 0
 
 
+def _root_strs(values, degree: int) -> list:
+    """Distinct 12-digit strings of the sorted values; exactly `degree` of them."""
+    strs = list(dict.fromkeys(complex_str(z) for z in sorted_complex(values)))
+    if len(strs) != degree:
+        raise ExactArithError(f"{len(strs)} distinct approximations for {degree} roots")
+    return strs
+
+
 def _augmented_report_json(report) -> dict:
-    """Report JSON plus 12-digit complex approximations of every root."""
-    obj = report.to_json()
+    """Report JSON plus 12-digit approximations of every root: only the modulus
+    is root-found, and x and the longitude trace at each root come from the
+    exact path's formulas, evaluated in mpmath at ROOT_DPS digits.
+    """
+    obj, n = report.to_json(), report.n
     for locus, locus_obj in zip(report.loci, obj["loci"]):
-        x_roots = []
-        for factor in locus.x_min_polys:
-            x_roots.extend(_poly_root_strs(factor))
+        with mpmath.workdps(ROOT_DPS):
+            rs = mp_roots(locus.modulus)
+            ctxs = [TraceContext(n, r, x_squared(n, r)) for r in rs]
+            xs = [s * mpmath.sqrt(c.x_squared) for c in ctxs for s in (1, -1)]
+            taus = [longitude_value(c) for c in ctxs]
         locus_obj["approx"] = {
-            "modulus_roots": _poly_root_strs(locus.modulus),
-            "x_roots": x_roots,
-            "longitude_roots": _poly_root_strs(locus.longitude_min_poly),
+            "modulus_roots": _root_strs(rs, locus.modulus.degree),
+            "x_roots": _root_strs(xs, locus.x_min_poly.degree),
+            "longitude_roots": _root_strs(taus, locus.longitude_min_poly.degree),
         }
     return obj
 

@@ -13,7 +13,8 @@ its generator r, with x^2 computed on first use.  `build_intersection_report`
 completes each into a frozen `IntersectionLocus` (meridian factors and
 verdicts, longitude trace, minimal polynomial and verdict) in one pass, and
 returns a frozen `IntersectionReport` whose status, slope verdict and point
-counts are read off its loci.
+counts are read off its loci.  `x_squared` takes r from any field, so the
+CLI's numeric approximations evaluate the same formula at complex roots of m.
 """
 
 from __future__ import annotations
@@ -128,15 +129,20 @@ def intersection_loci(n: int):
     return loci
 
 
-def x_squared_at(locus) -> NFElem:
-    """The squared meridian trace 2 + r - 1/f_n(r)^2 in the locus field.
+def x_squared(n: int, r):
+    """The squared meridian trace 2 + r - 1/f_n(r)^2 at a root r of G_n.
 
+    r may live in any field: a number-field element or an mpmath complex.
     f_n(r) is invertible because gcd(G_n, f_n) = 1; a zero f_n(r) would be
     an invariant violation and raises ZeroDivisionError.
     """
-    r = locus.r_elem
-    fn = f_poly(locus.n)(r)
+    fn = f_poly(n)(r)
     return 2 + r - (fn * fn) ** -1
+
+
+def x_squared_at(locus) -> NFElem:
+    """`x_squared` in the locus field, at its generator r."""
+    return x_squared(locus.n, locus.r_elem)
 
 
 def numeric_x(n: int, r0: complex) -> complex:

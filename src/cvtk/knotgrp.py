@@ -241,7 +241,7 @@ def mu_from_x(x: complex, branch: int = 1) -> complex:
     return (x + root) / 2 if branch >= 0 else (x - root) / 2
 
 
-ROOT_DPS = 40  # decimal digits to which complex_roots converges
+ROOT_DPS = 40  # decimal digits of every root approximation
 
 
 def _horner(coeffs, z):
@@ -290,36 +290,36 @@ def _aberth_seeds(coeffs: list):
     return None
 
 
-def complex_roots(p: UniPoly):
-    """All complex roots of p, isolated well past 1e-12 and sorted by
-    (real, imaginary) lexicographically.
-
-    The roots are those of mpmath.polyroots(maxsteps=200, extraprec=120) at
-    ROOT_DPS digits, with its convergence tolerance and its cleanup of tiny
-    real and imaginary parts. Two things change only where that Durand-Kerner
-    iteration starts and what degree it sees: float Aberth-Ehrlich seeds, and
-    for even p(x) = h(x^2) the roots +-sqrt(u) over the roots u of h.
-    Non-convergence raises ExactArithError.
+def mp_roots(p: UniPoly) -> list:
+    """All complex roots of p at the caller's mpmath precision: polyroots with
+    maxsteps=200, extraprec=120 and its cleanup of tiny real and imaginary
+    parts, started from float Aberth-Ehrlich seeds.  Non-convergence raises
+    ExactArithError.
     """
     if p.degree < 1:
         raise ExactArithError("root isolation needs a nonconstant polynomial")
     coeffs = list(reversed(p.primitive().int_coeffs()))
-    even = p.degree % 2 == 0 and not any(coeffs[1::2])
-    if even:
-        coeffs = coeffs[::2]
-    with mpmath.workdps(ROOT_DPS):
-        try:
-            roots = mpmath.polyroots(
-                coeffs, maxsteps=200, extraprec=120,
-                roots_init=_aberth_seeds(coeffs),
-            )
-        except mpmath.mp.NoConvergence as exc:
-            bits = max(abs(c).bit_length() for c in coeffs)
-            raise ExactArithError(
-                f"root approximation did not converge for a degree-{p.degree} "
-                f"polynomial with {bits}-bit coefficients: {exc}"
-            ) from exc
-        if even:
-            roots = [s * mpmath.sqrt(u) for u in roots for s in (1, -1)]
-        out = [complex(z) for z in roots]
+    try:
+        return mpmath.polyroots(
+            coeffs, maxsteps=200, extraprec=120, roots_init=_aberth_seeds(coeffs)
+        )
+    except mpmath.mp.NoConvergence as exc:
+        bits = max(abs(c).bit_length() for c in coeffs)
+        raise ExactArithError(
+            f"root approximation did not converge for a degree-{p.degree} "
+            f"polynomial with {bits}-bit coefficients: {exc}"
+        ) from exc
+
+
+def sorted_complex(values) -> list:
+    """Values as Python complex numbers, sorted by (real, imaginary) to 12 places."""
+    out = [complex(z) for z in values]
     return sorted(out, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+
+
+def complex_roots(p: UniPoly):
+    """All complex roots of p, isolated well past 1e-12 and sorted by
+    (real, imaginary) lexicographically: `mp_roots` at ROOT_DPS digits.
+    """
+    with mpmath.workdps(ROOT_DPS):
+        return sorted_complex(mp_roots(p))

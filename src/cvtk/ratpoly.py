@@ -435,16 +435,6 @@ class BiPoly:
             out = out * self
         return out
 
-    def partial(self, var: str) -> "BiPoly":
-        ax = self._axis(var)
-        out = {}
-        for e, c in self.terms.items():
-            k = e[ax]
-            if k:
-                ne = (k - 1, e[1]) if ax == 0 else (e[0], k - 1)
-                out[ne] = out.get(ne, Fraction(0)) + k * c
-        return BiPoly(out, self.vars)
-
     def coeff_list_in(self, var: str) -> list:
         """Ascending coefficients in `var`, each a UniPoly in the other variable."""
         ax = self._axis(var)

@@ -168,6 +168,14 @@ def _min_poly_any(value, var: str) -> UniPoly:
     return UniPoly([-Fraction(value), Fraction(1)], var)
 
 
+def longitude_value(ctx: TraceContext):
+    """The longitude trace tr(s1 s2^-1 s1^-1 s2) at the context's character."""
+    gam = tr_s1s2inv(ctx)
+    s1 = tr_power(ctx.t, ctx.n)
+    s2 = tr_power(ctx.r, ctx.n)
+    return tr_commutator(s1, s2, gam)
+
+
 def longitude_trace(locus):
     """Longitude trace at an intersection character, with certificate.
 
@@ -176,11 +184,7 @@ def longitude_trace(locus):
     the verdict must certify an algebraic integer, otherwise the slope-0
     detection logic would be unsound and a VerificationError is raised.
     """
-    ctx = TraceContext(locus.n, locus.r_elem, locus.x_squared)
-    gam = tr_s1s2inv(ctx)
-    s1 = tr_power(ctx.t, ctx.n)
-    s2 = tr_power(ctx.r, ctx.n)
-    tau = tr_commutator(s1, s2, gam)
+    tau = longitude_value(TraceContext(locus.n, locus.r_elem, locus.x_squared))
     min_poly = _min_poly_any(tau, "l")
     verdict = integrality_verdict(min_poly)
     if not verdict.is_algebraic_integer:

@@ -222,3 +222,16 @@ def test_criterion_16_intersect_n16_budget(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "29eceb86d46cb94c8913cdb7722c50626d570a26e2c5bb6fb3000d73d2648507"
     )
+
+
+def test_criterion_17_intersect_n32(capsys):
+    start = time.monotonic()
+    assert main(["intersect", "--n", "32"]) == 0
+    assert time.monotonic() - start < 15.0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["status"] == "ok"
+    for locus in obj["loci"]:
+        approx = locus["approx"]
+        assert len(approx["x_roots"]) == 2 * locus["degree"]
+        longitude_degree = len(locus["longitude"]["min_poly"]["coeffs"]) - 1
+        assert len(approx["longitude_roots"]) == longitude_degree

@@ -116,6 +116,42 @@ def test_root_nonconvergence_exits_one(monkeypatch, capsys):
     assert "degree-" in err and "-bit coefficients" in err
 
 
+def _root_finder_approx(locus):
+    """The approx block as root-finding on each minimal polynomial would give it."""
+    from cvtk.cli import complex_str
+    from cvtk.knotgrp import complex_roots
+
+    def strs(poly):
+        return [complex_str(z) for z in complex_roots(poly)]
+
+    return {
+        "modulus_roots": strs(locus.modulus),
+        "x_roots": [s for f in locus.x_min_polys for s in strs(f)],
+        "longitude_roots": strs(locus.longitude_min_poly),
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_approximations_match_root_finding_on_min_polys(capsys, n):
+    from cvtk.intersect import build_intersection_report
+
+    assert main(["intersect", "--n", str(n)]) == 0
+    loci = json.loads(capsys.readouterr().out)["loci"]
+    report = build_intersection_report(n)
+    assert [obj["approx"] for obj in loci] == [
+        _root_finder_approx(locus) for locus in report.loci
+    ]
+
+
+def test_wrong_longitude_count_exits_one(monkeypatch, capsys):
+    from cvtk import cli
+
+    monkeypatch.setattr(cli, "longitude_value", lambda ctx: 1)
+    assert main(["intersect", "--n", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: 1 distinct approximations for 4 roots")
+
+
 def test_d_split_invariant_failure_exits_one(monkeypatch, capsys):
     from cvtk import variety
 
@@ -148,6 +184,7 @@ OUTPUT_SHA256 = {
     ("intersect", 5): "5f72db167a494fb361f3c88c5944a572f5e57acb39f3110d19d8ac4f555457ca",
     ("intersect", 6): "aaa37376cba7e8eff529b952b3ec14204322af7690c4168e1f26c8c44685559a",
     ("intersect", 12): "2eeda1067bcb7e0091c9a4d8142d184399923e0f2ac6b97c64774b240baf2014",
+    ("intersect", 24): "2123f7bfcf24f8f63f736930a371324763b39e1314afcc5a421cfbaf999564ab",
     ("detect", 2): "beb8244ce3e9e7ced537d6124198bee0578890959e1ccab6b2241ce56d6cae05",
     ("detect", 3): "448cc9b5fb7f55053e144c84412bea65ed6ca5528c21a29dd69d30ac7909a112",
     ("detect", 4): "278f3c9e2d95e16415073877410fe2d543e810e811f32174dd529fa74537d271",
