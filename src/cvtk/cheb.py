@@ -90,9 +90,7 @@ def identity_checks(j: int) -> dict:
         "G-f-coprime": poly_gcd(Gj, fj).degree == 0,
         "f-wronskian": fj * fj - fjm * fjp == UniPoly.const(1),
         "g-wronskian": fj * gj - fjm * gjp == UniPoly.const(1),
-        "mod-two": all(
-            c.denominator == 1 and c.numerator % 2 == 0 for c in diff.coeffs
-        ),
+        "mod-two": diff.den == 1 and all(c % 2 == 0 for c in diff.num),
         "G-squarefree": poly_gcd(Gj, Gj.derivative()).degree == 0,
     }
 

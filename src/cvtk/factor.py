@@ -174,7 +174,7 @@ def _zassenhaus(F: UniPoly):
     n = F.degree
     if n == 1:
         return [F]
-    fz = F.int_coeffs()
+    fz = F.num
     b = fz[-1]
     rng = random.Random(0x5EED + n)
     # Bit k of `degrees` is set while k may still be the degree of a factor

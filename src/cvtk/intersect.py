@@ -110,7 +110,7 @@ class IntersectionLocus:
 def intersection_loci(n: int):
     """One LocusField per irreducible factor of G_n."""
     require_family_index(n)
-    G = UniPoly(G_poly(n).coeffs, "r")
+    G = G_poly(n).with_var("r")
     fac = factor_over_rationals(G)
     loci = []
     total = 0

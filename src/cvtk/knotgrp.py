@@ -298,7 +298,7 @@ def mp_roots(p: UniPoly) -> list:
     """
     if p.degree < 1:
         raise ExactArithError("root isolation needs a nonconstant polynomial")
-    coeffs = list(reversed(p.primitive().int_coeffs()))
+    coeffs = list(reversed(p.primitive().num))
     try:
         return mpmath.polyroots(
             coeffs, maxsteps=200, extraprec=120, roots_init=_aberth_seeds(coeffs)

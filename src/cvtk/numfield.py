@@ -32,13 +32,13 @@ class NumberField:
     def __init__(self, modulus: UniPoly):
         if modulus.degree < 1 or modulus.lc != 1:
             raise ExactArithError("modulus must be monic of positive degree")
-        if any(c.denominator != 1 for c in modulus.coeffs):
+        if modulus.den != 1:
             raise ExactArithError("modulus must have integer coefficients")
         self.modulus = modulus
         k = modulus.degree
         # reduction table: r^k .. r^(2k-2) written in the power basis
         table = []
-        prev = [-c.numerator for c in modulus.coeffs[:-1]]
+        prev = [-c for c in modulus.num[:-1]]
         table.append(tuple(prev))
         for _ in range(k - 2):
             shifted = [0] + prev[:-1]
@@ -77,8 +77,7 @@ class NumberField:
 
     def from_poly(self, p: UniPoly) -> "NFElem":
         """Image of a polynomial in the generator (reduced mod the modulus)."""
-        m = UniPoly(self.modulus.coeffs, p.var)
-        return self.elem((p % m).coeffs)
+        return self.elem((p % self.modulus.with_var(p.var)).coeffs)
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,7 @@ def multiplication_matrix(a: NFElem):
     r^k rewritten through the modulus.
     """
     d = lcm(*(c.denominator for c in a.coeffs))
-    low = [-c.numerator for c in a.field.modulus.coeffs[:-1]]  # r^k in the power basis
+    low = [-c for c in a.field.modulus.num[:-1]]  # r^k in the power basis
     col = [c.numerator * (d // c.denominator) for c in a.coeffs]
     cols = []
     for _ in range(a.field.degree):
@@ -227,11 +226,11 @@ def _char_poly(modulus: UniPoly, d: int, rows, var: str) -> UniPoly:
     s_j = <A^j e_0, tau> (A^j e_0 holds the coordinates of (D*a)^j), k
     mat-vecs in all.  Newton's identities again turn s_1..s_k into the
     integer char poly of A, each step an exact division by j, and
-    det(var*I - M) = D**-k * det(D*var*I - A) divides its coefficient j by
-    D**(k - j).
+    det(var*I - M) = D**-k * det(D*var*I - A) multiplies its coefficient j by
+    D**j over the one denominator D**k.
     """
     k = len(rows)
-    m = [c.numerator for c in modulus.coeffs]
+    m = modulus.num
     tau = [k]
     for i in range(1, k):
         tau.append(-i * m[k - i] - sum(m[k - j] * tau[i - j] for j in range(1, i)))
@@ -246,7 +245,7 @@ def _char_poly(modulus: UniPoly, d: int, rows, var: str) -> UniPoly:
         if rem:
             raise ExactArithError("Newton's identities gave a non-integer coefficient")
         c.append(q)
-    return UniPoly([Fraction(cj, d ** j) for j, cj in enumerate(c)][::-1], var)
+    return UniPoly.from_ints([cj * d ** (k - j) for j, cj in enumerate(c)][::-1], d ** k, var)
 
 
 def nf_minimal_polynomial(a: NFElem, var: str = "u") -> UniPoly:
@@ -264,18 +263,15 @@ def nf_minimal_polynomial(a: NFElem, var: str = "u") -> UniPoly:
 def _vanishes(mp: UniPoly, d: int, rows) -> bool:
     """Whether mp(a) = 0, for rows = D*M and M the multiplication matrix of a.
 
-    P(u) = L * D**deg * mp(u / D) has integer coefficients and
-    P(D*a) = L * D**deg * mp(a); Horner on A = D*M applied to the coordinates
-    of 1 gives the coordinates of P(D*a).
+    P(u) = mp.den * D**deg * mp(u / D) has the integer coefficients
+    mp.num[j] * D**(deg - j) and P(D*a) = mp.den * D**deg * mp(a); Horner on
+    A = D*M applied to the coordinates of 1 gives the coordinates of P(D*a).
     """
     deg = mp.degree
-    scaled = [c * d ** (deg - j) for j, c in enumerate(mp.coeffs)]
-    den = lcm(*(c.denominator for c in scaled))
-    coeffs = [c.numerator * (den // c.denominator) for c in scaled]
     v = [0] * len(rows)
-    for c in reversed(coeffs):
+    for j in range(deg, -1, -1):
         v = [sum(map(mul, row, v)) for row in rows]
-        v[0] += c
+        v[0] += mp.num[j] * d ** (deg - j)
     return not any(v)
 
 
@@ -307,11 +303,12 @@ def integrality_verdict(min_poly: UniPoly) -> IntegralityVerdict:
 
     An algebraic number is an algebraic integer iff its monic minimal
     polynomial has integer coefficients; the primes dividing the coefficient
-    denominators are exactly the primes where it fails to be integral.
+    denominators are exactly the primes where it fails to be integral.  With
+    lc = 1 in lowest terms, their lcm is the polynomial's one denominator den.
     """
     if min_poly.lc != 1:
         raise ExactArithError("minimal polynomial must be monic")
-    denom = lcm(*(c.denominator for c in min_poly.coeffs))
+    denom = min_poly.den
     if denom == 1:
         return IntegralityVerdict(True, 1, ())
     primes = []

@@ -1,10 +1,12 @@
 """Exact polynomial arithmetic over the rationals.
 
-Coefficients are fractions.Fraction values throughout: arbitrary precision,
-always in lowest terms with positive denominator, so canonical form holds by
-construction. Univariate polynomials are dense ascending coefficient tuples,
-bivariate ones sparse exponent dictionaries. Everything here is deterministic
-and exact; no floating point.
+A univariate polynomial is stored as integer numerators over one positive
+denominator: a tuple of ascending ints without trailing zeros and an int den
+coprime to them, a canonical form.  Integer polynomials (den = 1) therefore
+add, multiply, differentiate and evaluate in Python ints; `coeffs` gives the
+same values as Fractions.  Bivariate polynomials are sparse exponent
+dictionaries with Fraction values.  Everything here is deterministic and
+exact; no floating point.
 
 The module also holds the arithmetic on integer coefficient lists modulo p
 (the _gf_* helpers), shared by the modular coprimality test of poly_gcd and
@@ -15,7 +17,8 @@ multiplication matrices of field elements.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from itertools import zip_longest
+from math import gcd as _int_gcd, lcm
 from typing import Iterable
 
 
@@ -42,20 +45,35 @@ def frac_str(c) -> str:
 
 
 class UniPoly:
-    """Dense univariate polynomial over Q.
+    """Dense univariate polynomial over Q, stored as integers over one denominator.
 
-    coeffs[k] is the coefficient of var**k; trailing zeros are stripped, so
-    equal polynomials compare equal structurally. Treated as immutable.
+    The polynomial is sum(num[k] * var**k) / den with num a tuple of ints
+    without trailing zeros, den > 0 and gcd(den, *num) == 1.  That form is
+    canonical, so equal polynomials compare equal structurally.  Treated as
+    immutable.
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "num", "den")
 
     def __init__(self, coeffs: Iterable = (), var: str = "u"):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
+        cs = [c if type(c) is int else _frac(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        # den is the least common denominator, so the numerators are coprime to it
         self.var = var
-        self.coeffs = tuple(cs)
+        self.num = tuple(_trim([c.numerator * (den // c.denominator) for c in cs]))
+        self.den = den
+
+    @classmethod
+    def from_ints(cls, num, den: int = 1, var: str = "u") -> "UniPoly":
+        """sum(num[k] * var**k) / den for ints num and a nonzero int den."""
+        num = _trim(list(num))
+        g = 1 if den == 1 else _int_gcd(den, *num)
+        g = -g if den < 0 else g
+        self = object.__new__(cls)
+        self.var = var
+        self.num = tuple(num) if g == 1 else tuple(c // g for c in num)
+        self.den = den // g
+        return self
 
     @classmethod
     def zero(cls, var: str = "u") -> "UniPoly":
@@ -76,33 +94,37 @@ class UniPoly:
     def to_json(self) -> dict:
         return {"var": self.var, "coeffs": [frac_str(c) for c in self.coeffs]}
 
+    def with_var(self, var: str) -> "UniPoly":
+        """The same coefficients in another variable."""
+        return UniPoly.from_ints(self.num, self.den, var)
+
+    @property
+    def coeffs(self) -> tuple:
+        """Ascending coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     @property
     def lc(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den) if self.num else Fraction(0)
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return Fraction(0)
 
-    def _like(self, coeffs) -> "UniPoly":
-        return UniPoly(coeffs, self.var)
-
     def _check(self, other: "UniPoly") -> None:
-        if self.var != other.var and self.coeffs and other.coeffs:
+        if self.var != other.var and self.num and other.num:
             raise ExactArithError(f"variable mismatch: {self.var} vs {other.var}")
 
     def __eq__(self, other) -> bool:
@@ -110,15 +132,16 @@ class UniPoly:
             other = UniPoly.const(other, self.var)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if self.coeffs != other.coeffs:
+        if self.num != other.num or self.den != other.den:
             return False
-        return self.is_zero or self.degree == 0 or self.var == other.var
+        return self.degree <= 0 or self.var == other.var
 
     def __hash__(self):
-        return hash((self.var if self.coeffs else "", self.coeffs))
+        # __eq__ ignores the variable of a constant, so the hash must too
+        return hash((self.var if self.degree > 0 else "", self.num, self.den))
 
     def __neg__(self) -> "UniPoly":
-        return self._like([-c for c in self.coeffs])
+        return UniPoly.from_ints([-c for c in self.num], self.den, self.var)
 
     def __add__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
@@ -126,11 +149,10 @@ class UniPoly:
         if not isinstance(other, UniPoly):
             return NotImplemented
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            [self[k] + other[k] for k in range(n)],
-            self.var if self.coeffs else other.var,
-        )
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        out = [sa * a + sb * b for a, b in zip_longest(self.num, other.num, fillvalue=0)]
+        return UniPoly.from_ints(out, den, self.var if self.num else other.var)
 
     __radd__ = __add__
 
@@ -143,20 +165,17 @@ class UniPoly:
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
-            return self._like([c * a for a in self.coeffs])
+            return UniPoly.from_ints(
+                [c.numerator * a for a in self.num], c.denominator * self.den, self.var
+            )
         if not isinstance(other, UniPoly):
             return NotImplemented
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero(self.var if self.coeffs else other.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return UniPoly(out, self.var if self.coeffs else other.var)
+        return UniPoly.from_ints(
+            _conv(self.num, other.num),
+            self.den * other.den,
+            self.var if self.num else other.var,
+        )
 
     __rmul__ = __mul__
 
@@ -180,7 +199,8 @@ class UniPoly:
             return UniPoly.zero(self.var), self
         q = [Fraction(0)] * (self.degree - other.degree + 1)
         r = list(self.coeffs)
-        d = other.lc
+        b = other.coeffs
+        d = b[-1]
         db = other.degree
         while len(r) - 1 >= db and any(r):
             while r and r[-1] == 0:
@@ -190,9 +210,9 @@ class UniPoly:
             k = len(r) - 1 - db
             c = r[-1] / d
             q[k] = c
-            for i, bc in enumerate(other.coeffs):
+            for i, bc in enumerate(b):
                 r[i + k] -= c * bc
-        return self._like(q), self._like(r)
+        return UniPoly(q, self.var), UniPoly(r, self.var)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -207,55 +227,48 @@ class UniPoly:
         return q
 
     def derivative(self) -> "UniPoly":
-        return self._like([k * c for k, c in enumerate(self.coeffs)][1:])
+        return UniPoly.from_ints(
+            [k * c for k, c in enumerate(self.num)][1:], self.den, self.var
+        )
 
     def __call__(self, value):
-        """Horner evaluation; value may live in any commutative Q-algebra."""
+        """Horner evaluation; value may live in any commutative Q-algebra.
+
+        The numerators are combined first and divided by den once, at the end.
+        """
         acc = None
-        for c in reversed(self.coeffs):
+        for c in reversed(self.num):
             acc = c if acc is None else acc * value + c
-        return Fraction(0) if acc is None else acc
+        if acc is None:
+            return Fraction(0)
+        return acc if self.den == 1 else acc * Fraction(1, self.den)
 
     def monic(self) -> "UniPoly":
-        if self.is_zero or self.lc == 1:
+        if self.is_zero or self.num[-1] == self.den:
             return self
-        d = self.lc
-        return self._like([c / d for c in self.coeffs])
+        return UniPoly.from_ints(self.num, self.num[-1], self.var)
 
     def content(self) -> Fraction:
         """Signed content: self == content() * primitive()."""
         if self.is_zero:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = _int_gcd(num, c.numerator)
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        c = Fraction(num, den)
-        return -c if self.lc < 0 else c
+        g = _int_gcd(*self.num)
+        return Fraction(g if self.num[-1] > 0 else -g, self.den)
 
     def primitive(self) -> "UniPoly":
         """Integer-coefficient associate with content 1, positive lc."""
         if self.is_zero:
             return self
-        c = self.content()
-        return self._like([a / c for a in self.coeffs])
+        g = _int_gcd(*self.num) * (1 if self.num[-1] > 0 else -1)
+        return UniPoly.from_ints([c // g for c in self.num], 1, self.var)
 
     def inflate(self, k: int) -> "UniPoly":
         """Return p(var**k)."""
         if k < 1:
             raise ExactArithError("inflate needs k >= 1")
-        out = [Fraction(0)] * (k * self.degree + 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            out[k * i] = c
-        return self._like(out)
-
-    def int_coeffs(self) -> list:
-        """Coefficients as Python ints; requires an integer polynomial."""
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise ExactArithError("non-integer coefficient")
-        return [c.numerator for c in self.coeffs]
+        out = [0] * (k * self.degree + 1) if self.num else []
+        out[::k] = self.num
+        return UniPoly.from_ints(out, self.den, self.var)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -626,7 +639,8 @@ def _gf_sub(a, b, p):
                   for i in range(n)])
 
 
-def _gf_mul(a, b, p):
+def _conv(a, b):
+    """Product of two ascending int coefficient lists."""
     if not a or not b:
         return []
     lb = len(b)
@@ -634,7 +648,11 @@ def _gf_mul(a, b, p):
     for i, x in enumerate(a):
         if x:
             out[i:i + lb] = [s + x * y for s, y in zip(out[i:i + lb], b)]
-    return _trim([c % p for c in out])
+    return out
+
+
+def _gf_mul(a, b, p):
+    return _trim([c % p for c in _conv(a, b)])
 
 
 def _gf_divmod(a, b, p):
@@ -811,15 +829,13 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     b = q.primitive()
     # One prime with constant gcd mod p certifies coprimality over Q.
     for pr in _CERT_PRIMES:
-        if a.lc.numerator % pr == 0 or b.lc.numerator % pr == 0:
+        if a.num[-1] % pr == 0 or b.num[-1] % pr == 0:
             continue
-        fa, fb = _gf_red(a.int_coeffs(), pr), _gf_red(b.int_coeffs(), pr)
-        if len(_gf_gcd(fa, fb, pr)) == 1:
+        if len(_gf_gcd(_gf_red(a.num, pr), _gf_red(b.num, pr), pr)) == 1:
             return UniPoly.const(1, var)
         break
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero:
-        r = UniPoly(_prem(list(a.coeffs), list(b.coeffs)), var)
-        a, b = b, r.primitive()
+        a, b = b, UniPoly.from_ints(_prem(a.num, b.num), 1, var).primitive()
     return a.monic()

@@ -46,10 +46,6 @@ RX = ("r", "x")
 RT = ("r", "t")
 
 
-def _in_var(p: UniPoly, var: str) -> UniPoly:
-    return UniPoly(p.coeffs, var)
-
-
 def x_relation(n: int, r, x_squared):
     """F(r, x) as a function of (r, x^2), over any commutative ring.
 
@@ -71,10 +67,10 @@ def x_variety_poly(n: int) -> BiPoly:
 def d_variety_poly(n: int) -> BiPoly:
     """Defining polynomial D(r, t) = g_{n+1}(r) g_n(t) - g_n(r) g_{n+1}(t)."""
     require_family_index(n)
-    gn_r = BiPoly.from_uni(_in_var(g_poly(n), "r"), RT)
-    gn1_r = BiPoly.from_uni(_in_var(g_poly(n + 1), "r"), RT)
-    gn_t = BiPoly.from_uni(_in_var(g_poly(n), "t"), RT)
-    gn1_t = BiPoly.from_uni(_in_var(g_poly(n + 1), "t"), RT)
+    gn_r = BiPoly.from_uni(g_poly(n).with_var("r"), RT)
+    gn1_r = BiPoly.from_uni(g_poly(n + 1).with_var("r"), RT)
+    gn_t = BiPoly.from_uni(g_poly(n).with_var("t"), RT)
+    gn1_t = BiPoly.from_uni(g_poly(n + 1).with_var("t"), RT)
     return gn1_r * gn_t - gn_r * gn1_t
 
 

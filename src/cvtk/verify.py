@@ -16,12 +16,7 @@ from functools import partial
 
 from .cheb import G_poly, f_poly, failed_identities, require_family_index
 from .golden import default_fixtures
-from .intersect import (
-    build_intersection_report,
-    intersection_loci,
-    numeric_x,
-    x_squared_at,
-)
+from .intersect import build_intersection_report, numeric_x
 from .knotgrp import (
     FreeWord,
     complex_roots,
@@ -90,10 +85,10 @@ class VerifyContext:
         return self.fixtures[n]
 
 
-def _loci_points(n: int):
+def _loci_points(ctx, n: int):
     return [
         (r0, numeric_x(n, r0))
-        for locus in intersection_loci(n)
+        for locus in ctx.report(n).loci
         for r0 in complex_roots(locus.modulus)
     ]
 
@@ -118,7 +113,7 @@ def check_g_polynomials(ctx):
 def check_mod2_congruence(ctx):
     for n in range(2, 61):
         diff = G_poly(n) - f_poly(n) * f_poly(n)
-        if not all(c.denominator == 1 and c.numerator % 2 == 0 for c in diff.coeffs):
+        if diff.den != 1 or any(c % 2 for c in diff.num):
             return False, f"G_n - f_n^2 has an odd coefficient at n = {n}"
     return True, "G_n = f_n^2 mod 2 for 2 <= n <= 60"
 
@@ -145,7 +140,7 @@ def check_d_split(ctx):
 def _check_meridian_exact(ctx, n):
     fx = ctx.fixture(n)
     locus = ctx.report(n).loci[0]
-    if locus.x_min_poly != UniPoly(fx.x_poly.coeffs, "x").monic():
+    if locus.x_min_poly != fx.x_poly.with_var("x").monic():
         return False, "meridian minimal polynomial differs from fixture"
     return True, f"degree {locus.x_min_poly.degree} matches fixture"
 
@@ -164,7 +159,7 @@ def _check_longitude_exact(ctx, n):
     fx = ctx.fixture(n)
     rep = ctx.report(n)
     for locus in rep.loci:
-        if locus.longitude_min_poly != UniPoly(fx.longitude_min_poly.coeffs, "l"):
+        if locus.longitude_min_poly != fx.longitude_min_poly.with_var("l"):
             return False, "longitude minimal polynomial differs from fixture"
     return True, f"degree {fx.longitude_min_poly.degree} matches fixture"
 
@@ -203,7 +198,7 @@ def _check_eliminants(ctx, n):
     fx = ctx.fixture(n)
     budget = bezout_budget(n, fixtures=ctx.fixtures)
     sqf = squarefree_part(budget.r_eliminant)
-    if sqf != UniPoly(G_poly(n).coeffs, "r").monic():
+    if sqf != G_poly(n).with_var("r").monic():
         return False, "squarefree r-eliminant is not G_n"
     if budget.x_eliminant != fx.x_poly:
         return False, "x-eliminant differs from fixture"
@@ -214,9 +209,8 @@ def _check_eliminants(ctx, n):
 
 def check_delta_gamma(ctx):
     for n in range(2, 5):
-        for locus in intersection_loci(n):
-            x2 = x_squared_at(locus)
-            tctx = TraceContext(n, locus.r_elem, x2)
+        for locus in ctx.report(n).loci:
+            tctx = TraceContext(n, locus.r_elem, locus.x_squared)
             for d in range(n + 1):
                 for e in range(n + 1):
                     if delta(d, e, tctx) != gamma_closed(d, e, tctx):
@@ -228,7 +222,7 @@ def check_relator_numeric(ctx):
     worst = 0.0
     for n in (2, 3):
         fam = family_words(n)
-        for r0, x0 in _loci_points(n):
+        for r0, x0 in _loci_points(ctx, n):
             rep = numeric_rep(n, mu_from_x(x0), r0)
             worst = max(worst, relator_residual(rep, fam.relator))
     if worst >= NUMERIC_TOL:
@@ -241,7 +235,7 @@ def check_standard_relators(ctx):
     for n, (p, q) in ((2, (15, 11)), (3, (35, 29))):
         rel = standard_relator(p, q)
         V = two_bridge_word(p, q)
-        for r0, x0 in _loci_points(n):
+        for r0, x0 in _loci_points(ctx, n):
             rep = numeric_rep(n, mu_from_x(x0), r0)
             worst = max(worst, relator_residual(rep, rel))
             worst = max(
@@ -255,7 +249,7 @@ def check_standard_relators(ctx):
 def check_longitude_numeric(ctx):
     fam = family_words(2)
     sample = None
-    for r0, x0 in _loci_points(2):
+    for r0, x0 in _loci_points(ctx, 2):
         if r0.imag < 0:
             sample = (r0, x0)
     if sample is None:
@@ -269,7 +263,7 @@ def check_longitude_numeric(ctx):
     traces = sorted(
         (
             mat_trace(word_eval(numeric_rep(3, mu_from_x(x0), r0), fam3.longitude))
-            for r0, x0 in _loci_points(3)
+            for r0, x0 in _loci_points(ctx, 3)
         ),
         key=lambda z: (round(z.real, 9), round(z.imag, 9)),
     )
@@ -316,19 +310,18 @@ def check_alexander(ctx):
 
 def _check_r_poly(ctx, n):
     fx = ctx.fixture(n)
-    loci = intersection_loci(n)
     product = UniPoly.const(1, "r")
-    for locus in loci:
+    for locus in ctx.report(n).loci:
         product = product * locus.modulus
-    if product != UniPoly(fx.r_poly.coeffs, "r").monic():
+    if product != fx.r_poly.with_var("r").monic():
         return False, "product of intersection moduli differs from fixture"
     return True, f"modulus product matches fixture (degree {product.degree})"
 
 
 def check_x2_element_n2(ctx):
-    locus = intersection_loci(2)[0]
+    locus = ctx.report(2).loci[0]
     r = locus.r_elem
-    if x_squared_at(locus) != (3 * r + 3) / 2:
+    if locus.x_squared != (3 * r + 3) / 2:
         return False, "x^2 on the n = 2 locus is not (3r + 3)/2"
     return True, "x^2 = (3r + 3)/2 in Q[r]/(r^2 - 2r + 2)"
 

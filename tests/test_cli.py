@@ -175,30 +175,62 @@ def test_integral_meridian_is_a_verification_failure(monkeypatch, capsys):
     assert obj["slope"]["meridian_integral"] is True
 
 
-# sha256 of each command's standard output, recorded before the report records
-# became frozen. The canonical JSON must stay byte-identical under refactors.
+# sha256 of the standard output for each argv. The intersect and detect pins
+# were recorded before the report records became frozen, the rest before
+# UniPoly stored integer numerators over one denominator. The printed output
+# must stay byte-identical under refactors.
 OUTPUT_SHA256 = {
-    ("intersect", 2): "84c4c0cdd549437ddc247d4401e1679db4a0910ac88b08b54677c2bf3c993403",
-    ("intersect", 3): "e0b7681188a2da39e9d421d3d323ba3ce5802585ada5fa81051115ca2537a1c2",
-    ("intersect", 4): "8b25241147535cbb8b8d9ca1efb06cde14423eb2fcc116d7d203c5cd5d250333",
-    ("intersect", 5): "5f72db167a494fb361f3c88c5944a572f5e57acb39f3110d19d8ac4f555457ca",
-    ("intersect", 6): "aaa37376cba7e8eff529b952b3ec14204322af7690c4168e1f26c8c44685559a",
-    ("intersect", 12): "2eeda1067bcb7e0091c9a4d8142d184399923e0f2ac6b97c64774b240baf2014",
-    ("intersect", 24): "2123f7bfcf24f8f63f736930a371324763b39e1314afcc5a421cfbaf999564ab",
-    ("detect", 2): "beb8244ce3e9e7ced537d6124198bee0578890959e1ccab6b2241ce56d6cae05",
-    ("detect", 3): "448cc9b5fb7f55053e144c84412bea65ed6ca5528c21a29dd69d30ac7909a112",
-    ("detect", 4): "278f3c9e2d95e16415073877410fe2d543e810e811f32174dd529fa74537d271",
-    ("detect", 5): "e2cfe824c83b9fa7706ed2658f30acb839a710a7effadc384d65a514fa2e7c1c",
-    ("detect", 6): "3e2e8deb64b4bf901a0995e8ce72db28b65338c201a7e890c9c42a8095e521ed",
+    "intersect --n 2": "84c4c0cdd549437ddc247d4401e1679db4a0910ac88b08b54677c2bf3c993403",
+    "intersect --n 3": "e0b7681188a2da39e9d421d3d323ba3ce5802585ada5fa81051115ca2537a1c2",
+    "intersect --n 4": "8b25241147535cbb8b8d9ca1efb06cde14423eb2fcc116d7d203c5cd5d250333",
+    "intersect --n 5": "5f72db167a494fb361f3c88c5944a572f5e57acb39f3110d19d8ac4f555457ca",
+    "intersect --n 6": "aaa37376cba7e8eff529b952b3ec14204322af7690c4168e1f26c8c44685559a",
+    "intersect --n 12": "2eeda1067bcb7e0091c9a4d8142d184399923e0f2ac6b97c64774b240baf2014",
+    "intersect --n 24": "2123f7bfcf24f8f63f736930a371324763b39e1314afcc5a421cfbaf999564ab",
+    "detect --n 2 --json": "beb8244ce3e9e7ced537d6124198bee0578890959e1ccab6b2241ce56d6cae05",
+    "detect --n 3 --json": "448cc9b5fb7f55053e144c84412bea65ed6ca5528c21a29dd69d30ac7909a112",
+    "detect --n 4 --json": "278f3c9e2d95e16415073877410fe2d543e810e811f32174dd529fa74537d271",
+    "detect --n 5 --json": "e2cfe824c83b9fa7706ed2658f30acb839a710a7effadc384d65a514fa2e7c1c",
+    "detect --n 6 --json": "3e2e8deb64b4bf901a0995e8ce72db28b65338c201a7e890c9c42a8095e521ed",
+    "verify-paper": "c14dd7cde19c1a9acd043ff6943b61c4ec3ab33b4b7ff48dceabb974fc106ae8",
+    "cheb --kind f --j 5 --format pretty": "41dfec809e528fba88bd9491e3dd560ea15e228272fdddc9acbe16399eab510a",
+    "cheb --kind f --j 5 --format json": "d22fbba7c34f4e8f4dd3c21e0cdd4e556987e66a8e6cf88b96f0b4df5f8528a5",
+    "cheb --kind f --j 30 --format pretty": "89a5e3c2624d3f0aa6894af43369e2f73af5fdcefc7d7df20c6f22aff4bc77ad",
+    "cheb --kind f --j 30 --format json": "74bc856aa1b4153380aad3ae2849011f8e08481816b5ba9671250c5bf5ae9b12",
+    "cheb --kind g --j 5 --format pretty": "82111b1640290d31c6575cd6166e61ed9b8516a2ec083cb9b94f4b779523bc36",
+    "cheb --kind g --j 5 --format json": "bd24fe835f3f263881a8612b5a86db6a88085eef9b85c99a8b022c67b94ce695",
+    "cheb --kind g --j 30 --format pretty": "0f55822486a515efebbd846ad9370310a48a25f787ddcdd470a725467bdc9f77",
+    "cheb --kind g --j 30 --format json": "5a1240157189c6b8db928c12019ee6d450b239041f1f70ecb772aac31b7ea955",
+    "cheb --kind G --j 5 --format pretty": "2cff9dce9caba92e0b319e6af1093907aa47553876bfd347352e820a2969dc89",
+    "cheb --kind G --j 5 --format json": "2ca4ac9a6f66ce446fee21407bfe2668bd48c58e6d6d3b3d364e42cbe326df1c",
+    "cheb --kind G --j 30 --format pretty": "6b26ef1f9db4bfe273fe24ca47a6545b35526ec7ff2e88c41fac167d646f828e",
+    "cheb --kind G --j 30 --format json": "4cbc4dbe9974274d389320f503d51d0e2890a75f000abf851fe1360405b21676",
+    "variety --n 2 --model X --format pretty": "65371040c774775017fa07bd9e87dbc2871e151f2f74077f47bbdf2bc0af03f7",
+    "variety --n 2 --model D --split --format pretty": "66ae60431640abb31d79e155fff8adcc2b88cf1ad10b11d86f2eee39107a90f4",
+    "variety --n 2 --model X --format json": "d6b4a42d8b39fda7fd22ad3ee37efe824ff0b4c42390578908b6012b3ecc7c6d",
+    "variety --n 2 --model D --split --format json": "a4429c364dd664a6d73a71f7d9cff192e3a84343a933fade2c637a7ce520a43b",
+    "variety --n 3 --model X --format pretty": "8f587fb86913da6d460df69bcc5b3ff8ad9a9d3567440a51dbe092692d0912f4",
+    "variety --n 3 --model D --split --format pretty": "f7dfbf0a04fd57ac8ad91a89235dbbd5ed7963565edb09f3cd180c6cd1cfc0b9",
+    "variety --n 3 --model X --format json": "761a4727aeb7f92a5267b2bc681c74e2b4aecad5e76a2d35765d6e93a2591704",
+    "variety --n 3 --model D --split --format json": "8839af9dbb31813dc3d93fe42acaaf836382ed81e6379c7e7e95142ca2854784",
+    "variety --n 4 --model X --format pretty": "9b4812e85392a14873e3d8c2256594ccf5a027bb2e46bc8a03f068b12b220fd5",
+    "variety --n 4 --model D --split --format pretty": "ce064ffad631fbbff0bd6cfa296c9665fde9f410591692cb902a239e8828a580",
+    "variety --n 4 --model X --format json": "2666ab01d79a3beed467b5c127af7fa5324e2b0638c1fbfcfbada07f043b98c7",
+    "variety --n 4 --model D --split --format json": "a5ed15de50b9ef799175928903d2508547331bf2b58007cce8f322eb4ebba551",
 }
 
 
-@pytest.mark.parametrize("command,n", sorted(OUTPUT_SHA256))
-def test_report_output_pinned(capsys, command, n):
-    argv = [command, "--n", str(n)] + (["--json"] if command == "detect" else [])
-    assert main(argv) == 0
+def _pin_id(argv):
+    """"intersect --n 2" -> "intersect-2": the argv without its option names."""
+    return "-".join(w for w in argv.split() if not w.startswith("--"))
+
+
+@pytest.mark.parametrize("argv", sorted(OUTPUT_SHA256), ids=_pin_id)
+def test_report_output_pinned(capsys, monkeypatch, argv):
+    monkeypatch.delenv("CVTK_MAX_N", raising=False)
+    assert main(argv.split()) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[command, n]
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[argv]
 
 
 def test_cheb_command(capsys):

@@ -41,7 +41,7 @@ def divisor_candidates(n):
 
 def has_rational_root(p):
     """Rational root theorem on the primitive integer form."""
-    z = p.primitive().int_coeffs()
+    z = p.primitive().num
     if z[0] == 0:
         return True
     for a in divisor_candidates(z[0]):
@@ -53,7 +53,7 @@ def has_rational_root(p):
 
 def has_integer_quadratic_factor(p):
     """Brute force over integer quadratic divisors of a primitive quartic."""
-    z = p.primitive().int_coeffs()
+    z = p.primitive().num
     if len(z) != 5:
         raise ValueError("quartic expected")
     e, d, c, b, a = z

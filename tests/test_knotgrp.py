@@ -168,7 +168,7 @@ def test_complex_roots_sorted_and_complete():
 
 def _unseeded_root_strs(p):
     """The 12-digit roots from mpmath's own Durand-Kerner starting points."""
-    coeffs = list(reversed(p.primitive().int_coeffs()))
+    coeffs = list(reversed(p.primitive().num))
     with mpmath.workdps(40):
         roots = [complex(z) for z in mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)]
     roots.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
@@ -233,7 +233,7 @@ def test_family_relator_holds_on_components():
                 for _ in range(3):
                     r0 = Fraction(rng.randrange(-40, 41), 10) + Fraction(1, 7)
                     slice_poly = comp.subs("r", r0)
-                    coeffs = list(reversed(slice_poly.primitive().int_coeffs()))
+                    coeffs = list(reversed(slice_poly.primitive().num))
                     r_mp = mpmath.mpf(r0.numerator) / r0.denominator
                     for x0 in mpmath.polyroots(coeffs, maxsteps=300, extraprec=240):
                         mu = (x0 + mpmath.sqrt(x0 * x0 - 4)) / 2

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd as _math_gcd
 
 import pytest
 
@@ -96,6 +97,76 @@ def test_arithmetic():
 def test_var_mismatch_raises():
     with pytest.raises(ExactArithError):
         UniPoly.gen("u") + UniPoly.gen("t")
+
+
+def test_equal_constants_hash_equal():
+    # == ignores the variable of a constant, so a set must keep one of them
+    a, b = UniPoly.const(3, "u"), UniPoly.const(3, "x")
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, UniPoly.zero("u"), UniPoly.zero("x")}) == 2
+    assert UniPoly.gen("u") != UniPoly.gen("x")
+
+
+# -- storage oracle: integer numerators over one denominator vs sympy QQ --------
+
+
+def _rand_frac_poly(rng):
+    """Mixed denominators, sometimes integral, sometimes zero or with trailing zeros."""
+    dens = (1, 1, 2, 3, 4, 6, 8, 9, 12) if rng.random() < 0.7 else (1,)
+    cs = [Fraction(rng.randint(-20, 20), rng.choice(dens)) for _ in range(rng.randint(0, 7))]
+    return UniPoly(cs + [0] * rng.randint(0, 2), "x")
+
+
+def _check_storage(p):
+    assert all(type(c) is int for c in p.num) and type(p.den) is int
+    assert p.den > 0
+    assert _math_gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+
+
+def test_storage_matches_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20161)
+    x = sympy.Symbol("x")
+
+    def qq(p):
+        """sympy Poly over QQ read straight off the stored numerators and denominator."""
+        return sympy.Poly(list(reversed(p.num)) or [0], x, domain="QQ") * sympy.Rational(1, p.den)
+
+    for _ in range(150):
+        p, q = _rand_frac_poly(rng), _rand_frac_poly(rng)
+        P_, Q_ = (sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                              for c in reversed(poly.coeffs)] or [0], x, domain="QQ")
+                  for poly in (p, q))
+        results = [
+            (p + q, P_ + Q_),
+            (p - q, P_ - Q_),
+            (p * q, P_ * Q_),
+            (p ** 3, P_ ** 3),
+            (p.derivative(), P_.diff(x)),
+            (p.inflate(3), P_.compose(sympy.Poly(x ** 3, x, domain="QQ"))),
+        ]
+        if not q.is_zero:
+            quo, rem = sympy.div(P_, Q_)
+            results += [(divmod(p, q)[0], quo), (divmod(p, q)[1], rem)]
+        if not p.is_zero:
+            prim = P_.clear_denoms(convert=True)[1].primitive()[1]
+            if prim.LC() < 0:
+                prim = -prim
+            results += [(p.monic(), P_.monic()), (p.primitive(), prim.set_domain("QQ"))]
+            assert p.content() == P_.LC() / prim.LC()
+        for got, want in results:
+            _check_storage(got)
+            assert qq(got) == want
+        t = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        assert p(t) == P_.eval(sympy.Rational(t.numerator, t.denominator))
+        _check_storage(p)
+        # one polynomial built two ways is one value with one hash
+        if not q.is_zero:
+            again = (p * q).exact_div(q)
+            assert again == p and hash(again) == hash(p)
+        for again in (p + q - q, UniPoly(p.coeffs, "x"), p.with_var("y").with_var("x")):
+            assert again == p and hash(again) == hash(p)
 
 
 def test_eval_and_derivative():
