@@ -3,9 +3,11 @@
 Zassenhaus route for a primitive squarefree integer polynomial F:
 
 * Split F by distinct degree modulo each of the first MODULAR_PRIMES usable
-  primes.  A factor of F over Q has a degree that is a subset sum of the
-  modular factor degrees for every prime, so when the intersection of these
-  degree sets is {0, deg F}, F is irreducible with no lifting (Musser 1975).
+  primes, raising to the p-th power by one mat-vec with the Frobenius
+  matrix built once per prime.  A factor of F over Q has a degree that is a
+  subset sum of the modular factor degrees for every prime, so when the
+  intersection of these degree sets is {0, deg F}, F is irreducible with no
+  lifting (Musser 1975).
 * Otherwise take the prime with the fewest modular factors, split them with
   Cantor-Zassenhaus equal-degree factorization, Hensel-lift them to twice
   the Mignotte bound, and recombine subsets by trial division.  A subset is
@@ -24,6 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 from .ratpoly import (
     ExactArithError,
@@ -74,18 +77,34 @@ def iter_primes():
 
 
 def _gf_ddf(f, p):
-    """Distinct-degree split of a monic squarefree f: [(product, degree)]."""
+    """Distinct-degree split of a monic squarefree f: [(product, degree)].
+
+    Column j of the Frobenius matrix is x^(j*p) mod f, reached from column
+    j - 1 by p shift-and-reduce steps, so h -> h^p mod f is one mat-vec (von zur
+    Gathen and Gerhard, 14.2, 14.8).  h stays reduced mod the original f, which
+    every later f divides."""
     out = []
     f = list(f)
-    h = [0, 1]
+    n = len(f) - 1
+    low = [-c % p for c in f[:-1]]  # x^n mod f
+    col = [1] + [0] * (n - 1)
+    cols = []
+    for _ in range(n):
+        cols.append(col)
+        for _ in range(p):
+            top = col[-1]
+            col = [0] + col[:-1]
+            if top:
+                col = [(c + top * m) % p for c, m in zip(col, low)]
+    frob = list(zip(*cols))
+    h = [0, 1] + [0] * (n - 2)
     i = 1
     while len(f) - 1 >= 2 * i:
-        h = _gf_pow_mod(h, p, f, p)
+        h = [sum(map(mul, row, h)) % p for row in frob]
         g = _gf_gcd(_gf_sub(h, [0, 1], p), f, p)
         if len(g) > 1:
             out.append((g, i))
             f = _gf_divmod(f, g, p)[0]
-            h = _gf_divmod(h, f, p)[1]
         i += 1
     if len(f) > 1:
         out.append((f, len(f) - 1))

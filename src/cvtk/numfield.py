@@ -1,25 +1,25 @@
 """Arithmetic in Q[r]/(m) for a monic irreducible modulus m in Z[r].
 
-Elements are coordinate vectors in the power basis 1, r, ..., r^(k-1).
-This module alone turns an element a into a matrix: A = D*M, M the matrix of
-multiplication by a and D the least common denominator of a's coordinates,
-built as int rows.  Minimal polynomials come from the characteristic
-polynomial of M: the modulus is irreducible, so it is a power of the minimal
-polynomial and the squarefree part recovers it exactly.  The characteristic
-polynomial comes from power sums (traces) in the field, not from a
-determinant (Cohen, GTM 138, ch. 4), and the check that the result vanishes
-at a runs on the same integer matrix.
+An element's coordinates in the power basis 1, r, ..., r^(k-1) are k int
+numerators over one positive denominator D, in lowest terms, so field
+arithmetic runs in Python ints.  This module alone turns an element a into a
+matrix: A = D*M as int rows, M the matrix of multiplication by a.  Minimal
+polynomials come from the characteristic polynomial of M: the modulus is
+irreducible, so it is a power of the minimal polynomial and the squarefree
+part recovers it exactly.  The characteristic polynomial comes from power
+sums (traces) in the field, not from a determinant (Cohen, GTM 138, ch. 4),
+and the check that the result vanishes at a runs on the same integer matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from math import gcd
+from operator import add, mul
 
 from .factor import iter_primes, squarefree_part
-from .ratpoly import ExactArithError, UniPoly, frac_str
+from .ratpoly import ExactArithError, UniPoly, _conv, frac_str
 
 _TRIAL_BOUND = 10 ** 6
 
@@ -54,15 +54,17 @@ class NumberField:
     def __eq__(self, other) -> bool:
         return isinstance(other, NumberField) and self.modulus == other.modulus
 
+    def __hash__(self):
+        return hash(self.modulus)
+
     def __repr__(self) -> str:
         return f"NumberField({self.modulus})"
 
     def elem(self, coeffs) -> "NFElem":
-        cs = [Fraction(c) if not isinstance(c, Fraction) else c for c in coeffs]
-        if len(cs) > self.degree:
+        coeffs = list(coeffs)
+        if len(coeffs) > self.degree:
             raise ExactArithError("coordinate vector too long")
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return NFElem(self, tuple(cs))
+        return self.from_poly(UniPoly(coeffs, self.modulus.var))
 
     def zero(self) -> "NFElem":
         return self.elem(())
@@ -77,19 +79,28 @@ class NumberField:
 
     def from_poly(self, p: UniPoly) -> "NFElem":
         """Image of a polynomial in the generator (reduced mod the modulus)."""
-        return self.elem((p % self.modulus.with_var(p.var)).coeffs)
+        p = p % self.modulus.with_var(p.var)
+        return NFElem(self, p.num + (0,) * (self.degree - len(p.num)), p.den)
 
 
 @dataclass(frozen=True)
 class NFElem:
-    """Element of a NumberField, coordinates in the power basis."""
+    """Element sum(num[i] * r**i) / den of a NumberField: num holds field.degree
+    ints, zero-padded, and den > 0 with gcd(den, *num) == 1.  The form is
+    canonical, so equal elements compare equal structurally."""
 
     field: NumberField
-    coeffs: tuple
+    num: tuple
+    den: int
+
+    @property
+    def coeffs(self) -> tuple:
+        """Power-basis coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
     def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+        return not any(self.num)
 
     def _coerce(self, other):
         if isinstance(other, NFElem):
@@ -101,47 +112,46 @@ class NFElem:
         return None
 
     def __add__(self, other):
+        if isinstance(other, int):
+            # c*den added to num[0] leaves gcd(den, *num) at 1
+            num = list(self.num)
+            num[0] += other * self.den
+            return NFElem(self.field, tuple(num), self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return NFElem(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _reduced(self.field, list(map(add, self.num, o.num)), da)
+        return _reduced(self.field, [a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElem(self.field, tuple(-a for a in self.coeffs))
+        return NFElem(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction, NFElem)):
             return NotImplemented
-        return NFElem(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NFElem(self.field, tuple(a * other for a in self.coeffs))
+            num, den = other.numerator, other.denominator
+            return _reduced(self.field, [a * num for a in self.num], self.den * den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         k = self.field.degree
-        conv = [Fraction(0)] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    conv[i + j] += a * b
+        conv = _conv(self.num, o.num)
         out = conv[:k]
-        red = self.field._reduction
-        for i in range(k, 2 * k - 1):
-            c = conv[i]
+        for c, row in zip(conv[k:], self.field._reduction):
             if c:
-                row = red[i - k]
                 out = [s + c * t for s, t in zip(out, row)]
-        return NFElem(self.field, tuple(out))
+        return _reduced(self.field, out, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -163,7 +173,7 @@ class NFElem:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
         var = self.field.modulus.var
-        a = UniPoly(self.coeffs, var)
+        a = UniPoly.from_ints(self.num, self.den, var)
         b = self.field.modulus
         r0, r1 = a, b
         s0, s1 = UniPoly.const(1, var), UniPoly.zero(var)
@@ -191,19 +201,26 @@ class NFElem:
 
     def __repr__(self) -> str:
         var = self.field.modulus.var
-        return f"NFElem({UniPoly(self.coeffs, var)})"
+        return f"NFElem({UniPoly.from_ints(self.num, self.den, var)})"
+
+
+def _reduced(field: NumberField, num: list, den: int) -> NFElem:
+    """The element num / den, for den > 0, in lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num, den = [c // g for c in num], den // g
+    return NFElem(field, tuple(num), den)
 
 
 def multiplication_matrix(a: NFElem):
     """(D, A): A = D*M as int rows, M the matrix of x -> a*x in the power basis.
 
-    D is the least common denominator of a's coordinates.  Column i of A is
-    D*a*r^i: each column is the previous one times r, a shift followed by
-    r^k rewritten through the modulus.
+    D is a's denominator.  Column i of A is D*a*r^i: each column is the
+    previous one times r, a shift followed by r^k rewritten through the
+    modulus.
     """
-    d = lcm(*(c.denominator for c in a.coeffs))
     low = [-c for c in a.field.modulus.num[:-1]]  # r^k in the power basis
-    col = [c.numerator * (d // c.denominator) for c in a.coeffs]
+    col = list(a.num)
     cols = []
     for _ in range(a.field.degree):
         cols.append(col)
@@ -211,7 +228,7 @@ def multiplication_matrix(a: NFElem):
         col = [0] + col[:-1]
         if top:
             col = [c + top * m for c, m in zip(col, low)]
-    return d, list(zip(*cols))
+    return a.den, list(zip(*cols))
 
 
 def char_poly(a: NFElem, var: str = "u") -> UniPoly:

@@ -10,8 +10,9 @@ exact; no floating point.
 
 The module also holds the arithmetic on integer coefficient lists modulo p
 (the _gf_* helpers), shared by the modular coprimality test of poly_gcd and
-by the factoring code.  Matrices appear only in cvtk.numfield, as integer
-multiplication matrices of field elements.
+by the factoring code.  This module builds no matrices: cvtk.numfield builds
+the integer multiplication matrices of field elements, and cvtk.factor the
+Frobenius matrices of its distinct-degree split.
 """
 
 from __future__ import annotations

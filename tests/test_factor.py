@@ -15,7 +15,14 @@ from cvtk.factor import (
 )
 from cvtk.intersect import intersection_loci, x_squared_at
 from cvtk.numfield import nf_minimal_polynomial
-from cvtk.ratpoly import ExactArithError, UniPoly
+from cvtk.ratpoly import (
+    ExactArithError,
+    UniPoly,
+    _gf_deriv,
+    _gf_gcd,
+    _gf_monic,
+    _gf_red,
+)
 
 
 def P(*coeffs, var="u"):
@@ -311,3 +318,56 @@ def test_meridian_irreducibility_needs_no_lifting(n, monkeypatch):
     p = nf_minimal_polynomial(x_squared_at(locus), "x").inflate(2)
     assert p.degree == 4 * n - 4
     assert is_irreducible(p)
+
+
+# -- distinct-degree split against sympy's galoistools -------------------------
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def assert_ddf_agrees_with_sympy(f, p):
+    """_gf_ddf of a monic squarefree f mod p equals sympy's Zassenhaus split."""
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    want = [([int(c) for c in reversed(g)], d)
+            for g, d in gt.gf_ddf_zassenhaus([ZZ(c) for c in reversed(f)], p, ZZ)]
+    assert factor._gf_ddf(f, p) == want
+
+
+def squarefree_images(fz):
+    """(monic image, p) of an integer polynomial for each prime in SMALL_PRIMES
+    where it keeps its degree and stays squarefree, as _zassenhaus uses them."""
+    for p in SMALL_PRIMES:
+        if fz[-1] % p == 0:
+            continue
+        f = _gf_monic(_gf_red(fz, p), p)
+        if len(_gf_gcd(f, _gf_deriv(f, p), p)) == 1:
+            yield f, p
+
+
+def test_gf_ddf_agrees_with_sympy_on_random_polynomials():
+    rng = random.Random(61)
+    checked = 0
+    while checked < 120:
+        p = rng.choice(SMALL_PRIMES)
+        f = [rng.randrange(p) for _ in range(rng.randint(1, 60))] + [1]
+        if len(_gf_gcd(f, _gf_deriv(f, p), p)) != 1:
+            continue
+        assert_ddf_agrees_with_sympy(f, p)
+        checked += 1
+
+
+def test_gf_ddf_agrees_with_sympy_on_family_images():
+    polys = []
+    for n in range(2, 13):
+        polys.append(G_poly(n))
+        for locus in intersection_loci(n):
+            polys.append(nf_minimal_polynomial(x_squared_at(locus), "x").inflate(2))
+    checked = 0
+    for poly in polys:
+        for f, p in squarefree_images(poly.primitive().num):
+            assert_ddf_agrees_with_sympy(f, p)
+            checked += 1
+    assert checked >= 100

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,7 +13,8 @@ from cvtk.numfield import (
     multiplication_matrix,
     nf_minimal_polynomial,
 )
-from cvtk.intersect import intersection_loci, x_squared_at
+from cvtk.factor import is_irreducible
+from cvtk.intersect import build_intersection_report, intersection_loci, x_squared_at
 from cvtk.ratpoly import ExactArithError, UniPoly
 from cvtk.trace import longitude_trace
 
@@ -85,6 +87,71 @@ def test_power_basis_reduction_matches_polynomials():
         a, b = k.from_poly(pa), k.from_poly(pb)
         assert a * b == k.from_poly(pa * pb)
         assert a + b == k.from_poly(pa + pb)
+
+
+def test_equal_elements_hash_equal():
+    m = R ** 3 - R + 1
+    k1, k2 = NumberField(m), NumberField(R ** 3 - R + 1)
+    a = k1.elem((Fraction(1, 2), 3, Fraction(-2, 3)))
+    b = k2.from_poly(UniPoly([Fraction(1, 2), 3, Fraction(-2, 3)], "r") + m * (R - 5))
+    assert a == b and hash(a) == hash(b)
+    assert hash(k1.gen() ** 3) == hash(k2.gen() - 1)
+    (locus,) = build_intersection_report(3).loci
+    assert len({locus, build_intersection_report(3).loci[0]}) == 1
+
+
+def assert_canonical(a):
+    assert len(a.num) == a.field.degree
+    assert all(type(c) is int for c in a.num) and type(a.den) is int
+    assert a.den > 0 and gcd(a.den, *a.num) == 1
+
+
+def test_arithmetic_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    r = sympy.Symbol("r")
+    rng = random.Random(71)
+
+    def rational(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    def coords(poly, k):
+        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+        return tuple(cs + [Fraction(0)] * (k - len(cs)))
+
+    fields = 0
+    while fields < 30:
+        k = rng.randint(1, 8)
+        m = UniPoly([rng.randint(-5, 5) for _ in range(k)] + [1], "r")
+        if not is_irreducible(m):
+            continue
+        fields += 1
+        field = NumberField(m)
+        ms = sympy.Poly(list(reversed(m.coeffs)), r, domain=sympy.QQ)
+
+        def rand_elem():
+            cs = [Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 9, 35]))
+                  for _ in range(rng.randint(0, k))]
+            return field.elem(cs), sympy.Poly([rational(c) for c in reversed(cs)] or [0], r,
+                                              domain=sympy.QQ)
+
+        for _ in range(4):
+            (a, sa), (b, sb) = rand_elem(), rand_elem()
+            e = rng.randint(0, 5)
+            c = rng.randint(-9, 9)
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+            cases = [
+                (a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb), (a ** e, sa ** e),
+                (a + c, sa + c), (c - a, c - sa),
+                (a + q, sa + rational(q)), (a * q, sa * rational(q)),
+            ]
+            if not a.is_zero:
+                inv = sa.invert(ms)
+                cases += [(a.inverse(), inv), (a ** -e, inv ** e), (b / a, sb * inv)]
+            for got, want in cases:
+                assert_canonical(got)
+                assert got.coeffs == coords(want.rem(ms), k)
+            built = field.from_poly(UniPoly(a.coeffs, "r") * UniPoly(b.coeffs, "r"))
+            assert built == a * b and hash(built) == hash(a * b)
 
 
 def test_min_poly_examples():
