@@ -13,7 +13,8 @@ Zassenhaus route for a primitive squarefree integer polynomial F:
   the Mignotte bound, and recombine subsets by trial division.  A subset is
   tried only if its degree lies in the degree set and its constant term
   passes the trailing-coefficient test (Abbott, Shoup and Zimmermann 2000);
-  more than RECOMBINATION_BUDGET subsets raise ExactArithError.
+  more than RECOMBINATION_BUDGET subsets raise ExactArithError, and so does
+  an equal-degree split that finds no factor in EDF_DRAW_BUDGET draws.
 
 Deterministic: fixed RNG seed, deterministic prime choice, factors sorted
 canonically.
@@ -57,6 +58,12 @@ MODULAR_PRIMES = 8
 # fail the degree or trailing-coefficient test at a few microseconds each, so
 # the cap bounds the search to about a second.
 RECOMBINATION_BUDGET = 100_000
+
+# Random draws tried per equal-degree split before giving up.  A draw splits
+# a product of two or more irreducibles of degree d with probability at least
+# 4/9, so a valid input runs out of draws with probability below 1e-16; an
+# input that is not such a product never splits, and raises ExactArithError.
+EDF_DRAW_BUDGET = 64
 
 
 def iter_primes():
@@ -120,7 +127,7 @@ def _gf_edf(f, d, p, rng):
         if len(g) - 1 == d:
             out.append(g)
             continue
-        while True:
+        for _ in range(EDF_DRAW_BUDGET):
             t = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
             if len(t) < 2:
                 continue
@@ -139,6 +146,11 @@ def _gf_edf(f, d, p, rng):
                 stack.append(cand)
                 stack.append(_gf_divmod(g, cand, p)[0])
                 break
+        else:
+            raise ExactArithError(
+                f"no degree-{d} split of a degree-{len(g) - 1} factor mod {p} "
+                f"in {EDF_DRAW_BUDGET} draws"
+            )
     return out
 
 

@@ -4,8 +4,10 @@ A univariate polynomial is stored as integer numerators over one positive
 denominator: a tuple of ascending ints without trailing zeros and an int den
 coprime to them, a canonical form.  Integer polynomials (den = 1) therefore
 add, multiply, differentiate and evaluate in Python ints; `coeffs` gives the
-same values as Fractions.  Bivariate polynomials are sparse exponent
-dictionaries with Fraction values.  Everything here is deterministic and
+same values as Fractions.  A bivariate polynomial is dense in its second
+variable: a tuple of UniPolys in the first, one per power of the second
+(von zur Gathen and Gerhard, Modern Computer Algebra, 8.4), so it computes
+with UniPoly's integer arithmetic.  Everything here is deterministic and
 exact; no floating point.
 
 The module also holds the arithmetic on integer coefficient lists modulo p
@@ -297,25 +299,35 @@ class UniPoly:
 
 
 class BiPoly:
-    """Sparse bivariate polynomial over Q: {(i, j): c} means c*v0**i*v1**j."""
+    """Bivariate polynomial over Q, stored densely as rows of UniPolys.
 
-    __slots__ = ("vars", "terms")
+    rows[j] is the UniPoly in vars[0] that multiplies vars[1]**j, and the
+    tuple has no trailing zero row, so equal polynomials have equal rows.
+    The arithmetic is UniPoly's: integer numerators over one denominator
+    per row.  Treated as immutable.
+    """
+
+    __slots__ = ("vars", "rows")
 
     def __init__(self, terms=None, vars=("r", "x")):
-        vars = tuple(vars)
-        if len(vars) != 2 or vars[0] == vars[1]:
-            raise ExactArithError(f"need two distinct variables, got {vars}")
-        d = {}
+        """terms maps (i, j) to the coefficient of vars[0]**i * vars[1]**j."""
+        vars = _two_vars(vars)
+        grid = []
         for (i, j), c in (terms or {}).items():
-            c = _frac(c)
-            if c:
-                d[(int(i), int(j))] = c
+            i, j = int(i), int(j)
+            grid.extend([] for _ in range(j + 1 - len(grid)))
+            grid[j].extend([0] * (i + 1 - len(grid[j])))
+            grid[j][i] = c
         self.vars = vars
-        self.terms = d
+        self.rows = tuple(_trim([UniPoly(row, vars[0]) for row in grid]))
 
     @classmethod
-    def zero(cls, vars=("r", "x")) -> "BiPoly":
-        return cls({}, vars)
+    def _from_rows(cls, rows, vars) -> "BiPoly":
+        """rows are UniPolys in vars[0]; trailing zero rows are dropped."""
+        self = object.__new__(cls)
+        self.vars = vars
+        self.rows = tuple(_trim(list(rows)))
+        return self
 
     @classmethod
     def const(cls, c, vars=("r", "x")) -> "BiPoly":
@@ -333,12 +345,8 @@ class BiPoly:
     def from_uni(cls, p: UniPoly, vars=("r", "x")) -> "BiPoly":
         if p.var not in vars:
             raise ExactArithError(f"{p.var} is not one of {vars}")
-        axis = vars.index(p.var)
-        terms = {}
-        for k, c in enumerate(p.coeffs):
-            if c:
-                terms[(k, 0) if axis == 0 else (0, k)] = c
-        return cls(terms, vars)
+        # p is the coefficient of the other variable's zeroth power
+        return cls.from_coeff_list([p], vars[1 - tuple(vars).index(p.var)], vars)
 
     @classmethod
     def from_json(cls, obj: dict) -> "BiPoly":
@@ -348,18 +356,21 @@ class BiPoly:
     def to_json(self) -> dict:
         return {
             "vars": list(self.vars),
-            "terms": [
-                {"coeff": frac_str(self.terms[e]), "exp": list(e)}
-                for e in sorted(self.terms)
-            ],
+            "terms": [{"coeff": frac_str(c), "exp": list(e)} for e, c in self._terms()],
         }
+
+    def _terms(self) -> list:
+        """((i, j), c) for each nonzero c*vars[0]**i*vars[1]**j, ascending in (i, j)."""
+        return sorted(((i, j), Fraction(c, row.den))
+                      for j, row in enumerate(self.rows)
+                      for i, c in enumerate(row.num) if c)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.rows)
 
     def _axis(self, var: str) -> int:
         try:
@@ -368,15 +379,12 @@ class BiPoly:
             raise ExactArithError(f"{var} is not one of {self.vars}") from None
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(i + j for i, j in self.terms)
+        return max((j + row.degree for j, row in enumerate(self.rows) if row), default=-1)
 
     def degree_in(self, var: str) -> int:
-        if not self.terms:
-            return -1
-        ax = self._axis(var)
-        return max(e[ax] for e in self.terms)
+        if self._axis(var):
+            return len(self.rows) - 1
+        return max((row.degree for row in self.rows), default=-1)
 
     def _check(self, other: "BiPoly") -> None:
         if self.vars != other.vars:
@@ -387,12 +395,17 @@ class BiPoly:
             other = BiPoly.const(other, self.vars)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        if self.terms != other.terms:
+        if self.rows != other.rows:
             return False
-        return not self.terms or self.vars == other.vars or self.total_degree() == 0
+        return not self.rows or self.vars == other.vars or self.total_degree() == 0
+
+    def __hash__(self):
+        # equal polynomials have equal rows, and a row's hash ignores the
+        # variable exactly where __eq__ lets the variables differ
+        return hash(self.rows)
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({e: -c for e, c in self.terms.items()}, self.vars)
+        return BiPoly._from_rows([-row for row in self.rows], self.vars)
 
     def __add__(self, other) -> "BiPoly":
         if isinstance(other, (int, Fraction)):
@@ -400,20 +413,15 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return BiPoly(out, self.vars)
+        zero = UniPoly.zero(self.vars[0])
+        return BiPoly._from_rows(
+            [a + b for a, b in zip_longest(self.rows, other.rows, fillvalue=zero)],
+            self.vars,
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.const(other, self.vars)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -421,23 +429,17 @@ class BiPoly:
 
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if not c:
-                return BiPoly.zero(self.vars)
-            return BiPoly({e: c * a for e, a in self.terms.items()}, self.vars)
+            return BiPoly._from_rows([row * other for row in self.rows], self.vars)
         if not isinstance(other, BiPoly):
             return NotImplemented
         self._check(other)
-        out = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in other.terms.items():
-                e = (i1 + i2, j1 + j2)
-                s = out.get(e, Fraction(0)) + a * b
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return BiPoly(out, self.vars)
+        out = [UniPoly.zero(self.vars[0])] * (len(self.rows) + len(other.rows) - 1)
+        for i, a in enumerate(self.rows):
+            if a:
+                for j, b in enumerate(other.rows):
+                    if b:
+                        out[i + j] = out[i + j] + a * b
+        return BiPoly._from_rows(out, self.vars)
 
     __rmul__ = __mul__
 
@@ -451,95 +453,75 @@ class BiPoly:
 
     def coeff_list_in(self, var: str) -> list:
         """Ascending coefficients in `var`, each a UniPoly in the other variable."""
-        ax = self._axis(var)
-        other = self.vars[1 - ax]
-        deg = self.degree_in(var)
-        if deg < 0:
-            return []
-        buckets = [dict() for _ in range(deg + 1)]
-        for e, c in self.terms.items():
-            buckets[e[ax]][e[1 - ax]] = c
-        out = []
-        for b in buckets:
-            coeffs = [b.get(k, Fraction(0)) for k in range(max(b) + 1)] if b else []
-            out.append(UniPoly(coeffs, other))
-        return out
+        if self._axis(var):
+            return list(self.rows)
+        return _transpose(self.rows, self.vars[1])
 
     @classmethod
     def from_coeff_list(cls, coeffs, var: str, vars=("r", "x")) -> "BiPoly":
-        ax = vars.index(var)
-        terms = {}
-        for k, p in enumerate(coeffs):
-            for m, c in enumerate(p.coeffs):
-                if c:
-                    terms[(k, m) if ax == 0 else (m, k)] = c
-        return cls(terms, vars)
+        """Inverse of coeff_list_in: coeffs[k] multiplies var**k."""
+        vars = _two_vars(vars)
+        if vars.index(var):
+            return cls._from_rows([p.with_var(vars[0]) for p in coeffs], vars)
+        return cls._from_rows(_transpose(coeffs, vars[0]), vars)
 
     def subs(self, var: str, value) -> UniPoly:
         """Substitute a rational for one variable; returns UniPoly in the other."""
         value = _frac(value)
-        ax = self._axis(var)
-        other = self.vars[1 - ax]
-        out = {}
-        for e, c in self.terms.items():
-            k = e[1 - ax]
-            out[k] = out.get(k, Fraction(0)) + c * value ** e[ax]
-        deg = max(out) if out else -1
-        return UniPoly([out.get(k, Fraction(0)) for k in range(deg + 1)], other)
+        if self._axis(var):
+            acc = UniPoly.zero(self.vars[0])
+            for row in reversed(self.rows):
+                acc = acc * value + row
+            return acc
+        return UniPoly([row(value) for row in self.rows], self.vars[1])
 
     def eval(self, v0, v1):
         """Evaluate at (vars[0], vars[1]) = (v0, v1) over any commutative ring."""
         acc = None
-        for (i, j), c in sorted(self.terms.items()):
-            term = c
-            if i:
-                term = term * _ring_pow(v0, i)
-            if j:
-                term = term * _ring_pow(v1, j)
-            acc = term if acc is None else acc + term
+        for row in reversed(self.rows):
+            c = row(v0)
+            acc = c if acc is None else acc * v1 + c
         return Fraction(0) if acc is None else acc
 
     def exchange_vars(self) -> "BiPoly":
         """Substitute vars[0] <-> vars[1], keeping the variable order."""
-        return BiPoly({(j, i): c for (i, j), c in self.terms.items()}, self.vars)
+        return BiPoly._from_rows(_transpose(self.rows, self.vars[0]), self.vars)
 
     def is_even_in(self, var: str) -> bool:
-        ax = self._axis(var)
-        return all(e[ax] % 2 == 0 for e in self.terms)
+        if self._axis(var):
+            return not any(self.rows[1::2])
+        return not any(any(row.num[1::2]) for row in self.rows)
 
     def halve_exponents(self, var: str, new_name: str = None) -> "BiPoly":
         """Substitute var**2 -> var; requires the polynomial even in `var`."""
         if not self.is_even_in(var):
             raise ExactArithError(f"not even in {var}")
         ax = self._axis(var)
-        out = {}
-        for e, c in self.terms.items():
-            ne = (e[0] // 2, e[1]) if ax == 0 else (e[0], e[1] // 2)
-            out[ne] = c
         vars = list(self.vars)
         if new_name:
             vars[ax] = new_name
-        return BiPoly(out, tuple(vars))
+        if ax:
+            rows = [row.with_var(vars[0]) for row in self.rows[::2]]
+        else:
+            rows = [UniPoly.from_ints(row.num[::2], row.den, vars[0]) for row in self.rows]
+        return BiPoly._from_rows(rows, tuple(vars))
 
     def content(self) -> Fraction:
         """Signed content wrt the lex-leading term: self == content()*primitive()."""
-        if not self.terms:
+        if not self.rows:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = _int_gcd(num, c.numerator)
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        c = Fraction(num, den)
-        lead = self.terms[max(self.terms)]
-        return -c if lead < 0 else c
+        # each row's gcd(num)/den is in lowest terms, so these combine directly
+        c = Fraction(_int_gcd(*(a for row in self.rows for a in row.num)),
+                     lcm(*(row.den for row in self.rows)))
+        top = self.degree_in(self.vars[0])
+        lead = [row for row in self.rows if row.degree == top][-1]
+        return c if lead.num[-1] > 0 else -c
 
     def primitive(self) -> "BiPoly":
         """Integer-coefficient associate, content 1, lex-leading coefficient > 0."""
-        if not self.terms:
+        if not self.rows:
             return self
-        c = self.content()
-        return BiPoly({e: a / c for e, a in self.terms.items()}, self.vars)
+        return self * (1 / self.content())
 
     def divmod_in(self, other: "BiPoly", var: str):
         """Long division in `var`; the divisor's leading coefficient in `var`
@@ -551,7 +533,7 @@ class BiPoly:
             raise ExactArithError("division by zero polynomial")
         db = len(B) - 1
         lead = B[-1]
-        q = [UniPoly.zero(B[-1].var) for _ in range(max(len(A) - db, 0))]
+        q = [UniPoly.zero(lead.var) for _ in range(max(len(A) - db, 0))]
         r = list(A)
         while len(r) - 1 >= db:
             while r and r[-1].is_zero:
@@ -564,11 +546,11 @@ class BiPoly:
             for i, bc in enumerate(B):
                 r[i + k] = r[i + k] - c * bc
         qp = BiPoly.from_coeff_list(q, var, self.vars)
-        rp = BiPoly.from_coeff_list([p for p in r], var, self.vars)
+        rp = BiPoly.from_coeff_list(r, var, self.vars)
         return qp, rp
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.rows:
             return "0"
         def mono(e):
             i, j = e
@@ -580,8 +562,7 @@ class BiPoly:
                     bits.append(f"{name}^{k}")
             return "*".join(bits)
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e, c in reversed(self._terms()):
             m = mono(e)
             mag = abs(c)
             if not m:
@@ -601,16 +582,19 @@ class BiPoly:
         return f"BiPoly({self})"
 
 
-def _ring_pow(v, k: int):
-    out = None
-    base = v
-    while k:
-        if k & 1:
-            out = base if out is None else out * base
-        k >>= 1
-        if k:
-            base = base * base
-    return out
+def _two_vars(vars) -> tuple:
+    vars = tuple(vars)
+    if len(vars) != 2 or vars[0] == vars[1]:
+        raise ExactArithError(f"need two distinct variables, got {vars}")
+    return vars
+
+
+def _transpose(polys, var: str) -> list:
+    """out[i] = sum over j of polys[j][i] * var**j: swaps the two axes of a
+    list of UniPolys, on their numerators over the common denominator."""
+    den = lcm(*(p.den for p in polys))
+    scaled = [[c * (den // p.den) for c in p.num] for p in polys]
+    return [UniPoly.from_ints(col, den, var) for col in zip_longest(*scaled, fillvalue=0)]
 
 
 # ---------------------------------------------------------------------------

@@ -235,3 +235,10 @@ def test_criterion_17_intersect_n32(capsys):
         assert len(approx["x_roots"]) == 2 * locus["degree"]
         longitude_degree = len(locus["longitude"]["min_poly"]["coeffs"]) - 1
         assert len(approx["longitude_roots"]) == longitude_degree
+
+
+def test_criterion_18_x_model_n16_budget(capsys):
+    start = time.monotonic()
+    assert main(["variety", "--n", "16", "--model", "X"]) == 0
+    assert time.monotonic() - start < 3.0
+    assert capsys.readouterr().out.startswith("r^")

@@ -222,6 +222,10 @@ OUTPUT_SHA256 = {
     "variety --n 4 --model D --split --format pretty": "ce064ffad631fbbff0bd6cfa296c9665fde9f410591692cb902a239e8828a580",
     "variety --n 4 --model X --format json": "2666ab01d79a3beed467b5c127af7fa5324e2b0638c1fbfcfbada07f043b98c7",
     "variety --n 4 --model D --split --format json": "a5ed15de50b9ef799175928903d2508547331bf2b58007cce8f322eb4ebba551",
+    "variety --n 6 --model X --format pretty": "55ec4de9027457af4452e3079b57c8bf751d441fd3a57c0b5aac57034a14437d",
+    "variety --n 6 --model X --format json": "0a6756d64e566f70acc2bbe26591ba92399d1f6447344e67ec4b7eaacaa64fd2",
+    "variety --n 8 --model X --format pretty": "ac8ae63147253c4e8ef219feb4d4adeabf2d3d1821fa2d6f1254f79c557d3175",
+    "variety --n 8 --model X --format json": "88244dc4985b150262f17b33c08ed4080fed06f64ed926b5515adefbe17c39ce",
 }
 
 

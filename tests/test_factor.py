@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -306,6 +307,21 @@ def test_recombination_budget_raises(monkeypatch):
     monkeypatch.setattr(factor, "RECOMBINATION_BUDGET", 3)
     with pytest.raises(ExactArithError, match="degree 8, prime .*modular factors"):
         factor_over_rationals(swinnerton_dyer((2, 3, 5)))
+
+
+def test_equal_degree_split_of_an_irreducible_raises():
+    class Rng(random.Random):
+        # a draw loop that never stops fails here instead of hanging
+        def randrange(self, *args):
+            self.draws = getattr(self, "draws", 0) + 1
+            assert self.draws < 10**5
+            return super().randrange(*args)
+
+    # x^4 + x + 1 is irreducible mod 2: no draw splits it into degree-2 factors
+    start = time.monotonic()
+    with pytest.raises(ExactArithError, match="no degree-2 split of a degree-4 factor"):
+        factor._gf_edf([1, 1, 0, 0, 1], 2, 2, Rng(0))
+    assert time.monotonic() - start < 1.0
 
 
 @pytest.mark.parametrize("n", [18, 19])

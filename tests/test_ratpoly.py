@@ -362,6 +362,113 @@ def test_bipoly_primitive_sign():
     assert p.content() == -2
 
 
+# -- storage oracle: rows of UniPolys vs sympy QQ[r, x] -------------------------
+
+
+def _rand_bipoly(rng, vs=("r", "x"), even_in=None):
+    """Mixed denominators; sometimes zero, sometimes free of one variable."""
+    dens = (1, 1, 2, 3, 4, 6, 9) if rng.random() < 0.7 else (1,)
+    di, dj = rng.randint(0, 3), rng.randint(0, 3)
+    terms = {(rng.randint(0, di), rng.randint(0, dj)): Fraction(rng.randint(-9, 9), rng.choice(dens))
+             for _ in range(rng.randint(0, 7))}
+    if even_in is not None:
+        terms = {(2 * i, j) if even_in == 0 else (i, 2 * j): c for (i, j), c in terms.items()}
+    return BiPoly(terms, vs)
+
+
+def _check_rows(p):
+    assert all(isinstance(row, UniPoly) and row.var == p.vars[0] for row in p.rows)
+    assert not p.rows or not p.rows[-1].is_zero
+
+
+def test_bipoly_matches_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    rng = random.Random(20162)
+    vs = ("r", "x")
+    r, x, y = sympy.symbols("r x y")
+
+    def qq(p, gens=(r, x)):
+        """sympy Poly over QQ read straight off the stored rows."""
+        d = {(i, j): sympy.Rational(c, row.den)
+             for j, row in enumerate(p.rows) for i, c in enumerate(row.num) if c}
+        return sympy.Poly.from_dict(d or {(0, 0): 0}, *gens, domain="QQ")
+
+    def uq(u, gen):
+        return sympy.Poly(list(reversed(u.coeffs)) or [0], gen, domain="QQ")
+
+    def rat(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    for _ in range(60):
+        p, q = _rand_bipoly(rng), _rand_bipoly(rng)
+        P_, Q_ = qq(p), qq(q)
+        assert P_ == sympy.Poly.from_dict(
+            {e: rat(c) for e, c in p._terms()} or {(0, 0): 0}, r, x, domain="QQ")
+        results = [
+            (p + q, P_ + Q_),
+            (p - q, P_ - Q_),
+            (p * q, P_ * Q_),
+            (p ** 3, P_ ** 3),
+            (p.exchange_vars(),
+             sympy.Poly(P_.as_expr().subs({r: x, x: r}, simultaneous=True), r, x, domain="QQ")),
+        ]
+        if not p.is_zero:
+            prim = P_.clear_denoms(convert=True)[1].primitive()[1]
+            if prim.LC(order="lex") < 0:
+                prim = -prim
+            results.append((p.primitive(), prim.set_domain("QQ")))
+            assert p.content() == P_.LC(order="lex") / prim.LC(order="lex")
+        for got, want in results:
+            _check_rows(got)
+            assert qq(got) == want
+        _check_rows(p)
+        a, b = (Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2))
+        assert uq(p.subs("r", a), x) == sympy.Poly(P_.as_expr().subs(r, rat(a)), x, domain="QQ")
+        assert uq(p.subs("x", b), r) == sympy.Poly(P_.as_expr().subs(x, rat(b)), r, domain="QQ")
+        assert p.eval(a, b) == P_(rat(a), rat(b))
+        for var, other in ((r, x), (x, r)):
+            want = sympy.Poly(P_.as_expr(), var).all_coeffs()[::-1] if not p.is_zero else []
+            got = p.coeff_list_in(str(var))
+            assert [uq(c, other) for c in got] == [sympy.Poly(w, other, domain="QQ") for w in want]
+            assert BiPoly.from_coeff_list(got, str(var), vs) == p
+        assert p.is_even_in("x") == all(j % 2 == 0 for _, j in P_.monoms())
+        assert p.is_even_in("r") == all(i % 2 == 0 for i, _ in P_.monoms())
+        # one polynomial built five ways is one value with one hash
+        for again in (p + q - q, BiPoly(dict(p._terms()), vs), BiPoly.from_json(p.to_json()),
+                      p.exchange_vars().exchange_vars(), q * p - p * q + p):
+            _check_rows(again)
+            assert again == p and hash(again) == hash(p)
+        # halving the exponents of an even polynomial, in each variable
+        for ax, name in ((0, "r"), (1, "x")):
+            e = _rand_bipoly(rng, even_in=ax)
+            h = e.halve_exponents(name, "y")
+            _check_rows(h)
+            gens = (y, x) if ax == 0 else (r, y)
+            E_ = qq(e).as_expr().subs(r if ax == 0 else x, sympy.sqrt(y))
+            assert qq(h, gens) == sympy.Poly(E_, *gens, domain="QQ")
+        # division by a divisor monic in the variable, and resultants
+        for var, other in ((r, x), (x, r)):
+            k = rng.randint(1, 3)
+            lower = _rand_bipoly(rng)
+            lower = BiPoly.from_coeff_list(lower.coeff_list_in(str(var))[:k], str(var), vs)
+            d = lower + BiPoly.gen(str(var), vs) ** k
+            quo, rem = p.divmod_in(d, str(var))
+            Qw, Rw = sympy.div(sympy.Poly(P_.as_expr(), var, domain=f"QQ[{other}]"),
+                               sympy.Poly(qq(d).as_expr(), var, domain=f"QQ[{other}]"))
+            assert qq(quo) == sympy.Poly(Qw.as_expr(), r, x, domain="QQ")
+            assert qq(rem) == sympy.Poly(Rw.as_expr(), r, x, domain="QQ")
+            if p.degree_in(str(var)) > 0:
+                # sympy.resultant flips the sign when the first argument has the
+                # lower degree and both degrees are odd; its Sylvester matrix does not
+                res = resultant_in(p, d, str(var))
+                S = DomainMatrix.from_Matrix(sylvester(P_.as_expr(), qq(d).as_expr(), var))
+                want = S.domain.to_sympy(S.det())
+                assert uq(res, other) == sympy.Poly(want, other, domain="QQ")
+
+
 def test_bipoly_json_round_trip():
     vs = ("r", "x")
     p = BiPoly({(0, 0): 1, (2, 1): Fraction(-3, 2)}, vs)

@@ -38,6 +38,25 @@ def test_x_variety_matches_frozen_components():
         assert F.primitive() == (fx[n].X0 * fx[n].X1).primitive()
 
 
+def test_x_variety_matches_sympy_expansion():
+    # x_relation evaluated at sympy's own QQ[r, x] generators: sympy expands F
+    sympy = pytest.importorskip("sympy")
+    r, x = sympy.symbols("r x")
+    R, X = (sympy.Poly(v, r, x, domain="QQ") for v in (r, x))
+    for n in range(2, 7):
+        want = x_relation(n, R, X * X).as_dict()
+        got = {tuple(t["exp"]): sympy.Rational(t["coeff"])
+               for t in x_variety_poly(n).to_json()["terms"]}
+        assert got == want, n
+
+
+def test_component_records_are_hashable():
+    fx = default_fixtures()
+    assert len({fx[2], fx[3], default_fixtures()[2]}) == 2
+    assert len({d_split(3), d_split(3), d_split(4)}) == 2
+    assert hash(x_variety_poly(2).primitive()) == hash((fx[2].X0 * fx[2].X1).primitive())
+
+
 def test_x_variety_even_in_x():
     for n in range(2, 9):
         assert x_variety_poly(n).is_even_in("x")
