@@ -51,7 +51,9 @@ from .ratpoly import (
 # Usable primes (not dividing the leading coefficient, squarefree image)
 # tried before lifting.  For n <= 32, G_n and every meridian polynomial but
 # one are proven irreducible by at most 6 of them; the n = 9 meridian
-# polynomial needs 9, so it is lifted from 3 modular factors instead.
+# polynomial needs 9, so factoring it lifts 3 modular factors.  The report
+# factors meridian polynomials only when no non-square witness proves them
+# irreducible, which has not happened for any n tested.
 MODULAR_PRIMES = 8
 
 # Subsets of lifted factors tried in recombination before giving up.  Most

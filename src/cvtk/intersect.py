@@ -8,6 +8,10 @@ trace satisfies x^2 = 2 + r - 1/f_n(r)^2, which is never an algebraic
 integer (2 always divides a denominator), while the longitude trace always
 is one.  That contrast is what detects the slope-0 surface.
 
+The minimal polynomial of x is q(x) = p(x^2), p that of x^2, whenever x^2 is
+not a square in the field (Capelli); a non-square witness from
+`cvtk.numfield` proves that, and q is factored only when none turns up.
+
 `intersection_loci` gives one small `LocusField` per factor: the field and
 its generator r, with x^2 computed on first use.  `build_intersection_report`
 completes each into a frozen `IntersectionLocus` (meridian factors and
@@ -33,6 +37,7 @@ from .numfield import (
     NumberField,
     integrality_verdict,
     nf_minimal_polynomial,
+    non_square_witness,
 )
 from .ratpoly import UniPoly
 from .trace import (
@@ -154,13 +159,19 @@ def numeric_x(n: int, r0: complex) -> complex:
 def meridian_min_poly(locus):
     """Irreducible monic factors of the minimal polynomial of x over Q.
 
-    Computes the minimal polynomial p of x^2, substitutes u -> x^2, and
-    factors; conjugate x-values may split across several factors, so all of
-    them are returned (their product is the minimal-polynomial of the whole
-    +-x orbit over the locus).
+    With p the minimal polynomial of x^2, x is a root of q(x) = p(x^2), and
+    q is irreducible exactly when x^2 is not a square in Q(x^2) (Capelli; see
+    Schinzel, Polynomials with special regard to reducibility, 2.1).  A
+    non-square witness for x^2 in the locus field proves it is no square in
+    that subfield either, so q is returned whole.  Without a witness q is
+    factored; conjugate x-values may then split across several factors, so
+    all of them are returned (their product is the minimal polynomial of the
+    whole +-x orbit over the locus).
     """
     p = nf_minimal_polynomial(locus.x_squared, "x")
     q = p.inflate(2)
+    if non_square_witness(locus.x_squared) is not None:
+        return (q,)
     fac = factor_over_rationals(q)
     factors = []
     for f, mult in fac.factors:

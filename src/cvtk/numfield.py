@@ -7,8 +7,11 @@ matrix: A = D*M as int rows, M the matrix of multiplication by a.  Minimal
 polynomials come from the characteristic polynomial of M: the modulus is
 irreducible, so it is a power of the minimal polynomial and the squarefree
 part recovers it exactly.  The characteristic polynomial comes from power
-sums (traces) in the field, not from a determinant (Cohen, GTM 138, ch. 4),
-and the check that the result vanishes at a runs on the same integer matrix.
+sums (traces) in the field, not from a determinant (Cohen, GTM 138, ch. 4);
+the traces are read off the Krylov vectors A^j e_0, and the check that the
+result vanishes at a sums the same vectors.  A non-square witness (a prime l
+and a simple root of m mod l at which a is a non-residue) proves that a is
+not a square in the field.
 """
 
 from __future__ import annotations
@@ -22,6 +25,13 @@ from .factor import iter_primes, squarefree_part
 from .ratpoly import ExactArithError, UniPoly, _conv, frac_str
 
 _TRIAL_BOUND = 10 ** 6
+
+# Odd primes below this bound are tried for a non-square witness.  A prime at
+# which the modulus has simple roots gives one with probability about 1/2 for
+# a non-square, and for the x^2 of every factor of G_n measured (n = 2..24, 28
+# and 32) one below 40 does; for a square none does, and the bound ends that
+# search after a few thousand small-int operations.
+WITNESS_PRIME_BOUND = 100
 
 
 class NumberField:
@@ -233,29 +243,36 @@ def multiplication_matrix(a: NFElem):
 
 def char_poly(a: NFElem, var: str = "u") -> UniPoly:
     """Monic characteristic polynomial of x -> a*x on the field."""
-    return _char_poly(a.field.modulus, *multiplication_matrix(a), var)
+    d, rows = multiplication_matrix(a)
+    return _char_poly(a.field.modulus, d, _krylov(rows), var)
 
 
-def _char_poly(modulus: UniPoly, d: int, rows, var: str) -> UniPoly:
-    """det(var*I - M) from the traces s_j = Tr(A^j), A = D*M = rows.
+def _krylov(rows) -> list:
+    """v_0, ..., v_k with v_j = A^j e_0 for A = rows: the coordinates of (D*a)^j."""
+    v = [1] + [0] * (len(rows) - 1)
+    out = [v]
+    for _ in rows:
+        v = [sum(map(mul, row, v)) for row in rows]
+        out.append(v)
+    return out
+
+
+def _char_poly(modulus: UniPoly, d: int, krylov, var: str) -> UniPoly:
+    """det(var*I - M) from the traces s_j = Tr(A^j), A = D*M.
 
     Newton's identities on the integer modulus give tau_i = Tr(r^i), so
-    s_j = <A^j e_0, tau> (A^j e_0 holds the coordinates of (D*a)^j), k
-    mat-vecs in all.  Newton's identities again turn s_1..s_k into the
-    integer char poly of A, each step an exact division by j, and
+    s_j = <v_j, tau> over the Krylov vectors v_j = A^j e_0 (the coordinates
+    of (D*a)^j).  Newton's identities again turn s_1..s_k into the integer
+    char poly of A, each step an exact division by j, and
     det(var*I - M) = D**-k * det(D*var*I - A) multiplies its coefficient j by
     D**j over the one denominator D**k.
     """
-    k = len(rows)
+    k = len(krylov) - 1
     m = modulus.num
     tau = [k]
     for i in range(1, k):
         tau.append(-i * m[k - i] - sum(m[k - j] * tau[i - j] for j in range(1, i)))
-    v = [1] + [0] * (k - 1)
-    s = [k]
-    for _ in range(k):
-        v = [sum(map(mul, row, v)) for row in rows]
-        s.append(sum(map(mul, v, tau)))
+    s = [sum(map(mul, v, tau)) for v in krylov]
     c = [1]  # descending coefficients of det(var*I - A)
     for j in range(1, k + 1):
         q, rem = divmod(-sum(c[j - i] * s[i] for i in range(1, j + 1)), j)
@@ -268,28 +285,66 @@ def _char_poly(modulus: UniPoly, d: int, rows, var: str) -> UniPoly:
 def nf_minimal_polynomial(a: NFElem, var: str = "u") -> UniPoly:
     """Monic minimal polynomial of a over Q, checked to vanish at a."""
     d, rows = multiplication_matrix(a)
-    mp = squarefree_part(_char_poly(a.field.modulus, d, rows, var))
+    krylov = _krylov(rows)
+    mp = squarefree_part(_char_poly(a.field.modulus, d, krylov, var))
     # the char poly of an element of a field is a power of one irreducible
-    if not _vanishes(mp, d, rows):
+    if not _vanishes(mp, d, krylov):
         raise ExactArithError("minimal polynomial does not vanish; bad modulus?")
     if a.field.degree % mp.degree != 0:
         raise ExactArithError("minimal polynomial degree must divide field degree")
     return mp
 
 
-def _vanishes(mp: UniPoly, d: int, rows) -> bool:
-    """Whether mp(a) = 0, for rows = D*M and M the multiplication matrix of a.
+def _vanishes(mp: UniPoly, d: int, krylov) -> bool:
+    """Whether mp(a) = 0, for the Krylov vectors v_j = A^j e_0 of A = D*M.
 
     P(u) = mp.den * D**deg * mp(u / D) has the integer coefficients
-    mp.num[j] * D**(deg - j) and P(D*a) = mp.den * D**deg * mp(a); Horner on
-    A = D*M applied to the coordinates of 1 gives the coordinates of P(D*a).
+    mp.num[j] * D**(deg - j) and P(D*a) = mp.den * D**deg * mp(a), whose
+    coordinates are the sum of P's coefficient j times v_j.
     """
     deg = mp.degree
-    v = [0] * len(rows)
-    for j in range(deg, -1, -1):
-        v = [sum(map(mul, row, v)) for row in rows]
-        v[0] += mp.num[j] * d ** (deg - j)
-    return not any(v)
+    acc = [0] * (len(krylov) - 1)
+    for j, c in enumerate(mp.num):
+        if c:
+            c *= d ** (deg - j)
+            acc = [s + c * x for s, x in zip(acc, krylov[j])]
+    return not any(acc)
+
+
+def non_square_witness(a: NFElem):
+    """(l, r0) proving that a is not a square in its field, or None.
+
+    l is an odd prime below WITNESS_PRIME_BOUND that does not divide a.den,
+    and r0 a simple root of the modulus m mod l: m(r0) = 0 and m'(r0) != 0
+    mod l.  By Hensel's lemma r0 lifts to a root of m in Z_l, so the field
+    embeds in Q_l with r -> r0 as its residue map, and a goes to an l-adic
+    integer with residue a(r0) = num(r0) / den mod l.  When that residue is a
+    non-residue mod l (Euler's criterion), a is not a square in Q_l, nor in
+    the field.  None means that no prime below the bound gave a witness.
+    """
+    modulus = a.field.modulus
+    m, dm = modulus.num, modulus.derivative().num
+    for ell in iter_primes():
+        if ell >= WITNESS_PRIME_BOUND:
+            return None
+        if ell == 2 or a.den % ell == 0:
+            continue
+        mq, dq, aq = ([c % ell for c in cs] for cs in (m, dm, a.num))
+        inv = pow(a.den, -1, ell)
+        for r0 in range(ell):
+            if _eval_mod(mq, r0, ell) or not _eval_mod(dq, r0, ell):
+                continue
+            if pow(_eval_mod(aq, r0, ell) * inv, (ell - 1) // 2, ell) == ell - 1:
+                return ell, r0
+    return None
+
+
+def _eval_mod(coeffs, x: int, p: int) -> int:
+    """sum(coeffs[i] * x**i) mod p."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 A univariate polynomial is stored as integer numerators over one positive
 denominator: a tuple of ascending ints without trailing zeros and an int den
 coprime to them, a canonical form.  Integer polynomials (den = 1) therefore
-add, multiply, differentiate and evaluate in Python ints; `coeffs` gives the
-same values as Fractions.  A bivariate polynomial is dense in its second
+add, multiply, differentiate and evaluate in Python ints, and division is
+integer pseudo-division over one final denominator; `coeffs` gives the same
+values as Fractions.  A bivariate polynomial is dense in its second
 variable: a tuple of UniPolys in the first, one per power of the second
 (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4), so it computes
 with UniPoly's integer arithmetic.  Everything here is deterministic and
@@ -195,27 +196,34 @@ class UniPoly:
         return out
 
     def __divmod__(self, other: "UniPoly"):
+        """Integer pseudo-division: with c = lc(b.num) and e = deg a - deg b + 1,
+        c**e * a.num = Q * b.num + R in ints, so a = (Q * b.den) * b + R over
+        the one denominator c**e * a.den."""
         if not isinstance(other, UniPoly) or other.is_zero:
             raise ExactArithError("division by zero polynomial")
         self._check(other)
         if self.degree < other.degree:
             return UniPoly.zero(self.var), self
-        q = [Fraction(0)] * (self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        b = other.coeffs
-        d = b[-1]
-        db = other.degree
-        while len(r) - 1 >= db and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < db:
-                break
-            k = len(r) - 1 - db
-            c = r[-1] / d
-            q[k] = c
-            for i, bc in enumerate(b):
-                r[i + k] -= c * bc
-        return UniPoly(q, self.var), UniPoly(r, self.var)
+        b = other.num
+        db = len(b) - 1
+        c = b[-1]
+        low = b[:db]
+        r = list(self.num)
+        e = len(r) - db
+        q = [0] * e
+        for k in range(e - 1, -1, -1):
+            t = r.pop()
+            if c != 1:
+                q = [c * x for x in q]
+                r = [c * x for x in r]
+            q[k] = t
+            if t:
+                r[k:] = [s - t * y for s, y in zip(r[k:], low)]
+        den = c ** e * self.den
+        return (
+            UniPoly.from_ints([x * other.den for x in q], den, self.var),
+            UniPoly.from_ints(r, den, self.var),
+        )
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

@@ -242,3 +242,11 @@ def test_criterion_18_x_model_n16_budget(capsys):
     assert main(["variety", "--n", "16", "--model", "X"]) == 0
     assert time.monotonic() - start < 3.0
     assert capsys.readouterr().out.startswith("r^")
+
+
+def test_criterion_19_detect_n64_budget():
+    start = time.monotonic()
+    report = build_intersection_report(64)
+    assert report.status == "ok"
+    assert report.slope.detected_slope == 0
+    assert time.monotonic() - start < 6.0

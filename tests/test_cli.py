@@ -177,10 +177,12 @@ def test_integral_meridian_is_a_verification_failure(monkeypatch, capsys):
 
 # sha256 of the standard output for each argv. The intersect and detect pins
 # were recorded before the report records became frozen, except detect --n 9
-# (the one Hensel lift, so equal-degree splitting runs) and detect --n 19 (the
-# largest n of the number-field benchmark), recorded before number-field
-# elements stored integers over one denominator; the rest were recorded
-# before UniPoly did. The printed output must stay byte-identical under
+# and detect --n 19 (the largest n of the number-field benchmark), recorded
+# before number-field elements stored integers over one denominator; the rest
+# were recorded before UniPoly did. The n = 9 meridian polynomial is the one
+# family input whose factoring needs a Hensel lift; a non-square witness
+# proves it irreducible, so test_factor.py's test_n9_meridian_polynomial_lifts
+# factors it directly. The printed output must stay byte-identical under
 # refactors.
 OUTPUT_SHA256 = {
     "intersect --n 2": "84c4c0cdd549437ddc247d4401e1679db4a0910ac88b08b54677c2bf3c993403",

@@ -336,6 +336,26 @@ def test_meridian_irreducibility_needs_no_lifting(n, monkeypatch):
     assert is_irreducible(p)
 
 
+def test_n9_meridian_polynomial_lifts(monkeypatch):
+    # meridian_min_poly proves q irreducible by a non-square witness, so this
+    # is the one family input that still runs the equal-degree split, the
+    # Hensel lift and recombination: its 8 Musser primes leave a degree open
+    lifts = []
+    lift = factor._hensel_lift
+
+    def counted(*args):
+        lifts.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(factor, "_hensel_lift", counted)
+    (locus,) = intersection_loci(9)
+    q = nf_minimal_polynomial(x_squared_at(locus), "x").inflate(2)
+    fac = factor_over_rationals(q)
+    assert lifts
+    assert [f for f, _ in fac.factors] == [q]
+    assert_agrees_with_sympy(q)
+
+
 # -- distinct-degree split against sympy's galoistools -------------------------
 
 

@@ -13,6 +13,7 @@ from math import prod
 import pytest
 
 from cvtk.cheb import G_poly, f_poly
+from cvtk.factor import factor_over_rationals
 from cvtk.golden import default_fixtures
 from cvtk.intersect import (
     build_intersection_report,
@@ -21,7 +22,12 @@ from cvtk.intersect import (
     x_squared_at,
 )
 from cvtk.knotgrp import complex_roots
-from cvtk.numfield import integrality_verdict
+from cvtk.numfield import (
+    WITNESS_PRIME_BOUND,
+    integrality_verdict,
+    nf_minimal_polynomial,
+    non_square_witness,
+)
 from cvtk.ratpoly import UniPoly
 from cvtk.trace import longitude_trace
 
@@ -71,6 +77,35 @@ def test_meridian_degree_bookkeeping():
         for locus in intersection_loci(n):
             factors = meridian_min_poly(locus)
             assert sum(p.degree for p in factors) == 2 * locus.modulus.degree
+
+
+def test_witness_path_matches_factoring():
+    """Every x^2 for n = 2..24 has a non-square witness, checked against
+    sympy's primality test and Legendre symbol, and the q it proves
+    irreducible is what factoring q gives."""
+    sympy = pytest.importorskip("sympy")
+
+    for n in range(2, 25):
+        for locus in intersection_loci(n):
+            a = locus.x_squared
+            ell, r0 = non_square_witness(a)
+            m = locus.modulus.num
+            assert sympy.isprime(ell) and 2 < ell < WITNESS_PRIME_BOUND and a.den % ell
+            assert sum(c * r0 ** i for i, c in enumerate(m)) % ell == 0
+            assert sum(i * c * r0 ** (i - 1) for i, c in enumerate(m) if i) % ell
+            value = sum(c * r0 ** i for i, c in enumerate(a.num)) * pow(a.den, -1, ell)
+            assert sympy.legendre_symbol(value % ell, ell) == -1
+            q = nf_minimal_polynomial(a, "x").inflate(2)
+            fac = factor_over_rationals(q)
+            assert meridian_min_poly(locus) == tuple(f for f, _ in fac.factors)
+
+
+def test_report_without_witness_is_unchanged(monkeypatch):
+    from cvtk import intersect
+
+    want = [build_intersection_report(n).to_json() for n in range(2, 10)]
+    monkeypatch.setattr(intersect, "non_square_witness", lambda a: None)
+    assert [build_intersection_report(n).to_json() for n in range(2, 10)] == want
 
 
 def test_report_n2_n3():

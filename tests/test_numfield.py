@@ -12,6 +12,7 @@ from cvtk.numfield import (
     integrality_verdict,
     multiplication_matrix,
     nf_minimal_polynomial,
+    non_square_witness,
 )
 from cvtk.factor import is_irreducible
 from cvtk.intersect import build_intersection_report, intersection_loci, x_squared_at
@@ -199,6 +200,29 @@ def test_min_poly_vanishing_check_catches_a_wrong_polynomial(monkeypatch):
     (locus,) = intersection_loci(3)
     with pytest.raises(ExactArithError, match="does not vanish"):
         nf_minimal_polynomial(x_squared_at(locus))
+
+
+def test_non_square_witness_examples():
+    k = gaussian()
+    # r^2 + 1 has the simple roots 2 and 3 mod 5, and 3 is a non-residue mod 5
+    assert non_square_witness(k.elem((3,))) == (5, 2)
+    assert non_square_witness(k.elem((-1,))) is None  # -1 = i^2
+
+
+def test_squares_have_no_witness():
+    # r = 3*sqrt(5): r^2 - 45 has the double root 0 mod 3, where the square
+    # 5 = (r/3)^2 reads 2, a non-residue; only a simple root is an embedding
+    k = NumberField(R ** 2 - 45)
+    beta = k.gen() / 3
+    assert beta * beta == k.elem((5,))
+    assert non_square_witness(beta * beta) is None
+    rng = random.Random(67)
+    for m in (R ** 2 + 1, R ** 4 - 10 * R ** 2 + 1, R ** 4 - 2 * R ** 3 + 3):
+        k = NumberField(m)
+        for _ in range(10):
+            beta = k.elem([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k.degree)])
+            if not beta.is_zero:
+                assert non_square_witness(beta * beta) is None
 
 
 def test_multiplication_matrix_trace():
