@@ -4,6 +4,9 @@ Commands mirror the library layers: cheb and variety emit polynomials, word
 and rep exercise the group-theoretic layer, intersect and detect run the full
 pipeline, alexander and slopes print the classical invariants, and
 verify-paper replays every frozen datum and prints a named check table.
+The x and longitude-trace approximations of intersect, and the x0 that rep
+builds its matrices from, are the exact field elements evaluated at a root of
+the locus modulus found to ROOT_DPS digits; no float formula recomputes them.
 
 Exit codes: 0 success, 1 verification failure or internal error (an exact
 arithmetic invariant that failed inside the library), 2 usage error. JSON
@@ -21,15 +24,9 @@ import mpmath
 
 from .cheb import G_poly, f_poly, g_poly
 from .golden import load_fixtures
-from .intersect import (
-    build_intersection_report,
-    intersection_loci,
-    numeric_x,
-    x_squared,
-)
+from .intersect import build_intersection_report, intersection_loci, root_points
 from .knotgrp import (
     ROOT_DPS,
-    complex_roots,
     family_words,
     mat_trace,
     mp_roots,
@@ -42,13 +39,7 @@ from .knotgrp import (
     word_eval,
 )
 from .ratpoly import ExactArithError
-from .trace import (
-    TraceContext,
-    VerificationError,
-    alexander_poly,
-    boundary_slope_candidates,
-    longitude_value,
-)
+from .trace import VerificationError, alexander_poly, boundary_slope_candidates
 from .variety import d_split, d_variety_poly, x_variety_poly
 from .verify import (
     all_passed,
@@ -114,16 +105,15 @@ def _root_strs(values, degree: int) -> list:
 
 def _augmented_report_json(report) -> dict:
     """Report JSON plus 12-digit approximations of every root: only the modulus
-    is root-found, and x and the longitude trace at each root come from the
-    exact path's formulas, evaluated in mpmath at ROOT_DPS digits.
+    is root-found, and x and the longitude trace at each root r0 are the
+    images of the exact elements x^2 and tau under r -> r0, at ROOT_DPS digits.
     """
-    obj, n = report.to_json(), report.n
+    obj = report.to_json()
     for locus, locus_obj in zip(report.loci, obj["loci"]):
         with mpmath.workdps(ROOT_DPS):
             rs = mp_roots(locus.modulus)
-            ctxs = [TraceContext(n, r, x_squared(n, r)) for r in rs]
-            xs = [s * mpmath.sqrt(c.x_squared) for c in ctxs for s in (1, -1)]
-            taus = [longitude_value(c) for c in ctxs]
+            xs = [s * mpmath.sqrt(locus.x_squared.at(r)) for r in rs for s in (1, -1)]
+            taus = [locus.longitude_elem.at(r) for r in rs]
         locus_obj["approx"] = {
             "modulus_roots": _root_strs(rs, locus.modulus.degree),
             "x_roots": _root_strs(xs, locus.x_min_poly.degree),
@@ -164,11 +154,10 @@ def cmd_rep(args) -> int:
     if not 0 <= args.locus < len(loci):
         raise ValueError(f"locus index must be in [0, {len(loci) - 1}]")
     locus = loci[args.locus]
-    roots = complex_roots(locus.modulus)
-    if not 0 <= args.root < len(roots):
-        raise ValueError(f"root index must be in [0, {len(roots) - 1}]")
-    r0 = roots[args.root]
-    x0 = numeric_x(args.n, r0)
+    points = root_points(locus)
+    if not 0 <= args.root < len(points):
+        raise ValueError(f"root index must be in [0, {len(points) - 1}]")
+    r0, x0 = points[args.root]
     mu = mu_from_x(x0)
     rep = numeric_rep(args.n, mu, r0)
     fam = family_words(args.n)
@@ -285,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_slopes)
 
     p = sub.add_parser("verify-paper", help="replay all frozen data checks")
-    p.add_argument("--fixtures", metavar="PATH", help="override the frozen fixtures")
-    p.add_argument(
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--fixtures", metavar="PATH", help="override the frozen fixtures")
+    only.add_argument(
         "--n",
         type=int,
         help="run only the fixture-free property checks up through this n",

@@ -17,20 +17,24 @@ its generator r, with x^2 computed on first use.  `build_intersection_report`
 completes each into a frozen `IntersectionLocus` (meridian factors and
 verdicts, longitude trace, minimal polynomial and verdict) in one pass, and
 returns a frozen `IntersectionReport` whose status, slope verdict and point
-counts are read off its loci.  `x_squared` takes r from any field, so the
-CLI's numeric approximations evaluate the same formula at complex roots of m.
+counts are read off its loci.  Numeric values at an intersection point are
+the images of the same exact elements under the embedding r -> r0 of the
+field, r0 a complex root of m (`NFElem.at`); `root_points` pairs each r0
+with x0 = sqrt(x^2(r0)).
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
 
+import mpmath
+
 from .cheb import G_poly, f_poly, require_family_index
 from .factor import factor_over_rationals
+from .knotgrp import ROOT_DPS, mp_roots, sorted_complex
 from .numfield import (
     IntegralityVerdict,
     NFElem,
@@ -134,26 +138,24 @@ def intersection_loci(n: int):
     return loci
 
 
-def x_squared(n: int, r):
-    """The squared meridian trace 2 + r - 1/f_n(r)^2 at a root r of G_n.
+def x_squared_at(locus) -> NFElem:
+    """The squared meridian trace 2 + r - 1/f_n(r)^2 at the locus generator r.
 
-    r may live in any field: a number-field element or an mpmath complex.
     f_n(r) is invertible because gcd(G_n, f_n) = 1; a zero f_n(r) would be
     an invariant violation and raises ZeroDivisionError.
     """
-    fn = f_poly(n)(r)
-    return 2 + r - (fn * fn) ** -1
+    fn = f_poly(locus.n)(locus.r_elem)
+    return 2 + locus.r_elem - (fn * fn) ** -1
 
 
-def x_squared_at(locus) -> NFElem:
-    """`x_squared` in the locus field, at its generator r."""
-    return x_squared(locus.n, locus.r_elem)
-
-
-def numeric_x(n: int, r0: complex) -> complex:
-    """The meridian trace sqrt(2 + r0 - 1/f_n(r0)^2) at a complex root r0 of G_n."""
-    fn = sum(complex(c) * r0 ** k for k, c in enumerate(f_poly(n).coeffs))
-    return cmath.sqrt(2 + r0 - 1 / (fn * fn))
+def root_points(locus) -> list:
+    """(r0, x0) at each root r0 of the locus modulus, in `complex_roots` order,
+    as Python complexes: x0 is the principal square root of the image of x^2
+    under r -> r0, both worked out at ROOT_DPS digits."""
+    with mpmath.workdps(ROOT_DPS):
+        roots = mp_roots(locus.modulus)
+        x0 = {complex(r): complex(mpmath.sqrt(locus.x_squared.at(r))) for r in roots}
+    return [(r0, x0[r0]) for r0 in sorted_complex(roots)]
 
 
 def meridian_min_poly(locus):

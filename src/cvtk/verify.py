@@ -16,7 +16,7 @@ from functools import partial
 
 from .cheb import G_poly, f_poly, failed_identities, require_family_index
 from .golden import default_fixtures
-from .intersect import build_intersection_report, numeric_x
+from .intersect import build_intersection_report, root_points
 from .knotgrp import (
     FreeWord,
     complex_roots,
@@ -86,11 +86,7 @@ class VerifyContext:
 
 
 def _loci_points(ctx, n: int):
-    return [
-        (r0, numeric_x(n, r0))
-        for locus in ctx.report(n).loci
-        for r0 in complex_roots(locus.modulus)
-    ]
+    return [pt for locus in ctx.report(n).loci for pt in root_points(locus)]
 
 
 # ---------------------------------------------------------------------------

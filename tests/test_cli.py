@@ -86,9 +86,13 @@ def test_usage_errors_exit_two(capsys):
     assert main(["rep", "--n", "2", "--root", "9"]) == 2
     assert main(["verify-paper", "--fixtures", "/nonexistent/fixtures.json"]) == 2
     capsys.readouterr()
-    with pytest.raises(SystemExit) as err:
-        main(["no-such-command"])
-    assert err.value.code == 2
+    for argv in (
+        ["no-such-command"],
+        ["verify-paper", "--n", "3", "--fixtures", "/nonexistent/fixtures.json"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
     capsys.readouterr()
 
 
@@ -144,9 +148,12 @@ def test_approximations_match_root_finding_on_min_polys(capsys, n):
 
 
 def test_wrong_longitude_count_exits_one(monkeypatch, capsys):
-    from cvtk import cli
+    from cvtk import intersect
 
-    monkeypatch.setattr(cli, "longitude_value", lambda ctx: 1)
+    good = intersect.longitude_trace
+    monkeypatch.setattr(
+        intersect, "longitude_trace", lambda base: (base.field.one(), *good(base)[1:])
+    )
     assert main(["intersect", "--n", "3"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("internal error: 1 distinct approximations for 4 roots")
@@ -182,8 +189,10 @@ def test_integral_meridian_is_a_verification_failure(monkeypatch, capsys):
 # were recorded before UniPoly did. The n = 9 meridian polynomial is the one
 # family input whose factoring needs a Hensel lift; a non-square witness
 # proves it irreducible, so test_factor.py's test_n9_meridian_polynomial_lifts
-# factors it directly. The printed output must stay byte-identical under
-# refactors.
+# factors it directly. The rep pins are new: they were recorded once x0 came
+# from the exact x^2 evaluated at a ROOT_DPS-digit root, which moved the
+# float-noise digits of the residuals of rep --n 2 from the earlier float
+# formula. The printed output must stay byte-identical under refactors.
 OUTPUT_SHA256 = {
     "intersect --n 2": "84c4c0cdd549437ddc247d4401e1679db4a0910ac88b08b54677c2bf3c993403",
     "intersect --n 3": "e0b7681188a2da39e9d421d3d323ba3ce5802585ada5fa81051115ca2537a1c2",
@@ -199,6 +208,8 @@ OUTPUT_SHA256 = {
     "detect --n 6 --json": "3e2e8deb64b4bf901a0995e8ce72db28b65338c201a7e890c9c42a8095e521ed",
     "detect --n 9 --json": "ed71000b4e872c9d0a37101f9a682364e35bd2115737d308f46ef346a9aa6882",
     "detect --n 19 --json": "1416793bdd83136e4fbe05f948ca8918faa0beb4ec940b53240c17ce5d88bd30",
+    "rep --n 2": "3d661f0d7642c3c4fa9d9f88283ce2cf7fd7de9ca0f4e7b96208e7a1cfa7ad1b",
+    "rep --n 3 --root 1": "018ca9e644815fb3cd3ebe77a762fec0244ed763532c7880023c821a90e34a36",
     "verify-paper": "c14dd7cde19c1a9acd043ff6943b61c4ec3ab33b4b7ff48dceabb974fc106ae8",
     "cheb --kind f --j 5 --format pretty": "41dfec809e528fba88bd9491e3dd560ea15e228272fdddc9acbe16399eab510a",
     "cheb --kind f --j 5 --format json": "d22fbba7c34f4e8f4dd3c21e0cdd4e556987e66a8e6cf88b96f0b4df5f8528a5",

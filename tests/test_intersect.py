@@ -5,11 +5,11 @@ polynomials, and verdicts; a numeric cross-check re-derives the squared
 meridian trace from isolated roots of the modulus.
 """
 
-import cmath
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import prod
 
+import mpmath
 import pytest
 
 from cvtk.cheb import G_poly, f_poly
@@ -21,7 +21,7 @@ from cvtk.intersect import (
     meridian_min_poly,
     x_squared_at,
 )
-from cvtk.knotgrp import complex_roots
+from cvtk.knotgrp import ROOT_DPS, complex_roots, mp_roots
 from cvtk.numfield import (
     WITNESS_PRIME_BOUND,
     integrality_verdict,
@@ -29,7 +29,7 @@ from cvtk.numfield import (
     non_square_witness,
 )
 from cvtk.ratpoly import UniPoly
-from cvtk.trace import longitude_trace
+from cvtk.trace import TraceContext, longitude_trace, longitude_value
 
 
 def _meridian_product(locus):
@@ -135,17 +135,17 @@ def test_meridian_two_adic_range():
 
 
 def test_numeric_cross_check_roots():
-    """At every isolated root r0 of the modulus, the numeric value of
-    2 + r0 - 1/f_n(r0)^2 agrees with the NFElem coefficient evaluation."""
-    for n in range(2, 7):
-        for locus in intersection_loci(n):
-            x2 = x_squared_at(locus)
-            fn_coeffs = f_poly(n).coeffs
-            for r0 in complex_roots(locus.modulus):
-                fn = sum(complex(c) * r0 ** k for k, c in enumerate(fn_coeffs))
-                direct = 2 + r0 - 1 / (fn * fn)
-                via_elem = sum(complex(c) * r0 ** k for k, c in enumerate(x2.coeffs))
-                assert abs(direct - via_elem) < 1e-9
+    """At every root r0 of every modulus, n = 2..12, the images of the exact
+    x^2 and longitude trace under r -> r0 agree to 30 digits with the formula
+    2 + r0 - 1/f_n(r0)^2 and the trace calculus replayed in mpmath at r0."""
+    with mpmath.workdps(ROOT_DPS):
+        for n in range(2, 13):
+            for locus in build_intersection_report(n).loci:
+                for r0 in mp_roots(locus.modulus):
+                    x2 = 2 + r0 - 1 / f_poly(n)(r0) ** 2
+                    tau = longitude_value(TraceContext(n, r0, x2))
+                    for elem, value in ((locus.x_squared, x2), (locus.longitude_elem, tau)):
+                        assert mpmath.almosteq(elem.at(r0), value, 1e-30, 1e-30)
 
 
 def test_consistency_with_fixture_elimination():

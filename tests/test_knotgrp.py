@@ -13,7 +13,7 @@ import mpmath
 import pytest
 
 from cvtk.cheb import f_poly
-from cvtk.cli import complex_str
+from cvtk.cli import complex_str, main
 from cvtk.golden import default_fixtures
 from cvtk.intersect import build_intersection_report, intersection_loci
 from cvtk.knotgrp import (
@@ -297,6 +297,29 @@ def test_longitude_traces_match_frozen_min_poly():
             assert abs(u - v) < 1e-6
         if n == 3:
             assert any(abs(z - (95.24695 + 42.47546j)) < 1e-4 for z in traces)
+
+
+def _parse_complex(s):
+    """Inverse of `complex_str`: 'a + bi' or 'a - bi' as a complex."""
+    real, sign, imag = s.split()
+    return complex(float(real), float(sign + imag[:-1]))
+
+
+def test_rep_command_at_every_point(capsys):
+    """`cvtk rep` exits 0 at every locus and root for n = 2..6, and prints the
+    r0 and x0 that the float formula of `_loci_points` gives at that point."""
+    for n in range(2, 7):
+        expected = iter(_loci_points(n))
+        for li, locus in enumerate(intersection_loci(n)):
+            for ri in range(locus.modulus.degree):
+                argv = ["rep", "--n", str(n), "--locus", str(li), "--root", str(ri)]
+                assert main(argv) == 0
+                out = capsys.readouterr().out.splitlines()
+                printed = dict(line.split(" ~ ") for line in out if " ~ " in line)
+                r0, x0 = next(expected)
+                assert abs(_parse_complex(printed["r0"]) - r0) < 1e-9
+                assert abs(_parse_complex(printed["x0"]) - x0) < 1e-9
+        assert next(expected, None) is None
 
 
 def test_longitude_is_identity_off_word_evaluation_sanity():
