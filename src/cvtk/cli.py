@@ -5,8 +5,10 @@ and rep exercise the group-theoretic layer, intersect and detect run the full
 pipeline, alexander and slopes print the classical invariants, and
 verify-paper replays every frozen datum and prints a named check table.
 The x and longitude-trace approximations of intersect, and the x0 that rep
-builds its matrices from, are the exact field elements evaluated at a root of
-the locus modulus found to ROOT_DPS digits; no float formula recomputes them.
+builds its matrices from, are the exact field elements evaluated at the
+certified roots of the locus modulus (`knotgrp.RootApproximations`: an
+integer Aberth iteration with inclusion discs), each within 1e-20 relative;
+no float formula recomputes them.
 
 Exit codes: 0 success, 1 verification failure or internal error (an exact
 arithmetic invariant that failed inside the library), 2 usage error. JSON
@@ -20,16 +22,13 @@ import argparse
 import json
 import sys
 
-import mpmath
-
 from .cheb import G_poly, f_poly, g_poly
 from .golden import load_fixtures
 from .intersect import build_intersection_report, intersection_loci, root_points
 from .knotgrp import (
-    ROOT_DPS,
+    RootApproximations,
     family_words,
     mat_trace,
-    mp_roots,
     mu_from_x,
     numeric_rep,
     relator_residual,
@@ -49,6 +48,14 @@ from .verify import (
 )
 
 RELATOR_TOL = 1e-9
+
+# Largest value each integer argument accepts, so that a run ends within about
+# a minute on a 2-vCPU Xeon host; above it the command exits 2. The library
+# functions take any value, so a caller who needs more calls them.
+MAX_N = 128  # --n, the family index: detect --n 128 takes about 50 s
+MAX_VARIETY_N = 32  # variety --n: the X model at n = 32 takes about 40 s
+MAX_J = 1000  # cheb --j: the polynomials of index 1000 take about 2 s
+MAX_WORD = 10 ** 6  # word --p and --q: a word of length 10^6 takes about 2.5 s
 
 
 def canonical_json(obj) -> str:
@@ -103,19 +110,24 @@ def _root_strs(values, degree: int) -> list:
     return strs
 
 
+def _negated(z: complex) -> complex:
+    """-z with no -0.0 part, which would print as '-0'."""
+    return complex(0.0 - z.real, 0.0 - z.imag)
+
+
 def _augmented_report_json(report) -> dict:
     """Report JSON plus 12-digit approximations of every root: only the modulus
     is root-found, and x and the longitude trace at each root r0 are the
-    images of the exact elements x^2 and tau under r -> r0, at ROOT_DPS digits.
+    images of the exact elements x^2 and tau under r -> r0, certified to 1e-20.
     """
     obj = report.to_json()
     for locus, locus_obj in zip(report.loci, obj["loci"]):
-        with mpmath.workdps(ROOT_DPS):
-            rs = mp_roots(locus.modulus)
-            xs = [s * mpmath.sqrt(locus.x_squared.at(r)) for r in rs for s in (1, -1)]
-            taus = [locus.longitude_elem.at(r) for r in rs]
+        approx = RootApproximations(locus.modulus)
+        x2, tau = locus.x_squared, locus.longitude_elem
+        xs = [x for x0 in approx.images(x2.num, x2.den, sqrt=True) for x in (x0, _negated(x0))]
+        taus = approx.images(tau.num, tau.den)
         locus_obj["approx"] = {
-            "modulus_roots": _root_strs(rs, locus.modulus.degree),
+            "modulus_roots": _root_strs(approx.roots(), locus.modulus.degree),
             "x_roots": _root_strs(xs, locus.x_min_poly.degree),
             "longitude_roots": _root_strs(taus, locus.longitude_min_poly.degree),
         }
@@ -170,8 +182,8 @@ def cmd_rep(args) -> int:
     print(f"r0 ~ {complex_str(r0)}")
     print(f"x0 ~ {complex_str(x0)}")
     print(f"mu ~ {complex_str(mu)}")
-    print(f"family relator residual: {res_family:.3e}")
-    print(f"two-bridge ({p}, {q}) relator residual: {res_standard:.3e}")
+    for name, res in (("family", res_family), (f"two-bridge ({p}, {q})", res_standard)):
+        print(f"{name} relator residual < {RELATOR_TOL:g}: {'yes' if res < RELATOR_TOL else 'no'}")
     print(f"tr(a) ~ {complex_str(mat_trace(rep.A))}")
     print(f"tr(a b^-1) ~ {complex_str(r0)}")
     print(f"tr(s1) ~ {complex_str(mat_trace(word_eval(rep, fam.s1)))}")
@@ -220,8 +232,24 @@ def cmd_verify_paper(args) -> int:
 # Parser.
 
 
-def _add_n(parser) -> None:
-    parser.add_argument("--n", type=int, required=True, help="family index, n >= 2")
+def _int_at_most(ceiling: int):
+    """An argparse type: an int no larger than ceiling."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > ceiling:
+            raise argparse.ArgumentTypeError(f"{value} is above the ceiling {ceiling}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
+
+
+def _add_n(parser, ceiling: int = MAX_N) -> None:
+    parser.add_argument(
+        "--n", type=_int_at_most(ceiling), required=True,
+        help=f"family index, 2 <= n <= {ceiling}",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,12 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cheb", help="print a trace polynomial f_j, g_j, or G_j")
     p.add_argument("--kind", choices=("f", "g", "G"), required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=_int_at_most(MAX_J), required=True, help=f"index, at most {MAX_J}")
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
     p.set_defaults(func=cmd_cheb)
 
     p = sub.add_parser("variety", help="print a character variety polynomial")
-    _add_n(p)
+    _add_n(p, MAX_VARIETY_N)
     p.add_argument("--model", choices=("X", "D"), required=True)
     p.add_argument("--split", action="store_true", help="factor D as line * quotient")
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
@@ -261,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rep)
 
     p = sub.add_parser("word", help="two-bridge word and relator for (p, q)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=_int_at_most(MAX_WORD), required=True)
+    p.add_argument("--q", type=_int_at_most(MAX_WORD), required=True)
     p.set_defaults(func=cmd_word)
 
     p = sub.add_parser("alexander", help="Alexander polynomial and discriminant")
@@ -278,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     only.add_argument("--fixtures", metavar="PATH", help="override the frozen fixtures")
     only.add_argument(
         "--n",
-        type=int,
-        help="run only the fixture-free property checks up through this n",
+        type=_int_at_most(MAX_N),
+        help=f"run only the fixture-free property checks up through this n <= {MAX_N}",
     )
     p.set_defaults(func=cmd_verify_paper)
 

@@ -19,8 +19,9 @@ verdicts, longitude trace, minimal polynomial and verdict) in one pass, and
 returns a frozen `IntersectionReport` whose status, slope verdict and point
 counts are read off its loci.  Numeric values at an intersection point are
 the images of the same exact elements under the embedding r -> r0 of the
-field, r0 a complex root of m (`NFElem.at`); `root_points` pairs each r0
-with x0 = sqrt(x^2(r0)).
+field, r0 a complex root of m: `knotgrp.RootApproximations` certifies the
+roots and evaluates the power-basis coordinates at them with error bounds.
+`root_points` pairs each r0 with x0 = sqrt(x^2(r0)).
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 
-import mpmath
-
 from .cheb import G_poly, f_poly, require_family_index
 from .factor import factor_over_rationals
-from .knotgrp import ROOT_DPS, mp_roots, sorted_complex
+from .knotgrp import RootApproximations, sorted_complex
 from .numfield import (
     IntegralityVerdict,
     NFElem,
@@ -151,11 +150,12 @@ def x_squared_at(locus) -> NFElem:
 def root_points(locus) -> list:
     """(r0, x0) at each root r0 of the locus modulus, in `complex_roots` order,
     as Python complexes: x0 is the principal square root of the image of x^2
-    under r -> r0, both worked out at ROOT_DPS digits."""
-    with mpmath.workdps(ROOT_DPS):
-        roots = mp_roots(locus.modulus)
-        x0 = {complex(r): complex(mpmath.sqrt(locus.x_squared.at(r))) for r in roots}
-    return [(r0, x0[r0]) for r0 in sorted_complex(roots)]
+    under r -> r0, both certified by `RootApproximations`."""
+    approx = RootApproximations(locus.modulus)
+    x2 = locus.x_squared
+    x0 = approx.images(x2.num, x2.den, sqrt=True)  # may refine the roots: first
+    x0 = dict(zip(approx.roots(), x0))
+    return [(r0, x0[r0]) for r0 in sorted_complex(x0)]
 
 
 def meridian_min_poly(locus):

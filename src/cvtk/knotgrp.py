@@ -17,15 +17,20 @@ The numeric side realizes characters through the standard parameterization
 
 for which tr(A) = tr(B) = mu + 1/mu and tr(A B^-1) = r, evaluates words by
 left-to-right multiplication, and measures how well relations hold.
+
+The points come from `RootApproximations`: every root of an integer
+polynomial by an Aberth-Ehrlich iteration on Gaussian fixed-point integers,
+each certified by an inclusion disc, and the images of number-field elements
+at those roots with error bounds.  Precision is derived from the polynomial
+and doubled only when a certificate or a bound fails, so no module needs a
+multiprecision float library.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import exp, gcd, log, pi
-
-import mpmath
+from math import ceil, exp, gcd, hypot, inf, isqrt, log, log2, pi
 
 from .cheb import require_family_index
 from .ratpoly import ExactArithError, UniPoly
@@ -241,7 +246,15 @@ def mu_from_x(x: complex, branch: int = 1) -> complex:
     return (x + root) / 2 if branch >= 0 else (x - root) / 2
 
 
-ROOT_DPS = 40  # decimal digits of every root approximation
+# ---------------------------------------------------------------------------
+# Certified root approximations on Gaussian fixed-point integers.
+
+TARGET_BITS = 200  # fractional bits beyond the Horner bound of the polynomial
+SWEEP_CAP = 200  # Aberth sweeps over the life of one RootApproximations
+MAX_DOUBLINGS = 4  # precision doublings before giving up
+CLEANUP_BITS = 135  # parts below 2^-135 are zero (polyroots' rule at 40 digits)
+ROOT_RADIUS = 2.0 ** -(CLEANUP_BITS + 1)  # every inclusion radius is below this
+VALUE_TOL = 1e-20  # every image is within VALUE_TOL * max(1, |v|)
 
 
 def _horner(coeffs, z):
@@ -255,7 +268,7 @@ def _horner(coeffs, z):
 
 def _aberth_seeds(coeffs: list):
     """Float approximations of the roots of an integer polynomial (highest
-    degree first) by the Aberth-Ehrlich iteration, to start Durand-Kerner.
+    degree first) by the Aberth-Ehrlich iteration, to start the integer one.
 
     The sweeps stop once every |p(z)| is within rounding error of the Horner
     sum of |a_k| |z|^k (Bini's test): floats cannot place the roots better.
@@ -286,29 +299,293 @@ def _aberth_seeds(coeffs: list):
         if converged:
             break
     if all(cmath.isfinite(z) for z in zs):
-        return [mpmath.mpc(z) for z in zs]
+        return zs
     return None
 
 
-def mp_roots(p: UniPoly) -> list:
-    """All complex roots of p at the caller's mpmath precision: polyroots with
-    maxsteps=200, extraprec=120 and its cleanup of tiny real and imaginary
-    parts, started from float Aberth-Ehrlich seeds.  Non-convergence raises
-    ExactArithError.
+def _circle_seeds(coeffs: list) -> list:
+    """Points on the circle of the Cauchy bound 1 + max |a_k / a_deg|."""
+    deg = len(coeffs) - 1
+    radius = 1 + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0])
+    return [radius * cmath.exp(2j * pi * (k + 0.25) / deg) for k in range(deg)]
+
+
+def _fixed(x: float, bits: int) -> int:
+    """floor(x * 2^bits), exactly."""
+    num, den = x.as_integer_ratio()
+    return (num << bits) // den
+
+
+def _rdiv(a: int, b: int) -> int:
+    """a / b rounded to the nearest int, for b > 0."""
+    return (2 * a + b) // (2 * b)
+
+
+def _log2_abs(re: int, im: int) -> float:
+    """log2 |re + i im| for Gaussian integers of any size; -inf at 0."""
+    shift = max(abs(re).bit_length(), abs(im).bit_length()) - 64
+    if shift > 0:
+        re, im = re >> shift, im >> shift
+    else:
+        shift = 0
+    mag = hypot(re, im)
+    return log2(mag) + shift if mag else -inf
+
+
+def _log2_sum(logs) -> float:
+    """log2 of the sum of 2^l over l in logs."""
+    logs = list(logs)
+    top = max(logs, default=-inf)
+    if top == -inf:
+        return -inf
+    return top + log2(sum(2.0 ** (v - top) for v in logs))
+
+
+def _pow2(v: float) -> float:
+    """2^v, rounded up to 2^-1000 below and to inf above 2^1000: every use is
+    an upper bound."""
+    return inf if v > 1000 else 2.0 ** max(v, -1000.0)
+
+
+def _log2_rounding(deg: int, log2_z: float) -> float:
+    """log2 of a bound on the error, in units, of fixed-point Horner at z:
+    each floored product is off by under sqrt(2) units and is carried
+    through the later products, so the error is below
+    sqrt(2) (1 + |z| + ... + |z|^(deg-1)) <= sqrt(2) deg max(1, |z|)^deg."""
+    return 0.5 + log2(max(deg, 1)) + deg * max(0.0, log2_z)
+
+
+def _horner_fixed(cs, zr: int, zi: int, bits: int):
+    """p(z) and p'(z) in units of 2^-bits, for z = (zr + i zi) 2^-bits and
+    cs the coefficients (highest degree first) shifted left by bits."""
+    pr = pi_ = dr = di = 0
+    for c in cs:
+        dr, di = ((dr * zr - di * zi) >> bits) + pr, ((dr * zi + di * zr) >> bits) + pi_
+        pr, pi_ = ((pr * zr - pi_ * zi) >> bits) + c, (pr * zi + pi_ * zr) >> bits
+    return pr, pi_, dr, di
+
+
+def _value_fixed(cs, zr: int, zi: int, bits: int):
+    """p(z) alone, as in `_horner_fixed`."""
+    pr = pi_ = 0
+    for c in cs:
+        pr, pi_ = ((pr * zr - pi_ * zi) >> bits) + c, (pr * zi + pi_ * zr) >> bits
+    return pr, pi_
+
+
+def _complexes(points, bits: int) -> list:
+    """Gaussian fixed-point integers as Python complexes, correctly rounded
+    (int true division; an int 0 part gives 0.0, never -0.0)."""
+    scale = 1 << bits
+    return [complex(re / scale, im / scale) for re, im in points]
+
+
+def _sqrt_fixed(re: int, im: int, bits: int):
+    """The principal square root of (re + i im) 2^-bits, in the same units,
+    with mpmath's conventions: a negative real number maps to +i sqrt(-re),
+    and a nonreal one to sqrt((|v| + |re|) / 2) on the axis of re's sign."""
+    if im == 0:
+        if re >= 0:
+            return isqrt(re << bits), 0
+        return 0, isqrt(-re << bits)
+    t = isqrt(re * re + im * im) + abs(re)  # |v| + |re|
+    s = isqrt(t << (bits - 1))  # sqrt(t / 2)
+    other = _rdiv(abs(im) << bits, 2 * s)  # |im| / (2 s)
+    if re >= 0:
+        return s, other if im > 0 else -other
+    return other, s if im > 0 else -s
+
+
+class RootApproximations:
+    """Certified approximations of every complex root of a squarefree
+    polynomial, as Gaussian fixed-point integers (re + i im) 2^-bits.
+
+    The Aberth-Ehrlich iteration runs in ints from float `_aberth_seeds`,
+    Gauss-Seidel over the roots, and stops at each root once |p(z)| is below
+    the rounding bound of its Horner sum (Bini's test).  bits is derived from
+    the polynomial: TARGET_BITS plus log2 of the Horner bound sum |a_k| R^k,
+    R just above the largest seed, minus log2 |lc|.  Each root is certified
+    by a Weierstrass inclusion disc D(z_i, d |p(z_i)| / |lc prod (z_i - z_j)|)
+    (Braess-Hadeler; Neumaier, J. Comput. Appl. Math. 156, 2003), with the
+    Horner rounding in |p(z_i)|: pairwise disjoint discs hold one root each.
+    The radii must be below ROOT_RADIUS; then polyroots' clean-up rule zeroes
+    the parts below 2^-CLEANUP_BITS and widens the radii by the move.  When
+    the discs fail, or an image is not within VALUE_TOL, bits doubles, up to
+    MAX_DOUBLINGS times; past that, or past SWEEP_CAP sweeps, ExactArithError.
     """
-    if p.degree < 1:
-        raise ExactArithError("root isolation needs a nonconstant polynomial")
-    coeffs = list(reversed(p.primitive().num))
-    try:
-        return mpmath.polyroots(
-            coeffs, maxsteps=200, extraprec=120, roots_init=_aberth_seeds(coeffs)
+
+    def __init__(self, p: UniPoly):
+        if p.degree < 1:
+            raise ExactArithError("root isolation needs a nonconstant polynomial")
+        self.coeffs = list(reversed(p.primitive().num))
+        seeds = _aberth_seeds(self.coeffs) or _circle_seeds(self.coeffs)
+        reach = 1.0625 * max(abs(z) for z in seeds) + 2.0 ** -20
+        horner_bound = _log2_sum(
+            log2(abs(c)) + k * log2(reach) for k, c in enumerate(reversed(self.coeffs)) if c
         )
-    except mpmath.mp.NoConvergence as exc:
-        bits = max(abs(c).bit_length() for c in coeffs)
-        raise ExactArithError(
-            f"root approximation did not converge for a degree-{p.degree} "
-            f"polynomial with {bits}-bit coefficients: {exc}"
-        ) from exc
+        self.bits = TARGET_BITS + max(0, ceil(horner_bound - log2(abs(self.coeffs[0]))))
+        self.points = [(_fixed(z.real, self.bits), _fixed(z.imag, self.bits)) for z in seeds]
+        self.radii = []
+        self._sweeps = self._doublings = 0
+        self._settle()
+
+    def _failure(self, why: str) -> ExactArithError:
+        bits = max(abs(c).bit_length() for c in self.coeffs)
+        return ExactArithError(
+            f"root approximation did not converge for a degree-{len(self.coeffs) - 1} "
+            f"polynomial with {bits}-bit coefficients: {why}"
+        )
+
+    def _double(self, why: str) -> None:
+        if self._doublings == MAX_DOUBLINGS:
+            raise self._failure(f"{why} at {self.bits} bits")
+        self._doublings += 1
+        b = self.bits
+        self.points = [(re << b, im << b) for re, im in self.points]
+        self.bits = 2 * b
+
+    def _settle(self) -> None:
+        """Sweep to the rounding floor, then certify; double bits until the
+        certificate holds."""
+        while True:
+            self._sweep()
+            why = self._certify()
+            if why is None:
+                return
+            self._double(why)
+
+    def _sweep(self) -> None:
+        """Gauss-Seidel Aberth sweeps at self.bits until every point is at
+        its rounding floor or its step is at most one unit."""
+        bits, pts, deg = self.bits, self.points, len(self.coeffs) - 1
+        scale = 1 << bits
+        cs = [c << bits for c in self.coeffs]
+        done = [False] * deg
+        while not all(done):
+            if self._sweeps >= SWEEP_CAP:
+                raise self._failure(f"no convergence in {SWEEP_CAP} sweeps")
+            self._sweeps += 1
+            zf = _complexes(pts, bits)
+            for i, (zr, zi) in enumerate(pts):
+                if done[i]:
+                    continue
+                pr, pi_, dr, di = _horner_fixed(cs, zr, zi, bits)
+                if _log2_abs(pr, pi_) <= _log2_rounding(deg, log2(abs(zf[i]) or 1.0)):
+                    done[i] = True
+                    continue
+                dd = dr * dr + di * di
+                if dd == 0:
+                    continue
+                # Newton step N = p / p', then Aberth's N / (1 - N S) as
+                # N + N h, h = N S / (1 - N S) in floats: its rounding is
+                # second order in N.
+                nr = _rdiv((pr * dr + pi_ * di) << bits, dd)
+                ni = _rdiv((pi_ * dr - pr * di) << bits, dd)
+                z = zf[i]
+                s = sum(1 / (z - y) for y in zf if y != z)
+                try:
+                    q = complex(nr / scale, ni / scale) * s
+                    h = q / (1 - q)
+                except (OverflowError, ZeroDivisionError):
+                    h = 0j
+                if not cmath.isfinite(h):
+                    h = 0j
+                hr, hi = _fixed(h.real, 53), _fixed(h.imag, 53)
+                wr = nr + ((nr * hr - ni * hi) >> 53)
+                wi = ni + ((nr * hi + ni * hr) >> 53)
+                pts[i] = (zr - wr, zi - wi)
+                zf[i] = complex(pts[i][0] / scale, pts[i][1] / scale)
+                done[i] = abs(wr) <= 1 and abs(wi) <= 1
+
+    def _certify(self):
+        """None once the inclusion discs are disjoint with radii below
+        ROOT_RADIUS (and the clean-up is applied), else what failed."""
+        bits, pts, coeffs = self.bits, self.points, self.coeffs
+        deg, scale = len(coeffs) - 1, 1 << bits
+        cs = [c << bits for c in coeffs]
+        dist = [[0.0] * deg for _ in range(deg)]
+        for i in range(deg):
+            for j in range(i):
+                d = hypot((pts[i][0] - pts[j][0]) / scale, (pts[i][1] - pts[j][1]) / scale)
+                dist[i][j] = dist[j][i] = d
+        radii = []
+        for i, (zr, zi) in enumerate(pts):
+            others = [dist[i][j] for j in range(deg) if j != i]
+            if min(others, default=1.0) == 0.0:
+                radii.append(inf)
+                continue
+            log2_z = log2(hypot(zr / scale, zi / scale) or 1.0)
+            # |p(z_i)| <= |computed| + rounding, then the Weierstrass radius;
+            # the factor 2 covers the float rounding of the radius itself.
+            log2_p = _log2_sum((_log2_abs(*_value_fixed(cs, zr, zi, bits)),
+                                _log2_rounding(deg, log2_z))) - bits
+            log2_den = log2(abs(coeffs[0])) + sum(log2(d) for d in others)
+            radii.append(_pow2(1 + log2(deg) + log2_p - log2_den))
+        for i in range(deg):
+            for j in range(i):
+                if dist[i][j] * (1 - 2.0 ** -40) <= radii[i] + radii[j]:
+                    return "inclusion discs overlap"
+        if max(radii) >= ROOT_RADIUS:
+            return f"inclusion radius {max(radii):.1e} not below {ROOT_RADIUS:.1e}"
+        tol = 1 << (bits - CLEANUP_BITS)
+        for i, (zr, zi) in enumerate(pts):
+            if zr * zr + zi * zi < tol * tol:
+                clean = (0, 0)
+            elif abs(zi) < tol:
+                clean = (zr, 0)
+            elif abs(zr) < tol:
+                clean = (0, zi)
+            else:
+                continue
+            radii[i] += hypot((zr - clean[0]) / scale, (zi - clean[1]) / scale)
+            pts[i] = clean
+        self.radii = radii
+        return None
+
+    def roots(self) -> list:
+        """The roots as Python complexes, correctly rounded."""
+        return _complexes(self.points, self.bits)
+
+    def fixed_images(self, num, den: int = 1, sqrt: bool = False):
+        """(bits, points): the image of (sum num[k] r^k) / den at every root,
+        or its principal square root, within VALUE_TOL max(1, |v|), as
+        Gaussian integers in units of 2^-bits.  The bound adds the Horner
+        rounding and the disc radius rho times sum k |num[k]| (|z| + rho)^(k-1)
+        over den; a square root divides it by sqrt|v|, and bounds the pair
+        +-sqrt(v), so the sign of a root near the branch cut is not certified.
+        bits doubles until the bound holds."""
+        deriv = [(k, log2(k * abs(c))) for k, c in enumerate(num) if k and c]
+        log2_den = log2(den)
+        while True:
+            bits = self.bits
+            cs = [c << bits for c in reversed(num)]
+            out = []
+            for (zr, zi), rho in zip(self.points, self.radii):
+                z_abs = hypot(zr / (1 << bits), zi / (1 << bits))
+                log2_reach = log2(z_abs + rho)
+                vr, vi = _value_fixed(cs, zr, zi, bits)
+                vr, vi = _rdiv(vr, den), _rdiv(vi, den)
+                err = (_pow2(log2(rho) + _log2_sum(l + (k - 1) * log2_reach for k, l in deriv)
+                             - log2_den)
+                       + _pow2(_log2_rounding(len(num) - 1, log2(z_abs or 1.0)) - log2_den - bits)
+                       + _pow2(1 - bits))
+                log2_v = _log2_abs(vr, vi) - bits
+                if sqrt:
+                    err = (err + _pow2(2 - bits)) * _pow2(-log2_v / 2) + _pow2(2 - bits)
+                    vr, vi = _sqrt_fixed(vr, vi, bits)
+                    log2_v /= 2
+                if not log2(err) <= log2(VALUE_TOL) + max(0.0, log2_v):
+                    break
+                out.append((vr, vi))
+            else:
+                return bits, out
+            self._double(f"an image error bound {err:.1e} above {VALUE_TOL:.0e}")
+            self._settle()
+
+    def images(self, num, den: int = 1, sqrt: bool = False) -> list:
+        """`fixed_images` as Python complexes, correctly rounded."""
+        bits, out = self.fixed_images(num, den, sqrt)
+        return _complexes(out, bits)
 
 
 def sorted_complex(values) -> list:
@@ -318,8 +595,7 @@ def sorted_complex(values) -> list:
 
 
 def complex_roots(p: UniPoly):
-    """All complex roots of p, isolated well past 1e-12 and sorted by
-    (real, imaginary) lexicographically: `mp_roots` at ROOT_DPS digits.
-    """
-    with mpmath.workdps(ROOT_DPS):
-        return sorted_complex(mp_roots(p))
+    """All complex roots of the squarefree polynomial p, certified by
+    disjoint inclusion discs of radius below ROOT_RADIUS and sorted by
+    (real, imaginary) lexicographically."""
+    return sorted_complex(RootApproximations(p).roots())

@@ -206,12 +206,6 @@ class NFElem:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
-    def at(self, root):
-        """The image of this element under the embedding of the field that
-        sends r to `root`, a complex root of the modulus: the coordinates are
-        evaluated as a polynomial in r, so an mpmath root keeps its precision."""
-        return UniPoly.from_ints(self.num, self.den, self.field.modulus.var)(root)
-
     def to_json(self) -> dict:
         return {"basis": self.field.modulus.var, "coords": [frac_str(c) for c in self.coeffs]}
 

@@ -250,3 +250,19 @@ def test_criterion_19_detect_n64_budget():
     assert report.status == "ok"
     assert report.slope.detected_slope == 0
     assert time.monotonic() - start < 6.0
+
+
+def test_criterion_20_intersect_n48(capsys):
+    """intersect --n 48 exits 0 within 8 s and prints the output recorded once
+    from the mpmath path this root finder replaced (polyroots, then the exact
+    elements evaluated at the roots in mpmath), run at 120 digits in place of
+    its 40. At 40 digits that path printed 56 of the 188 x strings and 28 of
+    the 94 longitude strings wrong from about the 7th digit: Horner cancels
+    about 140 bits at |r0| near 2."""
+    start = time.monotonic()
+    assert main(["intersect", "--n", "48"]) == 0
+    assert time.monotonic() - start < 8.0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f323ddad3c98e7978ca4f5348f4c4051531eff832e118127de1f885d2b92cb3f"
+    )

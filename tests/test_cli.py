@@ -7,12 +7,14 @@ to exit 1 while naming a failing check.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from cvtk.cli import canonical_json, main
+from cvtk.cli import MAX_J, MAX_N, MAX_VARIETY_N, MAX_WORD, canonical_json, main
 from cvtk.golden import default_fixtures, fixtures_to_json
 
 
@@ -94,6 +96,25 @@ def test_usage_errors_exit_two(capsys):
             main(argv)
         assert err.value.code == 2
     capsys.readouterr()
+    # Each integer argument above its ceiling; argparse rejects it before any
+    # work starts, so no huge value runs.
+    cases = [
+        (["cheb", "--kind", "f", "--j", str(MAX_J + 1)], "--j", MAX_J),
+        (["cheb", "--kind", "G", "--j", "10000000"], "--j", MAX_J),
+        (["variety", "--n", str(MAX_VARIETY_N + 1), "--model", "D"], "--n", MAX_VARIETY_N),
+        (["word", "--p", str(MAX_WORD + 1), "--q", "3"], "--p", MAX_WORD),
+        (["word", "--p", "15", "--q", str(MAX_WORD + 1)], "--q", MAX_WORD),
+        (["verify-paper", "--n", str(MAX_N + 1)], "--n", MAX_N),
+    ]
+    for command in ("intersect", "detect", "rep", "alexander", "slopes"):
+        cases.append(([command, "--n", str(MAX_N + 1)], "--n", MAX_N))
+    for argv, option, ceiling in cases:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        value = argv[argv.index(option) + 1]
+        message = capsys.readouterr().err
+        assert f"argument {option}: {value} is above the ceiling {ceiling}" in message
 
 
 def test_internal_error_exits_one(monkeypatch, capsys):
@@ -108,16 +129,31 @@ def test_internal_error_exits_one(monkeypatch, capsys):
 
 
 def test_root_nonconvergence_exits_one(monkeypatch, capsys):
-    import mpmath
+    from cvtk import knotgrp
 
-    def no_convergence(*args, **kwargs):
-        raise mpmath.mp.NoConvergence("Didn't converge in maxsteps=200 steps.")
-
-    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+    monkeypatch.setattr(knotgrp, "SWEEP_CAP", 0)
     assert main(["intersect", "--n", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("internal error: root approximation did not converge")
     assert "degree-" in err and "-bit coefficients" in err
+
+
+def test_overlapping_inclusion_discs_exit_one(monkeypatch, capsys):
+    """A finder that leaves two approximations on one root after every sweep
+    gets overlapping inclusion discs at every precision, and exits 1."""
+    from cvtk import knotgrp
+
+    good = knotgrp.RootApproximations._sweep
+
+    def sweep_onto_one_root(self):
+        good(self)
+        self.points[1] = self.points[0]
+
+    monkeypatch.setattr(knotgrp.RootApproximations, "_sweep", sweep_onto_one_root)
+    assert main(["intersect", "--n", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: root approximation did not converge")
+    assert "inclusion discs overlap" in err
 
 
 def _root_finder_approx(locus):
@@ -189,10 +225,11 @@ def test_integral_meridian_is_a_verification_failure(monkeypatch, capsys):
 # were recorded before UniPoly did. The n = 9 meridian polynomial is the one
 # family input whose factoring needs a Hensel lift; a non-square witness
 # proves it irreducible, so test_factor.py's test_n9_meridian_polynomial_lifts
-# factors it directly. The rep pins are new: they were recorded once x0 came
-# from the exact x^2 evaluated at a ROOT_DPS-digit root, which moved the
-# float-noise digits of the residuals of rep --n 2 from the earlier float
-# formula. The printed output must stay byte-identical under refactors.
+# factors it directly. The two rep pins are re-recorded: rep now prints each
+# relator residual as a verdict against RELATOR_TOL ("residual < 1e-09: yes")
+# in place of four digits of float rounding noise, which moved with any
+# reordering of float operations. The printed output must stay byte-identical
+# under refactors.
 OUTPUT_SHA256 = {
     "intersect --n 2": "84c4c0cdd549437ddc247d4401e1679db4a0910ac88b08b54677c2bf3c993403",
     "intersect --n 3": "e0b7681188a2da39e9d421d3d323ba3ce5802585ada5fa81051115ca2537a1c2",
@@ -208,8 +245,8 @@ OUTPUT_SHA256 = {
     "detect --n 6 --json": "3e2e8deb64b4bf901a0995e8ce72db28b65338c201a7e890c9c42a8095e521ed",
     "detect --n 9 --json": "ed71000b4e872c9d0a37101f9a682364e35bd2115737d308f46ef346a9aa6882",
     "detect --n 19 --json": "1416793bdd83136e4fbe05f948ca8918faa0beb4ec940b53240c17ce5d88bd30",
-    "rep --n 2": "3d661f0d7642c3c4fa9d9f88283ce2cf7fd7de9ca0f4e7b96208e7a1cfa7ad1b",
-    "rep --n 3 --root 1": "018ca9e644815fb3cd3ebe77a762fec0244ed763532c7880023c821a90e34a36",
+    "rep --n 2": "b71a6844bf9d52b7b8232fe6904673eca02ef676b0d947d9a91c3fb5232b6d14",
+    "rep --n 3 --root 1": "45c74ffc391093090ef252b90e0da4d9498276c03c3e5b67e234215f4301f746",
     "verify-paper": "c14dd7cde19c1a9acd043ff6943b61c4ec3ab33b4b7ff48dceabb974fc106ae8",
     "cheb --kind f --j 5 --format pretty": "41dfec809e528fba88bd9491e3dd560ea15e228272fdddc9acbe16399eab510a",
     "cheb --kind f --j 5 --format json": "d22fbba7c34f4e8f4dd3c21e0cdd4e556987e66a8e6cf88b96f0b4df5f8528a5",
@@ -318,9 +355,21 @@ def test_rep_command(capsys):
     assert main(["rep", "--n", "2", "--locus", "0", "--root", "0"]) == 0
     out = capsys.readouterr().out
     assert "tr(longitude) ~ 14 + 24i" in out
-    assert "family relator residual" in out
-    assert "two-bridge (15, 11) relator residual" in out
+    assert "family relator residual < 1e-09: yes" in out
+    assert "two-bridge (15, 11) relator residual < 1e-09: yes" in out
     assert "mu ~" in out
+
+
+def test_cli_import_leaves_mpmath_out():
+    """No runtime module imports mpmath: it is a test-only oracle."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import cvtk.cli, sys; assert 'mpmath' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": "src"},
+        cwd=Path(__file__).resolve().parent.parent,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_entry_point():

@@ -21,7 +21,7 @@ from cvtk.intersect import (
     meridian_min_poly,
     x_squared_at,
 )
-from cvtk.knotgrp import ROOT_DPS, complex_roots, mp_roots
+from cvtk.knotgrp import RootApproximations, complex_roots
 from cvtk.numfield import (
     WITNESS_PRIME_BOUND,
     integrality_verdict,
@@ -134,18 +134,35 @@ def test_meridian_two_adic_range():
                 assert 2 in verdict.bad_primes
 
 
+def _mpc(point, bits):
+    return mpmath.mpc(mpmath.ldexp(point[0], -bits), mpmath.ldexp(point[1], -bits))
+
+
 def test_numeric_cross_check_roots():
-    """At every root r0 of every modulus, n = 2..12, the images of the exact
-    x^2 and longitude trace under r -> r0 agree to 30 digits with the formula
-    2 + r0 - 1/f_n(r0)^2 and the trace calculus replayed in mpmath at r0."""
-    with mpmath.workdps(ROOT_DPS):
+    """At every certified root r0 of every modulus, n = 2..12, the images of
+    the exact x^2, its principal square root and the longitude trace under
+    r -> r0 agree to 30 digits with the formula 2 + r0 - 1/f_n(r0)^2, its
+    mpmath square root, and the trace calculus replayed in mpmath at r0."""
+    with mpmath.workdps(40):
         for n in range(2, 13):
             for locus in build_intersection_report(n).loci:
-                for r0 in mp_roots(locus.modulus):
-                    x2 = 2 + r0 - 1 / f_poly(n)(r0) ** 2
-                    tau = longitude_value(TraceContext(n, r0, x2))
-                    for elem, value in ((locus.x_squared, x2), (locus.longitude_elem, tau)):
-                        assert mpmath.almosteq(elem.at(r0), value, 1e-30, 1e-30)
+                approx = RootApproximations(locus.modulus)
+                x2, tau = locus.x_squared, locus.longitude_elem
+                images = [
+                    approx.fixed_images(x2.num, x2.den),
+                    approx.fixed_images(x2.num, x2.den, sqrt=True),
+                    approx.fixed_images(tau.num, tau.den),
+                ]
+                for i, point in enumerate(approx.points):
+                    r0 = _mpc(point, approx.bits)
+                    x2_value = 2 + r0 - 1 / f_poly(n)(r0) ** 2
+                    values = (
+                        x2_value,
+                        mpmath.sqrt(x2_value),
+                        longitude_value(TraceContext(n, r0, x2_value)),
+                    )
+                    for (bits, got), value in zip(images, values):
+                        assert mpmath.almosteq(_mpc(got[i], bits), value, 1e-30, 1e-30)
 
 
 def test_consistency_with_fixture_elimination():

@@ -8,6 +8,7 @@ and the longitude matrix trace must reproduce the frozen minimal polynomials.
 import cmath
 import random
 from fractions import Fraction
+from math import prod
 
 import mpmath
 import pytest
@@ -19,6 +20,9 @@ from cvtk.intersect import build_intersection_report, intersection_loci
 from cvtk.knotgrp import (
     MAT_ID,
     FreeWord,
+    RootApproximations,
+    _fixed,
+    _sqrt_fixed,
     complex_roots,
     family_words,
     mat_det,
@@ -206,6 +210,53 @@ def test_complex_roots_of_even_polynomials_stay_on_the_axes():
     assert real == _unseeded_root_strs(UniPoly([1, 0, -10, 0, 1], "x"))
 
 
+def test_complex_roots_from_the_cauchy_circle(monkeypatch):
+    """Without float seeds the iteration starts from the Cauchy-bound circle
+    and reaches the same certified roots."""
+    from cvtk import knotgrp
+
+    polys = [locus.modulus for n in range(2, 7) for locus in intersection_loci(n)]
+    polys.append(UniPoly([45, 0, -24, 0, 4], "x"))
+    expected = [[complex_str(z) for z in complex_roots(p)] for p in polys]
+    monkeypatch.setattr(knotgrp, "_aberth_seeds", lambda coeffs: None)
+    assert [[complex_str(z) for z in complex_roots(p)] for p in polys] == expected
+
+
+def test_inclusion_radii_are_weierstrass_bounds():
+    """Approximations of the roots 1..6 of prod (x - k), each moved off its
+    root by a few 2^-150: every disc radius is at least the Weierstrass bound
+    d |p(z_i)| / |lc prod_{j != i} (z_i - z_j)|, worked out in mpmath, and the
+    disc holds its root."""
+    p = prod((UniPoly([-k, 1], "x") for k in range(1, 7)), start=UniPoly.const(1, "x"))
+    approx = RootApproximations(p)
+    bits, d = approx.bits, p.degree
+    step = 1 << (bits - 150)
+    approx.points = [(re + (i + 1) * step, im - step) for i, (re, im) in enumerate(approx.points)]
+    assert approx._certify() is None
+    with mpmath.workdps(80):
+        zs = [mpmath.mpc(mpmath.ldexp(re, -bits), mpmath.ldexp(im, -bits))
+              for re, im in approx.points]
+        for i, (z, radius) in enumerate(zip(zs, approx.radii)):
+            others = mpmath.fprod(z - y for j, y in enumerate(zs) if j != i)
+            value = mpmath.fprod(z - k for k in range(1, 7))
+            assert radius >= d * abs(value / others)
+            assert abs(z - mpmath.nint(z.real)) <= radius
+
+
+def test_fixed_square_roots_take_mpmath_branches():
+    """The principal square root with mpmath's conventions: +i sqrt(-a) on
+    the negative real axis, and the sign of the imaginary part kept."""
+    bits = 80
+    with mpmath.workdps(40):
+        for v in (4, -4, 0, 2 - 3j, -2 + 3j, -2 - 3j, 1e-9j - 5, -1e-9j - 5, 0.25j):
+            v = complex(v)
+            re, im = _sqrt_fixed(_fixed(v.real, bits), _fixed(v.imag, bits), bits)
+            got = mpmath.mpc(mpmath.ldexp(re, -bits), mpmath.ldexp(im, -bits))
+            assert mpmath.almosteq(got, mpmath.sqrt(mpmath.mpc(v)), 2.0 ** -70, 2.0 ** -70), v
+            if v.imag == 0:
+                assert re == 0 or im == 0
+
+
 def test_family_relator_holds_at_loci():
     for n in range(2, 6):
         fam = family_words(n)
@@ -306,9 +357,15 @@ def _parse_complex(s):
 
 
 def test_rep_command_at_every_point(capsys):
-    """`cvtk rep` exits 0 at every locus and root for n = 2..6, and prints the
-    r0 and x0 that the float formula of `_loci_points` gives at that point."""
+    """`cvtk rep` exits 0 at every locus and root for n = 2..6, prints the
+    r0 and x0 that the float formula of `_loci_points` gives at that point,
+    and prints both relator residuals as verdicts below RELATOR_TOL."""
     for n in range(2, 7):
+        p = 4 * n * n - 1
+        verdicts = [
+            "family relator residual < 1e-09: yes",
+            f"two-bridge ({p}, {p - 2 * n}) relator residual < 1e-09: yes",
+        ]
         expected = iter(_loci_points(n))
         for li, locus in enumerate(intersection_loci(n)):
             for ri in range(locus.modulus.degree):
@@ -319,6 +376,7 @@ def test_rep_command_at_every_point(capsys):
                 r0, x0 = next(expected)
                 assert abs(_parse_complex(printed["r0"]) - r0) < 1e-9
                 assert abs(_parse_complex(printed["x0"]) - x0) < 1e-9
+                assert [line for line in out if "residual" in line] == verdicts
         assert next(expected, None) is None
 
 
