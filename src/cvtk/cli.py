@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Commands mirror the library layers: cheb and variety emit polynomials, word
-and rep exercise the group-theoretic layer, intersect and detect run the full
-pipeline, alexander and slopes print the classical invariants, and
-verify-paper replays every frozen datum and prints a named check table.
+and rep exercise the group-theoretic layer, intersect runs the full pipeline
+and detect reads its slope verdict off the per-locus certificates,
+alexander and slopes print the classical invariants, and verify-paper
+replays every frozen datum and prints a named check table.  Only the parser
+of the command named in argv is built.
 The x and longitude-trace approximations of intersect, and the x0 that rep
 builds its matrices from, are the exact field elements evaluated at the
 certified roots of the locus modulus (`knotgrp.RootApproximations`: an
@@ -52,7 +54,7 @@ RELATOR_TOL = 1e-9
 # Largest value each integer argument accepts, so that a run ends within about
 # a minute on a 2-vCPU Xeon host; above it the command exits 2. The library
 # functions take any value, so a caller who needs more calls them.
-MAX_N = 128  # --n, the family index: detect --n 128 takes about 50 s
+MAX_N = 128  # --n, the family index: detect --n 128 takes about 4 s
 MAX_VARIETY_N = 32  # variety --n: the X model at n = 32 takes about 40 s
 MAX_J = 1000  # cheb --j: the polynomials of index 1000 take about 2 s
 MAX_WORD = 10 ** 6  # word --p and --q: a word of length 10^6 takes about 2.5 s
@@ -252,56 +254,41 @@ def _add_n(parser, ceiling: int = MAX_N) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cvtk",
-        description="Exact character variety toolkit for the knot family J(2n, 2n)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cheb", help="print a trace polynomial f_j, g_j, or G_j")
+def _cheb_options(p) -> None:
     p.add_argument("--kind", choices=("f", "g", "G"), required=True)
     p.add_argument("--j", type=_int_at_most(MAX_J), required=True, help=f"index, at most {MAX_J}")
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
-    p.set_defaults(func=cmd_cheb)
 
-    p = sub.add_parser("variety", help="print a character variety polynomial")
+
+def _variety_options(p) -> None:
     _add_n(p, MAX_VARIETY_N)
     p.add_argument("--model", choices=("X", "D"), required=True)
     p.add_argument("--split", action="store_true", help="factor D as line * quotient")
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
-    p.set_defaults(func=cmd_variety)
 
-    p = sub.add_parser("intersect", help="full intersection report as JSON")
+
+def _intersect_options(p) -> None:
     _add_n(p)
     p.add_argument("--json", metavar="PATH", help="also write the report to PATH")
-    p.set_defaults(func=cmd_intersect)
 
-    p = sub.add_parser("detect", help="boundary slope detection verdict")
+
+def _detect_options(p) -> None:
     _add_n(p)
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("rep", help="numeric representation at an intersection point")
+
+def _rep_options(p) -> None:
     _add_n(p)
     p.add_argument("--locus", type=int, default=0, help="intersection locus index")
     p.add_argument("--root", type=int, default=0, help="root index in the locus")
-    p.set_defaults(func=cmd_rep)
 
-    p = sub.add_parser("word", help="two-bridge word and relator for (p, q)")
+
+def _word_options(p) -> None:
     p.add_argument("--p", type=_int_at_most(MAX_WORD), required=True)
     p.add_argument("--q", type=_int_at_most(MAX_WORD), required=True)
-    p.set_defaults(func=cmd_word)
 
-    p = sub.add_parser("alexander", help="Alexander polynomial and discriminant")
-    _add_n(p)
-    p.set_defaults(func=cmd_alexander)
 
-    p = sub.add_parser("slopes", help="boundary slope candidate list")
-    _add_n(p)
-    p.set_defaults(func=cmd_slopes)
-
-    p = sub.add_parser("verify-paper", help="replay all frozen data checks")
+def _verify_paper_options(p) -> None:
     only = p.add_mutually_exclusive_group()
     only.add_argument("--fixtures", metavar="PATH", help="override the frozen fixtures")
     only.add_argument(
@@ -309,14 +296,46 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_at_most(MAX_N),
         help=f"run only the fixture-free property checks up through this n <= {MAX_N}",
     )
-    p.set_defaults(func=cmd_verify_paper)
 
+
+# name -> (help line, handler, options), in the order the help lists them.
+SUBCOMMANDS = {
+    "cheb": ("print a trace polynomial f_j, g_j, or G_j", cmd_cheb, _cheb_options),
+    "variety": ("print a character variety polynomial", cmd_variety, _variety_options),
+    "intersect": ("full intersection report as JSON", cmd_intersect, _intersect_options),
+    "detect": ("boundary slope detection verdict", cmd_detect, _detect_options),
+    "rep": ("numeric representation at an intersection point", cmd_rep, _rep_options),
+    "word": ("two-bridge word and relator for (p, q)", cmd_word, _word_options),
+    "alexander": ("Alexander polynomial and discriminant", cmd_alexander, _add_n),
+    "slopes": ("boundary slope candidate list", cmd_slopes, _add_n),
+    "verify-paper": ("replay all frozen data checks", cmd_verify_paper, _verify_paper_options),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The cvtk parser.  When `command` names a subcommand, only that
+    subcommand's parser is built (the usage still lists every command);
+    otherwise all of them are."""
+    parser = argparse.ArgumentParser(
+        prog="cvtk",
+        description="Exact character variety toolkit for the knot family J(2n, 2n)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = list(SUBCOMMANDS)
+    if command in SUBCOMMANDS:
+        sub.metavar = "{" + ",".join(names) + "}"
+        names = [command]
+    for name in names:
+        help_line, handler, options = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        options(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except VerificationError as exc:

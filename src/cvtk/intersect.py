@@ -12,16 +12,24 @@ The minimal polynomial of x is q(x) = p(x^2), p that of x^2, whenever x^2 is
 not a square in the field (Capelli); a non-square witness from
 `cvtk.numfield` proves that, and q is factored only when none turns up.
 
+Slope detection needs only the two certificates of each locus: the mod-2
+identity G_n = f_n^2 proves 2 a bad prime of x (`meridian_certificate`), and
+integer power-basis coordinates prove the longitude trace integral
+(`longitude_certificate`).
+
 `intersection_loci` gives one small `LocusField` per factor: the field and
 its generator r, with x^2 computed on first use.  `build_intersection_report`
-completes each into a frozen `IntersectionLocus` (meridian factors and
-verdicts, longitude trace, minimal polynomial and verdict) in one pass, and
-returns a frozen `IntersectionReport` whose status, slope verdict and point
-counts are read off its loci.  Numeric values at an intersection point are
-the images of the same exact elements under the embedding r -> r0 of the
-field, r0 a complex root of m: `knotgrp.RootApproximations` certifies the
-roots and evaluates the power-basis coordinates at them with error bounds.
-`root_points` pairs each r0 with x0 = sqrt(x^2(r0)).
+turns each into a frozen `IntersectionLocus` holding x^2, the longitude
+trace and both certificates; its meridian factors, minimal polynomials and
+verdicts are computed on first read, and once read they must agree with the
+certificates.  The frozen `IntersectionReport` reads its status, slope
+verdict and point counts off its loci.
+
+Numeric values at an intersection point are the images of the same exact
+elements under the embedding r -> r0 of the field, r0 a complex root of m:
+`knotgrp.RootApproximations` certifies the roots and evaluates the
+power-basis coordinates at them with error bounds.  `root_points` pairs each
+r0 with x0 = sqrt(x^2(r0)).
 """
 
 from __future__ import annotations
@@ -42,13 +50,15 @@ from .numfield import (
     nf_minimal_polynomial,
     non_square_witness,
 )
-from .ratpoly import UniPoly
+from .ratpoly import UniPoly, _gf_gcd, _gf_red
 from .trace import (
     ReducibleCharacter,
     SlopeVerdict,
+    TraceContext,
     VerificationError,
     detect_surface,
-    longitude_trace,
+    longitude_integrality,
+    longitude_value,
     reducible_character,
 )
 from .variety import x_relation
@@ -76,18 +86,58 @@ class LocusField:
 
 @dataclass(frozen=True)
 class IntersectionLocus:
-    """One irreducible factor of G_n and the complete character data over it."""
+    """One irreducible factor of G_n, its two certificates and the character
+    data over it.
+
+    The minimal polynomials and their verdicts are computed on first read
+    (`to_json` reads them all); slope detection needs them only where a
+    certificate does not hold.
+    """
 
     n: int
     field: NumberField
     r_elem: NFElem
     x_squared: NFElem
-    x_min_polys: tuple
-    meridian_verdict: IntegralityVerdict
-    factor_verdicts: tuple
     longitude_elem: NFElem
-    longitude_min_poly: UniPoly
-    longitude_verdict: IntegralityVerdict
+    meridian_certified: bool
+    longitude_certified: bool
+
+    @cached_property
+    def x_min_polys(self) -> tuple:
+        return meridian_min_poly(self)
+
+    @cached_property
+    def factor_verdicts(self) -> tuple:
+        """One verdict per meridian factor.  A non-integral factor whose bad
+        primes are all known must have 2 among them."""
+        verdicts = tuple(integrality_verdict(f) for f in self.x_min_polys)
+        for f, v in zip(self.x_min_polys, verdicts):
+            if v.is_algebraic_integer or not v.prime_set_complete:
+                continue
+            if 2 not in v.bad_primes:
+                raise VerificationError(
+                    f"meridian factor {f} at n = {self.n} is non-integral but 2 "
+                    f"does not divide any coefficient denominator"
+                )
+        return verdicts
+
+    @cached_property
+    def meridian_verdict(self) -> IntegralityVerdict:
+        """Verdict on the whole meridian minimal polynomial.  An integral
+        meridian trace is not raised here: it would break the 2-adic
+        non-integrality the slope detection rests on, and the report shows
+        it as its "verification-failure" status with the slope undetermined.
+        """
+        self.factor_verdicts  # the bad-prime check on each factor
+        return integrality_verdict(self.x_min_poly)
+
+    @cached_property
+    def longitude_min_poly(self) -> UniPoly:
+        return nf_minimal_polynomial(self.longitude_elem, "l")
+
+    @cached_property
+    def longitude_verdict(self) -> IntegralityVerdict:
+        return longitude_integrality(self.n, self.longitude_min_poly)
 
     @property
     def modulus(self) -> UniPoly:
@@ -186,35 +236,46 @@ def meridian_min_poly(locus):
     return tuple(factors)
 
 
-def _complete_locus(base: LocusField) -> IntersectionLocus:
-    """Meridian factors and verdicts and the longitude data over one field.
+def _monic_integral(m: UniPoly) -> bool:
+    return m.den == 1 and m.lc == 1
 
-    A non-integral meridian factor whose bad primes are all known must have 2
-    among them.  An integral meridian trace is not raised here: it would
-    break the 2-adic non-integrality the slope detection rests on, and the
-    report shows it as its "verification-failure" status with the slope
-    undetermined.
+
+def meridian_certificate(locus) -> bool:
+    """Whether 2 provably divides a denominator of the meridian trace x.
+
+    The modulus m is monic with integer coefficients and divides G_n, and
+    G_n = f_n^2 (mod 2), so m mod 2 shares a factor with f_n mod 2; that
+    one GF(2) gcd is the certificate.  Then 2 divides Res(m, f_n) =
+    N(f_n(r)), so f_n(r) lies in a prime P above 2, and x^2 = 2 + r -
+    1/f_n(r)^2 has v_P(x^2) = -2 v_P(f_n(r)) < 0: x is no algebraic integer
+    and, integrality being Galois-invariant, 2 is a bad prime of every
+    factor of its minimal polynomial.
     """
-    factors = meridian_min_poly(base)
-    factor_verdicts = tuple(integrality_verdict(f) for f in factors)
-    meridian_verdict = integrality_verdict(prod(factors, start=UniPoly.const(1, "x")))
-    for f, v in zip(factors, factor_verdicts):
-        if v.is_algebraic_integer or not v.prime_set_complete:
-            continue
-        if 2 not in v.bad_primes:
-            raise VerificationError(
-                f"meridian factor {f} at n = {base.n} is non-integral but 2 "
-                f"does not divide any coefficient denominator"
-            )
+    m = locus.modulus
+    if not _monic_integral(m):
+        return False
+    fn = _gf_red(f_poly(locus.n).num, 2)
+    return len(_gf_gcd(_gf_red(m.num, 2), fn, 2)) > 1
+
+
+def longitude_certificate(locus, tau: NFElem) -> bool:
+    """Whether the longitude trace tau is provably an algebraic integer: its
+    power-basis coordinates are integers (den = 1) and r is a root of the
+    monic integer modulus, so tau lies in Z[r], inside the ring of integers."""
+    return tau.den == 1 and _monic_integral(locus.modulus)
+
+
+def _certified_locus(base: LocusField) -> IntersectionLocus:
+    """The longitude trace and both certificates over one field."""
+    tau = longitude_value(TraceContext(base.n, base.r_elem, base.x_squared))
     return IntersectionLocus(
         base.n,
         base.field,
         base.r_elem,
         base.x_squared,
-        factors,
-        meridian_verdict,
-        factor_verdicts,
-        *longitude_trace(base),
+        tau,
+        meridian_certificate(base),
+        longitude_certificate(base, tau),
     )
 
 
@@ -246,12 +307,13 @@ class IntersectionReport:
         return 2 * self.d_point_count
 
     def to_json(self) -> dict:
+        loci = [locus.to_json() for locus in self.loci]  # before the status reads them
         return {
             "n": self.n,
             "status": self.status,
             "d_point_count": self.d_point_count,
             "x_point_count": self.x_point_count,
-            "loci": [locus.to_json() for locus in self.loci],
+            "loci": loci,
             "reducible": dict(
                 self.reducible.to_json(),
                 on_x_model=self.reducible_on_x_model,
@@ -262,8 +324,8 @@ class IntersectionReport:
 
 
 def build_intersection_report(n: int) -> IntersectionReport:
-    """Full pipeline for one knot: loci, meridian, longitude, reducible character."""
-    loci = tuple(_complete_locus(base) for base in intersection_loci(n))
+    """Full pipeline for one knot: certified loci and the reducible character."""
+    loci = tuple(_certified_locus(base) for base in intersection_loci(n))
     reducible = reducible_character(n)
     on_model = x_relation(n, Fraction(2), reducible.x_squared) == 0
     if not on_model:

@@ -649,12 +649,12 @@ def _gf_mul(a, b, p):
 
 
 def _gf_divmod(a, b, p):
-    """Quotient and remainder mod p.  A monic b needs no inverse, so p may
-    also be a prime power, as in Hensel lifting, where pow(lc, p - 2, p) is
-    not an inverse.  Entries of the running remainder are reduced only once,
-    at the end."""
+    """Quotient and remainder mod p.  p may also be a prime power, as in
+    Hensel lifting: pow(lc, -1, p) inverts any unit modulo it, and a monic b
+    needs no inverse.  Entries of the running remainder are reduced only
+    once, at the end."""
     db = len(b) - 1
-    inv = 1 if b[-1] == 1 else pow(b[-1], p - 2, p)
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
     r = list(a)
     q = [0] * max(len(r) - db, 0)
     low = b[:db]
@@ -669,7 +669,7 @@ def _gf_divmod(a, b, p):
 def _gf_monic(a, p):
     if not a or a[-1] == 1:
         return list(a)
-    inv = pow(a[-1], p - 2, p)
+    inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
 
@@ -692,7 +692,7 @@ def _gf_gcdex(a, b, p):
         t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
     if len(r0) != 1:
         raise ExactArithError("gcdex of non-coprime polynomials")
-    inv = pow(r0[0], p - 2, p)
+    inv = pow(r0[0], -1, p)
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
@@ -805,7 +805,8 @@ def resultant_in(p: BiPoly, q: BiPoly, var: str) -> UniPoly:
     return res if isinstance(res, UniPoly) else UniPoly.const(res, other)
 
 
-_CERT_PRIMES = (2147483647, 2147482951, 2147482763)
+# Primes below 2^30, so that every residue is one CPython digit.
+_CERT_PRIMES = (1073741789, 1073741783, 1073741741)
 
 
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:

@@ -16,11 +16,12 @@ closed form, and the longitude trace through the commutator trace identity
 
 with p = tr(P), q = tr(Q), c = tr(P Q^-1).  All of it works over any
 commutative ring handle: exact rationals, number-field elements, or complex
-floats.  Integrality verdicts on the resulting minimal polynomials feed the
-boundary-slope detection: a character whose meridian trace is not an
-algebraic integer while its longitude trace is one detects an essential
-surface of slope 0, and for these knots any connected essential surface of
-slope 0 is a genus 1 Seifert surface.
+floats.  Integrality certificates, or the verdicts on the minimal
+polynomials where a certificate does not hold, feed the boundary-slope
+detection: a character whose meridian trace is not an algebraic integer
+while its longitude trace is one detects an essential surface of slope 0,
+and for these knots any connected essential surface of slope 0 is a genus 1
+Seifert surface.
 """
 
 from __future__ import annotations
@@ -180,19 +181,27 @@ def longitude_trace(locus):
     """Longitude trace at an intersection character, with certificate.
 
     `locus` needs attributes n, r_elem, x_squared (ring elements of one
-    field, or rationals).  Returns (trace, minimal polynomial, verdict);
-    the verdict must certify an algebraic integer, otherwise the slope-0
-    detection logic would be unsound and a VerificationError is raised.
+    field, or rationals).  Returns (trace, minimal polynomial, verdict),
+    the verdict from `longitude_integrality`.
     """
     tau = longitude_value(TraceContext(locus.n, locus.r_elem, locus.x_squared))
     min_poly = _min_poly_any(tau, "l")
+    return tau, min_poly, longitude_integrality(locus.n, min_poly)
+
+
+def longitude_integrality(n: int, min_poly: UniPoly) -> IntegralityVerdict:
+    """Integrality verdict of a longitude trace from its minimal polynomial.
+
+    The verdict must certify an algebraic integer, otherwise the slope-0
+    detection logic would be unsound and a VerificationError is raised.
+    """
     verdict = integrality_verdict(min_poly)
     if not verdict.is_algebraic_integer:
         raise VerificationError(
-            f"longitude trace at n = {locus.n} is not an algebraic integer: "
+            f"longitude trace at n = {n} is not an algebraic integer: "
             f"minimal polynomial {min_poly}"
         )
-    return tau, min_poly, verdict
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -329,12 +338,23 @@ def detect_surface(report) -> SlopeVerdict:
     A character whose meridian trace is not an algebraic integer but whose
     longitude trace is one detects an essential surface of slope 0, and any
     connected essential slope-0 surface here is a genus 1 Seifert surface.
+
+    Each locus is read certificate first: a meridian certificate proves the
+    trace non-integral and a longitude certificate proves it integral, so a
+    minimal-polynomial verdict is computed only for a locus whose certificate
+    does not hold.  A meridian verdict that is already computed is read as
+    well, so one that contradicts its certificate makes the meridian
+    integral (the report's "verification-failure"); a contradicting
+    longitude verdict raises when it is computed.
     """
     meridian_integral = any(
-        locus.meridian_verdict.is_algebraic_integer for locus in report.loci
+        locus.meridian_verdict.is_algebraic_integer
+        for locus in report.loci
+        if not locus.meridian_certified or "meridian_verdict" in vars(locus)
     )
     longitude_integral = all(
-        locus.longitude_verdict.is_algebraic_integer for locus in report.loci
+        locus.longitude_certified or locus.longitude_verdict.is_algebraic_integer
+        for locus in report.loci
     )
     if not meridian_integral and longitude_integral:
         return SlopeVerdict(

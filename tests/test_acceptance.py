@@ -266,3 +266,11 @@ def test_criterion_20_intersect_n48(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "f323ddad3c98e7978ca4f5348f4c4051531eff832e118127de1f885d2b92cb3f"
     )
+
+
+def test_criterion_21_detect_n128_budget(capsys):
+    start = time.monotonic()
+    assert main(["detect", "--n", "128", "--json"]) == 0
+    assert time.monotonic() - start < 15.0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["status"] == "ok" and obj["slope"]["detected_slope"] == 0

@@ -10,11 +10,21 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cvtk.cli import MAX_J, MAX_N, MAX_VARIETY_N, MAX_WORD, canonical_json, main
+from cvtk.cli import (
+    MAX_J,
+    MAX_N,
+    MAX_VARIETY_N,
+    MAX_WORD,
+    SUBCOMMANDS,
+    build_parser,
+    canonical_json,
+    main,
+)
 from cvtk.golden import default_fixtures, fixtures_to_json
 
 
@@ -122,7 +132,7 @@ def test_internal_error_exits_one(monkeypatch, capsys):
 
     good = numfield.squarefree_part
     monkeypatch.setattr(numfield, "squarefree_part", lambda p: good(p) + 1)
-    assert main(["detect", "--n", "2"]) == 1
+    assert main(["intersect", "--n", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("internal error: ")
     assert "does not vanish" in err
@@ -184,11 +194,14 @@ def test_approximations_match_root_finding_on_min_polys(capsys, n):
 
 
 def test_wrong_longitude_count_exits_one(monkeypatch, capsys):
-    from cvtk import intersect
+    """The longitude element 1 beside the true degree-4 minimal polynomial."""
+    from cvtk import intersect, trace
 
-    good = intersect.longitude_trace
+    monkeypatch.setattr(intersect, "longitude_value", lambda ctx: ctx.r * 0 + 1)
     monkeypatch.setattr(
-        intersect, "longitude_trace", lambda base: (base.field.one(), *good(base)[1:])
+        intersect.IntersectionLocus,
+        "longitude_min_poly",
+        property(lambda locus: trace.longitude_trace(locus)[1]),
     )
     assert main(["intersect", "--n", "3"]) == 1
     err = capsys.readouterr().err
@@ -211,7 +224,7 @@ def test_integral_meridian_is_a_verification_failure(monkeypatch, capsys):
 
     integral = IntegralityVerdict(is_algebraic_integer=True, denominator_lcm=1, bad_primes=())
     monkeypatch.setattr(intersect, "integrality_verdict", lambda poly: integral)
-    assert main(["detect", "--n", "2", "--json"]) == 1
+    assert main(["intersect", "--n", "2"]) == 1
     obj = json.loads(capsys.readouterr().out)
     assert obj["status"] == "verification-failure"
     assert obj["slope"]["detected_slope"] == "undetermined"
@@ -290,6 +303,115 @@ def test_report_output_pinned(capsys, monkeypatch, argv):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[argv]
+
+
+EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+# (exit code, sha256 of stdout, sha256 of stderr) of argv that argparse
+# answers itself, recorded while every invocation built all nine subcommand
+# parsers, at 80 columns.
+PARSER_PINS = {
+    "--help": (0, "73a649a297fe47013a2858ae9389a4d0c12c412884ba4705439bc0fd995c057e", EMPTY_SHA256),
+    "detect --help": (0, "c0cf35834444a5c0820553269b7002984bc7168c8e5ce6cdde41b48c2402c335", EMPTY_SHA256),
+    "frobnicate": (2, EMPTY_SHA256, "330571580f8f79b15d30c9263b5f0d900f146cc455a07d94aa234fd28c9b9d13"),
+    "detect --n 129": (2, EMPTY_SHA256, "ad3620a905d69a01945d645248da3220963cbd22cbb7953ca27ca02b5a90ce3b"),
+    "verify-paper --n 3 --fixtures X": (2, EMPTY_SHA256, "66ab687e03404e94dfbda17a20f06fd6324ef2337e188b12f0541e0a0c9fd5af"),
+    "detect --n 3 --bogus": (2, EMPTY_SHA256, "68510ab10c4190e183e06eca8d0415caa8ac1be943763489a13aa239abc1be40"),
+    "": (2, EMPTY_SHA256, "1218430f518143a094ee319f10e44f7adf6839725a1ebe6d9f5d995956e4133b"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PARSER_PINS))
+def test_parser_output_pinned(monkeypatch, capsys, argv):
+    """Building only the named command's parser leaves argparse's answers as
+    they were; the top-level usage still lists every command."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out, err = capsys.readouterr()
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+    assert (exc.value.code, *digests) == PARSER_PINS[argv]
+
+
+def test_named_command_builds_one_parser():
+    def commands(parser):
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        return list(sub.choices)
+
+    assert commands(build_parser("detect")) == ["detect"]
+    assert commands(build_parser("--help")) == list(SUBCOMMANDS)
+    assert commands(build_parser()) == list(SUBCOMMANDS)
+
+
+DETECT_PINS = sorted(argv for argv in OUTPUT_SHA256 if argv.startswith("detect"))
+
+
+def _count_min_polys(monkeypatch):
+    """Record the variable of every minimal polynomial the report computes."""
+    from cvtk import intersect
+
+    good = intersect.nf_minimal_polynomial
+    calls = []
+    monkeypatch.setattr(
+        intersect, "nf_minimal_polynomial", lambda a, var: calls.append(var) or good(a, var)
+    )
+    return calls
+
+
+def test_detect_computes_no_minimal_polynomial(monkeypatch, capsys):
+    calls = _count_min_polys(monkeypatch)
+    for argv in DETECT_PINS:
+        assert main(argv.split()) == 0
+        capsys.readouterr()
+    assert calls == []
+
+
+@pytest.mark.parametrize("failed", ["meridian", "longitude"])
+def test_failed_certificate_falls_back_to_min_polys(monkeypatch, capsys, failed):
+    """A certificate forced to fail (a GF(2) gcd of 1, or the longitude trace
+    read with den 2) sends detect to the minimal-polynomial verdicts, and it
+    still prints its pins."""
+    from cvtk import intersect
+
+    if failed == "meridian":
+        monkeypatch.setattr(intersect, "_gf_gcd", lambda a, b, p: [1])
+    else:
+        good = intersect.longitude_certificate
+        monkeypatch.setattr(
+            intersect,
+            "longitude_certificate",
+            lambda locus, tau: good(locus, tau + Fraction(1, 2)),
+        )
+    calls = _count_min_polys(monkeypatch)
+    for argv in DETECT_PINS:
+        assert main(argv.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[argv]
+    assert set(calls) == {"x" if failed == "meridian" else "l"}
+
+
+def test_contradicted_certificate_is_a_verification_failure(monkeypatch, capsys):
+    """A computed verdict that contradicts its certificate fails the report:
+    an integral meridian verdict turns the status, and a non-integral
+    longitude verdict raises.  detect, which computes neither, still exits 0."""
+    from cvtk import intersect, trace
+    from cvtk.intersect import build_intersection_report
+    from cvtk.numfield import IntegralityVerdict
+
+    integral = IntegralityVerdict(is_algebraic_integer=True, denominator_lcm=1, bad_primes=())
+    with monkeypatch.context() as m:
+        m.setattr(intersect, "integrality_verdict", lambda poly: integral)
+        report = build_intersection_report(3)
+        assert report.status == "ok"
+        report.loci[0].meridian_verdict
+        assert report.status == "verification-failure"
+        assert report.slope.meridian_integral
+    halves = IntegralityVerdict(is_algebraic_integer=False, denominator_lcm=2, bad_primes=(2,))
+    monkeypatch.setattr(trace, "integrality_verdict", lambda poly: halves)
+    assert main(["detect", "--n", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert main(["intersect", "--n", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: longitude trace at n = 3 is not an algebraic integer")
 
 
 def test_cheb_command(capsys):

@@ -8,6 +8,7 @@ meridian trace from isolated roots of the modulus.
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import prod
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -18,6 +19,8 @@ from cvtk.golden import default_fixtures
 from cvtk.intersect import (
     build_intersection_report,
     intersection_loci,
+    longitude_certificate,
+    meridian_certificate,
     meridian_min_poly,
     x_squared_at,
 )
@@ -122,6 +125,41 @@ def test_report_n2_n3():
             assert not locus.meridian_verdict.is_algebraic_integer
             assert 2 in locus.meridian_verdict.bad_primes
             assert locus.longitude_verdict.is_algebraic_integer
+
+
+def test_certificates_match_min_poly_verdicts():
+    """Oracle: each certificate holds exactly where the minimal-polynomial
+    verdict gives its conclusion, and the slope read from the certificates
+    alone is the slope read once every verdict is computed, n = 2..24."""
+    for n in range(2, 25):
+        rep = build_intersection_report(n)
+        certified = rep.slope
+        for locus in rep.loci:
+            mer = locus.meridian_verdict
+            assert locus.meridian_certified == (
+                not mer.is_algebraic_integer and 2 in mer.bad_primes
+            )
+            assert locus.longitude_certified == locus.longitude_verdict.is_algebraic_integer
+        assert rep.slope == certified and certified.detected_slope == 0
+
+
+def test_meridian_certificate_needs_a_factor_of_f_n_mod_2():
+    """(r^2 + r + 1)^2 + 2 reduces to a square mod 2 that is coprime to
+    f_2 = r, so it shares no factor with f_2 mod 2 (a gcd with its own
+    derivative, zero mod 2, would pass it); a modulus that is not monic over
+    the integers certifies nothing."""
+    assert meridian_certificate(SimpleNamespace(n=2, modulus=UniPoly([2, -2, 1], "r")))
+    square_mod_2 = UniPoly([3, 2, 3, 2, 1], "r")
+    assert not meridian_certificate(SimpleNamespace(n=2, modulus=square_mod_2))
+    halves = UniPoly([Fraction(1, 2), 0, 1], "r")
+    assert not meridian_certificate(SimpleNamespace(n=2, modulus=halves))
+
+
+def test_longitude_certificate_needs_integer_coordinates():
+    for locus in build_intersection_report(3).loci:
+        tau = locus.longitude_elem
+        assert longitude_certificate(locus, tau)
+        assert not longitude_certificate(locus, tau + Fraction(1, 2))
 
 
 def test_meridian_two_adic_range():

@@ -238,6 +238,45 @@ def test_gcd_divides_both():
         assert g.lc == 1
 
 
+def test_gcd_matches_sympy_oracle(monkeypatch):
+    """poly_gcd against sympy's gcd over QQ: random pairs with and without a
+    common factor, and a coprime pair whose images modulo the first
+    certification prime share the factor u - 1, so the modular test cannot
+    certify it and the primitive PRS runs."""
+    sympy = pytest.importorskip("sympy")
+    from cvtk import ratpoly
+
+    u = sympy.Symbol("u")
+
+    def to_sympy(p):
+        return sympy.Poly(list(reversed(p.num)) or [0], u, domain="QQ") * sympy.Rational(1, p.den)
+
+    def check(a, b):
+        want = sympy.gcd(to_sympy(a), to_sympy(b))
+        want = want.monic() if not want.is_zero else want
+        assert to_sympy(poly_gcd(a, b)) == want
+
+    rng = random.Random(43)
+    for _ in range(40):
+        a = rand_poly(rng, rng.randint(0, 6))
+        b = rand_poly(rng, rng.randint(0, 6))
+        check(a, b)
+        c = rand_poly(rng, rng.randint(1, 3))
+        check(a * c, b * c)
+
+    good = ratpoly._prem
+    prems = []
+    monkeypatch.setattr(ratpoly, "_prem", lambda a, b: prems.append(1) or good(a, b))
+    pr = ratpoly._CERT_PRIMES[0]
+    x = UniPoly.gen("u")
+    a, b = (x - 1) * (x + 2), (x - 1 - pr) * (x + 3)
+    check(a, b)
+    assert poly_gcd(a, b) == P(1) and prems
+    prems.clear()
+    check(a, (x - 2) * (x + 3))  # certified coprime modulo the first prime
+    assert not prems
+
+
 # -- resultants ---------------------------------------------------------------
 
 

@@ -249,7 +249,12 @@ def test_detect_surface_synthetic():
     integral = SimpleNamespace(is_algebraic_integer=True)
 
     def rep(mer, lon):
-        locus = SimpleNamespace(meridian_verdict=mer, longitude_verdict=lon)
+        locus = SimpleNamespace(
+            meridian_certified=False,
+            longitude_certified=False,
+            meridian_verdict=mer,
+            longitude_verdict=lon,
+        )
         return SimpleNamespace(loci=[locus])
 
     v = detect_surface(rep(nonintegral, integral))
@@ -259,3 +264,16 @@ def test_detect_surface_synthetic():
     assert v.detected_slope == "undetermined" and v.meridian_integral
     v = detect_surface(rep(nonintegral, nonintegral))
     assert v.detected_slope == "undetermined" and not v.longitude_integral
+
+
+def test_detect_surface_reads_certificates_first():
+    """Certified loci need no verdict; a computed meridian verdict is read."""
+    certified = SimpleNamespace(meridian_certified=True, longitude_certified=True)
+    v = detect_surface(SimpleNamespace(loci=[certified]))
+    assert v.detected_slope == 0
+    integral = SimpleNamespace(is_algebraic_integer=True)
+    contradicted = SimpleNamespace(
+        meridian_certified=True, longitude_certified=True, meridian_verdict=integral
+    )
+    v = detect_surface(SimpleNamespace(loci=[certified, contradicted]))
+    assert v.detected_slope == "undetermined" and v.meridian_integral
