@@ -5,6 +5,11 @@ an SL2 element with trace u satisfies tr(M^j) = u*f_j(u) - 2*f_{j-1}(u).
 g_j = f_j - f_{j-1} has degree j-1 (monic), and the Wronskian-like
 G_j = g_{j+1}'*g_j - g_{j+1}*g_j' is monic of degree 2j-2; its roots are the
 r-coordinates where the two components of the character variety meet.
+
+f_poly(j) is the polynomial itself.  Where the values f_j(u) at one point u
+are wanted for several j, f_values runs the same recurrence once at u, in
+u's own ring, and gives all of them at the cost of one product each; that is
+how the trace calculus and the X model form their f_j values.
 """
 
 from __future__ import annotations
@@ -35,6 +40,25 @@ def f_poly(j: int) -> UniPoly:
             while len(_f) <= j:
                 _f.append(u * _f[-1] - _f[-2])
     return _f[j]
+
+
+def f_values(value, top: int, table: list = None) -> list:
+    """f_{-1}(value), ..., f_top(value) from one pass of the recurrence.
+
+    Entry j + 1 holds f_j(value), computed as value * f_{j-1} - f_{j-2} in
+    the ring of value (int, Fraction, NFElem, UniPoly, BiPoly, complex, ...)
+    from f_{-1} = -1 and f_0 = 0.  A table returned by an earlier call for
+    the same value may be passed in; it is extended in place through f_top
+    (and returned whole if it already reaches further).
+    """
+    if top < -1:
+        raise ValueError("f_values needs top >= -1")
+    if table is None:
+        zero = value * 0
+        table = [zero - 1, zero][: top + 2]
+    while len(table) < top + 2:
+        table.append(value * table[-1] - table[-2])
+    return table
 
 
 def g_poly(j: int) -> UniPoly:

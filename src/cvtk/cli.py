@@ -54,8 +54,8 @@ RELATOR_TOL = 1e-9
 # Largest value each integer argument accepts, so that a run ends within about
 # a minute on a 2-vCPU Xeon host; above it the command exits 2. The library
 # functions take any value, so a caller who needs more calls them.
-MAX_N = 128  # --n, the family index: detect --n 128 takes about 4 s
-MAX_VARIETY_N = 32  # variety --n: the X model at n = 32 takes about 40 s
+MAX_N = 128  # --n, the family index: detect --n 128 takes about 3.5 s
+MAX_VARIETY_N = 32  # variety --n: the X model at n = 32 takes about 15-18 s
 MAX_J = 1000  # cheb --j: the polynomials of index 1000 take about 2 s
 MAX_WORD = 10 ** 6  # word --p and --q: a word of length 10^6 takes about 2.5 s
 

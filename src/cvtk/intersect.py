@@ -190,11 +190,13 @@ def intersection_loci(n: int):
 def x_squared_at(locus) -> NFElem:
     """The squared meridian trace 2 + r - 1/f_n(r)^2 at the locus generator r.
 
-    f_n(r) is invertible because gcd(G_n, f_n) = 1; a zero f_n(r) would be
-    an invariant violation and raises ZeroDivisionError.
+    r generates the field, so f_n(r) is the image of the polynomial f_n,
+    reduced mod the modulus with no field product.  It is invertible because
+    gcd(G_n, f_n) = 1; a zero f_n(r) would be an invariant violation and
+    raises ZeroDivisionError.
     """
-    fn = f_poly(locus.n)(locus.r_elem)
-    return 2 + locus.r_elem - (fn * fn) ** -1
+    fn = locus.field.from_poly(f_poly(locus.n))
+    return 2 + locus.r_elem - (fn * fn).inverse()
 
 
 def root_points(locus) -> list:

@@ -14,9 +14,12 @@ closed form, and the longitude trace through the commutator trace identity
 
     tr(P Q^-1 P^-1 Q) = p^2 + q^2 + c^2 - p q c - 2
 
-with p = tr(P), q = tr(Q), c = tr(P Q^-1).  All of it works over any
-commutative ring handle: exact rationals, number-field elements, or complex
-floats.  Integrality certificates, or the verdicts on the minimal
+with p = tr(P), q = tr(Q), c = tr(P Q^-1).  Every f_j value in these
+formulas comes from one `cheb.f_values` table per evaluation point, built
+by the recurrence f_{j+1} = u f_j - f_{j-1} (at r, and at t only where
+t != r), never from a separate evaluation of each f_j.  All of it works over
+any commutative ring handle: exact rationals, number-field elements, or
+complex floats.  Integrality certificates, or the verdicts on the minimal
 polynomials where a certificate does not hold, feed the boundary-slope
 detection: a character whose meridian trace is not an algebraic integer
 while its longitude trace is one detects an essential surface of slope 0,
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cheb import f_poly, require_family_index
+from .cheb import f_values, require_family_index
 from .numfield import (
     IntegralityVerdict,
     NFElem,
@@ -46,13 +49,17 @@ class VerificationError(RuntimeError):
 def tr_power(tau, k: int):
     """Trace of M^k for M in SL2 with tr(M) = tau:
 
-    tau * f_k(tau) - 2 * f_{k-1}(tau),  equivalently  f_{k+1} - f_{k-1}.
+    tau * f_k(tau) - 2 * f_{k-1}(tau),  equivalently  f_{k+1} - f_{k-1},
+    the form taken here, from one f_values table at tau.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"power index must be a nonnegative integer, got {k!r}")
-    if k == 0:
-        return tau * 0 + 2
-    return tau * f_poly(k)(tau) - 2 * f_poly(k - 1)(tau)
+    return _tr_power_from(f_values(tau, k + 1), k)
+
+
+def _tr_power_from(table: list, k: int):
+    """tr(M^k) = f_{k+1} - f_{k-1} read off an f_values table through k + 1."""
+    return table[k + 2] - table[k]
 
 
 def tr_commutator(t1, t2, t12):
@@ -60,20 +67,17 @@ def tr_commutator(t1, t2, t12):
     return t1 * t1 + t2 * t2 + t12 * t12 - t1 * t2 * t12 - 2
 
 
-def _f_at(j: int, value):
-    """f_j evaluated in the ring, extended by f_{-1} = -1."""
-    if j == -1:
-        return -1
-    return f_poly(j)(value)
-
-
 class TraceContext:
     """Trace bookkeeping at one character of the n-th knot group.
 
     r and x_squared live in a shared commutative ring (Fraction, NFElem of
-    one field, or complex); t is derived from them unless supplied.  The
-    delta memo table is private to the context, so distinct contexts can be
-    used from different threads, but a single context must not be shared.
+    one field, or complex); t is derived from them unless supplied.  Every
+    f_j value is read from one `cheb.f_values` table per point: r_table, at
+    r through f_{n+1}, built once, and t_table, which is r_table itself when
+    t == r (as at every intersection character) and a second table
+    otherwise.  A read past a table's end extends it in place.  The tables
+    and the delta memo are private to the context, so distinct contexts can
+    be used from different threads, but a single context must not be shared.
     """
 
     def __init__(self, n: int, r, x_squared, t=None):
@@ -81,21 +85,31 @@ class TraceContext:
         self.n = n
         self.r = r
         self.x_squared = x_squared
-        fr = f_poly(n)(r)
+        self.r_table = f_values(r, n + 1)
+        fr = self.r_table[n + 1]
         if t is None:
             t = (2 - r) * (x_squared - 2 - r) * fr * fr + 2
         self.t = t
-        self.delta_11 = (2 - r) * f_poly(n - 1)(r) * fr * (x_squared - 2 - r) + r
+        self.t_table = self.r_table if t == r else f_values(t, n + 1)
+        self.delta_11 = (2 - r) * self.r_table[n] * fr * (x_squared - 2 - r) + r
         self._memo = {}
+
+    def f_r(self, j: int):
+        """f_j(r), for j >= -1."""
+        return f_values(self.r, j, self.r_table)[j + 1]
+
+    def f_t(self, j: int):
+        """f_j(t), for j >= -1."""
+        return f_values(self.t, j, self.t_table)[j + 1]
 
 
 def delta(d: int, e: int, ctx: TraceContext):
     """tr(w^d (ab^-1)^-e) by the two-direction recursion.
 
-    Seeds: delta_{0,0} = 2, delta_{d,0} = f_{d+1}(t) - f_{d-1}(t),
-    delta_{0,e} = r f_e(r) - 2 f_{e-1}(r), and the closed delta_{1,1};
-    then delta_{d,e} = r delta_{d,e-1} - delta_{d,e-2} in e, and
-    delta_{d,1} = t delta_{d-1,1} - delta_{d-2,1} in d.
+    Seeds, read off the context's tables: delta_{d,0} = f_{d+1}(t) -
+    f_{d-1}(t), delta_{0,e} = f_{e+1}(r) - f_{e-1}(r) (both 2 at d = e = 0),
+    and the closed delta_{1,1}; then delta_{d,e} = r delta_{d,e-1} -
+    delta_{d,e-2} in e, and delta_{d,1} = t delta_{d-1,1} - delta_{d-2,1} in d.
     """
     if not (isinstance(d, int) and isinstance(e, int)) or d < 0 or e < 0:
         raise ValueError(f"delta indices must be nonnegative integers, got ({d}, {e})")
@@ -103,13 +117,10 @@ def delta(d: int, e: int, ctx: TraceContext):
     key = (d, e)
     if key in memo:
         return memo[key]
-    if e == 0:
-        if d == 0:
-            val = ctx.r * 0 + 2
-        else:
-            val = f_poly(d + 1)(ctx.t) - _f_at(d - 1, ctx.t)
-    elif d == 0:
-        val = tr_power(ctx.r, e)
+    if d == 0:
+        val = ctx.f_r(e + 1) - ctx.f_r(e - 1)
+    elif e == 0:
+        val = ctx.f_t(d + 1) - ctx.f_t(d - 1)
     elif (d, e) == (1, 1):
         val = ctx.delta_11
     elif e >= 2:
@@ -130,10 +141,10 @@ def gamma_closed(d: int, e: int, ctx: TraceContext):
     """
     if not (isinstance(d, int) and isinstance(e, int)) or d < 0 or e < 0:
         raise ValueError(f"gamma indices must be nonnegative integers, got ({d}, {e})")
-    r, t = ctx.r, ctx.t
-    return _f_at(e, r) * (_f_at(d, t) * ctx.delta_11 - r * _f_at(d - 1, t)) - _f_at(
-        e - 1, r
-    ) * (_f_at(d + 1, t) - _f_at(d - 1, t))
+    f_r, f_t = ctx.f_r, ctx.f_t
+    return f_r(e) * (f_t(d) * ctx.delta_11 - ctx.r * f_t(d - 1)) - f_r(e - 1) * (
+        f_t(d + 1) - f_t(d - 1)
+    )
 
 
 def tr_s1s2inv(ctx: TraceContext):
@@ -150,9 +161,7 @@ def gamma_seifert_form(ctx: TraceContext):
     Used as a cross-check against tr_s1s2inv on intersection characters.
     """
     n, r, x2 = ctx.n, ctx.r, ctx.x_squared
-    fn = f_poly(n)(r)
-    fm = f_poly(n - 1)(r)
-    fp = f_poly(n + 1)(r)
+    fm, fn, fp = ctx.r_table[n : n + 3]
     return (
         (2 - r) * (x2 - 2 - r) * fm * fn * fn * fn
         + r * fn * fn
@@ -172,8 +181,8 @@ def _min_poly_any(value, var: str) -> UniPoly:
 def longitude_value(ctx: TraceContext):
     """The longitude trace tr(s1 s2^-1 s1^-1 s2) at the context's character."""
     gam = tr_s1s2inv(ctx)
-    s1 = tr_power(ctx.t, ctx.n)
-    s2 = tr_power(ctx.r, ctx.n)
+    s1 = _tr_power_from(ctx.t_table, ctx.n)
+    s2 = _tr_power_from(ctx.r_table, ctx.n)
     return tr_commutator(s1, s2, gam)
 
 
@@ -250,8 +259,8 @@ def reducible_character(n: int) -> ReducibleCharacter:
     ctx = TraceContext(n, two, x2)
     if ctx.t != 2:
         raise VerificationError("t != 2 at the reducible character")
-    s1 = tr_power(ctx.t, n)
-    s2 = tr_power(ctx.r, n)
+    s1 = _tr_power_from(ctx.t_table, n)
+    s2 = _tr_power_from(ctx.r_table, n)
     gam = tr_s1s2inv(ctx)
     if not (s1 == 2 and s2 == 2 and gam == 2):
         raise VerificationError(

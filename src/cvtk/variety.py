@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cheb import f_poly, g_poly, require_family_index
+from .cheb import f_values, g_poly, require_family_index
 from .golden import default_fixtures
 from .ratpoly import BiPoly, UniPoly, poly_gcd, resultant_in
 from .trace import VerificationError
@@ -51,11 +51,16 @@ def x_relation(n: int, r, x_squared):
 
     F = f_n(t) * (f_n(r) g_n(r) (2 + r - x^2) - 1) + f_{n-1}(t)
     with t the second coordinate of birational_image(n, (r, x^2 - 2)),
-    which also rejects an n that is not an integer >= 2.
+    which also rejects an n that is not an integer >= 2.  The f_j values
+    come from one `cheb.f_values` table at r and one at t, and g_n(r) is
+    f_n(r) - f_{n-1}(r), so on the X model f_n(t) and f_{n-1}(t) together
+    cost one BiPoly product per index.
     """
     _, t = birational_image(n, (r, x_squared - 2))
-    fn = f_poly(n)
-    return fn(t) * (fn(r) * g_poly(n)(r) * (2 + r - x_squared) - 1) + f_poly(n - 1)(t)
+    fr = f_values(r, n)
+    ft = f_values(t, n)
+    fn_r = fr[n + 1]
+    return ft[n + 1] * (fn_r * (fn_r - fr[n]) * (2 + r - x_squared) - 1) + ft[n]
 
 
 def x_variety_poly(n: int) -> BiPoly:
@@ -113,7 +118,7 @@ def birational_image(n: int, point):
     """
     require_family_index(n)
     r, y = point
-    fr = f_poly(n)(r)
+    fr = f_values(r, n)[n + 1]
     return (r, (2 - r) * (y - r) * fr * fr + 2)
 
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cvtk.cheb import G_poly, f_poly, failed_identities, g_poly, identity_checks
-from cvtk.ratpoly import UniPoly, poly_gcd
+from cvtk.cheb import G_poly, f_poly, f_values, failed_identities, g_poly, identity_checks
+from cvtk.intersect import intersection_loci, x_squared_at
+from cvtk.ratpoly import BiPoly, UniPoly, poly_gcd
 
 U = UniPoly.gen("u")
 
@@ -17,6 +18,47 @@ def test_f_small_values():
     assert f_poly(4) == U ** 3 - 2 * U
     assert f_poly(5) == U ** 4 - 3 * U ** 2 + 1
     assert f_poly(6) == U ** 5 - 4 * U ** 3 + 3 * U
+
+
+def _horner_f(j, value):
+    """f_j(value) by Horner on f_poly(j), with f_{-1} = -1, lifted into the
+    ring of value (Horner returns a bare 0 or 1 for j = 0, 1)."""
+    return value * 0 + (-1 if j == -1 else f_poly(j)(value))
+
+
+def test_f_values_match_horner_in_every_ring():
+    (locus,) = intersection_loci(5)
+    exact = [
+        7,
+        Fraction(-5, 3),
+        locus.r_elem,
+        x_squared_at(locus),
+        U,
+        BiPoly.gen("x", ("r", "x")),
+    ]
+    top = 14
+    for value in exact:
+        table = f_values(value, top)
+        assert len(table) == top + 2
+        for j in range(-1, top + 1):
+            assert table[j + 1] == _horner_f(j, value), (value, j)
+    z = complex(0.37, -1.21)
+    table = f_values(z, top)
+    for j in range(-1, top + 1):
+        want = _horner_f(j, z)
+        assert abs(table[j + 1] - want) <= 1e-12 * max(1.0, abs(want)), j
+
+
+def test_f_values_short_tables_and_extension_in_place():
+    assert f_values(Fraction(3), -1) == [-1]
+    assert f_values(Fraction(3), 0) == [-1, 0]
+    assert f_values(Fraction(3), 1) == [-1, 0, 1]
+    table = f_values(U, 3)
+    assert f_values(U, 9, table) is table
+    assert table == f_values(U, 9)
+    assert f_values(U, 2, table) is table  # a longer table is returned whole
+    with pytest.raises(ValueError):
+        f_values(U, -2)
 
 
 def test_g_small_values():

@@ -27,6 +27,7 @@ from cvtk.intersect import (
 from cvtk.knotgrp import RootApproximations, complex_roots
 from cvtk.numfield import (
     WITNESS_PRIME_BOUND,
+    NFElem,
     integrality_verdict,
     nf_minimal_polynomial,
     non_square_witness,
@@ -58,6 +59,29 @@ def test_x_squared_n2_exact():
     x2 = x_squared_at(locus)
     r = locus.r_elem
     assert x2 == (3 * r + 3) / 2
+
+
+def test_field_product_counts(monkeypatch):
+    """x^2 takes f_n(r) as the image of f_n at the generator, and the
+    longitude value reads every f_j from one table at r (t = r there), so
+    neither makes a Horner pass of field products per f_j."""
+    calls = [0]
+    mul = NFElem.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(NFElem, "__mul__", counted)
+    monkeypatch.setattr(NFElem, "__rmul__", counted)
+    for n in (8, 16, 32):
+        locus = intersection_loci(n)[0]
+        calls[0] = 0
+        x2 = x_squared_at(locus)
+        assert calls[0] <= 3, (n, calls[0])
+        calls[0] = 0
+        longitude_value(TraceContext(n, locus.r_elem, x2))
+        assert calls[0] <= n + 32, (n, calls[0])
 
 
 def test_x_squared_requires_invertible_f_n():

@@ -124,7 +124,8 @@ def test_tr_commutator_vs_numeric_matrices():
 
 def test_context_formulas_are_slice_identities():
     """t, delta_11, delta recursion, gamma closed form, and the longitude
-    commutator value all match exact matrix traces with no relator imposed."""
+    commutator value all match exact matrix traces with no relator imposed.
+    The slice points have t != r, so the context keeps a second f table."""
     rng = random.Random(33)
     for n in (2, 3, 4):
         for _ in range(3):
@@ -133,9 +134,11 @@ def test_context_formulas_are_slice_identities():
             w = _mul(_pow(ab, n), _pow(_mul(_inv(A), B), n))
             ctx = TraceContext(n, r, x2)
             assert ctx.t == _tr(w)
+            assert (ctx.t_table is ctx.r_table) == (ctx.t == ctx.r)
             assert ctx.delta_11 == _tr(_mul(w, _inv(ab)))
-            for d in range(0, n + 2):
-                for e in range(0, n + 2):
+            # d and e run past the f tables' f_{n+1}, so they are extended
+            for d in range(0, n + 4):
+                for e in range(0, n + 4):
                     exact = _tr(_mul(_pow(w, d), _pow(ab, -e)))
                     assert delta(d, e, ctx) == exact
                     assert gamma_closed(d, e, ctx) == exact
@@ -155,8 +158,9 @@ def test_delta_gamma_agree_in_locus_fields():
             x2 = 2 + r - (fn * fn) ** -1
             ctx = TraceContext(n, r, x2)
             assert ctx.t == r
-            for d in range(0, n + 1):
-                for e in range(0, n + 1):
+            assert (ctx.t_table is ctx.r_table) == (ctx.t == ctx.r)
+            for d in range(0, n + 4):
+                for e in range(0, n + 4):
                     assert delta(d, e, ctx) == gamma_closed(d, e, ctx)
             assert gamma_seifert_form(ctx) == tr_s1s2inv(ctx)
 
