@@ -6,11 +6,11 @@ and detect reads its slope verdict off the per-locus certificates,
 alexander and slopes print the classical invariants, and verify-paper
 replays every frozen datum and prints a named check table.  Only the parser
 of the command named in argv is built.
-The x and longitude-trace approximations of intersect, and the x0 that rep
-builds its matrices from, are the exact field elements evaluated at the
-certified roots of the locus modulus (`knotgrp.RootApproximations`: an
-integer Aberth iteration with inclusion discs), each within 1e-20 relative;
-no float formula recomputes them.
+The x and longitude-trace approximations of intersect, and the r0 and x0
+that rep builds its matrices from, are read off `IntersectionLocus.points`:
+the exact field elements evaluated at the certified roots of the locus
+modulus (an integer Aberth iteration with inclusion discs), each within 1e-20
+relative; no float formula recomputes them.
 
 Exit codes: 0 success, 1 verification failure or internal error (an exact
 arithmetic invariant that failed inside the library), 2 usage error. JSON
@@ -26,9 +26,8 @@ import sys
 
 from .cheb import G_poly, f_poly, g_poly
 from .golden import load_fixtures
-from .intersect import build_intersection_report, intersection_loci, root_points
+from .intersect import build_intersection_report
 from .knotgrp import (
-    RootApproximations,
     family_words,
     mat_trace,
     mu_from_x,
@@ -43,6 +42,7 @@ from .ratpoly import ExactArithError
 from .trace import VerificationError, alexander_poly, boundary_slope_candidates
 from .variety import d_split, d_variety_poly, x_variety_poly
 from .verify import (
+    MAX_CHECK_N,
     all_passed,
     render_results,
     run_checks,
@@ -55,6 +55,7 @@ RELATOR_TOL = 1e-9
 # a minute on a 2-vCPU Xeon host; above it the command exits 2. The library
 # functions take any value, so a caller who needs more calls them.
 MAX_N = 128  # --n, the family index: detect --n 128 takes about 3.5 s
+# verify-paper --n and CVTK_MAX_N have their own ceiling, verify.MAX_CHECK_N = 64.
 MAX_VARIETY_N = 32  # variety --n: the X model at n = 32 takes about 15-18 s
 MAX_J = 1000  # cheb --j: the polynomials of index 1000 take about 2 s
 MAX_WORD = 10 ** 6  # word --p and --q: a word of length 10^6 takes about 2.5 s
@@ -118,18 +119,17 @@ def _negated(z: complex) -> complex:
 
 
 def _augmented_report_json(report) -> dict:
-    """Report JSON plus 12-digit approximations of every root: only the modulus
-    is root-found, and x and the longitude trace at each root r0 are the
-    images of the exact elements x^2 and tau under r -> r0, certified to 1e-20.
+    """Report JSON plus 12-digit approximations of every root of each locus,
+    read off `IntersectionLocus.points`: only the modulus is root-found, and
+    x and the longitude trace at each root r0 are the images of the exact
+    elements x^2 and tau under r -> r0, certified to 1e-20.
     """
     obj = report.to_json()
     for locus, locus_obj in zip(report.loci, obj["loci"]):
-        approx = RootApproximations(locus.modulus)
-        x2, tau = locus.x_squared, locus.longitude_elem
-        xs = [x for x0 in approx.images(x2.num, x2.den, sqrt=True) for x in (x0, _negated(x0))]
-        taus = approx.images(tau.num, tau.den)
+        r0s, x0s, taus = zip(*locus.points)
+        xs = [x for x0 in x0s for x in (x0, _negated(x0))]
         locus_obj["approx"] = {
-            "modulus_roots": _root_strs(approx.roots(), locus.modulus.degree),
+            "modulus_roots": _root_strs(r0s, locus.modulus.degree),
             "x_roots": _root_strs(xs, locus.x_min_poly.degree),
             "longitude_roots": _root_strs(taus, locus.longitude_min_poly.degree),
         }
@@ -164,14 +164,14 @@ def cmd_detect(args) -> int:
 
 
 def cmd_rep(args) -> int:
-    loci = intersection_loci(args.n)
+    loci = build_intersection_report(args.n).loci
     if not 0 <= args.locus < len(loci):
         raise ValueError(f"locus index must be in [0, {len(loci) - 1}]")
     locus = loci[args.locus]
-    points = root_points(locus)
+    points = locus.points
     if not 0 <= args.root < len(points):
         raise ValueError(f"root index must be in [0, {len(points) - 1}]")
-    r0, x0 = points[args.root]
+    r0, x0, _ = points[args.root]
     mu = mu_from_x(x0)
     rep = numeric_rep(args.n, mu, r0)
     fam = family_words(args.n)
@@ -293,8 +293,8 @@ def _verify_paper_options(p) -> None:
     only.add_argument("--fixtures", metavar="PATH", help="override the frozen fixtures")
     only.add_argument(
         "--n",
-        type=_int_at_most(MAX_N),
-        help=f"run only the fixture-free property checks up through this n <= {MAX_N}",
+        type=_int_at_most(MAX_CHECK_N),
+        help=f"run only the fixture-free property checks up through this n <= {MAX_CHECK_N}",
     )
 
 
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
     except ExactArithError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

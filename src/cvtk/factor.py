@@ -43,7 +43,6 @@ from .ratpoly import (
     _gf_red,
     _gf_sub,
     _trim,
-    frac_str,
     poly_gcd,
 )
 
@@ -309,15 +308,6 @@ class Factorization:
         for poly, mult in self.factors:
             out = out * poly ** mult
         return out
-
-    def __str__(self) -> str:
-        bits = [] if self.unit == 1 and self.factors else [f"({frac_str(self.unit)})"]
-        for poly, mult in self.factors:
-            s = f"({poly})"
-            if mult > 1:
-                s += f"^{mult}"
-            bits.append(s)
-        return " * ".join(bits) if bits else "1"
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:

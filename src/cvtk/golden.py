@@ -100,7 +100,16 @@ def fixtures_to_json(fixtures: dict) -> dict:
 
 
 def load_fixtures(path: str) -> dict:
-    """Fixtures from a JSON file (the verify command's override hook)."""
+    """Fixtures from a JSON file (the verify command's override hook).
+
+    A file that is not JSON, or whose fixtures lack a key or hold a value of
+    the wrong shape, raises one ValueError naming the path and the fault.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return {int(k): GoldenFixture.from_json(v) for k, v in obj.items()}
+        text = fh.read()
+    try:
+        return {int(k): GoldenFixture.from_json(v) for k, v in json.loads(text).items()}
+    except KeyError as exc:
+        raise ValueError(f"malformed fixture file {path}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed fixture file {path}: {exc}") from None

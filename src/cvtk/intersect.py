@@ -20,16 +20,17 @@ integer power-basis coordinates prove the longitude trace integral
 `intersection_loci` gives one small `LocusField` per factor: the field and
 its generator r, with x^2 computed on first use.  `build_intersection_report`
 turns each into a frozen `IntersectionLocus` holding x^2, the longitude
-trace and both certificates; its meridian factors, minimal polynomials and
-verdicts are computed on first read, and once read they must agree with the
-certificates.  The frozen `IntersectionReport` reads its status, slope
-verdict and point counts off its loci.
+trace and both certificates; its meridian factors, minimal polynomials,
+verdicts and numeric points are computed on first read, and a verdict that
+contradicts a holding certificate raises.  The frozen `IntersectionReport`
+computes its slope verdict once, reading a verdict only where a certificate
+fails, so no read of a locus can change its status.
 
 Numeric values at an intersection point are the images of the same exact
 elements under the embedding r -> r0 of the field, r0 a complex root of m:
 `knotgrp.RootApproximations` certifies the roots and evaluates the
-power-basis coordinates at them with error bounds.  `root_points` pairs each
-r0 with x0 = sqrt(x^2(r0)).
+power-basis coordinates at them with error bounds.  `IntersectionLocus.points`
+holds (r0, x0 = sqrt(x^2(r0)), tau(r0)) at every root.
 """
 
 from __future__ import annotations
@@ -89,9 +90,9 @@ class IntersectionLocus:
     """One irreducible factor of G_n, its two certificates and the character
     data over it.
 
-    The minimal polynomials and their verdicts are computed on first read
-    (`to_json` reads them all); slope detection needs them only where a
-    certificate does not hold.
+    The minimal polynomials, verdicts and points are computed on first read
+    (`to_json` reads the verdicts); slope detection needs a verdict only
+    where a certificate does not hold, and a holding certificate is final.
     """
 
     n: int
@@ -124,12 +125,17 @@ class IntersectionLocus:
     @cached_property
     def meridian_verdict(self) -> IntegralityVerdict:
         """Verdict on the whole meridian minimal polynomial.  An integral
-        meridian trace is not raised here: it would break the 2-adic
-        non-integrality the slope detection rests on, and the report shows
-        it as its "verification-failure" status with the slope undetermined.
+        verdict beside a holding meridian certificate raises; without one it
+        is the report's "verification-failure" status, slope undetermined.
         """
         self.factor_verdicts  # the bad-prime check on each factor
-        return integrality_verdict(self.x_min_poly)
+        verdict = integrality_verdict(self.x_min_poly)
+        if verdict.is_algebraic_integer and self.meridian_certified:
+            raise VerificationError(
+                f"meridian trace at n = {self.n} is an algebraic integer, "
+                f"contradicting its mod-2 certificate"
+            )
+        return verdict
 
     @cached_property
     def longitude_min_poly(self) -> UniPoly:
@@ -138,6 +144,17 @@ class IntersectionLocus:
     @cached_property
     def longitude_verdict(self) -> IntegralityVerdict:
         return longitude_integrality(self.n, self.longitude_min_poly)
+
+    @cached_property
+    def points(self) -> tuple:
+        """(r0, x0 = sqrt(x^2(r0)), tau(r0)) at each root r0 of the modulus, as
+        Python complexes in `complex_roots` order (x0 the principal root), all
+        from one `RootApproximations`; the images come first: they may refine r0."""
+        approx = RootApproximations(self.modulus)
+        x2, tau = self.x_squared, self.longitude_elem
+        x0 = approx.images(x2.num, x2.den, sqrt=True)
+        by_root = dict(zip(approx.roots(), zip(x0, approx.images(tau.num, tau.den))))
+        return tuple((r0, *by_root[r0]) for r0 in sorted_complex(by_root))
 
     @property
     def modulus(self) -> UniPoly:
@@ -197,17 +214,6 @@ def x_squared_at(locus) -> NFElem:
     """
     fn = locus.field.from_poly(f_poly(locus.n))
     return 2 + locus.r_elem - (fn * fn).inverse()
-
-
-def root_points(locus) -> list:
-    """(r0, x0) at each root r0 of the locus modulus, in `complex_roots` order,
-    as Python complexes: x0 is the principal square root of the image of x^2
-    under r -> r0, both certified by `RootApproximations`."""
-    approx = RootApproximations(locus.modulus)
-    x2 = locus.x_squared
-    x0 = approx.images(x2.num, x2.den, sqrt=True)  # may refine the roots: first
-    x0 = dict(zip(approx.roots(), x0))
-    return [(r0, x0[r0]) for r0 in sorted_complex(x0)]
 
 
 def meridian_min_poly(locus):
@@ -291,7 +297,7 @@ class IntersectionReport:
     reducible_on_x_model: bool
     reducible_is_intersection: bool
 
-    @property
+    @cached_property
     def slope(self) -> SlopeVerdict:
         return detect_surface(self)
 
@@ -309,13 +315,12 @@ class IntersectionReport:
         return 2 * self.d_point_count
 
     def to_json(self) -> dict:
-        loci = [locus.to_json() for locus in self.loci]  # before the status reads them
         return {
             "n": self.n,
             "status": self.status,
             "d_point_count": self.d_point_count,
             "x_point_count": self.x_point_count,
-            "loci": loci,
+            "loci": [locus.to_json() for locus in self.loci],
             "reducible": dict(
                 self.reducible.to_json(),
                 on_x_model=self.reducible_on_x_model,

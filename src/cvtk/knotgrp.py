@@ -204,7 +204,11 @@ class NumericRep:
 
 
 def numeric_rep(n: int, mu: complex, r: complex) -> NumericRep:
-    """Matrices A = (mu 1; 0 1/mu), B = (mu 0; 2-r 1/mu)."""
+    """Matrices A = (mu 1; 0 1/mu), B = (mu 0; 2-r 1/mu).
+
+    mu = 0 is the caller's ValueError; a determinant that rounding moved
+    more than 1e-12 from 1 is an internal ExactArithError.
+    """
     mu = complex(mu)
     r = complex(r)
     if mu == 0:
@@ -213,7 +217,7 @@ def numeric_rep(n: int, mu: complex, r: complex) -> NumericRep:
     B = ((mu, 0j), (2 - r, 1 / mu))
     for M in (A, B):
         if abs(mat_det(M) - 1) > 1e-12:
-            raise ValueError("matrix determinant drifted away from 1")
+            raise ExactArithError("matrix determinant drifted away from 1")
     return NumericRep(n=n, mu=mu, r=r, A=A, B=B)
 
 

@@ -203,9 +203,6 @@ class NFElem:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def to_json(self) -> dict:
         return {"basis": self.field.modulus.var, "coords": [frac_str(c) for c in self.coeffs]}
 

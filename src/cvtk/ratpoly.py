@@ -35,8 +35,6 @@ def _frac(c) -> Fraction:
         return c
     if isinstance(c, int):
         return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
     raise TypeError(f"not a rational scalar: {c!r}")
 
 
@@ -224,9 +222,6 @@ class UniPoly:
             UniPoly.from_ints([x * other.den for x in q], den, self.var),
             UniPoly.from_ints(r, den, self.var),
         )
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]

@@ -350,16 +350,14 @@ def detect_surface(report) -> SlopeVerdict:
 
     Each locus is read certificate first: a meridian certificate proves the
     trace non-integral and a longitude certificate proves it integral, so a
-    minimal-polynomial verdict is computed only for a locus whose certificate
-    does not hold.  A meridian verdict that is already computed is read as
-    well, so one that contradicts its certificate makes the meridian
-    integral (the report's "verification-failure"); a contradicting
-    longitude verdict raises when it is computed.
+    minimal-polynomial verdict is read only for a locus whose certificate
+    does not hold.  A holding certificate is final; a verdict computed later
+    that contradicts it raises.
     """
     meridian_integral = any(
         locus.meridian_verdict.is_algebraic_integer
         for locus in report.loci
-        if not locus.meridian_certified or "meridian_verdict" in vars(locus)
+        if not locus.meridian_certified
     )
     longitude_integral = all(
         locus.longitude_certified or locus.longitude_verdict.is_algebraic_integer

@@ -16,7 +16,7 @@ from functools import partial
 
 from .cheb import G_poly, f_poly, failed_identities, require_family_index
 from .golden import default_fixtures
-from .intersect import build_intersection_report, root_points
+from .intersect import build_intersection_report
 from .knotgrp import (
     FreeWord,
     complex_roots,
@@ -41,11 +41,16 @@ from .trace import (
 from .variety import bezout_budget, d_split, meridian_derivative_at_two, x_variety_poly
 
 DEFAULT_MAX_N = 8
+# Ceiling of the ranged checks (CVTK_MAX_N and verify-paper --n): they compute
+# every minimal polynomial for n <= max_n, which takes about 8 s at max_n = 48
+# and 28 s at 64 on a 2-vCPU Xeon host, and grows faster than max_n^4.
+MAX_CHECK_N = 64
 NUMERIC_TOL = 1e-9
 
 
 def resolve_max_n(max_n=None) -> int:
-    """Explicit argument, else the CVTK_MAX_N environment variable, else 8."""
+    """Explicit argument, else the CVTK_MAX_N environment variable, else 8;
+    an integer in [2, MAX_CHECK_N]."""
     if max_n is not None:
         value = max_n
     else:
@@ -53,9 +58,9 @@ def resolve_max_n(max_n=None) -> int:
     try:
         value = int(value)
     except (TypeError, ValueError):
-        raise ValueError(f"max_n must be an integer >= 2, got {value!r}")
-    if value < 2:
-        raise ValueError(f"max_n must be an integer >= 2, got {value}")
+        raise ValueError(f"max_n must be an integer in [2, {MAX_CHECK_N}], got {value!r}")
+    if not 2 <= value <= MAX_CHECK_N:
+        raise ValueError(f"max_n must be an integer in [2, {MAX_CHECK_N}], got {value}")
     return value
 
 
@@ -86,7 +91,7 @@ class VerifyContext:
 
 
 def _loci_points(ctx, n: int):
-    return [pt for locus in ctx.report(n).loci for pt in root_points(locus)]
+    return [(r0, x0) for locus in ctx.report(n).loci for r0, x0, _ in locus.points]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from cvtk.cli import (
     main,
 )
 from cvtk.golden import default_fixtures, fixtures_to_json
+from cvtk.verify import MAX_CHECK_N
 
 
 def _fail_names(out):
@@ -90,13 +91,16 @@ def test_intersect_json_round_trip(tmp_path, capsys):
     assert len(approx["longitude_roots"]) == 2
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(monkeypatch, capsys):
     assert main(["intersect", "--n", "1"]) == 2
     assert main(["cheb", "--kind", "f", "--j", "-1"]) == 2
     assert main(["variety", "--n", "2", "--model", "X", "--split"]) == 2
     assert main(["rep", "--n", "2", "--locus", "5"]) == 2
     assert main(["rep", "--n", "2", "--root", "9"]) == 2
     assert main(["verify-paper", "--fixtures", "/nonexistent/fixtures.json"]) == 2
+    with monkeypatch.context() as m:
+        m.setenv("CVTK_MAX_N", str(MAX_CHECK_N + 1))
+        assert main(["verify-paper"]) == 2
     capsys.readouterr()
     for argv in (
         ["no-such-command"],
@@ -114,7 +118,7 @@ def test_usage_errors_exit_two(capsys):
         (["variety", "--n", str(MAX_VARIETY_N + 1), "--model", "D"], "--n", MAX_VARIETY_N),
         (["word", "--p", str(MAX_WORD + 1), "--q", "3"], "--p", MAX_WORD),
         (["word", "--p", "15", "--q", str(MAX_WORD + 1)], "--q", MAX_WORD),
-        (["verify-paper", "--n", str(MAX_N + 1)], "--n", MAX_N),
+        (["verify-paper", "--n", str(MAX_CHECK_N + 1)], "--n", MAX_CHECK_N),
     ]
     for command in ("intersect", "detect", "rep", "alexander", "slopes"):
         cases.append(([command, "--n", str(MAX_N + 1)], "--n", MAX_N))
@@ -125,6 +129,53 @@ def test_usage_errors_exit_two(capsys):
         value = argv[argv.index(option) + 1]
         message = capsys.readouterr().err
         assert f"argument {option}: {value} is above the ceiling {ceiling}" in message
+
+
+@pytest.mark.parametrize("fault", ["coeffs-not-a-list", "missing-key"])
+def test_malformed_fixture_file_exits_two(tmp_path, capsys, fault):
+    obj = fixtures_to_json(default_fixtures())
+    if fault == "coeffs-not-a-list":
+        obj["2"]["r_poly"] = {"coeffs": 5}
+    else:
+        del obj["3"]["bezout"]
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify-paper", "--fixtures", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: malformed fixture file {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_rep_numeric_failure_is_internal(monkeypatch, capsys):
+    """A determinant that drifts from 1 is an internal error, not a usage
+    error; a zero mu is still the caller's ValueError."""
+    from cvtk import knotgrp
+
+    with pytest.raises(ValueError, match="mu must be nonzero"):
+        knotgrp.numeric_rep(2, 0, 1)
+    monkeypatch.setattr(knotgrp, "mat_det", lambda M: 2)
+    assert main(["rep", "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: matrix determinant drifted away from 1")
+
+
+def test_one_root_approximation_per_locus(monkeypatch, capsys):
+    """intersect and the numeric checks of verify-paper root-find each locus
+    modulus once, through `IntersectionLocus.points`."""
+    from cvtk import intersect
+    from cvtk.intersect import build_intersection_report
+
+    good = intersect.RootApproximations
+    built = []
+    monkeypatch.setattr(intersect, "RootApproximations", lambda p: built.append(p) or good(p))
+    assert main(["intersect", "--n", "5"]) == 0
+    assert built == [locus.modulus for locus in build_intersection_report(5).loci]
+    built.clear()
+    monkeypatch.setenv("CVTK_MAX_N", "2")
+    assert main(["verify-paper"]) == 0
+    capsys.readouterr()
+    assert [p.degree for p in built] == [2, 4]  # the n = 2 and n = 3 loci
 
 
 def test_internal_error_exits_one(monkeypatch, capsys):
@@ -224,6 +275,7 @@ def test_integral_meridian_is_a_verification_failure(monkeypatch, capsys):
 
     integral = IntegralityVerdict(is_algebraic_integer=True, denominator_lcm=1, bad_primes=())
     monkeypatch.setattr(intersect, "integrality_verdict", lambda poly: integral)
+    monkeypatch.setattr(intersect, "_gf_gcd", lambda a, b, p: [1])  # no meridian certificate
     assert main(["intersect", "--n", "2"]) == 1
     obj = json.loads(capsys.readouterr().out)
     assert obj["status"] == "verification-failure"
@@ -241,8 +293,10 @@ def test_integral_meridian_is_a_verification_failure(monkeypatch, capsys):
 # factors it directly. The two rep pins are re-recorded: rep now prints each
 # relator residual as a verdict against RELATOR_TOL ("residual < 1e-09: yes")
 # in place of four digits of float rounding noise, which moved with any
-# reordering of float operations. The printed output must stay byte-identical
-# under refactors.
+# reordering of float operations. The rep --n 8 and --n 12 pins were recorded
+# while rep root-found the modulus for x alone, before it read its points off
+# the intersection report. The printed output must stay byte-identical under
+# refactors.
 OUTPUT_SHA256 = {
     "intersect --n 2": "84c4c0cdd549437ddc247d4401e1679db4a0910ac88b08b54677c2bf3c993403",
     "intersect --n 3": "e0b7681188a2da39e9d421d3d323ba3ce5802585ada5fa81051115ca2537a1c2",
@@ -260,6 +314,8 @@ OUTPUT_SHA256 = {
     "detect --n 19 --json": "1416793bdd83136e4fbe05f948ca8918faa0beb4ec940b53240c17ce5d88bd30",
     "rep --n 2": "b71a6844bf9d52b7b8232fe6904673eca02ef676b0d947d9a91c3fb5232b6d14",
     "rep --n 3 --root 1": "45c74ffc391093090ef252b90e0da4d9498276c03c3e5b67e234215f4301f746",
+    "rep --n 8 --root 5": "c94769dbd5a21eba8a8660af16d86b5fc8214b2a88905c6434f99efc6eb969e5",
+    "rep --n 12 --root 3": "ad5a59062d11d0468b0df4ccda76694ead49e2a7dac274ba3dbb1c5946185c74",
     "verify-paper": "c14dd7cde19c1a9acd043ff6943b61c4ec3ab33b4b7ff48dceabb974fc106ae8",
     "cheb --kind f --j 5 --format pretty": "41dfec809e528fba88bd9491e3dd560ea15e228272fdddc9acbe16399eab510a",
     "cheb --kind f --j 5 --format json": "d22fbba7c34f4e8f4dd3c21e0cdd4e556987e66a8e6cf88b96f0b4df5f8528a5",
@@ -390,21 +446,28 @@ def test_failed_certificate_falls_back_to_min_polys(monkeypatch, capsys, failed)
 
 
 def test_contradicted_certificate_is_a_verification_failure(monkeypatch, capsys):
-    """A computed verdict that contradicts its certificate fails the report:
-    an integral meridian verdict turns the status, and a non-integral
-    longitude verdict raises.  detect, which computes neither, still exits 0."""
+    """A holding certificate is final: a verdict that contradicts it raises
+    when it is computed, an integral meridian verdict as well as a
+    non-integral longitude one, and the report's status stays as the
+    certificates made it.  detect, which computes neither verdict, still
+    exits 0; intersect, which computes both, exits 1."""
     from cvtk import intersect, trace
     from cvtk.intersect import build_intersection_report
     from cvtk.numfield import IntegralityVerdict
+    from cvtk.trace import VerificationError
 
     integral = IntegralityVerdict(is_algebraic_integer=True, denominator_lcm=1, bad_primes=())
     with monkeypatch.context() as m:
         m.setattr(intersect, "integrality_verdict", lambda poly: integral)
         report = build_intersection_report(3)
         assert report.status == "ok"
-        report.loci[0].meridian_verdict
-        assert report.status == "verification-failure"
-        assert report.slope.meridian_integral
+        with pytest.raises(VerificationError, match="contradicting its mod-2 certificate"):
+            report.loci[0].meridian_verdict
+        assert report.status == "ok" and report.slope.detected_slope == 0
+        assert main(["intersect", "--n", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("verification failure: meridian trace at n = 3 is an algebraic integer")
     halves = IntegralityVerdict(is_algebraic_integer=False, denominator_lcm=2, bad_primes=(2,))
     monkeypatch.setattr(trace, "integrality_verdict", lambda poly: halves)
     assert main(["detect", "--n", "3", "--json"]) == 0

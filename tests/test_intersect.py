@@ -275,6 +275,41 @@ def test_report_records_are_frozen():
         rep.loci = ()
 
 
+def _read_every_locus(report):
+    for locus in report.loci:
+        locus.factor_verdicts, locus.meridian_verdict, locus.longitude_verdict, locus.points
+
+
+def test_status_and_slope_do_not_depend_on_reads():
+    """A report's status and slope are the same before and after every
+    locus verdict and point set is read, and whichever is read first."""
+    for n in range(2, 9):
+        report = build_intersection_report(n)
+        before = (report.status, report.slope)
+        _read_every_locus(report)
+        assert (report.status, report.slope) == before
+        loci_first = build_intersection_report(n)
+        _read_every_locus(loci_first)
+        assert (loci_first.status, loci_first.slope) == before
+        assert before[0] == "ok" and before[1].detected_slope == 0
+
+
+def test_points_pair_each_root_with_its_images():
+    """points lists (r0, x0, tau0) in complex_roots order, x0 the principal
+    square root of 2 + r0 - 1/f_n(r0)^2 and tau0 a root of the longitude
+    minimal polynomial; it is computed once per locus."""
+    for n in range(2, 7):
+        for locus in build_intersection_report(n).loci:
+            points = locus.points
+            assert locus.points is points
+            assert [r0 for r0, _, _ in points] == complex_roots(locus.modulus)
+            taus = complex_roots(locus.longitude_min_poly)
+            for r0, x0, tau0 in points:
+                x2 = 2 + r0 - 1 / complex(f_poly(n)(r0)) ** 2
+                assert abs(x0 - x2 ** 0.5) <= 1e-9 * max(1, abs(x0))
+                assert min(abs(tau0 - t) for t in taus) <= 1e-9 * max(1, abs(tau0))
+
+
 def test_staged_path_matches_report():
     """The per-factor path, driven field by field as the benchmark's library
     workload drives it, gives the data of the built report."""

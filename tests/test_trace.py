@@ -271,13 +271,29 @@ def test_detect_surface_synthetic():
 
 
 def test_detect_surface_reads_certificates_first():
-    """Certified loci need no verdict; a computed meridian verdict is read."""
-    certified = SimpleNamespace(meridian_certified=True, longitude_certified=True)
-    v = detect_surface(SimpleNamespace(loci=[certified]))
+    """A holding certificate is final: no verdict of a certified locus is
+    read, not even one already computed (the locus raises on a contradicting
+    verdict itself); an uncertified locus is read by its verdict."""
+
+    class Certified:
+        meridian_certified = longitude_certified = True
+
+        @property
+        def meridian_verdict(self):
+            raise AssertionError("the verdict of a certified locus was read")
+
+        longitude_verdict = meridian_verdict
+
+    v = detect_surface(SimpleNamespace(loci=[Certified()]))
     assert v.detected_slope == 0
     integral = SimpleNamespace(is_algebraic_integer=True)
-    contradicted = SimpleNamespace(
+    computed = SimpleNamespace(
         meridian_certified=True, longitude_certified=True, meridian_verdict=integral
     )
-    v = detect_surface(SimpleNamespace(loci=[certified, contradicted]))
+    v = detect_surface(SimpleNamespace(loci=[Certified(), computed]))
+    assert v.detected_slope == 0 and not v.meridian_integral
+    uncertified = SimpleNamespace(
+        meridian_certified=False, longitude_certified=True, meridian_verdict=integral
+    )
+    v = detect_surface(SimpleNamespace(loci=[Certified(), uncertified]))
     assert v.detected_slope == "undetermined" and v.meridian_integral

@@ -5,6 +5,7 @@ import pytest
 
 from cvtk.verify import (
     CHECKS,
+    MAX_CHECK_N,
     CheckResult,
     all_passed,
     render_results,
@@ -22,6 +23,13 @@ def test_resolve_max_n(monkeypatch):
     with pytest.raises(ValueError):
         resolve_max_n(1)
     monkeypatch.setenv("CVTK_MAX_N", "junk")
+    with pytest.raises(ValueError):
+        resolve_max_n()
+    # Above the ceiling, from either source.
+    assert resolve_max_n(MAX_CHECK_N) == MAX_CHECK_N
+    with pytest.raises(ValueError, match=f"in \\[2, {MAX_CHECK_N}\\], got {MAX_CHECK_N + 1}"):
+        resolve_max_n(MAX_CHECK_N + 1)
+    monkeypatch.setenv("CVTK_MAX_N", str(MAX_CHECK_N + 1))
     with pytest.raises(ValueError):
         resolve_max_n()
 
