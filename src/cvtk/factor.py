@@ -4,7 +4,8 @@ Zassenhaus route for a primitive squarefree integer polynomial F:
 
 * Split F by distinct degree modulo each of the first MODULAR_PRIMES usable
   primes, raising to the p-th power by one mat-vec with the Frobenius
-  matrix built once per prime.  A factor of F over Q has a degree that is a
+  matrix built once per prime, each column the remainder (_gf_divmod) of
+  x^p times the one before.  A factor of F over Q has a degree that is a
   subset sum of the modular factor degrees for every prime, so when the
   intersection of these degree sets is {0, deg F}, F is irreducible with no
   lifting (Musser 1975).
@@ -87,24 +88,18 @@ def iter_primes():
 def _gf_ddf(f, p):
     """Distinct-degree split of a monic squarefree f: [(product, degree)].
 
-    Column j of the Frobenius matrix is x^(j*p) mod f, reached from column
-    j - 1 by p shift-and-reduce steps, so h -> h^p mod f is one mat-vec (von zur
-    Gathen and Gerhard, 14.2, 14.8).  h stays reduced mod the original f, which
+    Column j of the Frobenius matrix is x^(j*p) mod f, the remainder of
+    x^p times column j - 1, so h -> h^p mod f is one mat-vec (von zur Gathen
+    and Gerhard, 14.2, 14.8).  h stays reduced mod the original f, which
     every later f divides."""
     out = []
     f = list(f)
     n = len(f) - 1
-    low = [-c % p for c in f[:-1]]  # x^n mod f
-    col = [1] + [0] * (n - 1)
-    cols = []
-    for _ in range(n):
-        cols.append(col)
-        for _ in range(p):
-            top = col[-1]
-            col = [0] + col[:-1]
-            if top:
-                col = [(c + top * m) % p for c, m in zip(col, low)]
-    frob = list(zip(*cols))
+    cols = [[1] + [0] * (n - 1)]
+    for _ in range(1, n):
+        cols.append(_gf_divmod([0] * p + cols[-1], f, p)[1])
+    # remainders come trimmed; the first column has all n rows
+    frob = list(itertools.zip_longest(*cols, fillvalue=0))
     h = [0, 1] + [0] * (n - 2)
     i = 1
     while len(f) - 1 >= 2 * i:

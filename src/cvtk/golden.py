@@ -29,6 +29,14 @@ class GoldenFixture:
     longitude_min_poly: UniPoly
     bezout: tuple  # (total, affine, ideal)
 
+    def __post_init__(self):
+        names = (self.r_poly.var, self.x_poly.var, self.longitude_min_poly.var,
+                 *self.X0.vars, *self.X1.vars)
+        if not all(isinstance(v, str) for v in names):
+            raise ValueError(f"n = {self.n}: variable names {names} are not all strings")
+        if [type(c) for c in self.bezout] != [int] * 3:
+            raise ValueError(f"n = {self.n}: bezout {list(self.bezout)} is not three ints")
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -43,7 +51,7 @@ class GoldenFixture:
     @classmethod
     def from_json(cls, obj: dict) -> "GoldenFixture":
         return cls(
-            n=int(obj["n"]),
+            n=obj["n"],
             X0=BiPoly.from_json(obj["X0"]),
             X1=BiPoly.from_json(obj["X1"]),
             r_poly=UniPoly.from_json(obj["r_poly"]),
@@ -102,14 +110,19 @@ def fixtures_to_json(fixtures: dict) -> dict:
 def load_fixtures(path: str) -> dict:
     """Fixtures from a JSON file (the verify command's override hook).
 
-    A file that is not JSON, or whose fixtures lack a key or hold a value of
-    the wrong shape, raises one ValueError naming the path and the fault.
+    A file that is not JSON, or whose fixtures lack a key, hold a value of
+    the wrong shape or type, or sit under a key other than their "n", raises
+    one ValueError naming the path and the fault.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return {int(k): GoldenFixture.from_json(v) for k, v in json.loads(text).items()}
+        fixtures = {int(k): GoldenFixture.from_json(v) for k, v in json.loads(text).items()}
+        for k, fx in fixtures.items():
+            if fx.n != k:
+                raise ValueError(f"entry {k} has n = {fx.n!r}")
     except KeyError as exc:
         raise ValueError(f"malformed fixture file {path}: missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed fixture file {path}: {exc}") from None
+    return fixtures

@@ -2,8 +2,9 @@
 
 An element's coordinates in the power basis 1, r, ..., r^(k-1) are k int
 numerators over one positive denominator D, in lowest terms, so field
-arithmetic runs in Python ints.  This module alone turns an element a into a
-matrix: A = D*M as int rows, M the matrix of multiplication by a.  Minimal
+arithmetic runs in Python ints; products reduce by the monic modulus with
+ratpoly's pseudo-division kernel.  This module alone turns an element a into
+a matrix: A = D*M as int rows, M the matrix of multiplication by a.  Minimal
 polynomials come from the characteristic polynomial of M: the modulus is
 irreducible, so it is a power of the minimal polynomial and the squarefree
 part recovers it exactly.  The characteristic polynomial comes from power
@@ -22,7 +23,8 @@ from math import gcd
 from operator import add, mul
 
 from .factor import iter_primes, squarefree_part
-from .ratpoly import ExactArithError, UniPoly, _conv, frac_str
+from .ratpoly import (ExactArithError, UniPoly, _conv, _gf_eval, _gf_red, _pseudo_divmod,
+                      frac_str)
 
 _TRIAL_BOUND = 10 ** 6
 
@@ -37,7 +39,7 @@ WITNESS_PRIME_BOUND = 100
 class NumberField:
     """Q[r]/(m) for m monic in Z[r]; the caller guarantees m irreducible over Q."""
 
-    __slots__ = ("modulus", "_reduction")
+    __slots__ = ("modulus",)
 
     def __init__(self, modulus: UniPoly):
         if modulus.degree < 1 or modulus.lc != 1:
@@ -45,17 +47,6 @@ class NumberField:
         if modulus.den != 1:
             raise ExactArithError("modulus must have integer coefficients")
         self.modulus = modulus
-        k = modulus.degree
-        # reduction table: r^k .. r^(2k-2) written in the power basis
-        table = []
-        prev = [-c for c in modulus.num[:-1]]
-        table.append(tuple(prev))
-        for _ in range(k - 2):
-            shifted = [0] + prev[:-1]
-            top = prev[-1]
-            prev = [s + top * t for s, t in zip(shifted, table[0])]
-            table.append(tuple(prev))
-        self._reduction = tuple(table)
 
     @property
     def degree(self) -> int:
@@ -155,12 +146,8 @@ class NFElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        k = self.field.degree
-        conv = _conv(self.num, o.num)
-        out = conv[:k]
-        for c, row in zip(conv[k:], self.field._reduction):
-            if c:
-                out = [s + c * t for s, t in zip(out, row)]
+        # a product of 2k - 1 >= k entries leaves a remainder of exactly k
+        out = _pseudo_divmod(_conv(self.num, o.num), self.field.modulus.num)[1]
         return _reduced(self.field, out, self.den * o.den)
 
     __rmul__ = __mul__
@@ -223,18 +210,12 @@ def multiplication_matrix(a: NFElem):
     """(D, A): A = D*M as int rows, M the matrix of x -> a*x in the power basis.
 
     D is a's denominator.  Column i of A is D*a*r^i: each column is the
-    previous one times r, a shift followed by r^k rewritten through the
-    modulus.
+    previous one times r, reduced by the monic modulus with _pseudo_divmod.
     """
-    low = [-c for c in a.field.modulus.num[:-1]]  # r^k in the power basis
-    col = list(a.num)
-    cols = []
-    for _ in range(a.field.degree):
-        cols.append(col)
-        top = col[-1]
-        col = [0] + col[:-1]
-        if top:
-            col = [c + top * m for c, m in zip(col, low)]
+    m = a.field.modulus.num
+    cols = [list(a.num)]
+    for _ in range(1, a.field.degree):
+        cols.append(_pseudo_divmod([0] + cols[-1], m)[1])
     return a.den, list(zip(*cols))
 
 
@@ -326,22 +307,14 @@ def non_square_witness(a: NFElem):
             return None
         if ell == 2 or a.den % ell == 0:
             continue
-        mq, dq, aq = ([c % ell for c in cs] for cs in (m, dm, a.num))
+        mq, dq, aq = (_gf_red(cs, ell) for cs in (m, dm, a.num))
         inv = pow(a.den, -1, ell)
         for r0 in range(ell):
-            if _eval_mod(mq, r0, ell) or not _eval_mod(dq, r0, ell):
+            if _gf_eval(mq, r0, ell) or not _gf_eval(dq, r0, ell):
                 continue
-            if pow(_eval_mod(aq, r0, ell) * inv, (ell - 1) // 2, ell) == ell - 1:
+            if pow(_gf_eval(aq, r0, ell) * inv, (ell - 1) // 2, ell) == ell - 1:
                 return ell, r0
     return None
-
-
-def _eval_mod(coeffs, x: int, p: int) -> int:
-    """sum(coeffs[i] * x**i) mod p."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,15 @@ variable: a tuple of UniPolys in the first, one per power of the second
 with UniPoly's integer arithmetic.  Everything here is deterministic and
 exact; no floating point.
 
-The module also holds the arithmetic on integer coefficient lists modulo p
-(the _gf_* helpers), shared by the modular coprimality test of poly_gcd and
-by the factoring code.  This module builds no matrices: cvtk.numfield builds
-the integer multiplication matrices of field elements, and cvtk.factor the
-Frobenius matrices of its distinct-degree split.
+Every reduction of one polynomial by another over Z or Z[t] runs the one
+pseudo-division kernel _pseudo_divmod: UniPoly and BiPoly division, the
+subresultant PRS of resultant, resultant_in and poly_gcd, and cvtk.numfield's
+field products and multiplication matrices.  Over GF(p) the kernel is
+_gf_divmod, one of the _gf_* helpers on int lists modulo p shared by
+poly_gcd's coprimality test, the factoring code and the non-square witness.
+This module builds no matrices: cvtk.numfield builds the integer
+multiplication matrices of field elements, and cvtk.factor the Frobenius
+matrices of its distinct-degree split.
 """
 
 from __future__ import annotations
@@ -44,6 +48,14 @@ def frac_str(c) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
+
+
+def _exact_div(x, y):
+    """x / y for ints or UniPolys, raising when y does not divide x."""
+    q, r = divmod(x, y)
+    if r:
+        raise ExactArithError("inexact division")
+    return q
 
 
 class UniPoly:
@@ -194,43 +206,21 @@ class UniPoly:
         return out
 
     def __divmod__(self, other: "UniPoly"):
-        """Integer pseudo-division: with c = lc(b.num) and e = deg a - deg b + 1,
-        c**e * a.num = Q * b.num + R in ints, so a = (Q * b.den) * b + R over
-        the one denominator c**e * a.den."""
+        """Integer pseudo-division (_pseudo_divmod) of the numerators: with
+        c = lc(b.num) and e = deg a - deg b + 1, c**e * a.num = Q * b.num + R,
+        so a = (Q * b.den) * b + R over the one denominator c**e * a.den."""
         if not isinstance(other, UniPoly) or other.is_zero:
             raise ExactArithError("division by zero polynomial")
         self._check(other)
-        if self.degree < other.degree:
-            return UniPoly.zero(self.var), self
-        b = other.num
-        db = len(b) - 1
-        c = b[-1]
-        low = b[:db]
-        r = list(self.num)
-        e = len(r) - db
-        q = [0] * e
-        for k in range(e - 1, -1, -1):
-            t = r.pop()
-            if c != 1:
-                q = [c * x for x in q]
-                r = [c * x for x in r]
-            q[k] = t
-            if t:
-                r[k:] = [s - t * y for s, y in zip(r[k:], low)]
-        den = c ** e * self.den
-        return (
-            UniPoly.from_ints([x * other.den for x in q], den, self.var),
-            UniPoly.from_ints(r, den, self.var),
-        )
+        q, r = _pseudo_divmod(self.num, other.num)
+        den = other.num[-1] ** len(q) * self.den
+        return (UniPoly.from_ints([x * other.den for x in q], den, self.var),
+                UniPoly.from_ints(r, den, self.var))
 
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ExactArithError("inexact polynomial division")
-        return q
+    exact_div = _exact_div
 
     def derivative(self) -> "UniPoly":
         return UniPoly.from_ints(
@@ -527,30 +517,15 @@ class BiPoly:
         return self * (1 / self.content())
 
     def divmod_in(self, other: "BiPoly", var: str):
-        """Long division in `var`; the divisor's leading coefficient in `var`
-        must divide exactly at every step (it is monic wherever this is used)."""
+        """Long division in `var` by a divisor monic in `var`: (q, r) with
+        self = q * other + r and deg_var r < deg_var other."""
         self._check(other)
-        A = self.coeff_list_in(var)
         B = other.coeff_list_in(var)
-        if not B:
-            raise ExactArithError("division by zero polynomial")
-        db = len(B) - 1
-        lead = B[-1]
-        q = [UniPoly.zero(lead.var) for _ in range(max(len(A) - db, 0))]
-        r = list(A)
-        while len(r) - 1 >= db:
-            while r and r[-1].is_zero:
-                r.pop()
-            if len(r) - 1 < db:
-                break
-            k = len(r) - 1 - db
-            c = r[-1].exact_div(lead)
-            q[k] = c
-            for i, bc in enumerate(B):
-                r[i + k] = r[i + k] - c * bc
-        qp = BiPoly.from_coeff_list(q, var, self.vars)
-        rp = BiPoly.from_coeff_list(r, var, self.vars)
-        return qp, rp
+        if not B or B[-1] != 1:
+            raise ExactArithError(f"divisor is not monic in {var}")
+        q, r = _pseudo_divmod(self.coeff_list_in(var), B)
+        return (BiPoly.from_coeff_list(q, var, self.vars),
+                BiPoly.from_coeff_list(r, var, self.vars))
 
     def __str__(self) -> str:
         if not self.rows:
@@ -601,7 +576,7 @@ def _transpose(polys, var: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# GF(p) arithmetic on ascending int lists
+# Ascending coefficient lists: the pseudo-division kernel and GF(p) arithmetic
 # ---------------------------------------------------------------------------
 
 
@@ -616,15 +591,11 @@ def _gf_red(a, p):
 
 
 def _gf_add(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
+    return _gf_red([x + y for x, y in zip_longest(a, b, fillvalue=0)], p)
 
 
 def _gf_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
+    return _gf_red([x - y for x, y in zip_longest(a, b, fillvalue=0)], p)
 
 
 def _conv(a, b):
@@ -641,6 +612,30 @@ def _conv(a, b):
 
 def _gf_mul(a, b, p):
     return _trim([c % p for c in _conv(a, b)])
+
+
+def _pseudo_divmod(a, b):
+    """(q, r) with c**e * a = q * b + r and deg r < deg b, for coefficient
+    lists over an integral domain (ints, or UniPolys as BiPoly coefficients),
+    c = b[-1] and e = len(a) - len(b) + 1 (Knuth, TAOCP 2, 4.6.1, Algorithm R).
+    r is the low len(b) - 1 entries, untrimmed, or a itself when e <= 0 (then
+    q = []).  With c == 1 it is long division, exact over any ring."""
+    db = len(b) - 1
+    c = b[-1]
+    scale = c != 1
+    low = b[:db]
+    r = list(a)
+    e = len(r) - db
+    q = [0] * max(e, 0)
+    for k in range(e - 1, -1, -1):
+        t = r.pop()
+        if scale:
+            q[k + 1:] = [c * x for x in q[k + 1:]]
+            r = [c * x for x in r]
+        q[k] = t
+        if t:
+            r[k:] = [s - t * y for s, y in zip(r[k:], low)]
+    return q, r
 
 
 def _gf_divmod(a, b, p):
@@ -691,6 +686,14 @@ def _gf_gcdex(a, b, p):
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
+def _gf_eval(a, x: int, p: int) -> int:
+    """sum(a[i] * x**i) mod p."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def _gf_deriv(a, p):
     return _trim([k * c % p for k, c in enumerate(a)][1:])
 
@@ -714,26 +717,6 @@ def _gf_pow_mod(a, e, mod, p):
 
 def _deg(a) -> int:
     return len(a) - 1
-
-
-def _prem(a, b):
-    """Pseudo-remainder rem(lc(b)**(deg a - deg b + 1) * a, b), ring ops only."""
-    db = _deg(b)
-    d = b[-1]
-    r = list(a)
-    e = _deg(a) - db + 1
-    while r and _deg(r) >= db:
-        lead = r[-1]
-        k = _deg(r) - db
-        r = [d * c for c in r]
-        for i, bc in enumerate(b):
-            r[i + k] = r[i + k] - lead * bc
-        _trim(r)
-        e -= 1
-    if e > 0:
-        de = d ** e
-        r = [de * c for c in r]
-    return r
 
 
 def _prs_resultant(A, B, one, exact_div):
@@ -762,7 +745,7 @@ def _prs_resultant(A, B, one, exact_div):
         delta = da - db
         if (da % 2) and (db % 2):
             s = -s
-        r = _prem(a, b)
+        r = _trim(_pseudo_divmod(a, b)[1])
         if not r:
             return one * 0
         divisor = g * h ** delta
@@ -778,26 +761,18 @@ def _prs_resultant(A, B, one, exact_div):
 
 
 def resultant(p: UniPoly, q: UniPoly) -> Fraction:
-    """res(p, q) over Q; zero iff p and q share a root."""
-    if p.is_zero or q.is_zero:
-        raise ExactArithError("resultant of zero polynomial")
+    """res(p, q) over Q; zero iff p and q share a root.  The PRS runs on the
+    integer numerators: res(P/dp, Q/dq) = res(P, Q) / (dp**deg Q * dq**deg P)."""
     p._check(q)
-    return _prs_resultant(list(p.coeffs), list(q.coeffs), Fraction(1),
-                          lambda x, y: x / y)
+    res = _prs_resultant(p.num, q.num, 1, _exact_div)
+    return Fraction(res, p.den ** q.degree * q.den ** p.degree)
 
 
 def resultant_in(p: BiPoly, q: BiPoly, var: str) -> UniPoly:
     """Eliminate `var` from two bivariate polynomials; UniPoly in the other."""
     p._check(q)
-    ax = p._axis(var)
-    other = p.vars[1 - ax]
-    A = p.coeff_list_in(var)
-    B = q.coeff_list_in(var)
-    if not A or not B:
-        raise ExactArithError("resultant of zero polynomial")
-    one = UniPoly.const(1, other)
-    res = _prs_resultant(A, B, one, lambda x, y: x.exact_div(y))
-    return res if isinstance(res, UniPoly) else UniPoly.const(res, other)
+    one = UniPoly.const(1, p.vars[1 - p._axis(var)])
+    return _prs_resultant(p.coeff_list_in(var), q.coeff_list_in(var), one, _exact_div)
 
 
 # Primes below 2^30, so that every residue is one CPython digit.
@@ -826,5 +801,5 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero:
-        a, b = b, UniPoly.from_ints(_prem(a.num, b.num), 1, var).primitive()
+        a, b = b, UniPoly.from_ints(_pseudo_divmod(a.num, b.num)[1], 1, var).primitive()
     return a.monic()

@@ -147,6 +147,34 @@ def test_malformed_fixture_file_exits_two(tmp_path, capsys, fault):
     assert err.count("\n") == 1
 
 
+ILL_TYPED_FIXTURES = (
+    ("key-differs-from-n", lambda o: o["2"].update(n=7), "entry 2 has n = 7"),
+    ("n-not-an-int", lambda o: o["2"].update(n=2.5), "entry 2 has n = 2.5"),
+    ("zero-denominator", lambda o: o["2"]["r_poly"]["coeffs"].__setitem__(0, "1/0"), "Fraction(1, 0)"),
+    ("var-not-a-string", lambda o: o["2"]["r_poly"].update(var=5), "variable names"),
+    ("vars-not-strings", lambda o: o["2"]["X0"].update(vars=[1, 2]), "variable names"),
+    ("bezout-too-short", lambda o: o["3"]["bezout"].pop(), "is not three ints"),
+    ("bezout-not-ints", lambda o: o["3"]["bezout"].__setitem__(0, "84"), "is not three ints"),
+)
+
+
+@pytest.mark.parametrize("label,mutate,fault", ILL_TYPED_FIXTURES,
+                         ids=[c[0] for c in ILL_TYPED_FIXTURES])
+def test_ill_typed_fixture_file_exits_two(tmp_path, capsys, label, mutate, fault):
+    """A fixture under the wrong key, with a variable name that is not a
+    string, a bezout that is not three ints or a zero denominator is a usage
+    error, not a failed paper check or an internal error."""
+    obj = fixtures_to_json(default_fixtures())
+    mutate(obj)
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify-paper", "--fixtures", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: malformed fixture file {path}: ")
+    assert fault in err and err.count("\n") == 1
+
+
 def test_rep_numeric_failure_is_internal(monkeypatch, capsys):
     """A determinant that drifts from 1 is an internal error, not a usage
     error; a zero mu is still the caller's ValueError."""

@@ -78,7 +78,19 @@ def test_inverse_random_property():
             assert (a / a) == k.one()
 
 
+def _to_sympy(sympy, p: UniPoly):
+    r = sympy.Symbol(p.var)
+    return sympy.Poly(list(reversed(p.num)) or [0], r, domain="QQ") * sympy.Rational(1, p.den)
+
+
+def _sympy_coords(poly, k):
+    """Power-basis coordinates of a sympy polynomial of degree below k."""
+    cs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())] if poly else []
+    return tuple(cs + [Fraction(0)] * (k - len(cs)))
+
+
 def test_power_basis_reduction_matches_polynomials():
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(52)
     m = R ** 4 - 2 * R ** 3 + 3
     k = NumberField(m)
@@ -87,7 +99,25 @@ def test_power_basis_reduction_matches_polynomials():
         pb = UniPoly([rng.randint(-4, 4) for _ in range(6)], "r")
         a, b = k.from_poly(pa), k.from_poly(pb)
         assert a * b == k.from_poly(pa * pb)
+        # an oracle that shares no code with the field product
+        want = sympy.rem(_to_sympy(sympy, pa * pb), _to_sympy(sympy, m))
+        assert (a * b).coeffs == _sympy_coords(want, k.degree)
         assert a + b == k.from_poly(pa + pb)
+
+
+def test_multiplication_matrix_columns_match_sympy_rem():
+    """Column i of multiplication_matrix(a) is rem(D*a*r^i, m), for an
+    element of the n = 3 and n = 5 locus fields."""
+    sympy = pytest.importorskip("sympy")
+    for n in (3, 5):
+        locus = intersection_loci(n)[0]
+        a = locus.x_squared + locus.r_elem
+        m = _to_sympy(sympy, locus.modulus)
+        d, rows = multiplication_matrix(a)
+        assert d == a.den and len(rows) == locus.modulus.degree
+        for i, col in enumerate(zip(*rows)):
+            want = sympy.rem(_to_sympy(sympy, UniPoly.from_ints(a.num, 1, "r") * R ** i), m)
+            assert tuple(map(Fraction, col)) == _sympy_coords(want, len(rows))
 
 
 def test_equal_elements_hash_equal():

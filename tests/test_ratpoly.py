@@ -4,6 +4,7 @@ from math import gcd as _math_gcd
 
 import pytest
 
+from cvtk import ratpoly
 from cvtk.ratpoly import (
     BiPoly,
     ExactArithError,
@@ -264,9 +265,9 @@ def test_gcd_matches_sympy_oracle(monkeypatch):
         c = rand_poly(rng, rng.randint(1, 3))
         check(a * c, b * c)
 
-    good = ratpoly._prem
+    good = ratpoly._pseudo_divmod
     prems = []
-    monkeypatch.setattr(ratpoly, "_prem", lambda a, b: prems.append(1) or good(a, b))
+    monkeypatch.setattr(ratpoly, "_pseudo_divmod", lambda a, b: prems.append(1) or good(a, b))
     pr = ratpoly._CERT_PRIMES[0]
     x = UniPoly.gen("u")
     a, b = (x - 1) * (x + 2), (x - 1 - pr) * (x + 3)
@@ -389,6 +390,54 @@ def test_bipoly_divmod():
     q, rem = num.divmod_in(r - t, "r")
     assert rem.is_zero
     assert q * (r - t) == num
+
+
+def test_pseudo_divmod_matches_sympy_pdiv():
+    """The kernel on int lists and on lists of UniPolys in t, against
+    sympy.pdiv over ZZ and over ZZ[t]; c**e * a = q * b + r with e fixed by
+    the degrees, so the quotient and remainder are unique."""
+    sympy = pytest.importorskip("sympy")
+    x, t = sympy.symbols("x t")
+    rng = random.Random(61)
+
+    def from_ints(cs):
+        return sympy.Poly(sum(c * x ** i for i, c in enumerate(cs)), x, domain="ZZ")
+
+    def from_unis(ps):
+        terms = (sum(c * t ** j for j, c in enumerate(p.num)) * x ** i for i, p in enumerate(ps))
+        return sympy.Poly(sum(terms), x, domain="ZZ[t]")
+
+    for _ in range(60):
+        b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+        b[-1] = rng.choice([1, -1, 2, -3, 6, 35])
+        # e counts from len(a), sympy from deg a: no trailing zero; deg a < deg b too
+        a = ratpoly._trim([rng.randint(-9, 9) for _ in range(rng.randint(0, 8))])
+        q, r = ratpoly._pseudo_divmod(a, b)
+        assert len(r) == (len(b) - 1 if len(a) >= len(b) else len(a))
+        Qw, Rw = sympy.pdiv(from_ints(a), from_ints(b))
+        assert (from_ints(q), from_ints(r)) == (Qw, Rw)
+
+    def rand_uni():
+        return UniPoly.from_ints([rng.randint(-5, 5) for _ in range(rng.randint(0, 3))], 1, "t")
+
+    for _ in range(25):
+        b = [rand_uni() for _ in range(rng.randint(1, 4))]
+        b[-1] = rng.choice([UniPoly.const(1, "t"), UniPoly.from_ints([1, 2], 1, "t"),
+                            UniPoly.from_ints([-3, 0, 2], 1, "t")])
+        a = ratpoly._trim([rand_uni() for _ in range(rng.randint(0, 6))])
+        q, r = ratpoly._pseudo_divmod(a, b)
+        Qw, Rw = sympy.pdiv(from_unis(a), from_unis(b))
+        assert (from_unis(q), from_unis(r)) == (Qw, Rw)
+
+
+def test_bipoly_divmod_needs_a_monic_divisor():
+    vs = ("r", "t")
+    r = BiPoly.gen("r", vs)
+    t = BiPoly.gen("t", vs)
+    num = r ** 3 * t - r * t ** 3 + r - t
+    for d in (2 * r - t, t * r + 1, BiPoly.const(0, vs)):
+        with pytest.raises(ExactArithError, match="not monic in r"):
+            num.divmod_in(d, "r")
 
 
 def test_bipoly_primitive_sign():
