@@ -105,14 +105,15 @@ def identity_checks(j: int) -> dict:
     gj = g_poly(j)
     gjp = g_poly(j + 1)
     Gj = G_poly(j)
-    diff = Gj - fj * fj
+    fj2 = fj * fj
+    diff = Gj - fj2
     return {
         "shifted-trace": (u + 2) * Gj == f_poly(2 * j) + 2 * j,
-        "double-index": f_poly(2 * j) == u * fj * fj - 2 * fj * fjm,
+        "double-index": f_poly(2 * j) == u * fj2 - 2 * fj * fjm,
         "value-at-two": fj(Fraction(2)) == j,
         "f-squarefree": poly_gcd(fj, fj.derivative()).degree == 0,
         "G-f-coprime": poly_gcd(Gj, fj).degree == 0,
-        "f-wronskian": fj * fj - fjm * fjp == UniPoly.const(1),
+        "f-wronskian": fj2 - fjm * fjp == UniPoly.const(1),
         "g-wronskian": fj * gj - fjm * gjp == UniPoly.const(1),
         "mod-two": diff.den == 1 and all(c % 2 == 0 for c in diff.num),
         "G-squarefree": poly_gcd(Gj, Gj.derivative()).degree == 0,

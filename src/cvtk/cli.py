@@ -33,6 +33,7 @@ from .knotgrp import (
     mu_from_x,
     numeric_rep,
     relator_residual,
+    relator_tolerance,
     sorted_complex,
     standard_relator,
     two_bridge_word,
@@ -49,6 +50,8 @@ from .verify import (
     run_property_checks,
 )
 
+# Floor of the relator tolerance of `rep`; a long word gets the larger
+# rounding scale of knotgrp.relator_tolerance.
 RELATOR_TOL = 1e-9
 
 # Largest value each integer argument accepts, so that a run ends within about
@@ -177,21 +180,24 @@ def cmd_rep(args) -> int:
     fam = family_words(args.n)
     p = 4 * args.n * args.n - 1
     q = p - 2 * args.n
-    res_family = relator_residual(rep, fam.relator)
-    res_standard = relator_residual(rep, standard_relator(p, q))
+    relators = (("family", fam.relator), (f"two-bridge ({p}, {q})", standard_relator(p, q)))
+    verdicts = []
+    for name, word in relators:
+        tol = relator_tolerance(rep, word, RELATOR_TOL)
+        verdicts.append((name, tol, relator_residual(rep, word) < tol))
     print(f"n: {args.n}  locus: {args.locus}  root: {args.root}")
     print(f"modulus: {locus.modulus}")
     print(f"r0 ~ {complex_str(r0)}")
     print(f"x0 ~ {complex_str(x0)}")
     print(f"mu ~ {complex_str(mu)}")
-    for name, res in (("family", res_family), (f"two-bridge ({p}, {q})", res_standard)):
-        print(f"{name} relator residual < {RELATOR_TOL:g}: {'yes' if res < RELATOR_TOL else 'no'}")
+    for name, tol, ok in verdicts:
+        print(f"{name} relator residual < {tol:g}: {'yes' if ok else 'no'}")
     print(f"tr(a) ~ {complex_str(mat_trace(rep.A))}")
     print(f"tr(a b^-1) ~ {complex_str(r0)}")
     print(f"tr(s1) ~ {complex_str(mat_trace(word_eval(rep, fam.s1)))}")
     print(f"tr(s2) ~ {complex_str(mat_trace(word_eval(rep, fam.s2)))}")
     print(f"tr(longitude) ~ {complex_str(mat_trace(word_eval(rep, fam.longitude)))}")
-    if res_family >= RELATOR_TOL or res_standard >= RELATOR_TOL:
+    if not all(ok for _, _, ok in verdicts):
         print("relator residual exceeds tolerance", file=sys.stderr)
         return 1
     return 0

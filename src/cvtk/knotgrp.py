@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import ceil, exp, gcd, hypot, inf, isqrt, log, log2, pi
+from math import ceil, exp, gcd, hypot, inf, isqrt, log, log2, pi, sqrt
 
 from .cheb import require_family_index
 from .ratpoly import ExactArithError, UniPoly
@@ -78,10 +78,7 @@ class FreeWord:
     def __pow__(self, k: int) -> "FreeWord":
         if k < 0:
             return self.inverse() ** (-k)
-        out = FreeWord("")
-        for _ in range(k):
-            out = out * self
-        return out
+        return FreeWord(self.letters * k)
 
     def exponent_sum(self, generator: str) -> int:
         if generator not in ("a", "b"):
@@ -238,6 +235,30 @@ def relation_residual(rep: NumericRep, left: FreeWord, right: FreeWord) -> float
 def relator_residual(rep: NumericRep, relator: FreeWord) -> float:
     """Distance of the evaluated relator from the identity matrix."""
     return mat_diff_norm(word_eval(rep, relator), MAT_ID)
+
+
+def relator_tolerance(rep: NumericRep, word: FreeWord, floor: float) -> float:
+    """Largest relator residual that float rounding explains, at least floor.
+
+    Each letter of the left-to-right product rounds every entry of the new
+    partial product by at most 2 (1 + sqrt 5) u P M, where u = 2**-53, P is
+    the largest partial-product entry and M the largest letter entry: two
+    complex products of error sqrt(5) u each (Brent, Percival and Zimmermann
+    2007) and one addition.  Summed over the letters of the word, that is a
+    first-order error scale for the evaluated word, which grows with the word
+    length and with the entries the partial products reach, as an absolute
+    tolerance cannot.
+    """
+    table = rep.letter_matrices()
+    letters = FreeWord(word).letters
+    lam = max((abs(x) for ch in set(letters) for row in table[ch] for x in row), default=0.0)
+    out = MAT_ID
+    top = 1.0
+    for ch in letters:
+        out = mat_mul(out, table[ch])
+        (a, b), (c, d) = out
+        top = max(top, abs(a), abs(b), abs(c), abs(d))
+    return max(floor, 2 * (1 + sqrt(5)) * len(letters) * 2.0 ** -53 * top * lam)
 
 
 def mu_from_x(x: complex, branch: int = 1) -> complex:

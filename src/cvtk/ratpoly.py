@@ -11,12 +11,21 @@ variable: a tuple of UniPolys in the first, one per power of the second
 with UniPoly's integer arithmetic.  Everything here is deterministic and
 exact; no floating point.
 
+Every product of two int coefficient lists runs _conv: UniPoly and BiPoly
+row products, cvtk.numfield's field products and _gf_mul.  It has two
+paths, chosen from operand lengths, nonzero counts and bit lengths only:
+long dense operands of comparable coefficient size take one bignum product
+by Kronecker substitution, and the rest a row loop that skips zero entries.
+
 Every reduction of one polynomial by another over Z or Z[t] runs the one
 pseudo-division kernel _pseudo_divmod: UniPoly and BiPoly division, the
 subresultant PRS of resultant, resultant_in and poly_gcd, and cvtk.numfield's
 field products and multiplication matrices.  Over GF(p) the kernel is
 _gf_divmod, one of the _gf_* helpers on int lists modulo p shared by
 poly_gcd's coprimality test, the factoring code and the non-square witness.
+A quotient of one or two terms, each step of a Euclidean remainder sequence
+that lowers the degree by one, takes one pass over the dividend; a longer
+quotient takes one row update per term.
 This module builds no matrices: cvtk.numfield builds the integer
 multiplication matrices of field elements, and cvtk.factor the Frobenius
 matrices of its distinct-degree split.
@@ -598,16 +607,73 @@ def _gf_sub(a, b, p):
     return _gf_red([x - y for x, y in zip_longest(a, b, fillvalue=0)], p)
 
 
+# Fewest nonzero entries in each operand for which _conv packs the product.
+_KRONECKER_MIN_TERMS = 8
+
+
 def _conv(a, b):
-    """Product of two ascending int coefficient lists."""
+    """Product of two ascending int coefficient lists (or tuples).
+
+    Long dense operands of comparable size take one CPython bignum product by
+    Kronecker substitution (_conv_kronecker): both need at least
+    _KRONECKER_MIN_TERMS nonzero entries, and the larger of their coefficient
+    bit lengths may exceed four times the smaller by at most 64 bits.  Every
+    other pair takes the row loop (_conv_rows), which skips zero entries and
+    wins on short, sparse or unbalanced operands, where a packed slot sized
+    for the larger coefficients would mostly carry zero bits."""
     if not a or not b:
         return []
+    if (len(a) >= _KRONECKER_MIN_TERMS and len(b) >= _KRONECKER_MIN_TERMS
+            and len(a) - a.count(0) >= _KRONECKER_MIN_TERMS
+            and len(b) - b.count(0) >= _KRONECKER_MIN_TERMS):
+        ba = max(max(a), -min(a)).bit_length()
+        bb = max(max(b), -min(b)).bit_length()
+        if ba <= 4 * bb + 64 and bb <= 4 * ba + 64:
+            return _conv_kronecker(a, b, ba + bb)
+    return _conv_rows(a, b)
+
+
+def _conv_rows(a, b):
+    """Schoolbook product: one row update per nonzero entry of the shorter
+    operand."""
+    if len(a) > len(b):
+        a, b = b, a
     lb = len(b)
     out = [0] * (len(a) + lb - 1)
     for i, x in enumerate(a):
         if x:
             out[i:i + lb] = [s + x * y for s, y in zip(out[i:i + lb], b)]
     return out
+
+
+def _conv_kronecker(a, b, bits):
+    """Product by Kronecker substitution (von zur Gathen and Gerhard, 8.4),
+    for nonempty a and b whose coefficients' bit lengths sum to at most bits.
+
+    Each operand becomes one int, its entries in byte-aligned signed slots of
+    w bits, so a * b is one bignum product whose slot k holds the k-th
+    product coefficient.  |c_k| < min(len a, len b) * 2**bits, so w =
+    bits + bits(min len) + 1 rounded up to bytes holds every c_k as a signed
+    slot.  Adding 2**(w - 1) to every slot makes them all nonnegative, so the
+    slots are read back with no borrow."""
+    n = len(a) + len(b) - 1
+    wb = (bits + min(len(a), len(b)).bit_length() + 8) // 8
+    bias = int.from_bytes((bytes(wb - 1) + b"\x80") * n, "little")
+    raw = (_kronecker_pack(a, wb) * _kronecker_pack(b, wb) + bias).to_bytes(n * wb, "little")
+    half = 1 << (8 * wb - 1)
+    return [int.from_bytes(raw[i:i + wb], "little") - half for i in range(0, n * wb, wb)]
+
+
+def _kronecker_pack(a, wb):
+    """sum(a[i] * 2**(8 * wb * i)) for ints |a[i]| < 2**(8 * wb - 1).  A
+    negative entry's two's-complement slot reads 2**(8 * wb) too high, which
+    is one unit in the next slot up, taken off after the read."""
+    packed = int.from_bytes(b"".join(x.to_bytes(wb, "little", signed=True) for x in a), "little")
+    if min(a) >= 0:
+        return packed
+    one, zero = (1).to_bytes(wb, "little"), bytes(wb)
+    carries = int.from_bytes(b"".join(one if x < 0 else zero for x in a), "little")
+    return packed - (carries << 8 * wb)
 
 
 def _gf_mul(a, b, p):
@@ -641,14 +707,27 @@ def _pseudo_divmod(a, b):
 def _gf_divmod(a, b, p):
     """Quotient and remainder mod p.  p may also be a prime power, as in
     Hensel lifting: pow(lc, -1, p) inverts any unit modulo it, and a monic b
-    needs no inverse.  Entries of the running remainder are reduced only
+    needs no inverse.
+
+    A quotient of one or two terms, the usual step of a Euclidean remainder
+    sequence, is read off the top two coefficients of a, and the remainder
+    a - (c1*x + c0)*b is built reduced in one pass over a.  A longer quotient
+    (Frobenius columns, Hensel lifting, exact divisions by a factor) takes
+    one row update per quotient term, reducing the running remainder only
     once, at the end."""
     db = len(b) - 1
     inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
+    e = len(a) - db
+    if 1 <= e <= 2 and db:
+        c1 = a[-1] * inv % p if e == 2 else 0
+        c0 = (a[db] - c1 * b[db - 1]) * inv % p
+        r = [(a[0] - c0 * b[0]) % p]
+        r += [(x - c1 * y - c0 * z) % p for x, y, z in zip(a[1:db], b, b[1:db])]
+        return _trim([c0, c1][:e]), _trim(r)
     r = list(a)
-    q = [0] * max(len(r) - db, 0)
+    q = [0] * max(e, 0)
     low = b[:db]
-    for k in range(len(q) - 1, -1, -1):
+    for k in range(e - 1, -1, -1):
         c = r[k + db] * inv % p
         if c:
             q[k] = c

@@ -323,8 +323,12 @@ def test_integral_meridian_is_a_verification_failure(monkeypatch, capsys):
 # in place of four digits of float rounding noise, which moved with any
 # reordering of float operations. The rep --n 8 and --n 12 pins were recorded
 # while rep root-found the modulus for x alone, before it read its points off
-# the intersection report. The printed output must stay byte-identical under
-# refactors.
+# the intersection report. The cheb --j 60 and variety --n 10 pins were
+# recorded while every product ran the row loop: G_60's products and the
+# dense X-model products at n = 8 take the packed product, and n = 10 is the
+# first X model whose dense products of unbalanced bit lengths stay on the
+# row loop, so both sides of ratpoly._conv's gate are pinned byte for byte.
+# The printed output must stay byte-identical under refactors.
 OUTPUT_SHA256 = {
     "intersect --n 2": "84c4c0cdd549437ddc247d4401e1679db4a0910ac88b08b54677c2bf3c993403",
     "intersect --n 3": "e0b7681188a2da39e9d421d3d323ba3ce5802585ada5fa81051115ca2537a1c2",
@@ -357,6 +361,7 @@ OUTPUT_SHA256 = {
     "cheb --kind G --j 5 --format json": "2ca4ac9a6f66ce446fee21407bfe2668bd48c58e6d6d3b3d364e42cbe326df1c",
     "cheb --kind G --j 30 --format pretty": "6b26ef1f9db4bfe273fe24ca47a6545b35526ec7ff2e88c41fac167d646f828e",
     "cheb --kind G --j 30 --format json": "4cbc4dbe9974274d389320f503d51d0e2890a75f000abf851fe1360405b21676",
+    "cheb --kind G --j 60 --format json": "9bf3bc19cc5a0db9d613eb5492aec0d13d952e79888bcd0b3e7b3920c41fa713",
     "variety --n 2 --model X --format pretty": "65371040c774775017fa07bd9e87dbc2871e151f2f74077f47bbdf2bc0af03f7",
     "variety --n 2 --model D --split --format pretty": "66ae60431640abb31d79e155fff8adcc2b88cf1ad10b11d86f2eee39107a90f4",
     "variety --n 2 --model X --format json": "d6b4a42d8b39fda7fd22ad3ee37efe824ff0b4c42390578908b6012b3ecc7c6d",
@@ -373,6 +378,7 @@ OUTPUT_SHA256 = {
     "variety --n 6 --model X --format json": "0a6756d64e566f70acc2bbe26591ba92399d1f6447344e67ec4b7eaacaa64fd2",
     "variety --n 8 --model X --format pretty": "ac8ae63147253c4e8ef219feb4d4adeabf2d3d1821fa2d6f1254f79c557d3175",
     "variety --n 8 --model X --format json": "88244dc4985b150262f17b33c08ed4080fed06f64ed926b5515adefbe17c39ce",
+    "variety --n 10 --model X --format json": "d196c49fc9600692856f9e3ba18befcb2edab4bc6e625d0046178fcaf452280d",
 }
 
 

@@ -31,6 +31,7 @@ from cvtk.knotgrp import (
     numeric_rep,
     relation_residual,
     relator_residual,
+    relator_tolerance,
     standard_relator,
     two_bridge_word,
     word_eval,
@@ -378,6 +379,40 @@ def test_rep_command_at_every_point(capsys):
                 assert abs(_parse_complex(printed["x0"]) - x0) < 1e-9
                 assert [line for line in out if "residual" in line] == verdicts
         assert next(expected, None) is None
+
+
+def test_relator_tolerance_scales_with_the_word():
+    """The tolerance is the floor on short words and grows with the word:
+    400 copies of the n = 4 family relator (50,402 letters once reduced,
+    longer than the n = 64 relator) get a tolerance above the 1e-9 floor
+    that their residual stays below, while r0 moved by 1e-3 still fails on
+    the one relator and on the long word."""
+    n = 4
+    fam = family_words(n)
+    r0, x0, _ = build_intersection_report(n).loci[0].points[0]
+    rep = numeric_rep(n, mu_from_x(x0), r0)
+    word = fam.relator ** 400
+    short = relator_tolerance(rep, fam.relator, 0.0)
+    assert short < 1e-11 and relator_tolerance(rep, fam.relator, 1e-9) == 1e-9
+    tol = relator_tolerance(rep, word, 1e-9)
+    # the copies' partial products repeat, so only the length moves the scale
+    assert tol == pytest.approx(len(word) / len(fam.relator) * short, rel=1e-9)
+    assert tol > 1e-9 and relator_residual(rep, word) < tol
+    bad = numeric_rep(n, mu_from_x(x0), r0 + 1e-3)
+    assert relator_residual(bad, fam.relator) >= relator_tolerance(bad, fam.relator, 1e-9)
+    assert relator_residual(bad, word) >= relator_tolerance(bad, word, 1e-9)
+
+
+def test_rep_prints_the_tolerance_it_applied(monkeypatch, capsys):
+    from cvtk import cli
+
+    monkeypatch.setattr(cli, "relator_tolerance", lambda rep, word, floor: 2.5e-9)
+    assert main(["rep", "--n", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "family relator residual < 2.5e-09: yes" in out
+    monkeypatch.setattr(cli, "relator_tolerance", lambda rep, word, floor: 0.0)
+    assert main(["rep", "--n", "2"]) == 1
+    assert "family relator residual < 0: no" in capsys.readouterr().out
 
 
 def test_longitude_is_identity_off_word_evaluation_sanity():

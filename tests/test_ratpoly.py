@@ -14,6 +14,7 @@ from cvtk.ratpoly import (
     resultant,
     resultant_in,
 )
+from cvtk.ratpoly import _trim
 
 
 def P(*coeffs, var="u"):
@@ -276,6 +277,147 @@ def test_gcd_matches_sympy_oracle(monkeypatch):
     prems.clear()
     check(a, (x - 2) * (x + 3))  # certified coprime modulo the first prime
     assert not prems
+
+
+# -- int-list kernels: products and GF(p) division -----------------------------
+
+
+def _kernel_operand(rng, length, bits, zeros):
+    """A random signed int list whose entries are 0 with probability zeros."""
+    top = 1 << bits
+    return [0 if rng.random() < zeros else rng.randint(-top, top) for _ in range(length)]
+
+
+def _takes_kronecker(a, b):
+    """The gate _conv documents, restated: both operands with at least
+    _KRONECKER_MIN_TERMS nonzero entries and coefficient bit lengths within
+    four times (+64 bits) of each other."""
+    k = ratpoly._KRONECKER_MIN_TERMS
+    if sum(1 for x in a if x) < k or sum(1 for x in b if x) < k:
+        return False
+    ba = max(abs(x) for x in a).bit_length()
+    bb = max(abs(x) for x in b).bit_length()
+    return ba <= 4 * bb + 64 and bb <= 4 * ba + 64
+
+
+def test_conv_matches_row_loop_and_sympy():
+    """_conv against the schoolbook row loop and sympy's dense product on
+    random signed operands: zero-heavy, unbalanced in bit length or length,
+    lengths 1-200, tuples as in UniPoly.num, coefficients over 1,000 bits,
+    and pairs on both sides of the Kronecker gate."""
+    pytest.importorskip("sympy")
+    from sympy.polys.densearith import dup_mul
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(71)
+    sides = {True: 0, False: 0}
+    for trial in range(300):
+        a = _kernel_operand(rng, rng.randint(1, 200), rng.choice((1, 3, 30, 64, 300, 1100)),
+                            rng.choice((0.0, 0.3, 0.9)))
+        b = _kernel_operand(rng, rng.choice((1, 2, 9, rng.randint(1, 200))),
+                            rng.choice((1, 30, 200, 1024)), rng.choice((0.0, 0.5)))
+        if trial % 2:
+            a, b = tuple(a), tuple(b)
+        got = ratpoly._conv(a, b)
+        assert got == ratpoly._conv_rows(a, b)
+        want = dup_mul([ZZ(c) for c in reversed(a)], [ZZ(c) for c in reversed(b)], ZZ)
+        assert _trim(list(got)) == [int(c) for c in reversed(want)]
+        if any(a) and any(b):
+            sides[_takes_kronecker(a, b)] += 1
+    assert min(sides.values()) >= 40
+    assert ratpoly._conv((), (1, 2)) == [] and ratpoly._conv([3], []) == []
+
+
+def test_conv_kronecker_slots_hold_extreme_coefficients():
+    """The slot width covers the largest product coefficient: all entries at
+    +-(2**bits - 1) with equal and with alternating signs, so every
+    coefficient of the product reaches its bound or cancels."""
+    for bits in (1, 7, 8, 63, 64, 1000):
+        m = (1 << bits) - 1
+        for n in (8, 9, 64):
+            for a, b in (([m] * n, [m] * n), ([-m] * n, [m] * (n + 3)),
+                         ([(-1) ** i * m for i in range(n)], [-m] * n)):
+                assert _takes_kronecker(a, b)
+                assert ratpoly._conv(a, b) == ratpoly._conv_rows(a, b)
+
+
+GF_PRIMES = (2, 7, 13) + ratpoly._CERT_PRIMES
+
+
+def _gf_poly(rng, length, p, monic=False):
+    a = [rng.randrange(p) for _ in range(length)]
+    if length:
+        a[-1] = 1 if monic else rng.randrange(1, p)
+    return a
+
+
+def test_gf_divmod_and_gcd_match_galoistools():
+    """_gf_divmod and _gf_gcd against sympy.polys.galoistools gf_div and
+    gf_gcd at p = 2, 7, 13 and the three certification primes: quotients of
+    one, two and more terms (both paths of _gf_divmod), pairs with a planted
+    common factor, and remainder sequences whose degree drops by more than
+    one."""
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    def down(a):
+        return [ZZ(c) for c in reversed(a)]
+
+    def up(a):
+        return [int(c) for c in reversed(a)]
+
+    rng = random.Random(72)
+    for p in GF_PRIMES:
+        for _ in range(40):
+            b = _gf_poly(rng, rng.randint(1, 40), p)
+            a = _gf_poly(rng, len(b) - 1 + rng.choice((0, 1, 2, 3, 9)), p)
+            q, r = gt.gf_div(down(a), down(b), p, ZZ)
+            assert ratpoly._gf_divmod(a, b, p) == (up(q), up(r))
+            assert ratpoly._gf_gcd(a, b, p) == up(gt.gf_gcd(down(a), down(b), p, ZZ))
+            # a planted common factor c, and a remainder that drops several degrees
+            c = _gf_poly(rng, rng.randint(2, 12), p, monic=True)
+            low = _gf_poly(rng, max(len(b) - rng.randint(2, 6), 0), p)
+            a2 = ratpoly._gf_add(ratpoly._gf_mul(_gf_poly(rng, 3, p), b, p), low, p)
+            for x, y in ((ratpoly._gf_mul(a, c, p), ratpoly._gf_mul(b, c, p)), (a2, b)):
+                want = up(gt.gf_gcd(down(x), down(y), p, ZZ))
+                assert ratpoly._gf_gcd(x, y, p) == want
+                assert ratpoly._gf_divmod(x, y, p) == tuple(
+                    map(up, gt.gf_div(down(x), down(y), p, ZZ)))
+            assert len(ratpoly._gf_gcd(ratpoly._gf_mul(a, c, p), ratpoly._gf_mul(b, c, p), p)) \
+                >= len(c)
+
+
+def test_conv_path_selection_is_pinned(monkeypatch):
+    """Which products take the Kronecker path, counted rather than timed: the
+    index-60 Chebyshev products, the dense products of the n = 8 X model (its
+    row-loop products all have fewer than eight nonzero entries), and at
+    n = 10 the first dense products whose bit lengths are too far apart."""
+    from cvtk.cheb import f_poly
+    from cvtk.variety import x_variety_poly
+
+    fj, fjm = f_poly(60), f_poly(59)
+    calls = []
+    kron, rows = ratpoly._conv_kronecker, ratpoly._conv_rows
+    monkeypatch.setattr(ratpoly, "_conv_kronecker",
+                        lambda a, b, bits: calls.append(("kronecker", a, b)) or kron(a, b, bits))
+    monkeypatch.setattr(ratpoly, "_conv_rows",
+                        lambda a, b: calls.append(("rows", a, b)) or rows(a, b))
+
+    def census():
+        out = {"kronecker": 0, "rows": 0, "rows, dense": 0}
+        for path, a, b in calls:
+            assert (path == "kronecker") == _takes_kronecker(a, b)
+            dense = min(len(a) - a.count(0), len(b) - b.count(0)) >= 8
+            out[path + (", dense" if path == "rows" and dense else "")] += 1
+        calls.clear()
+        return out
+
+    _ = fj * fj, fj * fjm, fj.derivative() * fj
+    assert census() == {"kronecker": 3, "rows": 0, "rows, dense": 0}
+    x_variety_poly(8)
+    assert census() == {"kronecker": 70, "rows": 26, "rows, dense": 0}
+    x_variety_poly(10)
+    assert census() == {"kronecker": 84, "rows": 30, "rows, dense": 24}
 
 
 # -- resultants ---------------------------------------------------------------
