@@ -6,10 +6,11 @@ g_j = f_j - f_{j-1} has degree j-1 (monic), and the Wronskian-like
 G_j = g_{j+1}'*g_j - g_{j+1}*g_j' is monic of degree 2j-2; its roots are the
 r-coordinates where the two components of the character variety meet.
 
-f_poly(j) is the polynomial itself.  Where the values f_j(u) at one point u
-are wanted for several j, f_values runs the same recurrence once at u, in
-u's own ring, and gives all of them at the cost of one product each; that is
-how the trace calculus and the X model form their f_j values.
+Where the values f_j(u) at one point u are wanted for several j, f_values
+runs the recurrence once at u, in u's own ring, and gives all of them at the
+cost of one product each; that is how the trace calculus and the X model
+form their f_j values.  f_poly(j), the polynomial itself, reads one such
+table at the generator u, extended under a lock.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import threading
 from .ratpoly import UniPoly
 
 _lock = threading.Lock()
-_f: list = [UniPoly.zero("u"), UniPoly.const(1, "u")]
 _g: dict = {}
 _G: dict = {}
 
@@ -34,12 +34,10 @@ def f_poly(j: int) -> UniPoly:
     """f_j, degree j-1 for j >= 1; f_0 = 0."""
     if j < 0:
         raise ValueError("f_poly needs j >= 0")
-    if j >= len(_f):
+    if j + 2 > len(_f):
         with _lock:
-            u = UniPoly.gen("u")
-            while len(_f) <= j:
-                _f.append(u * _f[-1] - _f[-2])
-    return _f[j]
+            f_values(UniPoly.gen("u"), j, _f)
+    return _f[j + 1]
 
 
 def f_values(value, top: int, table: list = None) -> list:
@@ -59,6 +57,10 @@ def f_values(value, top: int, table: list = None) -> list:
     while len(table) < top + 2:
         table.append(value * table[-1] - table[-2])
     return table
+
+
+# The f_values table at u that f_poly reads: entry j + 1 is f_j.
+_f: list = f_values(UniPoly.gen("u"), 0)
 
 
 def g_poly(j: int) -> UniPoly:

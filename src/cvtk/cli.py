@@ -28,6 +28,7 @@ from .cheb import G_poly, f_poly, g_poly
 from .golden import load_fixtures
 from .intersect import build_intersection_report
 from .knotgrp import (
+    RELATOR_TOL,
     family_words,
     mat_trace,
     mu_from_x,
@@ -50,10 +51,6 @@ from .verify import (
     run_property_checks,
 )
 
-# Floor of the relator tolerance of `rep`; a long word gets the larger
-# rounding scale of knotgrp.relator_tolerance.
-RELATOR_TOL = 1e-9
-
 # Largest value each integer argument accepts, so that a run ends within about
 # a minute on a 2-vCPU Xeon host; above it the command exits 2. The library
 # functions take any value, so a caller who needs more calls them.
@@ -68,10 +65,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def complex_str(z: complex, digits: int = 12) -> str:
+def complex_str(z: complex) -> str:
     """12-significant-digit approximation in the form 'a + bi'."""
     sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real:.{digits}g} {sign} {abs(z.imag):.{digits}g}i"
+    return f"{z.real:.12g} {sign} {abs(z.imag):.12g}i"
 
 
 # ---------------------------------------------------------------------------

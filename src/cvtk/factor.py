@@ -297,13 +297,6 @@ class Factorization:
     unit: Fraction
     factors: tuple  # of (UniPoly, int)
 
-    def expand(self) -> UniPoly:
-        var = self.factors[0][0].var if self.factors else "u"
-        out = UniPoly.const(self.unit, var)
-        for poly, mult in self.factors:
-            out = out * poly ** mult
-        return out
-
 
 def squarefree_part(p: UniPoly) -> UniPoly:
     """Monic product of the distinct irreducible factors: p / gcd(p, p')."""
@@ -352,10 +345,3 @@ def factor_over_rationals(p: UniPoly) -> Factorization:
             factors.append((irr.monic(), mult))
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs, fm[1]))
     return Factorization(unit, tuple(factors))
-
-
-def is_irreducible(p: UniPoly) -> bool:
-    if p.degree < 1:
-        return False
-    fac = factor_over_rationals(p)
-    return len(fac.factors) == 1 and fac.factors[0][1] == 1

@@ -80,17 +80,6 @@ class FreeWord:
             return self.inverse() ** (-k)
         return FreeWord(self.letters * k)
 
-    def exponent_sum(self, generator: str) -> int:
-        if generator not in ("a", "b"):
-            raise ValueError("generator must be 'a' or 'b'")
-        return self.letters.count(generator) - self.letters.count(_INV[generator])
-
-    def total_exponent_sum(self) -> int:
-        return self.exponent_sum("a") + self.exponent_sum("b")
-
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def __str__(self) -> str:
         return self.letters or "1"
 
@@ -237,6 +226,11 @@ def relator_residual(rep: NumericRep, relator: FreeWord) -> float:
     return mat_diff_norm(word_eval(rep, relator), MAT_ID)
 
 
+# Floor of the relator tolerance of `cvtk rep` and of verify-paper's numeric
+# checks; a long word gets the larger rounding scale of relator_tolerance.
+RELATOR_TOL = 1e-9
+
+
 def relator_tolerance(rep: NumericRep, word: FreeWord, floor: float) -> float:
     """Largest relator residual that float rounding explains, at least floor.
 
@@ -261,14 +255,13 @@ def relator_tolerance(rep: NumericRep, word: FreeWord, floor: float) -> float:
     return max(floor, 2 * (1 + sqrt(5)) * len(letters) * 2.0 ** -53 * top * lam)
 
 
-def mu_from_x(x: complex, branch: int = 1) -> complex:
-    """An eigenvalue mu with mu + 1/mu = x: (x +- sqrt(x^2 - 4)) / 2.
+def mu_from_x(x: complex) -> complex:
+    """An eigenvalue mu with mu + 1/mu = x: (x + sqrt(x^2 - 4)) / 2.
 
-    Both branches parameterize the same character; branch=-1 picks mu^-1.
+    The other eigenvalue, 1 / mu, parameterizes the same character.
     """
     x = complex(x)
-    root = cmath.sqrt(x * x - 4)
-    return (x + root) / 2 if branch >= 0 else (x - root) / 2
+    return (x + cmath.sqrt(x * x - 4)) / 2
 
 
 # ---------------------------------------------------------------------------

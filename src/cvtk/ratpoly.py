@@ -19,8 +19,8 @@ by Kronecker substitution, and the rest a row loop that skips zero entries.
 
 Every reduction of one polynomial by another over Z or Z[t] runs the one
 pseudo-division kernel _pseudo_divmod: UniPoly and BiPoly division, the
-subresultant PRS of resultant, resultant_in and poly_gcd, and cvtk.numfield's
-field products and multiplication matrices.  Over GF(p) the kernel is
+subresultant PRS of resultant_in, the remainder sequence of poly_gcd, and
+cvtk.numfield's field products and multiplication matrices.  Over GF(p) the kernel is
 _gf_divmod, one of the _gf_* helpers on int lists modulo p shared by
 poly_gcd's coprimality test, the factoring code and the non-square witness.
 A quotient of one or two terms, each step of a Euclidean remainder sequence
@@ -253,13 +253,6 @@ class UniPoly:
             return self
         return UniPoly.from_ints(self.num, self.num[-1], self.var)
 
-    def content(self) -> Fraction:
-        """Signed content: self == content() * primitive()."""
-        if self.is_zero:
-            return Fraction(0)
-        g = _int_gcd(*self.num)
-        return Fraction(g if self.num[-1] > 0 else -g, self.den)
-
     def primitive(self) -> "UniPoly":
         """Integer-coefficient associate with content 1, positive lc."""
         if self.is_zero:
@@ -276,25 +269,9 @@ class UniPoly:
         return UniPoly.from_ints(out, self.den, self.var)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self[k]
-            if not c:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = frac_str(mag)
-            else:
-                xs = self.var if k == 1 else f"{self.var}^{k}"
-                body = xs if mag == 1 else f"{frac_str(mag)}*{xs}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        out = body if sign == "+" else "-" + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        v = self.var
+        return _terms_str((self[k], "" if k == 0 else v if k == 1 else f"{v}^{k}")
+                          for k in range(self.degree, -1, -1))
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
@@ -467,16 +444,6 @@ class BiPoly:
             return cls._from_rows([p.with_var(vars[0]) for p in coeffs], vars)
         return cls._from_rows(_transpose(coeffs, vars[0]), vars)
 
-    def subs(self, var: str, value) -> UniPoly:
-        """Substitute a rational for one variable; returns UniPoly in the other."""
-        value = _frac(value)
-        if self._axis(var):
-            acc = UniPoly.zero(self.vars[0])
-            for row in reversed(self.rows):
-                acc = acc * value + row
-            return acc
-        return UniPoly([row(value) for row in self.rows], self.vars[1])
-
     def eval(self, v0, v1):
         """Evaluate at (vars[0], vars[1]) = (v0, v1) over any commutative ring."""
         acc = None
@@ -488,25 +455,6 @@ class BiPoly:
     def exchange_vars(self) -> "BiPoly":
         """Substitute vars[0] <-> vars[1], keeping the variable order."""
         return BiPoly._from_rows(_transpose(self.rows, self.vars[0]), self.vars)
-
-    def is_even_in(self, var: str) -> bool:
-        if self._axis(var):
-            return not any(self.rows[1::2])
-        return not any(any(row.num[1::2]) for row in self.rows)
-
-    def halve_exponents(self, var: str, new_name: str = None) -> "BiPoly":
-        """Substitute var**2 -> var; requires the polynomial even in `var`."""
-        if not self.is_even_in(var):
-            raise ExactArithError(f"not even in {var}")
-        ax = self._axis(var)
-        vars = list(self.vars)
-        if new_name:
-            vars[ax] = new_name
-        if ax:
-            rows = [row.with_var(vars[0]) for row in self.rows[::2]]
-        else:
-            rows = [UniPoly.from_ints(row.num[::2], row.den, vars[0]) for row in self.rows]
-        return BiPoly._from_rows(rows, tuple(vars))
 
     def content(self) -> Fraction:
         """Signed content wrt the lex-leading term: self == content()*primitive()."""
@@ -537,8 +485,6 @@ class BiPoly:
                 BiPoly.from_coeff_list(r, var, self.vars))
 
     def __str__(self) -> str:
-        if not self.rows:
-            return "0"
         def mono(e):
             i, j = e
             bits = []
@@ -548,25 +494,27 @@ class BiPoly:
                 elif k > 1:
                     bits.append(f"{name}^{k}")
             return "*".join(bits)
-        parts = []
-        for e, c in reversed(self._terms()):
-            m = mono(e)
-            mag = abs(c)
-            if not m:
-                body = frac_str(mag)
-            elif mag == 1:
-                body = m
-            else:
-                body = f"{frac_str(mag)}*{m}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        out = body if sign == "+" else "-" + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _terms_str((c, mono(e)) for e, c in reversed(self._terms()))
 
     def __repr__(self) -> str:
         return f"BiPoly({self})"
+
+
+def _terms_str(terms) -> str:
+    """The signed sum of (coefficient, monomial) pairs in the given order,
+    zero coefficients skipped: "-3*u^2 + u - 1/2", or "0" when none is left.
+    An empty monomial is the constant term."""
+    out = ""
+    for c, mono in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        body = frac_str(mag) if not mono else mono if mag == 1 else f"{frac_str(mag)}*{mono}"
+        if out:
+            out += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            out = body if c > 0 else "-" + body
+    return out or "0"
 
 
 def _two_vars(vars) -> tuple:
@@ -798,12 +746,12 @@ def _deg(a) -> int:
     return len(a) - 1
 
 
-def _prs_resultant(A, B, one, exact_div):
+def _prs_resultant(A, B, one):
     """Resultant of two coefficient lists via the subresultant PRS.
 
-    Works over any integral domain whose elements support +, -, *, ** and the
-    supplied exact division. Convention: res(p, q) = lc(p)**deg(q) times the
-    product of q over the roots of p.
+    Works over any integral domain whose elements support +, -, *, ** and
+    _exact_div.  Convention: res(p, q) = lc(p)**deg(q) times the product of
+    q over the roots of p.
     """
     a = _trim(list(A))
     b = _trim(list(B))
@@ -828,30 +776,22 @@ def _prs_resultant(A, B, one, exact_div):
         if not r:
             return one * 0
         divisor = g * h ** delta
-        a, b = b, _trim([exact_div(c, divisor) for c in r])
+        a, b = b, _trim([_exact_div(c, divisor) for c in r])
         g = a[-1]
         if delta > 0:
-            h = exact_div(g ** delta, h ** (delta - 1))
+            h = _exact_div(g ** delta, h ** (delta - 1))
         if _deg(b) == 0:
             break
     da = _deg(a)
-    res = exact_div(b[-1] ** da, h ** (da - 1))
+    res = _exact_div(b[-1] ** da, h ** (da - 1))
     return res if s == 1 else -res
-
-
-def resultant(p: UniPoly, q: UniPoly) -> Fraction:
-    """res(p, q) over Q; zero iff p and q share a root.  The PRS runs on the
-    integer numerators: res(P/dp, Q/dq) = res(P, Q) / (dp**deg Q * dq**deg P)."""
-    p._check(q)
-    res = _prs_resultant(p.num, q.num, 1, _exact_div)
-    return Fraction(res, p.den ** q.degree * q.den ** p.degree)
 
 
 def resultant_in(p: BiPoly, q: BiPoly, var: str) -> UniPoly:
     """Eliminate `var` from two bivariate polynomials; UniPoly in the other."""
     p._check(q)
     one = UniPoly.const(1, p.vars[1 - p._axis(var)])
-    return _prs_resultant(p.coeff_list_in(var), q.coeff_list_in(var), one, _exact_div)
+    return _prs_resultant(p.coeff_list_in(var), q.coeff_list_in(var), one)
 
 
 # Primes below 2^30, so that every residue is one CPython digit.

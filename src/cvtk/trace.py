@@ -46,17 +46,6 @@ class VerificationError(RuntimeError):
     """A hard mathematical invariant failed to hold."""
 
 
-def tr_power(tau, k: int):
-    """Trace of M^k for M in SL2 with tr(M) = tau:
-
-    tau * f_k(tau) - 2 * f_{k-1}(tau),  equivalently  f_{k+1} - f_{k-1},
-    the form taken here, from one f_values table at tau.
-    """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"power index must be a nonnegative integer, got {k!r}")
-    return _tr_power_from(f_values(tau, k + 1), k)
-
-
 def _tr_power_from(table: list, k: int):
     """tr(M^k) = f_{k+1} - f_{k-1} read off an f_values table through k + 1."""
     return table[k + 2] - table[k]
@@ -71,7 +60,7 @@ class TraceContext:
     """Trace bookkeeping at one character of the n-th knot group.
 
     r and x_squared live in a shared commutative ring (Fraction, NFElem of
-    one field, or complex); t is derived from them unless supplied.  Every
+    one field, or complex); t = tr(w) is derived from them.  Every
     f_j value is read from one `cheb.f_values` table per point: r_table, at
     r through f_{n+1}, built once, and t_table, which is r_table itself when
     t == r (as at every intersection character) and a second table
@@ -80,16 +69,14 @@ class TraceContext:
     be used from different threads, but a single context must not be shared.
     """
 
-    def __init__(self, n: int, r, x_squared, t=None):
+    def __init__(self, n: int, r, x_squared):
         require_family_index(n)
         self.n = n
         self.r = r
         self.x_squared = x_squared
         self.r_table = f_values(r, n + 1)
         fr = self.r_table[n + 1]
-        if t is None:
-            t = (2 - r) * (x_squared - 2 - r) * fr * fr + 2
-        self.t = t
+        self.t = t = (2 - r) * (x_squared - 2 - r) * fr * fr + 2
         self.t_table = self.r_table if t == r else f_values(t, n + 1)
         self.delta_11 = (2 - r) * self.r_table[n] * fr * (x_squared - 2 - r) + r
         self._memo = {}

@@ -104,17 +104,11 @@ def d_split(n: int) -> ComponentPair:
     return ComponentPair(n, D, line, q)
 
 
-def covering_image(point):
-    """The double covering (r, x) -> (r, x^2 - 2), over any commutative ring."""
-    r, x = point
-    return (r, x * x - 2)
-
-
 def birational_image(n: int, point):
     """The birational map (r, y) -> (r, (2 - r)(y - r) f_n(r)^2 + 2).
 
-    Works over any commutative ring containing the coordinates; composing it
-    with covering_image gives t = tr(ab) on the (r, x) model.
+    Works over any commutative ring containing the coordinates; at
+    y = x^2 - 2 it gives t = tr(ab) on the (r, x) model.
     """
     require_family_index(n)
     r, y = point
@@ -143,16 +137,6 @@ class BezoutBudget:
     ideal: int
     r_eliminant: UniPoly
     x_eliminant: UniPoly
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "total": self.total,
-            "affine": self.affine,
-            "ideal": self.ideal,
-            "r_eliminant": self.r_eliminant.to_json(),
-            "x_eliminant": self.x_eliminant.to_json(),
-        }
 
 
 def _strip_common_lc_roots(elim: UniPoly, lc0: UniPoly, lc1: UniPoly) -> UniPoly:

@@ -18,6 +18,7 @@ from .cheb import G_poly, f_poly, failed_identities, require_family_index
 from .golden import default_fixtures
 from .intersect import build_intersection_report
 from .knotgrp import (
+    RELATOR_TOL,
     FreeWord,
     complex_roots,
     family_words,
@@ -26,6 +27,8 @@ from .knotgrp import (
     numeric_rep,
     relation_residual,
     relator_residual,
+    relator_tolerance,
+    sorted_complex,
     standard_relator,
     two_bridge_word,
     word_eval,
@@ -45,7 +48,6 @@ DEFAULT_MAX_N = 8
 # every minimal polynomial for n <= max_n, which takes about 8 s at max_n = 48
 # and 28 s at 64 on a 2-vCPU Xeon host, and grows faster than max_n^4.
 MAX_CHECK_N = 64
-NUMERIC_TOL = 1e-9
 
 
 def resolve_max_n(max_n=None) -> int:
@@ -220,29 +222,34 @@ def check_delta_gamma(ctx):
 
 
 def check_relator_numeric(ctx):
-    worst = 0.0
+    worst, ok = 0.0, True
     for n in (2, 3):
         fam = family_words(n)
         for r0, x0 in _loci_points(ctx, n):
             rep = numeric_rep(n, mu_from_x(x0), r0)
-            worst = max(worst, relator_residual(rep, fam.relator))
-    if worst >= NUMERIC_TOL:
+            res = relator_residual(rep, fam.relator)
+            worst = max(worst, res)
+            ok = ok and res < relator_tolerance(rep, fam.relator, RELATOR_TOL)
+    if not ok:
         return False, f"worst relator residual {worst:.2e}"
     return True, f"worst residual {worst:.2e} over all n = 2, 3 points"
 
 
 def check_standard_relators(ctx):
-    worst = 0.0
+    """The relator V a V^-1 b^-1 and the relation V a = b V, both against
+    the tolerance of the relator word."""
+    worst, ok = 0.0, True
     for n, (p, q) in ((2, (15, 11)), (3, (35, 29))):
         rel = standard_relator(p, q)
         V = two_bridge_word(p, q)
         for r0, x0 in _loci_points(ctx, n):
             rep = numeric_rep(n, mu_from_x(x0), r0)
-            worst = max(worst, relator_residual(rep, rel))
-            worst = max(
-                worst, relation_residual(rep, V * FreeWord("a"), FreeWord("b") * V)
-            )
-    if worst >= NUMERIC_TOL:
+            tol = relator_tolerance(rep, rel, RELATOR_TOL)
+            for res in (relator_residual(rep, rel),
+                        relation_residual(rep, V * FreeWord("a"), FreeWord("b") * V)):
+                worst = max(worst, res)
+                ok = ok and res < tol
+    if not ok:
         return False, f"worst two-bridge residual {worst:.2e}"
     return True, f"(15,11) and (35,29) hold, worst residual {worst:.2e}"
 
@@ -261,12 +268,9 @@ def check_longitude_numeric(ctx):
         return False, f"longitude trace {tau:.6f} != 14+24i at the sample point"
     fx3 = ctx.fixture(3)
     fam3 = family_words(3)
-    traces = sorted(
-        (
-            mat_trace(word_eval(numeric_rep(3, mu_from_x(x0), r0), fam3.longitude))
-            for r0, x0 in _loci_points(ctx, 3)
-        ),
-        key=lambda z: (round(z.real, 9), round(z.imag, 9)),
+    traces = sorted_complex(
+        mat_trace(word_eval(numeric_rep(3, mu_from_x(x0), r0), fam3.longitude))
+        for r0, x0 in _loci_points(ctx, 3)
     )
     expected = complex_roots(fx3.longitude_min_poly)
     if len(traces) != len(expected) or any(
@@ -383,9 +387,9 @@ def _run(ctx, names) -> list:
     return results
 
 
-def run_checks(fixtures=None, max_n=None) -> list:
+def run_checks(fixtures=None) -> list:
     """All named checks in fixed order; exceptions become failures."""
-    ctx = VerifyContext(fixtures=fixtures, max_n=max_n)
+    ctx = VerifyContext(fixtures=fixtures)
     return _run(ctx, [name for name, _ in CHECKS])
 
 

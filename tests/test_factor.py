@@ -9,7 +9,6 @@ from cvtk import factor
 from cvtk.cheb import G_poly
 from cvtk.factor import (
     factor_over_rationals,
-    is_irreducible,
     iter_primes,
     squarefree_decomposition,
     squarefree_part,
@@ -31,6 +30,15 @@ def P(*coeffs, var="u"):
 
 
 U = UniPoly.gen("u")
+
+
+def expand(fac):
+    """unit * prod(poly**mult): the polynomial a Factorization stands for."""
+    var = fac.factors[0][0].var if fac.factors else "u"
+    out = UniPoly.const(fac.unit, var)
+    for poly, mult in fac.factors:
+        out = out * poly ** mult
+    return out
 
 
 # -- independent small-degree irreducibility oracle ---------------------------
@@ -170,11 +178,11 @@ def test_factor_examples():
 
 def test_factor_cyclotomic_like():
     # u^4 + 1 irreducible over Q even though it splits mod every prime
-    assert is_irreducible(U ** 4 + 1)
+    assert factor_over_rationals(U ** 4 + 1).factors == ((U ** 4 + 1, 1),)
     # u^6 - 1 = (u-1)(u+1)(u^2+u+1)(u^2-u+1)
     fac = factor_over_rationals(U ** 6 - 1)
     assert [f.degree for f, _ in fac.factors] == [1, 1, 2, 2]
-    assert fac.expand() == U ** 6 - 1
+    assert expand(fac) == U ** 6 - 1
 
 
 def test_factor_reconstruction_random():
@@ -184,7 +192,7 @@ def test_factor_reconstruction_random():
         for _ in range(rng.randint(1, 3)):
             p = p * rand_poly(rng, rng.randint(1, 4)) ** rng.randint(1, 2)
         fac = factor_over_rationals(p)
-        assert fac.expand() == p
+        assert expand(fac) == p
         for f, _ in fac.factors:
             assert f.lc == 1
             if f.degree <= 4:
@@ -221,7 +229,7 @@ def test_factor_large_coeff_swinnerton_dyer_2():
     # min poly of sqrt(2)+sqrt(3): x^4 - 10x^2 + 1, splits into quadratics mod
     # every prime, so recombination must assemble subsets
     p = U ** 4 - 10 * U ** 2 + 1
-    assert is_irreducible(p)
+    assert factor_over_rationals(p).factors == ((p, 1),)
 
 
 def test_iter_primes():
@@ -234,7 +242,7 @@ def test_factor_degree8_even_poly():
     # reproduce the primitive form whatever the splitting is
     p = UniPoly([6125, 0, -8400, 0, 5160, 0, -1424, 0, 144], "x")
     fac = factor_over_rationals(p)
-    back = fac.expand()
+    back = expand(fac)
     assert back == p
     assert sum(f.degree * m for f, m in fac.factors) == 8
 
@@ -258,7 +266,7 @@ def sympy_factors(p):
 
 def assert_agrees_with_sympy(p):
     fac = factor_over_rationals(p)
-    assert fac.expand() == p
+    assert expand(fac) == p
     assert sorted((f.coeffs, m) for f, m in fac.factors) == sympy_factors(p)
 
 
@@ -333,7 +341,7 @@ def test_meridian_irreducibility_needs_no_lifting(n, monkeypatch):
     (locus,) = intersection_loci(n)
     p = nf_minimal_polynomial(x_squared_at(locus), "x").inflate(2)
     assert p.degree == 4 * n - 4
-    assert is_irreducible(p)
+    assert factor_over_rationals(p).factors == ((p, 1),)
 
 
 def test_n9_meridian_polynomial_lifts(monkeypatch):

@@ -54,6 +54,11 @@ def _brute_reduce(s):
     return s
 
 
+def _exponent_sum(word, generator):
+    """Exponent sum of one generator ('a' or 'b') in a word."""
+    return word.letters.count(generator) - word.letters.count(generator.upper())
+
+
 def _loci_points(n):
     """Numeric (r0, x0) samples: every modulus root paired with one x branch."""
     pts = []
@@ -92,11 +97,11 @@ def test_relator_shape():
         fam = family_words(n)
         wn = fam.w ** n
         assert fam.relator == FreeWord("a") * wn * FreeWord("B") * wn.inverse()
-        assert fam.relator.exponent_sum("a") == 1
-        assert fam.relator.exponent_sum("b") == -1
-        assert fam.w.exponent_sum("a") == 0
-        assert fam.w.exponent_sum("b") == 0
-        assert fam.longitude.total_exponent_sum() == 0
+        assert _exponent_sum(fam.relator, "a") == 1
+        assert _exponent_sum(fam.relator, "b") == -1
+        assert _exponent_sum(fam.w, "a") == 0
+        assert _exponent_sum(fam.w, "b") == 0
+        assert _exponent_sum(fam.longitude, "a") + _exponent_sum(fam.longitude, "b") == 0
 
 
 def test_free_reduction_matches_brute_force():
@@ -109,11 +114,11 @@ def test_free_reduction_matches_brute_force():
 
 def test_free_word_algebra():
     w = FreeWord("aB")
-    assert (w * w.inverse()).is_identity()
+    assert w * w.inverse() == FreeWord("")
     assert str(w * w.inverse()) == "1"
     assert w ** -2 == (w.inverse()) ** 2
     assert w ** 0 == FreeWord("")
-    assert FreeWord("abBA").is_identity()
+    assert FreeWord("abBA") == FreeWord("")
     assert FreeWord(w) == w
     assert len({FreeWord("aB"), FreeWord("aB"), FreeWord("Ab")}) == 2
 
@@ -121,8 +126,6 @@ def test_free_word_algebra():
 def test_word_validation():
     with pytest.raises(ValueError):
         FreeWord("xyz")
-    with pytest.raises(ValueError):
-        FreeWord("ab").exponent_sum("c")
     with pytest.raises(ValueError):
         two_bridge_word(4, 1)
     with pytest.raises(ValueError):
@@ -151,8 +154,8 @@ def test_numeric_rep_validation():
 
 def test_mu_branches():
     for x in (1.7 + 0.4j, -2.3 + 0j, 0.1 - 3j):
-        hi = mu_from_x(x, branch=1)
-        lo = mu_from_x(x, branch=-1)
+        hi = mu_from_x(x)
+        lo = 1 / mu_from_x(x)
         assert abs(hi * lo - 1) < 1e-12
         assert abs(hi + 1 / hi - x) < 1e-12
         assert abs(lo + 1 / lo - x) < 1e-12
@@ -262,8 +265,8 @@ def test_family_relator_holds_at_loci():
     for n in range(2, 6):
         fam = family_words(n)
         for r0, x0 in _loci_points(n):
-            for branch in (1, -1):
-                rep = numeric_rep(n, mu_from_x(x0, branch), r0)
+            for mu in (mu_from_x(x0), 1 / mu_from_x(x0)):
+                rep = numeric_rep(n, mu, r0)
                 assert relator_residual(rep, fam.relator) < TOL
 
 
@@ -284,7 +287,7 @@ def test_family_relator_holds_on_components():
             for comp in (fx[n].X0, fx[n].X1):
                 for _ in range(3):
                     r0 = Fraction(rng.randrange(-40, 41), 10) + Fraction(1, 7)
-                    slice_poly = comp.subs("r", r0)
+                    slice_poly = UniPoly([row(r0) for row in comp.rows], "x")
                     coeffs = list(reversed(slice_poly.primitive().num))
                     r_mp = mpmath.mpf(r0.numerator) / r0.denominator
                     for x0 in mpmath.polyroots(coeffs, maxsteps=300, extraprec=240):

@@ -1,0 +1,53 @@
+"""Guards on the shape of the source tree."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Public functions that no src code and no benchmark operation calls, each
+# kept for the tests, with the reason.
+UNCALLED = {
+    "gamma_seifert_form": "an independent closed form of gamma, checked against tr_s1s2inv",
+    "char_poly": "the tests' entry to the power-sum path, checked against sympy and a resultant",
+    "fixtures_to_json": "writes the edited fixture files of the verify-paper negative controls",
+}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Every name read as a variable or an attribute; import aliases,
+    docstrings and comments are not among them."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def uncalled_public_functions(root: Path) -> set:
+    """Module-level public functions of root/src/cvtk that no src module and
+    no call of perfbench/child.py names."""
+    trees = [_parse(path) for path in sorted((root / "src" / "cvtk").glob("*.py"))]
+    used = set().union(*map(_used_names, trees + [_parse(root / "perfbench" / "child.py")]))
+    return {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in used
+    }
+
+
+def test_every_public_function_has_a_caller():
+    """A public function that only the tests reach is either deleted or
+    named in UNCALLED with its reason.  Methods are out of scope: names such
+    as content and to_json belong to several classes, so a use of one cannot
+    be told from a use of another by name."""
+    assert uncalled_public_functions(ROOT) == set(UNCALLED)

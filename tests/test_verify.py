@@ -3,10 +3,12 @@ exercised end to end by the CLI tests and the acceptance gate)."""
 
 import pytest
 
+from cvtk import verify
 from cvtk.verify import (
     CHECKS,
     MAX_CHECK_N,
     CheckResult,
+    VerifyContext,
     all_passed,
     render_results,
     resolve_max_n,
@@ -64,3 +66,20 @@ def test_property_checks_run_clean():
     results = run_property_checks(2)
     assert len(results) == 5
     assert all_passed(results)
+
+
+def test_numeric_checks_fail_off_the_points(monkeypatch):
+    """Moving every r0 by 1e-3 fails exactly the three checks that evaluate
+    words numerically, and each FAIL line names its check."""
+    numeric = ["relator-numeric", "standard-relators", "longitude-numeric"]
+    ctx = VerifyContext(max_n=2)
+    assert all_passed(verify._run(ctx, numeric))
+    real = verify._loci_points
+    monkeypatch.setattr(
+        verify, "_loci_points", lambda ctx, n: [(r0 + 1e-3, x0) for r0, x0 in real(ctx, n)]
+    )
+    results = verify._run(ctx, [name for name, _ in CHECKS])
+    assert [res.name for res in results if not res.ok] == numeric
+    lines = render_results(results).splitlines()
+    for name in numeric:
+        assert any(line.startswith("FAIL") and line.split()[1] == name for line in lines)
