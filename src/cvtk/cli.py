@@ -28,13 +28,10 @@ from .cheb import G_poly, f_poly, g_poly
 from .golden import load_fixtures
 from .intersect import build_intersection_report
 from .knotgrp import (
-    RELATOR_TOL,
     family_words,
     mat_trace,
-    mu_from_x,
     numeric_rep,
-    relator_residual,
-    relator_tolerance,
+    relator_check,
     sorted_complex,
     standard_relator,
     two_bridge_word,
@@ -172,29 +169,24 @@ def cmd_rep(args) -> int:
     if not 0 <= args.root < len(points):
         raise ValueError(f"root index must be in [0, {len(points) - 1}]")
     r0, x0, _ = points[args.root]
-    mu = mu_from_x(x0)
-    rep = numeric_rep(args.n, mu, r0)
+    rep = numeric_rep(args.n, r0, x0)
     fam = family_words(args.n)
-    p = 4 * args.n * args.n - 1
-    q = p - 2 * args.n
+    p, q = fam.two_bridge
     relators = (("family", fam.relator), (f"two-bridge ({p}, {q})", standard_relator(p, q)))
-    verdicts = []
-    for name, word in relators:
-        tol = relator_tolerance(rep, word, RELATOR_TOL)
-        verdicts.append((name, tol, relator_residual(rep, word) < tol))
+    verdicts = [(name, *relator_check(rep, word)) for name, word in relators]
     print(f"n: {args.n}  locus: {args.locus}  root: {args.root}")
     print(f"modulus: {locus.modulus}")
     print(f"r0 ~ {complex_str(r0)}")
     print(f"x0 ~ {complex_str(x0)}")
-    print(f"mu ~ {complex_str(mu)}")
-    for name, tol, ok in verdicts:
-        print(f"{name} relator residual < {tol:g}: {'yes' if ok else 'no'}")
+    print(f"mu ~ {complex_str(rep.mu)}")
+    for name, residual, tol in verdicts:
+        print(f"{name} relator residual < {tol:g}: {'yes' if residual < tol else 'no'}")
     print(f"tr(a) ~ {complex_str(mat_trace(rep.A))}")
     print(f"tr(a b^-1) ~ {complex_str(r0)}")
     print(f"tr(s1) ~ {complex_str(mat_trace(word_eval(rep, fam.s1)))}")
     print(f"tr(s2) ~ {complex_str(mat_trace(word_eval(rep, fam.s2)))}")
     print(f"tr(longitude) ~ {complex_str(mat_trace(word_eval(rep, fam.longitude)))}")
-    if not all(ok for _, _, ok in verdicts):
+    if not all(residual < tol for _, residual, tol in verdicts):
         print("relator residual exceeds tolerance", file=sys.stderr)
         return 1
     return 0

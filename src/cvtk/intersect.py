@@ -28,9 +28,9 @@ fails, so no read of a locus can change its status.
 
 Numeric values at an intersection point are the images of the same exact
 elements under the embedding r -> r0 of the field, r0 a complex root of m:
-`knotgrp.RootApproximations` certifies the roots and evaluates the
-power-basis coordinates at them with error bounds.  `IntersectionLocus.points`
-holds (r0, x0 = sqrt(x^2(r0)), tau(r0)) at every root.
+one `knotgrp.RootApproximations` certifies the roots and evaluates the
+power-basis coordinates of x^2 and tau at them with error bounds, and
+`IntersectionLocus.points` holds (r0, x0 = sqrt(x^2(r0)), tau(r0)).
 """
 
 from __future__ import annotations
@@ -149,11 +149,11 @@ class IntersectionLocus:
     def points(self) -> tuple:
         """(r0, x0 = sqrt(x^2(r0)), tau(r0)) at each root r0 of the modulus, as
         Python complexes in `complex_roots` order (x0 the principal root), all
-        from one `RootApproximations`; the images come first: they may refine r0."""
-        approx = RootApproximations(self.modulus)
+        from one `RootApproximations`."""
         x2, tau = self.x_squared, self.longitude_elem
-        x0 = approx.images(x2.num, x2.den, sqrt=True)
-        by_root = dict(zip(approx.roots(), zip(x0, approx.images(tau.num, tau.den))))
+        elements = ((x2.num, x2.den, True), (tau.num, tau.den, False))
+        approx = RootApproximations(self.modulus, elements)
+        by_root = dict(zip(approx.roots, zip(*approx.images)))
         return tuple((r0, *by_root[r0]) for r0 in sorted_complex(by_root))
 
     @property

@@ -5,31 +5,32 @@ The knot group of the n-th member of the family is
     < a, b : a w^n = w^n b >,   w = (a b^-1)^n (a^-1 b)^n,
 
 and the same group has the standard two-bridge presentation attached to the
-normal form (4n^2 - 1, 2n) (equivalently (4n^2 - 1, 4n^2 - 2n - 1)), whose
-conjugating word comes from the sign sequence eps_i = (-1)^floor(i q / p).
-Words here are plain freely reduced strings over a, b and their inverses
-A, B; the two presentations are never compared letter by letter, only
-through numeric matrix satisfaction.
+normal form (4n^2 - 1, 2n) (equivalently (4n^2 - 1, 4n^2 - 2n - 1), held by
+`family_words`), whose conjugating word comes from the sign sequence
+eps_i = (-1)^floor(i q / p).  Words here are plain freely reduced strings
+over a, b and their inverses A, B, reduced once when built; the two
+presentations are never compared letter by letter, only numerically.
 
-The numeric side realizes characters through the standard parameterization
+The numeric side realizes the character at a point (r, x) through
 
     A = (mu 1; 0 mu^-1),   B = (mu 0; 2-r mu^-1),
 
-for which tr(A) = tr(B) = mu + 1/mu and tr(A B^-1) = r, evaluates words by
-left-to-right multiplication, and measures how well relations hold.
+mu + 1/mu = x and |mu| >= 1, so tr(A) = tr(B) = x and tr(A B^-1) = r.  Words
+are multiplied out left to right, once per relator for residual and tolerance.
 
-The points come from `RootApproximations`: every root of an integer
-polynomial by an Aberth-Ehrlich iteration on Gaussian fixed-point integers,
-each certified by an inclusion disc, and the images of number-field elements
-at those roots with error bounds.  Precision is derived from the polynomial
-and doubled only when a certificate or a bound fails, so no module needs a
-multiprecision float library.
+The points come from the constructor of `RootApproximations`: every root of
+an integer polynomial by an Aberth-Ehrlich iteration on Gaussian fixed-point
+integers, each certified by an inclusion disc, and the images of the given
+number-field elements at those roots with error bounds.  Precision is derived
+from the polynomial and doubled only when a certificate or a bound fails, so
+no module needs a multiprecision float library.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, exp, gcd, hypot, inf, isqrt, log, log2, pi, sqrt
 
 from .cheb import require_family_index
@@ -70,7 +71,7 @@ class FreeWord:
         return hash(("FreeWord", self.letters))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord(self.letters + FreeWord(other).letters)
+        return FreeWord(self.letters + other.letters)
 
     def inverse(self) -> "FreeWord":
         return FreeWord("".join(_INV[ch] for ch in reversed(self.letters)))
@@ -121,6 +122,7 @@ class FamilyWords:
     """The presentation words of the n-th knot group."""
 
     n: int
+    two_bridge: tuple  # the normal form (p, q) = (4n^2 - 1, 4n^2 - 2n - 1)
     w: FreeWord
     relator: FreeWord
     s1: FreeWord
@@ -137,7 +139,7 @@ def family_words(n: int) -> FamilyWords:
     s1 = wn
     s2 = FreeWord("aB") ** n
     longitude = s1 * s2.inverse() * s1.inverse() * s2
-    return FamilyWords(n=n, w=w, relator=relator, s1=s1, s2=s2, longitude=longitude)
+    return FamilyWords(n, (4 * n * n - 1, 4 * n * n - 2 * n - 1), w, relator, s1, s2, longitude)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +182,8 @@ class NumericRep:
     A: tuple
     B: tuple
 
-    def letter_matrices(self) -> dict:
+    @cached_property
+    def letters(self) -> dict:
         return {
             "a": self.A,
             "A": mat_inv(self.A),
@@ -189,29 +192,28 @@ class NumericRep:
         }
 
 
-def numeric_rep(n: int, mu: complex, r: complex) -> NumericRep:
-    """Matrices A = (mu 1; 0 1/mu), B = (mu 0; 2-r 1/mu).
+def numeric_rep(n: int, r: complex, x: complex) -> NumericRep:
+    """Matrices A = (mu 1; 0 1/mu), B = (mu 0; 2-r 1/mu), mu = mu_from_x(x).
 
-    mu = 0 is the caller's ValueError; a determinant that rounding moved
-    more than 1e-12 from 1 is an internal ExactArithError.
+    A non-finite r or mu (|x| past about 1e154) is the caller's ValueError; a
+    determinant off 1 by more than 1e-12, or NaN, is an internal ExactArithError.
     """
-    mu = complex(mu)
-    r = complex(r)
-    if mu == 0:
-        raise ValueError("mu must be nonzero")
+    r, mu = complex(r), mu_from_x(x)
+    if not (cmath.isfinite(r) and cmath.isfinite(mu)):
+        raise ValueError(f"r and x must be finite, and x small enough for a finite mu: {r}, {x}")
     A = ((mu, 1 + 0j), (0j, 1 / mu))
     B = ((mu, 0j), (2 - r, 1 / mu))
     for M in (A, B):
-        if abs(mat_det(M) - 1) > 1e-12:
+        if not abs(mat_det(M) - 1) <= 1e-12:
             raise ExactArithError("matrix determinant drifted away from 1")
     return NumericRep(n=n, mu=mu, r=r, A=A, B=B)
 
 
 def word_eval(rep: NumericRep, word: FreeWord):
     """Left-to-right product of the letter matrices of the word."""
-    table = rep.letter_matrices()
+    table = rep.letters
     out = MAT_ID
-    for ch in FreeWord(word).letters:
+    for ch in word.letters:
         out = mat_mul(out, table[ch])
     return out
 
@@ -221,18 +223,14 @@ def relation_residual(rep: NumericRep, left: FreeWord, right: FreeWord) -> float
     return mat_diff_norm(word_eval(rep, left), word_eval(rep, right))
 
 
-def relator_residual(rep: NumericRep, relator: FreeWord) -> float:
-    """Distance of the evaluated relator from the identity matrix."""
-    return mat_diff_norm(word_eval(rep, relator), MAT_ID)
-
-
 # Floor of the relator tolerance of `cvtk rep` and of verify-paper's numeric
-# checks; a long word gets the larger rounding scale of relator_tolerance.
+# checks; a long word gets the larger rounding scale of relator_check.
 RELATOR_TOL = 1e-9
 
 
-def relator_tolerance(rep: NumericRep, word: FreeWord, floor: float) -> float:
-    """Largest relator residual that float rounding explains, at least floor.
+def relator_check(rep: NumericRep, relator: FreeWord) -> tuple:
+    """(residual, tolerance) from one left-to-right product of the relator: its
+    distance from the identity, and the rounding it explains, at least RELATOR_TOL.
 
     Each letter of the left-to-right product rounds every entry of the new
     partial product by at most 2 (1 + sqrt 5) u P M, where u = 2**-53, P is
@@ -243,8 +241,8 @@ def relator_tolerance(rep: NumericRep, word: FreeWord, floor: float) -> float:
     length and with the entries the partial products reach, as an absolute
     tolerance cannot.
     """
-    table = rep.letter_matrices()
-    letters = FreeWord(word).letters
+    table = rep.letters
+    letters = relator.letters
     lam = max((abs(x) for ch in set(letters) for row in table[ch] for x in row), default=0.0)
     out = MAT_ID
     top = 1.0
@@ -252,16 +250,20 @@ def relator_tolerance(rep: NumericRep, word: FreeWord, floor: float) -> float:
         out = mat_mul(out, table[ch])
         (a, b), (c, d) = out
         top = max(top, abs(a), abs(b), abs(c), abs(d))
-    return max(floor, 2 * (1 + sqrt(5)) * len(letters) * 2.0 ** -53 * top * lam)
+    scale = 2 * (1 + sqrt(5)) * len(letters) * 2.0 ** -53 * top * lam
+    return mat_diff_norm(out, MAT_ID), max(RELATOR_TOL, scale)
 
 
 def mu_from_x(x: complex) -> complex:
-    """An eigenvalue mu with mu + 1/mu = x: (x + sqrt(x^2 - 4)) / 2.
-
+    """The eigenvalue mu of trace x = mu + 1/mu with |mu| >= 1: (x + s) / 2 for
+    s = +-sqrt(x^2 - 4) with Re(conj(x) s) >= 0, so that x and s never cancel.
     The other eigenvalue, 1 / mu, parameterizes the same character.
     """
     x = complex(x)
-    return (x + cmath.sqrt(x * x - 4)) / 2
+    s = cmath.sqrt(x * x - 4)
+    if (x.conjugate() * s).real < 0:
+        s = -s
+    return (x + s) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +418,8 @@ def _sqrt_fixed(re: int, im: int, bits: int):
 
 class RootApproximations:
     """Certified approximations of every complex root of a squarefree
-    polynomial, as Gaussian fixed-point integers (re + i im) 2^-bits.
+    polynomial, as Gaussian fixed-point integers (re + i im) 2^-bits, and the
+    images there of field elements given as (num, den, sqrt) triples.
 
     The Aberth-Ehrlich iteration runs in ints from float `_aberth_seeds`,
     Gauss-Seidel over the roots, and stops at each root once |p(z)| is below
@@ -430,9 +433,12 @@ class RootApproximations:
     the parts below 2^-CLEANUP_BITS and widens the radii by the move.  When
     the discs fail, or an image is not within VALUE_TOL, bits doubles, up to
     MAX_DOUBLINGS times; past that, or past SWEEP_CAP sweeps, ExactArithError.
+
+    The constructor settles the roots, then each image in order (an image may
+    refine the roots), and keeps the final `roots`, `images` and `fixed_images`.
     """
 
-    def __init__(self, p: UniPoly):
+    def __init__(self, p: UniPoly, elements=()):
         if p.degree < 1:
             raise ExactArithError("root isolation needs a nonconstant polynomial")
         self.coeffs = list(reversed(p.primitive().num))
@@ -443,9 +449,11 @@ class RootApproximations:
         )
         self.bits = TARGET_BITS + max(0, ceil(horner_bound - log2(abs(self.coeffs[0]))))
         self.points = [(_fixed(z.real, self.bits), _fixed(z.imag, self.bits)) for z in seeds]
-        self.radii = []
         self._sweeps = self._doublings = 0
         self._settle()
+        self.fixed_images = tuple(self._fixed_images(*element) for element in elements)
+        self.images = tuple(tuple(_complexes(pts, bits)) for bits, pts in self.fixed_images)
+        self.roots = tuple(_complexes(self.points, self.bits))
 
     def _failure(self, why: str) -> ExactArithError:
         bits = max(abs(c).bit_length() for c in self.coeffs)
@@ -560,11 +568,7 @@ class RootApproximations:
         self.radii = radii
         return None
 
-    def roots(self) -> list:
-        """The roots as Python complexes, correctly rounded."""
-        return _complexes(self.points, self.bits)
-
-    def fixed_images(self, num, den: int = 1, sqrt: bool = False):
+    def _fixed_images(self, num, den: int, sqrt: bool):
         """(bits, points): the image of (sum num[k] r^k) / den at every root,
         or its principal square root, within VALUE_TOL max(1, |v|), as
         Gaussian integers in units of 2^-bits.  The bound adds the Horner
@@ -596,14 +600,9 @@ class RootApproximations:
                     break
                 out.append((vr, vi))
             else:
-                return bits, out
+                return bits, tuple(out)
             self._double(f"an image error bound {err:.1e} above {VALUE_TOL:.0e}")
             self._settle()
-
-    def images(self, num, den: int = 1, sqrt: bool = False) -> list:
-        """`fixed_images` as Python complexes, correctly rounded."""
-        bits, out = self.fixed_images(num, den, sqrt)
-        return _complexes(out, bits)
 
 
 def sorted_complex(values) -> list:
@@ -616,4 +615,4 @@ def complex_roots(p: UniPoly):
     """All complex roots of the squarefree polynomial p, certified by
     disjoint inclusion discs of radius below ROOT_RADIUS and sorted by
     (real, imaginary) lexicographically."""
-    return sorted_complex(RootApproximations(p).roots())
+    return sorted_complex(RootApproximations(p).roots)

@@ -18,16 +18,13 @@ from .cheb import G_poly, f_poly, failed_identities, require_family_index
 from .golden import default_fixtures
 from .intersect import build_intersection_report
 from .knotgrp import (
-    RELATOR_TOL,
     FreeWord,
     complex_roots,
     family_words,
     mat_trace,
-    mu_from_x,
     numeric_rep,
     relation_residual,
-    relator_residual,
-    relator_tolerance,
+    relator_check,
     sorted_complex,
     standard_relator,
     two_bridge_word,
@@ -225,11 +222,11 @@ def check_relator_numeric(ctx):
     worst, ok = 0.0, True
     for n in (2, 3):
         fam = family_words(n)
-        for r0, x0 in _loci_points(ctx, n):
-            rep = numeric_rep(n, mu_from_x(x0), r0)
-            res = relator_residual(rep, fam.relator)
+        for point in _loci_points(ctx, n):
+            rep = numeric_rep(n, *point)
+            res, tol = relator_check(rep, fam.relator)
             worst = max(worst, res)
-            ok = ok and res < relator_tolerance(rep, fam.relator, RELATOR_TOL)
+            ok = ok and res < tol
     if not ok:
         return False, f"worst relator residual {worst:.2e}"
     return True, f"worst residual {worst:.2e} over all n = 2, 3 points"
@@ -239,19 +236,20 @@ def check_standard_relators(ctx):
     """The relator V a V^-1 b^-1 and the relation V a = b V, both against
     the tolerance of the relator word."""
     worst, ok = 0.0, True
-    for n, (p, q) in ((2, (15, 11)), (3, (35, 29))):
+    forms = [family_words(n).two_bridge for n in (2, 3)]
+    for n, (p, q) in zip((2, 3), forms):
         rel = standard_relator(p, q)
         V = two_bridge_word(p, q)
-        for r0, x0 in _loci_points(ctx, n):
-            rep = numeric_rep(n, mu_from_x(x0), r0)
-            tol = relator_tolerance(rep, rel, RELATOR_TOL)
-            for res in (relator_residual(rep, rel),
-                        relation_residual(rep, V * FreeWord("a"), FreeWord("b") * V)):
-                worst = max(worst, res)
-                ok = ok and res < tol
+        for point in _loci_points(ctx, n):
+            rep = numeric_rep(n, *point)
+            res, tol = relator_check(rep, rel)
+            res = max(res, relation_residual(rep, V * FreeWord("a"), FreeWord("b") * V))
+            worst = max(worst, res)
+            ok = ok and res < tol
     if not ok:
         return False, f"worst two-bridge residual {worst:.2e}"
-    return True, f"(15,11) and (35,29) hold, worst residual {worst:.2e}"
+    held = " and ".join(f"({p},{q})" for p, q in forms)
+    return True, f"{held} hold, worst residual {worst:.2e}"
 
 
 def check_longitude_numeric(ctx):
@@ -262,15 +260,15 @@ def check_longitude_numeric(ctx):
             sample = (r0, x0)
     if sample is None:
         return False, "no sample point with Im r < 0"
-    rep = numeric_rep(2, mu_from_x(sample[1]), sample[0])
+    rep = numeric_rep(2, *sample)
     tau = mat_trace(word_eval(rep, fam.longitude))
     if abs(tau - (14 + 24j)) >= 1e-6:
         return False, f"longitude trace {tau:.6f} != 14+24i at the sample point"
     fx3 = ctx.fixture(3)
     fam3 = family_words(3)
     traces = sorted_complex(
-        mat_trace(word_eval(numeric_rep(3, mu_from_x(x0), r0), fam3.longitude))
-        for r0, x0 in _loci_points(ctx, 3)
+        mat_trace(word_eval(numeric_rep(3, *point), fam3.longitude))
+        for point in _loci_points(ctx, 3)
     )
     expected = complex_roots(fx3.longitude_min_poly)
     if len(traces) != len(expected) or any(

@@ -21,9 +21,8 @@ from cvtk.knotgrp import (
     complex_roots,
     family_words,
     mat_trace,
-    mu_from_x,
     numeric_rep,
-    relator_residual,
+    relator_check,
     standard_relator,
     word_eval,
 )
@@ -152,9 +151,9 @@ def test_criterion_11_numeric_representation():
     r0 = roots[0]
     assert abs(r0 - (1 - 1j)) < 1e-12
     x0 = cmath.sqrt(2 + r0 - 1 / (r0 * r0))
-    rep = numeric_rep(2, mu_from_x(x0), r0)
+    rep = numeric_rep(2, r0, x0)
     fam = family_words(2)
-    assert relator_residual(rep, fam.relator) < 1e-9
+    assert relator_check(rep, fam.relator)[0] < 1e-9
     tau = mat_trace(word_eval(rep, fam.longitude))
     assert abs(tau - (14 + 24j)) < 1e-9
     for n, (p, q) in ((2, (15, 11)), (3, (35, 29))):
@@ -164,8 +163,8 @@ def test_criterion_11_numeric_representation():
             for rr in complex_roots(locus_n.modulus):
                 value = sum(complex(c) * rr ** k for k, c in enumerate(fn))
                 xx = cmath.sqrt(2 + rr - 1 / (value * value))
-                rep_n = numeric_rep(n, mu_from_x(xx), rr)
-                assert relator_residual(rep_n, rel) < 1e-9
+                rep_n = numeric_rep(n, rr, xx)
+                assert relator_check(rep_n, rel)[0] < 1e-9
 
 
 def test_criterion_12_reducible_characters():

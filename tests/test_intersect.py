@@ -208,13 +208,13 @@ def test_numeric_cross_check_roots():
     with mpmath.workdps(40):
         for n in range(2, 13):
             for locus in build_intersection_report(n).loci:
-                approx = RootApproximations(locus.modulus)
                 x2, tau = locus.x_squared, locus.longitude_elem
-                images = [
-                    approx.fixed_images(x2.num, x2.den),
-                    approx.fixed_images(x2.num, x2.den, sqrt=True),
-                    approx.fixed_images(tau.num, tau.den),
-                ]
+                approx = RootApproximations(locus.modulus, [
+                    (x2.num, x2.den, False),
+                    (x2.num, x2.den, True),
+                    (tau.num, tau.den, False),
+                ])
+                images = approx.fixed_images
                 for i, point in enumerate(approx.points):
                     r0 = _mpc(point, approx.bits)
                     x2_value = 2 + r0 - 1 / f_poly(n)(r0) ** 2

@@ -13,6 +13,7 @@ from math import prod
 import mpmath
 import pytest
 
+from cvtk import knotgrp
 from cvtk.cheb import f_poly
 from cvtk.cli import complex_str, main
 from cvtk.golden import default_fixtures
@@ -20,18 +21,19 @@ from cvtk.intersect import build_intersection_report, intersection_loci
 from cvtk.knotgrp import (
     MAT_ID,
     FreeWord,
+    NumericRep,
     RootApproximations,
     _fixed,
     _sqrt_fixed,
     complex_roots,
     family_words,
     mat_det,
+    mat_diff_norm,
     mat_trace,
     mu_from_x,
     numeric_rep,
     relation_residual,
-    relator_residual,
-    relator_tolerance,
+    relator_check,
     standard_relator,
     two_bridge_word,
     word_eval,
@@ -112,6 +114,23 @@ def test_free_reduction_matches_brute_force():
         assert FreeWord(s).letters == _brute_reduce(s)
 
 
+def test_free_word_products_match_brute_force():
+    """Products, powers and inverses of reduced words reduce only once, when
+    they are built, yet equal the brute-force reduction of the
+    concatenation, full cancellation included."""
+    rng = random.Random(20261019)
+    words = [FreeWord("".join(rng.choice("aAbB") for _ in range(rng.randrange(13))))
+             for _ in range(60)]
+    for u, v in zip(words, words[1:] + words[:1]):
+        assert (u * v).letters == _brute_reduce(u.letters + v.letters)
+        assert (u * u.inverse()).letters == _brute_reduce(u.letters + u.inverse().letters) == ""
+        assert (u * v * v.inverse() * u.inverse()).letters == ""
+        assert u.inverse().letters == _brute_reduce(u.letters[::-1].swapcase())
+        for k in (-3, -1, 0, 2, 5):
+            base = u.letters if k >= 0 else u.inverse().letters
+            assert (u ** k).letters == _brute_reduce(base * abs(k))
+
+
 def test_free_word_algebra():
     w = FreeWord("aB")
     assert w * w.inverse() == FreeWord("")
@@ -142,10 +161,17 @@ def test_word_validation():
 # Numeric representations.
 
 
+def _rep_with_mu(n, mu, r):
+    """The representation at the eigenvalue mu itself, on either branch."""
+    return NumericRep(n=n, mu=mu, r=r, A=((mu, 1 + 0j), (0j, 1 / mu)),
+                      B=((mu, 0j), (2 - r, 1 / mu)))
+
+
 def test_numeric_rep_validation():
-    with pytest.raises(ValueError):
-        numeric_rep(2, 0, 1.5)
-    rep = numeric_rep(2, 0.5 + 0.25j, 1 + 1j)
+    mu = 0.5 + 0.25j
+    rep = numeric_rep(2, 1 + 1j, mu + 1 / mu)
+    assert abs(rep.mu * mu - 1) < 1e-12  # the branch with |mu| >= 1
+    assert rep.letters is rep.letters
     assert abs(mat_det(rep.A) - 1) < 1e-12
     assert abs(mat_det(rep.B) - 1) < 1e-12
     ABinv = word_eval(rep, FreeWord("aB"))
@@ -159,6 +185,27 @@ def test_mu_branches():
         assert abs(hi * lo - 1) < 1e-12
         assert abs(hi + 1 / hi - x) < 1e-12
         assert abs(lo + 1 / lo - x) < 1e-12
+
+
+def test_mu_stays_off_cancellation():
+    """Where Re x < 0, the principal root of x^2 - 4 cancels x; the branch
+    with |mu| >= 1 does not, so mu + 1/mu still gives x back."""
+    for x in (-1e9, -1e9j, -1e9 - 1e9j, -3 + 0j, -2.5j):
+        mu = mu_from_x(x)
+        assert abs(mu) >= 1
+        assert abs(mu + 1 / mu - x) <= 1e-12 * abs(x)
+
+
+def test_non_finite_points_are_usage_errors():
+    """A non-finite r or x, or an x whose square overflows, is the caller's
+    ValueError; a finite x never gives a zero mu."""
+    inf, nan = float("inf"), float("nan")
+    for r, x in ((inf, 1.0), (complex(1, nan), 1.0), (1, nan), (1, -inf), (1, complex(1, inf)),
+                 (1, 1e155j), (1, 1e200)):
+        with pytest.raises(ValueError, match="must be finite"):
+            numeric_rep(2, r, x)
+    rep = numeric_rep(2, 1, 1e150)
+    assert abs(rep.mu - 1e150) <= 1e138 and abs(mat_det(rep.A) - 1) < 1e-12
 
 
 def test_complex_roots_sorted_and_complete():
@@ -265,9 +312,8 @@ def test_family_relator_holds_at_loci():
     for n in range(2, 6):
         fam = family_words(n)
         for r0, x0 in _loci_points(n):
-            for mu in (mu_from_x(x0), 1 / mu_from_x(x0)):
-                rep = numeric_rep(n, mu, r0)
-                assert relator_residual(rep, fam.relator) < TOL
+            for rep in (numeric_rep(n, r0, x0), _rep_with_mu(n, 1 / mu_from_x(x0), r0)):
+                assert relator_check(rep, fam.relator)[0] < TOL
 
 
 def test_family_relator_holds_on_components():
@@ -276,8 +322,6 @@ def test_family_relator_holds_on_components():
     Evaluated at 60 decimal digits: the relator is a long word, so double
     precision would amplify root error well above any honest tolerance."""
     import mpmath
-
-    from cvtk.knotgrp import NumericRep
 
     rng = random.Random(7401)
     fx = default_fixtures()
@@ -295,17 +339,18 @@ def test_family_relator_holds_on_components():
                         A = ((mu, mpmath.mpc(1)), (mpmath.mpc(0), 1 / mu))
                         B = ((mu, mpmath.mpc(0)), (2 - r_mp, 1 / mu))
                         rep = NumericRep(n=n, mu=mu, r=r_mp, A=A, B=B)
-                        assert relator_residual(rep, fam.relator) < mpmath.mpf("1e-40")
+                        assert relator_check(rep, fam.relator)[0] < mpmath.mpf("1e-40")
 
 
 def test_standard_relator_at_loci():
     """The (4n^2-1, 4n^2-2n-1) two-bridge relator vanishes at the points."""
     for n, (p, q) in ((2, (15, 11)), (3, (35, 29))):
+        assert family_words(n).two_bridge == (p, q)
         rel = standard_relator(p, q)
         V = two_bridge_word(p, q)
         for r0, x0 in _loci_points(n):
-            rep = numeric_rep(n, mu_from_x(x0), r0)
-            assert relator_residual(rep, rel) < TOL
+            rep = numeric_rep(n, r0, x0)
+            assert relator_check(rep, rel)[0] < TOL
             assert (
                 relation_residual(rep, V * FreeWord("a"), FreeWord("b") * V) < TOL
             )
@@ -318,7 +363,7 @@ def test_seifert_generator_traces_at_loci():
         fn = f_poly(n).coeffs
         fn1 = f_poly(n - 1).coeffs
         for r0, x0 in _loci_points(n):
-            rep = numeric_rep(n, mu_from_x(x0), r0)
+            rep = numeric_rep(n, r0, x0)
             sigma = r0 * sum(
                 complex(c) * r0 ** k for k, c in enumerate(fn)
             ) - 2 * sum(complex(c) * r0 ** k for k, c in enumerate(fn1))
@@ -330,7 +375,7 @@ def test_longitude_trace_numeric_n2():
     """tau = 38 - 24 r on the n = 2 locus, so r0 = 1 - i carries 14 + 24i."""
     fam = family_words(2)
     for r0, x0 in _loci_points(2):
-        rep = numeric_rep(2, mu_from_x(x0), r0)
+        rep = numeric_rep(2, r0, x0)
         tau = mat_trace(word_eval(rep, fam.longitude))
         assert abs(tau - (38 - 24 * r0)) < 1e-6
         if r0.imag < 0:
@@ -343,7 +388,7 @@ def test_longitude_traces_match_frozen_min_poly():
         fam = family_words(n)
         traces = []
         for r0, x0 in _loci_points(n):
-            rep = numeric_rep(n, mu_from_x(x0), r0)
+            rep = numeric_rep(n, r0, x0)
             traces.append(mat_trace(word_eval(rep, fam.longitude)))
         expected = complex_roots(fx[n].longitude_min_poly)
         got = sorted(traces, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
@@ -384,42 +429,49 @@ def test_rep_command_at_every_point(capsys):
         assert next(expected, None) is None
 
 
-def test_relator_tolerance_scales_with_the_word():
+def test_relator_tolerance_scales_with_the_word(monkeypatch):
     """The tolerance is the floor on short words and grows with the word:
     400 copies of the n = 4 family relator (50,402 letters once reduced,
     longer than the n = 64 relator) get a tolerance above the 1e-9 floor
     that their residual stays below, while r0 moved by 1e-3 still fails on
-    the one relator and on the long word."""
+    the one relator and on the long word.  The residual is the one that
+    `word_eval` gives: both come from one product."""
     n = 4
     fam = family_words(n)
     r0, x0, _ = build_intersection_report(n).loci[0].points[0]
-    rep = numeric_rep(n, mu_from_x(x0), r0)
+    rep = numeric_rep(n, r0, x0)
     word = fam.relator ** 400
-    short = relator_tolerance(rep, fam.relator, 0.0)
-    assert short < 1e-11 and relator_tolerance(rep, fam.relator, 1e-9) == 1e-9
-    tol = relator_tolerance(rep, word, 1e-9)
+    monkeypatch.setattr(knotgrp, "RELATOR_TOL", 0.0)  # the raw rounding scale
+    short = relator_check(rep, fam.relator)[1]
+    monkeypatch.undo()
+    assert short < 1e-11 and relator_check(rep, fam.relator)[1] == 1e-9
+    res, tol = relator_check(rep, word)
     # the copies' partial products repeat, so only the length moves the scale
     assert tol == pytest.approx(len(word) / len(fam.relator) * short, rel=1e-9)
-    assert tol > 1e-9 and relator_residual(rep, word) < tol
-    bad = numeric_rep(n, mu_from_x(x0), r0 + 1e-3)
-    assert relator_residual(bad, fam.relator) >= relator_tolerance(bad, fam.relator, 1e-9)
-    assert relator_residual(bad, word) >= relator_tolerance(bad, word, 1e-9)
+    assert tol > 1e-9 and res < tol
+    assert res == mat_diff_norm(word_eval(rep, word), MAT_ID)
+    bad = numeric_rep(n, r0 + 1e-3, x0)
+    for w in (fam.relator, word):
+        res, tol = relator_check(bad, w)
+        assert res >= tol
 
 
 def test_rep_prints_the_tolerance_it_applied(monkeypatch, capsys):
     from cvtk import cli
 
-    monkeypatch.setattr(cli, "relator_tolerance", lambda rep, word, floor: 2.5e-9)
+    good = cli.relator_check
+    monkeypatch.setattr(cli, "relator_check", lambda rep, word: (good(rep, word)[0], 2.5e-9))
     assert main(["rep", "--n", "2"]) == 0
     out = capsys.readouterr().out
     assert "family relator residual < 2.5e-09: yes" in out
-    monkeypatch.setattr(cli, "relator_tolerance", lambda rep, word, floor: 0.0)
+    monkeypatch.setattr(cli, "relator_check", lambda rep, word: (good(rep, word)[0], 0.0))
     assert main(["rep", "--n", "2"]) == 1
     assert "family relator residual < 0: no" in capsys.readouterr().out
 
 
 def test_longitude_is_identity_off_word_evaluation_sanity():
-    rep = numeric_rep(2, 1.25 + 0.5j, 0.75 - 0.25j)
-    assert relator_residual(rep, FreeWord("")) == 0
+    mu = 1.25 + 0.5j
+    rep = numeric_rep(2, 0.75 - 0.25j, mu + 1 / mu)
+    assert relator_check(rep, FreeWord("")) == (0, knotgrp.RELATOR_TOL)
     prod = word_eval(rep, FreeWord("aA"))
     assert prod == MAT_ID
