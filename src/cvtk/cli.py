@@ -165,10 +165,11 @@ def cmd_rep(args) -> int:
     if not 0 <= args.locus < len(loci):
         raise ValueError(f"locus index must be in [0, {len(loci) - 1}]")
     locus = loci[args.locus]
-    points = locus.points
-    if not 0 <= args.root < len(points):
-        raise ValueError(f"root index must be in [0, {len(points) - 1}]")
-    r0, x0, _ = points[args.root]
+    # one point per root of the modulus: check the index before root-finding
+    degree = locus.modulus.degree
+    if not 0 <= args.root < degree:
+        raise ValueError(f"root index must be in [0, {degree - 1}]")
+    r0, x0, _ = locus.points[args.root]
     rep = numeric_rep(args.n, r0, x0)
     fam = family_words(args.n)
     p, q = fam.two_bridge

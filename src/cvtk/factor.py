@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import mul
 
+from . import Record
 from .ratpoly import (
     ExactArithError,
     UniPoly,
@@ -290,8 +290,7 @@ def _zassenhaus(F: UniPoly):
 # -- public surface ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """unit * prod(poly**mult) with monic irreducible polys, sorted."""
 
     unit: Fraction

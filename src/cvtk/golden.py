@@ -11,16 +11,15 @@ control for the whole comparison harness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import Record
 from .ratpoly import BiPoly, UniPoly
 
 RX = ("r", "x")
 
 
-@dataclass(frozen=True)
-class GoldenFixture:
+class GoldenFixture(Record):
     n: int
     X0: BiPoly
     X1: BiPoly

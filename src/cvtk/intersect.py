@@ -35,11 +35,11 @@ power-basis coordinates of x^2 and tau at them with error bounds, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
 
+from . import Record
 from .cheb import G_poly, f_poly, require_family_index
 from .factor import factor_over_rationals
 from .knotgrp import RootApproximations, sorted_complex
@@ -65,16 +65,14 @@ from .trace import (
 from .variety import x_relation
 
 
-@dataclass
 class LocusField:
     """One irreducible factor m of G_n: the field Q[r]/(m) and its generator r.
 
     x_squared is computed on first use and then kept.
     """
 
-    n: int
-    field: NumberField
-    r_elem: NFElem
+    def __init__(self, n: int, field: NumberField, r_elem: NFElem):
+        self.n, self.field, self.r_elem = n, field, r_elem
 
     @property
     def modulus(self) -> UniPoly:
@@ -85,8 +83,7 @@ class LocusField:
         return x_squared_at(self)
 
 
-@dataclass(frozen=True)
-class IntersectionLocus:
+class IntersectionLocus(Record):
     """One irreducible factor of G_n, its two certificates and the character
     data over it.
 
@@ -287,8 +284,7 @@ def _certified_locus(base: LocusField) -> IntersectionLocus:
     )
 
 
-@dataclass(frozen=True)
-class IntersectionReport:
+class IntersectionReport(Record):
     """Everything the slope detector and the CLI need for one knot."""
 
     n: int

@@ -29,10 +29,10 @@ no module needs a multiprecision float library.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import cached_property
 from math import ceil, exp, gcd, hypot, inf, isqrt, log, log2, pi, sqrt
 
+from . import Record
 from .cheb import require_family_index
 from .ratpoly import ExactArithError, UniPoly
 
@@ -70,11 +70,22 @@ class FreeWord:
     def __hash__(self):
         return hash(("FreeWord", self.letters))
 
+    @classmethod
+    def _of_reduced(cls, letters: str) -> "FreeWord":
+        word = object.__new__(cls)
+        word.letters = letters
+        return word
+
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord(self.letters + other.letters)
+        # both words are reduced, so letters can cancel only at the junction
+        a, b = self.letters, other.letters
+        k, top = 0, min(len(a), len(b))
+        while k < top and a[-1 - k] == _INV[b[k]]:
+            k += 1
+        return FreeWord._of_reduced(a[:len(a) - k] + b[k:])
 
     def inverse(self) -> "FreeWord":
-        return FreeWord("".join(_INV[ch] for ch in reversed(self.letters)))
+        return FreeWord._of_reduced("".join(_INV[ch] for ch in reversed(self.letters)))
 
     def __pow__(self, k: int) -> "FreeWord":
         if k < 0:
@@ -117,8 +128,7 @@ def standard_relator(p: int, q: int) -> FreeWord:
     return V * FreeWord("a") * V.inverse() * FreeWord("B")
 
 
-@dataclass(frozen=True)
-class FamilyWords:
+class FamilyWords(Record):
     """The presentation words of the n-th knot group."""
 
     n: int
@@ -172,8 +182,7 @@ def mat_diff_norm(M, N) -> float:
     return max(abs(M[i][j] - N[i][j]) for i in range(2) for j in range(2))
 
 
-@dataclass(frozen=True)
-class NumericRep:
+class NumericRep(Record):
     """One numeric character: meridian eigenvalue mu and r = tr(a b^-1)."""
 
     n: int

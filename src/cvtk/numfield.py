@@ -17,11 +17,11 @@ not a square in the field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import add, mul
 
+from . import Record, _set
 from .factor import iter_primes, squarefree_part
 from .ratpoly import (ExactArithError, UniPoly, _conv, _gf_eval, _gf_red, _pseudo_divmod,
                       frac_str)
@@ -84,8 +84,7 @@ class NumberField:
         return NFElem(self, p.num + (0,) * (self.degree - len(p.num)), p.den)
 
 
-@dataclass(frozen=True)
-class NFElem:
+class NFElem(Record):
     """Element sum(num[i] * r**i) / den of a NumberField: num holds field.degree
     ints, zero-padded, and den > 0 with gcd(den, *num) == 1.  The form is
     canonical, so equal elements compare equal structurally."""
@@ -93,6 +92,12 @@ class NFElem:
     field: NumberField
     num: tuple
     den: int
+
+    def __init__(self, field: NumberField, num: tuple, den: int):
+        # the arithmetic builds many elements: bind the fields directly
+        _set(self, "field", field)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @property
     def coeffs(self) -> tuple:
@@ -317,8 +322,7 @@ def non_square_witness(a: NFElem):
     return None
 
 
-@dataclass(frozen=True)
-class IntegralityVerdict:
+class IntegralityVerdict(Record):
     """2-adic (and general p-adic) integrality certificate for an algebraic
     number, read off the denominators of its monic minimal polynomial."""
 

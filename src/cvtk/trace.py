@@ -29,9 +29,9 @@ Seifert surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import Record
 from .cheb import f_values, require_family_index
 from .numfield import (
     IntegralityVerdict,
@@ -200,8 +200,7 @@ def longitude_integrality(n: int, min_poly: UniPoly) -> IntegralityVerdict:
     return verdict
 
 
-@dataclass(frozen=True)
-class ReducibleCharacter:
+class ReducibleCharacter(Record):
     """The character of the reducible representations, at r = t = 2."""
 
     n: int
@@ -275,8 +274,7 @@ def alexander_poly(n: int):
     return poly, 1 - 4 * n * n
 
 
-@dataclass(frozen=True)
-class SlopeCandidate:
+class SlopeCandidate(Record):
     """One branched-surface continued-fraction expansion and its slope."""
 
     tag: str
@@ -310,8 +308,7 @@ def boundary_slope_candidates(n: int):
     )
 
 
-@dataclass(frozen=True)
-class SlopeVerdict:
+class SlopeVerdict(Record):
     """Outcome of the non-integrality detection at the intersection points."""
 
     meridian_integral: bool

@@ -34,9 +34,9 @@ sits at ideal points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import Record
 from .cheb import f_values, g_poly, require_family_index
 from .golden import default_fixtures
 from .ratpoly import BiPoly, UniPoly, poly_gcd, resultant_in
@@ -79,8 +79,7 @@ def d_variety_poly(n: int) -> BiPoly:
     return gn1_r * gn_t - gn_r * gn1_t
 
 
-@dataclass(frozen=True)
-class ComponentPair:
+class ComponentPair(Record):
     """D(r, t) split as line * quotient, with line = r - t."""
 
     n: int
@@ -127,8 +126,7 @@ def meridian_derivative_at_two(n: int) -> UniPoly:
     return x_relation(n, Fraction(2), X * X).derivative()
 
 
-@dataclass(frozen=True)
-class BezoutBudget:
+class BezoutBudget(Record):
     """Intersection counts of the two components of the (r, x) model."""
 
     n: int

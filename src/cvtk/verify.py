@@ -10,10 +10,10 @@ line to FAIL; that negative control is itself part of the test suite.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+from . import Record
 from .cheb import G_poly, f_poly, failed_identities, require_family_index
 from .golden import default_fixtures
 from .intersect import build_intersection_report
@@ -63,8 +63,7 @@ def resolve_max_n(max_n=None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     ok: bool
     detail: str
@@ -77,11 +76,18 @@ class VerifyContext:
         self.fixtures = default_fixtures() if fixtures is None else fixtures
         self.max_n = resolve_max_n(max_n)
         self._reports = {}
+        self._reps = {}
 
     def report(self, n: int):
         if n not in self._reports:
             self._reports[n] = build_intersection_report(n)
         return self._reports[n]
+
+    def numeric_reps(self, n: int) -> list:
+        """The numeric representation at each point of each locus of report n."""
+        if n not in self._reps:
+            self._reps[n] = [numeric_rep(n, r0, x0) for r0, x0 in _loci_points(self, n)]
+        return self._reps[n]
 
     def fixture(self, n: int):
         if n not in self.fixtures:
@@ -222,8 +228,7 @@ def check_relator_numeric(ctx):
     worst, ok = 0.0, True
     for n in (2, 3):
         fam = family_words(n)
-        for point in _loci_points(ctx, n):
-            rep = numeric_rep(n, *point)
+        for rep in ctx.numeric_reps(n):
             res, tol = relator_check(rep, fam.relator)
             worst = max(worst, res)
             ok = ok and res < tol
@@ -240,8 +245,7 @@ def check_standard_relators(ctx):
     for n, (p, q) in zip((2, 3), forms):
         rel = standard_relator(p, q)
         V = two_bridge_word(p, q)
-        for point in _loci_points(ctx, n):
-            rep = numeric_rep(n, *point)
+        for rep in ctx.numeric_reps(n):
             res, tol = relator_check(rep, rel)
             res = max(res, relation_residual(rep, V * FreeWord("a"), FreeWord("b") * V))
             worst = max(worst, res)
@@ -255,20 +259,18 @@ def check_standard_relators(ctx):
 def check_longitude_numeric(ctx):
     fam = family_words(2)
     sample = None
-    for r0, x0 in _loci_points(ctx, 2):
-        if r0.imag < 0:
-            sample = (r0, x0)
+    for rep in ctx.numeric_reps(2):
+        if rep.r.imag < 0:
+            sample = rep
     if sample is None:
         return False, "no sample point with Im r < 0"
-    rep = numeric_rep(2, *sample)
-    tau = mat_trace(word_eval(rep, fam.longitude))
+    tau = mat_trace(word_eval(sample, fam.longitude))
     if abs(tau - (14 + 24j)) >= 1e-6:
         return False, f"longitude trace {tau:.6f} != 14+24i at the sample point"
     fx3 = ctx.fixture(3)
     fam3 = family_words(3)
     traces = sorted_complex(
-        mat_trace(word_eval(numeric_rep(3, *point), fam3.longitude))
-        for point in _loci_points(ctx, 3)
+        mat_trace(word_eval(rep, fam3.longitude)) for rep in ctx.numeric_reps(3)
     )
     expected = complex_roots(fx3.longitude_min_poly)
     if len(traces) != len(expected) or any(

@@ -187,6 +187,23 @@ def test_rep_numeric_failure_is_internal(monkeypatch, capsys):
         assert err.startswith("internal error: matrix determinant drifted away from 1")
 
 
+def test_rep_checks_root_index_before_root_finding(monkeypatch, capsys):
+    """An out-of-range --root is a usage error read off the modulus degree;
+    the command never root-finds the locus to learn it."""
+    from cvtk import intersect
+
+    def no_root_finding(p, elements):
+        raise AssertionError("rep root-found the modulus for a usage error")
+
+    monkeypatch.setattr(intersect, "RootApproximations", no_root_finding)
+    # G_3 and G_12 are irreducible, of degree 2n - 2
+    for n, root, top in ((3, 4, 3), (3, -1, 3), (12, 22, 21)):
+        assert main(["rep", "--n", str(n), "--root", str(root)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: root index must be in [0, {top}]\n"
+
+
 def test_one_root_approximation_per_locus(monkeypatch, capsys):
     """intersect and the numeric checks of verify-paper root-find each locus
     modulus once, through `IntersectionLocus.points`."""

@@ -5,7 +5,7 @@ polynomials, and verdicts; a numeric cross-check re-derives the squared
 meridian trace from isolated roots of the modulus.
 """
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, make_dataclass
 from fractions import Fraction
 from math import prod
 from types import SimpleNamespace
@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import mpmath
 import pytest
 
+from cvtk import Record
 from cvtk.cheb import G_poly, f_poly
 from cvtk.factor import factor_over_rationals
 from cvtk.golden import default_fixtures
@@ -24,16 +25,24 @@ from cvtk.intersect import (
     meridian_min_poly,
     x_squared_at,
 )
-from cvtk.knotgrp import RootApproximations, complex_roots
+from cvtk.knotgrp import RootApproximations, complex_roots, family_words, numeric_rep
 from cvtk.numfield import (
     WITNESS_PRIME_BOUND,
+    IntegralityVerdict,
     NFElem,
     integrality_verdict,
     nf_minimal_polynomial,
     non_square_witness,
 )
 from cvtk.ratpoly import UniPoly
-from cvtk.trace import TraceContext, longitude_trace, longitude_value
+from cvtk.trace import (
+    TraceContext,
+    boundary_slope_candidates,
+    longitude_trace,
+    longitude_value,
+)
+from cvtk.variety import bezout_budget, d_split
+from cvtk.verify import CheckResult
 
 
 def _meridian_product(locus):
@@ -263,6 +272,30 @@ def test_report_json_shape():
     assert obj["reducible"]["is_intersection_point"] is False
 
 
+def _record_samples() -> list:
+    """One instance of every Record subclass, as the pipeline builds it."""
+    report = build_intersection_report(2)
+    locus = report.loci[0]
+    r0, x0, _ = locus.points[0]
+    return [
+        factor_over_rationals(G_poly(2)),
+        default_fixtures()[2],
+        locus,
+        report,
+        family_words(2),
+        numeric_rep(2, r0, x0),
+        locus.r_elem,
+        locus.meridian_verdict,
+        IntegralityVerdict(False, 6, (2, 3), 35),
+        report.reducible,
+        boundary_slope_candidates(2)[0],
+        report.slope,
+        d_split(2),
+        bezout_budget(2),
+        CheckResult("name", True, "detail"),
+    ]
+
+
 def test_report_records_are_frozen():
     rep = build_intersection_report(2)
     with pytest.raises(FrozenInstanceError):
@@ -273,6 +306,35 @@ def test_report_records_are_frozen():
         rep.n = 3
     with pytest.raises(FrozenInstanceError):
         rep.loci = ()
+    for record in _record_samples():
+        for name in type(record).__annotations__:
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, name)
+
+
+def test_records_behave_as_frozen_dataclasses():
+    """Each record equals, hashes and prints as the frozen dataclass with its
+    fields and values would, so set and dict orders and printed records are
+    those of the dataclasses the records replace."""
+    samples = _record_samples()
+    assert {type(x) for x in samples} == set(Record.__subclasses__())
+    for record in samples:
+        cls = type(record)
+        names = tuple(cls.__annotations__)
+        values = tuple(getattr(record, f) for f in names)
+        oracle = make_dataclass(cls.__qualname__, names, frozen=True)(*values)
+        assert cls(*values) == record == cls(**dict(zip(names, values)))
+        assert cls(object(), *values[1:]) != record
+        assert record != oracle and oracle != record and record != values
+        assert hash(record) == hash(values) == hash(oracle)
+        if cls.__repr__ is Record.__repr__:  # NFElem prints as a polynomial
+            assert repr(record) == repr(oracle)
+        for args, kwargs in (((), {}), (values, {"extra": 0}), (values + (0,), {})):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+    assert IntegralityVerdict(True, 1, ()).composite_cofactor is None
 
 
 def _read_every_locus(report):

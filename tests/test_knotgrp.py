@@ -24,6 +24,7 @@ from cvtk.knotgrp import (
     NumericRep,
     RootApproximations,
     _fixed,
+    _reduce,
     _sqrt_fixed,
     complex_roots,
     family_words,
@@ -117,12 +118,17 @@ def test_free_reduction_matches_brute_force():
 def test_free_word_products_match_brute_force():
     """Products, powers and inverses of reduced words reduce only once, when
     they are built, yet equal the brute-force reduction of the
-    concatenation, full cancellation included."""
+    concatenation, full cancellation included.  A product cancels only at
+    the junction; a right factor that starts with part of the left factor's
+    inverse makes that cancellation run deep."""
     rng = random.Random(20261019)
     words = [FreeWord("".join(rng.choice("aAbB") for _ in range(rng.randrange(13))))
              for _ in range(60)]
     for u, v in zip(words, words[1:] + words[:1]):
         assert (u * v).letters == _brute_reduce(u.letters + v.letters)
+        deep = FreeWord(u.inverse().letters[:rng.randrange(len(u) + 1)] + v.letters)
+        assert (u * deep).letters == _reduce(u.letters + deep.letters)
+        assert (deep * u).letters == _reduce(deep.letters + u.letters)
         assert (u * u.inverse()).letters == _brute_reduce(u.letters + u.inverse().letters) == ""
         assert (u * v * v.inverse() * u.inverse()).letters == ""
         assert u.inverse().letters == _brute_reduce(u.letters[::-1].swapcase())

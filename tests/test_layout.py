@@ -1,6 +1,9 @@
 """Guards on the shape of the source tree."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,3 +54,22 @@ def test_every_public_function_has_a_caller():
     as content and to_json belong to several classes, so a use of one cannot
     be told from a use of another by name."""
     assert uncalled_public_functions(ROOT) == set(UNCALLED)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """Every invocation pays for what `import cvtk.cli` loads, and dataclasses
+    with the inspect, ast and dis it pulls in was most of that.  Only the
+    modules the import adds count, so a site hook that loads them already
+    cannot fail the test."""
+    code = (
+        "import sys; before = set(sys.modules); import cvtk.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -68,17 +68,28 @@ def test_property_checks_run_clean():
     assert all_passed(results)
 
 
+def test_numeric_checks_share_one_representation_per_point(monkeypatch):
+    """The three numeric checks read one representation per certified point:
+    2 points at n = 2 and 4 at n = 3."""
+    real = verify.numeric_rep
+    built = []
+    monkeypatch.setattr(verify, "numeric_rep", lambda n, r, x: built.append(n) or real(n, r, x))
+    numeric = ["relator-numeric", "standard-relators", "longitude-numeric"]
+    assert all_passed(verify._run(VerifyContext(max_n=2), numeric))
+    assert sorted(built) == [2] * 2 + [3] * 4
+
+
 def test_numeric_checks_fail_off_the_points(monkeypatch):
     """Moving every r0 by 1e-3 fails exactly the three checks that evaluate
-    words numerically, and each FAIL line names its check."""
+    words numerically, and each FAIL line names its check.  A context builds
+    its representations once, so the moved points need a new context."""
     numeric = ["relator-numeric", "standard-relators", "longitude-numeric"]
-    ctx = VerifyContext(max_n=2)
-    assert all_passed(verify._run(ctx, numeric))
+    assert all_passed(verify._run(VerifyContext(max_n=2), numeric))
     real = verify._loci_points
     monkeypatch.setattr(
         verify, "_loci_points", lambda ctx, n: [(r0 + 1e-3, x0) for r0, x0 in real(ctx, n)]
     )
-    results = verify._run(ctx, [name for name, _ in CHECKS])
+    results = verify._run(VerifyContext(max_n=2), [name for name, _ in CHECKS])
     assert [res.name for res in results if not res.ok] == numeric
     lines = render_results(results).splitlines()
     for name in numeric:
