@@ -51,7 +51,7 @@ from .verify import (
 # Largest value each integer argument accepts, so that a run ends within about
 # a minute on a 2-vCPU Xeon host; above it the command exits 2. The library
 # functions take any value, so a caller who needs more calls them.
-MAX_N = 128  # --n, the family index: detect --n 128 takes about 3.5 s
+MAX_N = 128  # --n, the family index: detect --n 128 takes about 0.5-0.75 s
 # verify-paper --n and CVTK_MAX_N have their own ceiling, verify.MAX_CHECK_N = 64.
 MAX_VARIETY_N = 32  # variety --n: the X model at n = 32 takes about 15-18 s
 MAX_J = 1000  # cheb --j: the polynomials of index 1000 take about 2 s

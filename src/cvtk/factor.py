@@ -3,12 +3,14 @@
 Zassenhaus route for a primitive squarefree integer polynomial F:
 
 * Split F by distinct degree modulo each of the first MODULAR_PRIMES usable
-  primes, raising to the p-th power by one mat-vec with the Frobenius
-  matrix built once per prime, each column the remainder (_gf_divmod) of
-  x^p times the one before.  A factor of F over Q has a degree that is a
+  primes up to 83, in the byte kernel of cvtk.ratpoly (_gfb_*).  The
+  Frobenius columns x^(j p) mod f are built once per prime, each the
+  remainder (_gfb_rem) of x^p times the one before, and h -> h^p is a sum
+  of translated columns.  A factor of F over Q has a degree that is a
   subset sum of the modular factor degrees for every prime, so when the
   intersection of these degree sets is {0, deg F}, F is irreducible with no
-  lifting (Musser 1975).
+  lifting (Musser 1975).  An input with no usable prime up to 83 raises
+  ExactArithError.
 * Otherwise take the prime with the fewest modular factors, split them with
   Cantor-Zassenhaus equal-degree factorization, Hensel-lift them to twice
   the Mignotte bound, and recombine subsets by trial division.  A subset is
@@ -27,22 +29,26 @@ import itertools
 import random
 from fractions import Fraction
 from math import isqrt
-from operator import mul
 
 from . import Record
 from .ratpoly import (
+    _GFB_PRIMES,
     ExactArithError,
     UniPoly,
     _gf_add,
-    _gf_deriv,
     _gf_divmod,
-    _gf_gcd,
     _gf_gcdex,
-    _gf_monic,
     _gf_mul,
     _gf_pow_mod,
     _gf_red,
     _gf_sub,
+    _gfb,
+    _gfb_deriv,
+    _gfb_divmod,
+    _gfb_gcd,
+    _gfb_monic,
+    _gfb_rem,
+    _gfb_tables,
     _trim,
     poly_gcd,
 )
@@ -85,29 +91,55 @@ def iter_primes():
                 break
 
 
-def _gf_ddf(f, p):
-    """Distinct-degree split of a monic squarefree f: [(product, degree)].
+def _gfb_frobenius(f, p):
+    """Column j < deg f of the Frobenius matrix of a monic byte polynomial f
+    mod p: x^(j*p) mod f, the remainder of x^p times column j - 1."""
+    cols = [b"\1"]
+    for _ in range(2, len(f)):
+        cols.append(_gfb_rem(bytes(p) + cols[-1], f, p))
+    return cols
 
-    Column j of the Frobenius matrix is x^(j*p) mod f, the remainder of
-    x^p times column j - 1, so h -> h^p mod f is one mat-vec (von zur Gathen
-    and Gerhard, 14.2, 14.8).  h stays reduced mod the original f, which
-    every later f divides."""
+
+def _gfb_frobenius_map(h, cols, p):
+    """h^p mod f from the Frobenius columns of f: the sum over j of column j
+    translated by h_j (von zur Gathen and Gerhard, 14.2, 14.8).
+
+    The sum keeps every residue in its byte: after a reduction a byte holds
+    at most p - 1, and each added column at most p - 1 more, so the sum is
+    reduced after every 255 // (p - 1) - 1 columns."""
+    rows = _gfb_tables(p)
+    mod = rows[1]
+    n = len(cols)
+    headroom = 255 // (p - 1) - 1
+    acc = 0
+    left = headroom
+    for c, col in zip(h, cols):
+        if c:
+            acc += int.from_bytes(col.translate(rows[c]), "little")
+            left -= 1
+            if not left:
+                acc = int.from_bytes(acc.to_bytes(n, "little").translate(mod), "little")
+                left = headroom
+    return acc.to_bytes(n, "little").translate(mod).rstrip(b"\0")
+
+
+def _gfb_ddf(f, p):
+    """Distinct-degree split of a monic squarefree byte polynomial f mod a
+    prime in _GFB_PRIMES: [(product, degree)], as sympy's gf_ddf_zassenhaus.
+    h = x^(p^i) mod f comes from the Frobenius columns, built once; it stays
+    reduced mod the original f, which every later f divides."""
+    cols = _gfb_frobenius(f, p)
     out = []
-    f = list(f)
-    n = len(f) - 1
-    cols = [[1] + [0] * (n - 1)]
-    for _ in range(1, n):
-        cols.append(_gf_divmod([0] * p + cols[-1], f, p)[1])
-    # remainders come trimmed; the first column has all n rows
-    frob = list(itertools.zip_longest(*cols, fillvalue=0))
-    h = [0, 1] + [0] * (n - 2)
+    h = b"\0\1"
     i = 1
     while len(f) - 1 >= 2 * i:
-        h = [sum(map(mul, row, h)) % p for row in frob]
-        g = _gf_gcd(_gf_sub(h, [0, 1], p), f, p)
+        h = _gfb_frobenius_map(h, cols, p)
+        hx = bytearray(h.ljust(2, b"\0"))  # h - x
+        hx[1] = (hx[1] - 1) % p
+        g = _gfb_gcd(bytes(hx).rstrip(b"\0"), f, p)
         if len(g) > 1:
             out.append((g, i))
-            f = _gf_divmod(f, g, p)[0]
+            f = _gfb_divmod(f, g, p)[0]
         i += 1
     if len(f) > 1:
         out.append((f, len(f) - 1))
@@ -133,11 +165,11 @@ def _gf_edf(f, d, p, rng):
                 for _ in range(d - 1):
                     w = _gf_pow_mod(w, 2, g, 2)
                     trace = _gf_add(trace, w, 2)
-                cand = _gf_gcd(trace, g, 2)
+                cand = list(_gfb_gcd(bytes(trace), bytes(g), 2))
             else:
                 e = (p ** d - 1) // 2
                 w = _gf_pow_mod(t, e, g, p)
-                cand = _gf_gcd(_gf_sub(w, [1], p), g, p)
+                cand = list(_gfb_gcd(bytes(_gf_sub(w, [1], p)), bytes(g), p))
             if 0 < len(cand) - 1 < len(g) - 1:
                 stack.append(cand)
                 stack.append(_gf_divmod(g, cand, p)[0])
@@ -210,16 +242,16 @@ def _zassenhaus(F: UniPoly):
     degrees = (1 << (n + 1)) - 1
     best = None
     usable = 0
-    for q in iter_primes():
+    for q in _GFB_PRIMES:
         if usable == MODULAR_PRIMES:
             break
         if b % q == 0:
             continue
-        fq = _gf_monic(_gf_red(fz, q), q)
-        if len(_gf_gcd(fq, _gf_deriv(fq, q), q)) != 1:
+        fq = _gfb_monic(_gfb(fz, q), q)
+        if len(_gfb_gcd(fq, _gfb_deriv(fq, q), q)) != 1:
             continue
         usable += 1
-        split = _gf_ddf(fq, q)
+        split = _gfb_ddf(fq, q)
         count = 0
         sums = 1
         for g, d in split:
@@ -231,8 +263,13 @@ def _zassenhaus(F: UniPoly):
             return [F]  # Musser's certificate: no proper factor degree is left
         if best is None or count < best[0]:
             best = (count, q, split)
+    if best is None:
+        raise ExactArithError(
+            f"no usable prime up to {_GFB_PRIMES[-1]} for a degree-{n} polynomial: "
+            "each divides its leading coefficient or its discriminant"
+        )
     _, p, split = best
-    facs = sorted(h for g, d in split for h in _gf_edf(g, d, p, rng))
+    facs = sorted(h for g, d in split for h in _gf_edf(list(g), d, p, rng))
     maxnorm = max(abs(c) for c in fz)
     mignotte = (isqrt(n + 1) + 1) * (1 << n) * maxnorm * abs(b)
     l = 1

@@ -51,7 +51,7 @@ from .numfield import (
     nf_minimal_polynomial,
     non_square_witness,
 )
-from .ratpoly import UniPoly, _gf_gcd, _gf_red
+from .ratpoly import UniPoly, _gfb, _gfb_gcd
 from .trace import (
     ReducibleCharacter,
     SlopeVerdict,
@@ -259,8 +259,7 @@ def meridian_certificate(locus) -> bool:
     m = locus.modulus
     if not _monic_integral(m):
         return False
-    fn = _gf_red(f_poly(locus.n).num, 2)
-    return len(_gf_gcd(_gf_red(m.num, 2), fn, 2)) > 1
+    return len(_gfb_gcd(_gfb(m.num, 2), _gfb(f_poly(locus.n).num, 2), 2)) > 1
 
 
 def longitude_certificate(locus, tau: NFElem) -> bool:

@@ -67,9 +67,6 @@ class NumberField:
             raise ExactArithError("coordinate vector too long")
         return self.from_poly(UniPoly(coeffs, self.modulus.var))
 
-    def zero(self) -> "NFElem":
-        return self.elem(())
-
     def one(self) -> "NFElem":
         return self.elem((1,))
 

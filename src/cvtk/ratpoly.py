@@ -20,15 +20,22 @@ by Kronecker substitution, and the rest a row loop that skips zero entries.
 Every reduction of one polynomial by another over Z or Z[t] runs the one
 pseudo-division kernel _pseudo_divmod: UniPoly and BiPoly division, the
 subresultant PRS of resultant_in, the remainder sequence of poly_gcd, and
-cvtk.numfield's field products and multiplication matrices.  Over GF(p) the kernel is
-_gf_divmod, one of the _gf_* helpers on int lists modulo p shared by
-poly_gcd's coprimality test, the factoring code and the non-square witness.
-A quotient of one or two terms, each step of a Euclidean remainder sequence
-that lowers the degree by one, takes one pass over the dividend; a longer
-quotient takes one row update per term.
+cvtk.numfield's field products and multiplication matrices.
+
+Over GF(p) for the primes p <= 83 (_GFB_PRIMES) a polynomial is `bytes`,
+one residue per byte, and the _gfb_* kernel computes with bytes.translate
+and bignum adds: a remainder step of two quotient terms is a fixed number
+of C-level operations on whole polynomials, whatever the degree.  It serves
+poly_gcd's coprimality certificate (at 83 and 79, or the next usable
+primes), the distinct-degree split and squarefree tests of the factoring
+code, and the mod-2 meridian certificate.  The _gf_* helpers on int lists
+remain for Hensel lifting, whose modulus is a prime power, and the
+equal-degree split before it (_gf_divmod, _gf_mul, _gf_gcdex,
+_gf_pow_mod), and for the non-square witness, whose primes are unbounded
+(_gf_red, _gf_eval).
 This module builds no matrices: cvtk.numfield builds the integer
 multiplication matrices of field elements, and cvtk.factor the Frobenius
-matrices of its distinct-degree split.
+columns of its distinct-degree split.
 """
 
 from __future__ import annotations
@@ -240,12 +247,22 @@ class UniPoly:
         """Horner evaluation; value may live in any commutative Q-algebra.
 
         The numerators are combined first and divided by den once, at the end.
+        At a Fraction a/b the Horner sum runs in ints, sum(num[k] a^k
+        b^(deg - k)), and one Fraction divides it by den * b^deg.
         """
+        if not self.num:
+            return Fraction(0)
+        if type(value) is Fraction:
+            a, b = value.numerator, value.denominator
+            acc = self.num[-1]
+            bk = 1
+            for c in reversed(self.num[:-1]):
+                bk *= b
+                acc = acc * a + c * bk
+            return Fraction(acc, self.den * bk)
         acc = None
         for c in reversed(self.num):
             acc = c if acc is None else acc * value + c
-        if acc is None:
-            return Fraction(0)
         return acc if self.den == 1 else acc * Fraction(1, self.den)
 
     def monic(self) -> "UniPoly":
@@ -660,9 +677,8 @@ def _gf_divmod(a, b, p):
     A quotient of one or two terms, the usual step of a Euclidean remainder
     sequence, is read off the top two coefficients of a, and the remainder
     a - (c1*x + c0)*b is built reduced in one pass over a.  A longer quotient
-    (Frobenius columns, Hensel lifting, exact divisions by a factor) takes
-    one row update per quotient term, reducing the running remainder only
-    once, at the end."""
+    (Hensel lifting, exact divisions by a factor) takes one row update per
+    quotient term, reducing the running remainder only once, at the end."""
     db = len(b) - 1
     inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
     e = len(a) - db
@@ -681,20 +697,6 @@ def _gf_divmod(a, b, p):
             q[k] = c
             r[k:k + db] = [s - c * y for s, y in zip(r[k:k + db], low)]
     return _trim(q), _trim([c % p for c in r[:db]])
-
-
-def _gf_monic(a, p):
-    if not a or a[-1] == 1:
-        return list(a)
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _gf_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _gf_divmod(a, b, p)[1]
-    return _gf_monic(a, p)
 
 
 def _gf_gcdex(a, b, p):
@@ -721,10 +723,6 @@ def _gf_eval(a, x: int, p: int) -> int:
     return acc
 
 
-def _gf_deriv(a, p):
-    return _trim([k * c % p for k, c in enumerate(a)][1:])
-
-
 def _gf_pow_mod(a, e, mod, p):
     out = [1]
     base = _gf_divmod(a, mod, p)[1]
@@ -735,6 +733,94 @@ def _gf_pow_mod(a, e, mod, p):
         if e:
             base = _gf_divmod(_gf_mul(base, base, p), mod, p)[1]
     return out
+
+
+# GF(p) for the small primes: one residue per byte
+# ---------------------------------------------------------------------------
+#
+# Modulo a prime p in _GFB_PRIMES a polynomial is `bytes`, one residue per
+# byte, low degree first, without trailing zero bytes.  Its multiple by c is
+# one translate by row c of _gfb_tables(p), a sum of such multiples is one
+# bignum add of the bytes read as little-endian ints, and one translate by
+# row 1 (v -> v mod p) reduces the sum, as long as no byte carried into the
+# next (Lamport, "Multiple byte processing with full-word instructions",
+# CACM 1975).  A remainder step with a two-term quotient adds two multiples
+# of the divisor to the dividend, so three residues share a byte:
+# 3 (p - 1) <= 255, that is p <= 86.
+_GFB_PRIMES = tuple(p for p in range(2, 255 // 3 + 2) if all(p % d for d in range(2, p)))
+
+_GFB_TABLES = {}
+
+
+def _gfb_tables(p):
+    """The translate rows mod p: row c < p maps every byte v to c*v mod p.
+
+    Built on the first use of p and kept; row c is row c - 1 plus row 1,
+    added as ints (each byte below 2p) and reduced by row 1."""
+    rows = _GFB_TABLES.get(p)
+    if rows is None:
+        mod = bytes(v % p for v in range(256))
+        one = int.from_bytes(mod, "little")
+        rows = [bytes(256), mod]
+        for _ in range(2, p):
+            rows.append((int.from_bytes(rows[-1], "little") + one).to_bytes(256, "little").translate(mod))
+        _GFB_TABLES[p] = rows
+    return rows
+
+
+def _gfb(a, p):
+    """Byte polynomial of an int coefficient list reduced mod p."""
+    return bytes([c % p for c in a]).rstrip(b"\0")
+
+
+def _gfb_monic(a, p):
+    return a.translate(_gfb_tables(p)[pow(a[-1], -1, p)]) if a and a[-1] != 1 else a
+
+
+def _gfb_deriv(a, p):
+    return bytes([k * c % p for k, c in enumerate(a)][1:]).rstrip(b"\0")
+
+
+def _gfb_rem(a, b, p, q=None):
+    """Remainder of byte polynomials mod p, b of degree at least 1; the
+    quotient's terms go into the bytearray q when one is given.
+
+    Two quotient terms at a time: c1 and c0 are read off the top two bytes
+    of the running remainder, and r - (c1 x + c0) x^k b is one add of r and
+    two translated, shifted copies of b, then one reduction."""
+    rows = _gfb_tables(p)
+    mod = rows[1]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    b1 = b[-2]
+    while len(a) > db:
+        k = len(a) - 1 - db
+        c1 = a[-1] * inv % p
+        s = int.from_bytes(a, "little") + (int.from_bytes(b.translate(rows[-c1]), "little") << 8 * k)
+        if k:
+            c0 = (a[-2] - c1 * b1) * inv % p
+            s += int.from_bytes(b.translate(rows[-c0]), "little") << 8 * k - 8
+        if q is not None:
+            q[k] = c1
+            if k:
+                q[k - 1] = c0
+        a = s.to_bytes(len(a), "little").translate(mod).rstrip(b"\0")
+    return a
+
+
+def _gfb_divmod(a, b, p):
+    """Quotient and remainder of byte polynomials mod p, b of degree at
+    least 1."""
+    q = bytearray(max(len(a) - len(b) + 1, 0))
+    r = _gfb_rem(a, b, p, q)
+    return bytes(q), r
+
+
+def _gfb_gcd(a, b, p):
+    """Monic gcd of byte polynomials mod p."""
+    while len(b) > 1:
+        a, b = b, _gfb_rem(a, b, p)
+    return b"\1" if b else _gfb_monic(a, p)
 
 
 # ---------------------------------------------------------------------------
@@ -794,10 +880,6 @@ def resultant_in(p: BiPoly, q: BiPoly, var: str) -> UniPoly:
     return _prs_resultant(p.coeff_list_in(var), q.coeff_list_in(var), one)
 
 
-# Primes below 2^30, so that every residue is one CPython digit.
-_CERT_PRIMES = (1073741789, 1073741783, 1073741741)
-
-
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic gcd over Q (primitive PRS with a modular coprimality fast path)."""
     if p.is_zero and q.is_zero:
@@ -810,13 +892,19 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     var = p.var
     a = p.primitive()
     b = q.primitive()
-    # One prime with constant gcd mod p certifies coprimality over Q.
-    for pr in _CERT_PRIMES:
+    # A constant gcd modulo one prime that divides neither leading coefficient
+    # certifies coprimality over Q.  A coprime pair has a nonconstant gcd mod
+    # p only when p divides their resultant, so a second prime is tried
+    # before the PRS.
+    usable = 0
+    for pr in reversed(_GFB_PRIMES):
         if a.num[-1] % pr == 0 or b.num[-1] % pr == 0:
             continue
-        if len(_gf_gcd(_gf_red(a.num, pr), _gf_red(b.num, pr), pr)) == 1:
+        if len(_gfb_gcd(_gfb(a.num, pr), _gfb(b.num, pr), pr)) == 1:
             return UniPoly.const(1, var)
-        break
+        usable += 1
+        if usable == 2:
+            break
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero:

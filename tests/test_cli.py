@@ -320,7 +320,7 @@ def test_integral_meridian_is_a_verification_failure(monkeypatch, capsys):
 
     integral = IntegralityVerdict(is_algebraic_integer=True, denominator_lcm=1, bad_primes=())
     monkeypatch.setattr(intersect, "integrality_verdict", lambda poly: integral)
-    monkeypatch.setattr(intersect, "_gf_gcd", lambda a, b, p: [1])  # no meridian certificate
+    monkeypatch.setattr(intersect, "_gfb_gcd", lambda a, b, p: b"\1")  # no meridian certificate
     assert main(["intersect", "--n", "2"]) == 1
     obj = json.loads(capsys.readouterr().out)
     assert obj["status"] == "verification-failure"
@@ -484,7 +484,7 @@ def test_failed_certificate_falls_back_to_min_polys(monkeypatch, capsys, failed)
     from cvtk import intersect
 
     if failed == "meridian":
-        monkeypatch.setattr(intersect, "_gf_gcd", lambda a, b, p: [1])
+        monkeypatch.setattr(intersect, "_gfb_gcd", lambda a, b, p: b"\1")
     else:
         good = intersect.longitude_certificate
         monkeypatch.setattr(

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -18,10 +19,11 @@ from cvtk.numfield import nf_minimal_polynomial
 from cvtk.ratpoly import (
     ExactArithError,
     UniPoly,
-    _gf_deriv,
-    _gf_gcd,
-    _gf_monic,
-    _gf_red,
+    _gf_pow_mod,
+    _gfb,
+    _gfb_deriv,
+    _gfb_gcd,
+    _gfb_monic,
 )
 
 
@@ -371,13 +373,18 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
 def assert_ddf_agrees_with_sympy(f, p):
-    """_gf_ddf of a monic squarefree f mod p equals sympy's Zassenhaus split."""
+    """_gfb_ddf of a monic squarefree f mod p equals sympy's Zassenhaus split."""
     gt = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
 
     want = [([int(c) for c in reversed(g)], d)
             for g, d in gt.gf_ddf_zassenhaus([ZZ(c) for c in reversed(f)], p, ZZ)]
-    assert factor._gf_ddf(f, p) == want
+    assert [(list(g), d) for g, d in factor._gfb_ddf(bytes(f), p)] == want
+
+
+def squarefree(f, p):
+    f = bytes(f)
+    return len(_gfb_gcd(f, _gfb_deriv(f, p), p)) == 1
 
 
 def squarefree_images(fz):
@@ -386,18 +393,23 @@ def squarefree_images(fz):
     for p in SMALL_PRIMES:
         if fz[-1] % p == 0:
             continue
-        f = _gf_monic(_gf_red(fz, p), p)
-        if len(_gf_gcd(f, _gf_deriv(f, p), p)) == 1:
+        f = list(_gfb_monic(_gfb(fz, p), p))
+        if squarefree(f, p):
             yield f, p
 
 
 def test_gf_ddf_agrees_with_sympy_on_random_polynomials():
+    """Random monic squarefree polynomials, and dense ones with most
+    residues p - 1, at small primes and at 37 and 83, whose Frobenius sums
+    are reduced after every 6 and every 2 columns."""
     rng = random.Random(61)
     checked = 0
     while checked < 120:
-        p = rng.choice(SMALL_PRIMES)
+        p = rng.choice(SMALL_PRIMES + (37, 83))
         f = [rng.randrange(p) for _ in range(rng.randint(1, 60))] + [1]
-        if len(_gf_gcd(f, _gf_deriv(f, p), p)) != 1:
+        if checked % 3 == 0:
+            f = [rng.choice((p - 1, p - 1, rng.randrange(p))) for _ in f[1:]] + [1]
+        if not squarefree(f, p):
             continue
         assert_ddf_agrees_with_sympy(f, p)
         checked += 1
@@ -415,3 +427,60 @@ def test_gf_ddf_agrees_with_sympy_on_family_images():
             assert_ddf_agrees_with_sympy(f, p)
             checked += 1
     assert checked >= 100
+
+
+def test_frobenius_map_keeps_residues_in_their_bytes():
+    """h^p mod f from the byte columns against the int-list square-and-
+    multiply _gf_pow_mod.  Every entry of h and of f's low part is p - 1 or
+    random, at degrees where a dense h makes the column sum reduce before
+    its end at every prime: after 254 of 300 columns at p = 2, after 126
+    and 252 at p = 3, and after every 6 and every 2 columns at 37 and 83."""
+    rng = random.Random(62)
+    for p, n in ((2, 300), (3, 300), (37, 80), (83, 80)):
+        for dense in (True, False):
+            f = [p - 1 if dense else rng.randrange(p) for _ in range(n)] + [1]
+            h = [p - 1 if dense else rng.randrange(p) for _ in range(n)]
+            cols = factor._gfb_frobenius(bytes(f), p)
+            want = _gf_pow_mod(h, p, f, p)
+            assert list(factor._gfb_frobenius_map(bytes(h), cols, p)) == want
+
+
+# Every prime up to 83, the byte kernel's bound, divides it.
+PRIMORIAL_83 = math.prod(p for p in range(2, 84) if all(p % d for d in range(2, p)))
+
+
+def test_musser_certificate_has_a_prime_budget():
+    """A polynomial with no usable prime up to the byte-kernel bound 83, here
+    one whose leading coefficient every such prime divides, raises
+    ExactArithError naming the bound, at once."""
+    start = time.monotonic()
+    with pytest.raises(ExactArithError, match="no usable prime up to 83"):
+        factor_over_rationals(PRIMORIAL_83 * U ** 3 + U + 1)
+    assert time.monotonic() - start < 1.0
+    ok = PRIMORIAL_83 // 83 * U ** 3 + U + 1  # 83 alone is usable
+    assert expand(factor_over_rationals(ok)) == ok
+
+
+def test_prime_budget_failure_is_an_internal_error(monkeypatch, capsys):
+    """Through the CLI the same failure exits 1 as an internal error, not 2 as
+    a usage error."""
+    from cvtk import intersect
+    from cvtk.cli import main
+
+    monkeypatch.setattr(intersect, "G_poly", lambda n: PRIMORIAL_83 * U ** 2 + 1)
+    assert main(["detect", "--n", "2"]) == 1
+    assert "internal error: no usable prime up to 83" in capsys.readouterr().err
+
+
+def test_g53_certificate_uses_all_modular_primes(monkeypatch):
+    """G_53 is one of the two n <= 128 whose Musser certificate needs all
+    MODULAR_PRIMES usable primes (G_53 mod 2, 3, 5 and 7 is not
+    squarefree); it still proves G_53 irreducible with no lifting."""
+    splits = []
+    ddf = factor._gfb_ddf
+    monkeypatch.setattr(factor, "_gfb_ddf", lambda f, p: splits.append(p) or ddf(f, p))
+    monkeypatch.setattr(factor, "_hensel_lift", lambda *args: pytest.fail("Hensel lifting ran"))
+    G = G_poly(53)
+    assert factor_over_rationals(G).factors == ((G.monic(), 1),)
+    assert splits == [11, 13, 17, 19, 23, 29, 31, 37]
+    assert len(splits) == factor.MODULAR_PRIMES

@@ -169,6 +169,22 @@ def test_storage_matches_sympy_oracle():
             assert again == p and hash(again) == hash(p)
 
 
+def test_eval_at_fraction_matches_fraction_horner():
+    """The int Horner sum at a Fraction against Horner run Fraction by
+    Fraction, on random polynomials (with denominators) and values, an
+    integer-valued Fraction among them."""
+    rng = random.Random(44)
+    for _ in range(200):
+        p = UniPoly([Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+                     for _ in range(rng.randint(0, 12))])
+        t = Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 7, 10**12 + 39)))
+        want = Fraction(0)
+        for c in reversed(p.coeffs):
+            want = want * t + c
+        got = p(t)
+        assert type(got) is Fraction and got == want
+
+
 def test_eval_and_derivative():
     p = P(45, 0, -24, 0, 4, var="x")  # 4x^4 - 24x^2 + 45
     assert p(Fraction(1, 2)) == Fraction(45) - 6 + Fraction(1, 4)
@@ -266,13 +282,20 @@ def test_gcd_matches_sympy_oracle(monkeypatch):
     good = ratpoly._pseudo_divmod
     prems = []
     monkeypatch.setattr(ratpoly, "_pseudo_divmod", lambda a, b: prems.append(1) or good(a, b))
-    pr = ratpoly._CERT_PRIMES[0]
+    # x - 1 and x - 1 - M share a root modulo every prime that divides M, so
+    # each certificate prime tried sees a common factor and the PRS decides
+    M = 1
+    for pr in ratpoly._GFB_PRIMES:
+        M *= pr
     x = UniPoly.gen("u")
-    a, b = (x - 1) * (x + 2), (x - 1 - pr) * (x + 3)
+    a, b = (x - 1) * (x + 2), (x - 1 - M) * (x + 3)
     check(a, b)
     assert poly_gcd(a, b) == P(1) and prems
     prems.clear()
     check(a, (x - 2) * (x + 3))  # certified coprime modulo the first prime
+    assert not prems
+    top = ratpoly._GFB_PRIMES[-1]
+    check(a, (x - 1 - top) * (x + 3))  # unlucky at the first prime, certified at the second
     assert not prems
 
 
@@ -338,7 +361,7 @@ def test_conv_kronecker_slots_hold_extreme_coefficients():
                 assert ratpoly._conv(a, b) == ratpoly._conv_rows(a, b)
 
 
-GF_PRIMES = (2, 7, 13) + ratpoly._CERT_PRIMES
+GF_PRIMES = (2, 3, 37, 83)
 
 
 def _gf_poly(rng, length, p, monic=False):
@@ -349,11 +372,14 @@ def _gf_poly(rng, length, p, monic=False):
 
 
 def test_gf_divmod_and_gcd_match_galoistools():
-    """_gf_divmod and _gf_gcd against sympy.polys.galoistools gf_div and
-    gf_gcd at p = 2, 7, 13 and the three certification primes: quotients of
-    one, two and more terms (both paths of _gf_divmod), pairs with a planted
-    common factor, and remainder sequences whose degree drops by more than
-    one."""
+    """The byte kernel's _gfb_divmod and _gfb_gcd, and the int-list
+    _gf_divmod, against sympy.polys.galoistools gf_div and gf_gcd at p = 2,
+    3, 37 and 83 (_gf_divmod also at a 30-bit prime): quotients of one, two
+    and more terms, pairs with a planted common factor, remainder sequences
+    whose degree drops by more than one, and dense operands at residue
+    p - 1.  In the last family a = (p-1, ..., p-1, 2, 1) over b = (1, ...,
+    1) makes both quotient terms of each step 1, so the dividend and two
+    copies of b put 3 (p - 1) in one byte, the most the kernel allows."""
     gt = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
 
@@ -363,25 +389,65 @@ def test_gf_divmod_and_gcd_match_galoistools():
     def up(a):
         return [int(c) for c in reversed(a)]
 
+    def check(a, b, p):
+        q, r = map(up, gt.gf_div(down(a), down(b), p, ZZ))
+        assert ratpoly._gf_divmod(a, b, p) == (q, r)
+        if p < 256:
+            if len(b) > 1:
+                assert ratpoly._gfb_divmod(bytes(a), bytes(b), p) == (bytes(q), bytes(r))
+            g = up(gt.gf_gcd(down(a), down(b), p, ZZ))
+            assert ratpoly._gfb_gcd(bytes(a), bytes(b), p) == bytes(g)
+            return g
+
     rng = random.Random(72)
-    for p in GF_PRIMES:
+    for p in GF_PRIMES + (1073741789,):
         for _ in range(40):
             b = _gf_poly(rng, rng.randint(1, 40), p)
             a = _gf_poly(rng, len(b) - 1 + rng.choice((0, 1, 2, 3, 9)), p)
-            q, r = gt.gf_div(down(a), down(b), p, ZZ)
-            assert ratpoly._gf_divmod(a, b, p) == (up(q), up(r))
-            assert ratpoly._gf_gcd(a, b, p) == up(gt.gf_gcd(down(a), down(b), p, ZZ))
+            check(a, b, p)
             # a planted common factor c, and a remainder that drops several degrees
             c = _gf_poly(rng, rng.randint(2, 12), p, monic=True)
             low = _gf_poly(rng, max(len(b) - rng.randint(2, 6), 0), p)
             a2 = ratpoly._gf_add(ratpoly._gf_mul(_gf_poly(rng, 3, p), b, p), low, p)
-            for x, y in ((ratpoly._gf_mul(a, c, p), ratpoly._gf_mul(b, c, p)), (a2, b)):
-                want = up(gt.gf_gcd(down(x), down(y), p, ZZ))
-                assert ratpoly._gf_gcd(x, y, p) == want
-                assert ratpoly._gf_divmod(x, y, p) == tuple(
-                    map(up, gt.gf_div(down(x), down(y), p, ZZ)))
-            assert len(ratpoly._gf_gcd(ratpoly._gf_mul(a, c, p), ratpoly._gf_mul(b, c, p), p)) \
-                >= len(c)
+            check(a2, b, p)
+            g = check(ratpoly._gf_mul(a, c, p), ratpoly._gf_mul(b, c, p), p)
+            assert g is None or len(g) >= len(c)
+        if p > 255:
+            continue
+        top = p - 1
+        for lb in (1, 2, 3, 17, 40):
+            for la in (lb - 1, lb, lb + 1, lb + 2, lb + 9, 2 * lb + 30):
+                check([top] * la, [top] * lb, p)
+                check([top] * la, [1] * lb, p)
+            check([top] * (lb + 7) + [2 % p, 1], [1] * lb, p)
+        for _ in range(20):
+            f = [rng.choice((top, top, rng.randrange(p))) for _ in range(rng.randint(2, 60))]
+            g = [rng.choice((top, top, rng.randrange(p))) for _ in range(rng.randint(2, 60))]
+            f[-1] = g[-1] = top
+            check(f, g, p)
+
+
+def test_gfb_kernel_edges():
+    """Byte-kernel conversions and edge cases: zero and constant operands,
+    translate rows, monic, derivative, and the prime list the byte-slot
+    bound gives (every prime p with 3 (p - 1) <= 255)."""
+    assert ratpoly._GFB_PRIMES == tuple(
+        p for p in range(2, 100) if all(p % d for d in range(2, p)) and 3 * (p - 1) <= 255)
+    assert ratpoly._GFB_PRIMES[-1] == 83
+    for p in ratpoly._GFB_PRIMES:
+        rows = ratpoly._gfb_tables(p)
+        assert [list(r) for r in rows] == [[c * v % p for v in range(256)] for c in range(p)]
+    p = 83
+    assert ratpoly._gfb([83, -1, 166, 0, 2 * 83], p) == bytes([0, 82])
+    assert ratpoly._gfb([83, 166], p) == b""
+    assert ratpoly._gfb_gcd(b"", b"", p) == b""
+    assert ratpoly._gfb_gcd(b"", bytes([3, 5]), p) == ratpoly._gfb_monic(bytes([3, 5]), p)
+    assert ratpoly._gfb_gcd(bytes([3, 5]), bytes([7]), p) == b"\1"
+    assert ratpoly._gfb_divmod(bytes([3]), bytes([1, 1]), p) == (b"", bytes([3]))
+    m = ratpoly._gfb_monic(bytes([4, 0, 9]), p)
+    assert m[-1] == 1 and m == bytes(c * pow(9, -1, p) % p for c in (4, 0, 9))
+    assert ratpoly._gfb_deriv(bytes([5, 7, 0, 28]), p) == bytes([7, 0, 84 % p])
+    assert ratpoly._gfb_deriv(bytes([5, 0, 1]), 2) == b""
 
 
 def test_conv_path_selection_is_pinned(monkeypatch):
