@@ -87,6 +87,23 @@ def G_poly(j: int) -> UniPoly:
     return _G[j]
 
 
+def square_mod_two(G: UniPoly, f: UniPoly) -> bool:
+    """Whether the integer polynomials G and f satisfy G = f^2 mod 2.
+
+    Squaring is the Frobenius map over GF(2): f^2 = sum f_k x^(2k) mod 2, so
+    G mod 2 is compared with the parities of f moved from degree k to degree
+    2k, and no product is formed.  A G or f with a non-integer coefficient
+    is not congruent.
+    """
+    if G.den != 1 or f.den != 1:
+        return False
+    parity = [c & 1 for c in G.num]
+    square = [0] * (2 * len(f.num))
+    square[::2] = [c & 1 for c in f.num]
+    size = max(len(parity), len(square))
+    return parity + [0] * (size - len(parity)) == square + [0] * (size - len(square))
+
+
 def identity_checks(j: int) -> dict:
     """The nine structural identities at index j, as {label: bool}.
 
@@ -108,7 +125,6 @@ def identity_checks(j: int) -> dict:
     gjp = g_poly(j + 1)
     Gj = G_poly(j)
     fj2 = fj * fj
-    diff = Gj - fj2
     return {
         "shifted-trace": (u + 2) * Gj == f_poly(2 * j) + 2 * j,
         "double-index": f_poly(2 * j) == u * fj2 - 2 * fj * fjm,
@@ -117,7 +133,7 @@ def identity_checks(j: int) -> dict:
         "G-f-coprime": poly_gcd(Gj, fj).degree == 0,
         "f-wronskian": fj2 - fjm * fjp == UniPoly.const(1),
         "g-wronskian": fj * gj - fjm * gjp == UniPoly.const(1),
-        "mod-two": diff.den == 1 and all(c % 2 == 0 for c in diff.num),
+        "mod-two": square_mod_two(Gj, fj),
         "G-squarefree": poly_gcd(Gj, Gj.derivative()).degree == 0,
     }
 

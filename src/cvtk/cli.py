@@ -4,8 +4,10 @@ Commands mirror the library layers: cheb and variety emit polynomials, word
 and rep exercise the group-theoretic layer, intersect runs the full pipeline
 and detect reads its slope verdict off the per-locus certificates,
 alexander and slopes print the classical invariants, and verify-paper
-replays every frozen datum and prints a named check table.  Only the parser
-of the command named in argv is built.
+replays every frozen datum and prints a named check table.  Each command's
+options are declared once, in SUBCOMMANDS: a well-formed argv is read straight
+off that table, and an argparse parser, of the named command only, is built
+just for help and for usage errors, so their texts are argparse's own.
 The x and longitude-trace approximations of intersect, and the r0 and x0
 that rep builds its matrices from, are read off `IntersectionLocus.points`:
 the exact field elements evaluated at the certified roots of the locus
@@ -243,75 +245,64 @@ def _int_at_most(ceiling: int):
     return parse
 
 
-def _add_n(parser, ceiling: int = MAX_N) -> None:
-    parser.add_argument(
-        "--n", type=_int_at_most(ceiling), required=True,
-        help=f"family index, 2 <= n <= {ceiling}",
-    )
+def _n_option(ceiling: int = MAX_N):
+    """The required --n declaration, for a family index up to ceiling."""
+    return ("--n", {
+        "type": _int_at_most(ceiling), "required": True,
+        "help": f"family index, 2 <= n <= {ceiling}",
+    })
 
 
-def _cheb_options(p) -> None:
-    p.add_argument("--kind", choices=("f", "g", "G"), required=True)
-    p.add_argument("--j", type=_int_at_most(MAX_J), required=True, help=f"index, at most {MAX_J}")
-    p.add_argument("--format", choices=("json", "pretty"), default="pretty")
-
-
-def _variety_options(p) -> None:
-    _add_n(p, MAX_VARIETY_N)
-    p.add_argument("--model", choices=("X", "D"), required=True)
-    p.add_argument("--split", action="store_true", help="factor D as line * quotient")
-    p.add_argument("--format", choices=("json", "pretty"), default="pretty")
-
-
-def _intersect_options(p) -> None:
-    _add_n(p)
-    p.add_argument("--json", metavar="PATH", help="also write the report to PATH")
-
-
-def _detect_options(p) -> None:
-    _add_n(p)
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-
-def _rep_options(p) -> None:
-    _add_n(p)
-    p.add_argument("--locus", type=int, default=0, help="intersection locus index")
-    p.add_argument("--root", type=int, default=0, help="root index in the locus")
-
-
-def _word_options(p) -> None:
-    p.add_argument("--p", type=_int_at_most(MAX_WORD), required=True)
-    p.add_argument("--q", type=_int_at_most(MAX_WORD), required=True)
-
-
-def _verify_paper_options(p) -> None:
-    only = p.add_mutually_exclusive_group()
-    only.add_argument("--fixtures", metavar="PATH", help="override the frozen fixtures")
-    only.add_argument(
-        "--n",
-        type=_int_at_most(MAX_CHECK_N),
-        help=f"run only the fixture-free property checks up through this n <= {MAX_CHECK_N}",
-    )
-
-
-# name -> (help line, handler, options), in the order the help lists them.
+# name -> (help line, handler, options, mutually exclusive flags), in the
+# order the help lists them.  Each option is (flag, add_argument kwargs):
+# build_parser replays them into argparse and _parse_fast reads them.
 SUBCOMMANDS = {
-    "cheb": ("print a trace polynomial f_j, g_j, or G_j", cmd_cheb, _cheb_options),
-    "variety": ("print a character variety polynomial", cmd_variety, _variety_options),
-    "intersect": ("full intersection report as JSON", cmd_intersect, _intersect_options),
-    "detect": ("boundary slope detection verdict", cmd_detect, _detect_options),
-    "rep": ("numeric representation at an intersection point", cmd_rep, _rep_options),
-    "word": ("two-bridge word and relator for (p, q)", cmd_word, _word_options),
-    "alexander": ("Alexander polynomial and discriminant", cmd_alexander, _add_n),
-    "slopes": ("boundary slope candidate list", cmd_slopes, _add_n),
-    "verify-paper": ("replay all frozen data checks", cmd_verify_paper, _verify_paper_options),
+    "cheb": ("print a trace polynomial f_j, g_j, or G_j", cmd_cheb, (
+        ("--kind", {"choices": ("f", "g", "G"), "required": True}),
+        ("--j", {"type": _int_at_most(MAX_J), "required": True, "help": f"index, at most {MAX_J}"}),
+        ("--format", {"choices": ("json", "pretty"), "default": "pretty"}),
+    ), ()),
+    "variety": ("print a character variety polynomial", cmd_variety, (
+        _n_option(MAX_VARIETY_N),
+        ("--model", {"choices": ("X", "D"), "required": True}),
+        ("--split", {"action": "store_true", "help": "factor D as line * quotient"}),
+        ("--format", {"choices": ("json", "pretty"), "default": "pretty"}),
+    ), ()),
+    "intersect": ("full intersection report as JSON", cmd_intersect, (
+        _n_option(),
+        ("--json", {"metavar": "PATH", "help": "also write the report to PATH"}),
+    ), ()),
+    "detect": ("boundary slope detection verdict", cmd_detect, (
+        _n_option(),
+        ("--json", {"action": "store_true", "help": "emit JSON instead of text"}),
+    ), ()),
+    "rep": ("numeric representation at an intersection point", cmd_rep, (
+        _n_option(),
+        ("--locus", {"type": int, "default": 0, "help": "intersection locus index"}),
+        ("--root", {"type": int, "default": 0, "help": "root index in the locus"}),
+    ), ()),
+    "word": ("two-bridge word and relator for (p, q)", cmd_word, (
+        ("--p", {"type": _int_at_most(MAX_WORD), "required": True}),
+        ("--q", {"type": _int_at_most(MAX_WORD), "required": True}),
+    ), ()),
+    "alexander": ("Alexander polynomial and discriminant", cmd_alexander, (_n_option(),), ()),
+    "slopes": ("boundary slope candidate list", cmd_slopes, (_n_option(),), ()),
+    "verify-paper": ("replay all frozen data checks", cmd_verify_paper, (
+        ("--fixtures", {"metavar": "PATH", "help": "override the frozen fixtures"}),
+        ("--n", {
+            "type": _int_at_most(MAX_CHECK_N),
+            "help": f"run only the fixture-free property checks up through this n <= {MAX_CHECK_N}",
+        }),
+    ), ("--fixtures", "--n")),
 }
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The cvtk parser.  When `command` names a subcommand, only that
-    subcommand's parser is built (the usage still lists every command);
-    otherwise all of them are."""
+    """The cvtk parser, replayed from SUBCOMMANDS.  When `command` names a
+    subcommand, only that subcommand's parser is built (the usage still
+    lists every command); otherwise all of them are.  main builds it only
+    for the argv that _parse_fast leaves to argparse: help, and every usage
+    error with its message."""
     parser = argparse.ArgumentParser(
         prog="cvtk",
         description="Exact character variety toolkit for the knot family J(2n, 2n)",
@@ -322,16 +313,74 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         sub.metavar = "{" + ",".join(names) + "}"
         names = [command]
     for name in names:
-        help_line, handler, options = SUBCOMMANDS[name]
+        help_line, handler, options, exclusive = SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_line)
-        options(p)
+        group = p.add_mutually_exclusive_group() if exclusive else p
+        for flag, kwargs in options:
+            (group if flag in exclusive else p).add_argument(flag, **kwargs)
         p.set_defaults(func=handler)
     return parser
 
 
+def _parse_fast(argv):
+    """The Namespace that build_parser(argv[0]).parse_args(argv) returns, read
+    straight off SUBCOMMANDS, or None where argparse must answer.
+
+    Only `<command> (--flag | --opt value)*` is read: each flag exactly as
+    declared, no value starting with '-', each value converted by its type
+    and inside its choices, every required option given and at most one
+    flag of the exclusive group.  Everything else, help, abbreviations,
+    --opt=value, type, choice, missing and conflicting options, and any
+    add_argument kwarg not read here, is None, so argparse prints its own
+    help and usage errors.
+    """
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    _, handler, options, exclusive = SUBCOMMANDS[argv[0]]
+    modeled = {"action", "type", "choices", "required", "default", "help", "metavar"}
+    if any(kwargs.get("action", "store_true") != "store_true" or kwargs.keys() - modeled
+           for _, kwargs in options):
+        return None
+    declared = dict(options)
+    given = {}
+    i = 1
+    while i < len(argv):
+        kwargs = declared.get(argv[i])
+        if kwargs is None:
+            return None
+        if "action" in kwargs:
+            given[argv[i]] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(argv[i + 1])
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[argv[i]] = value
+        i += 2
+    if len(given.keys() & exclusive) > 1:
+        return None
+    args = argparse.Namespace(command=argv[0], func=handler)
+    for flag, kwargs in options:
+        if flag in given:
+            value = given[flag]
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = kwargs.get("default", False if "action" in kwargs else None)
+        setattr(args, flag.lstrip("-").replace("-", "_"), value)
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_fast(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except VerificationError as exc:

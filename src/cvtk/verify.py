@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import Record
-from .cheb import G_poly, f_poly, failed_identities, require_family_index
+from .cheb import G_poly, f_poly, failed_identities, require_family_index, square_mod_two
 from .golden import default_fixtures
 from .intersect import build_intersection_report
 from .knotgrp import (
@@ -42,8 +42,9 @@ from .variety import bezout_budget, d_split, meridian_derivative_at_two, x_varie
 
 DEFAULT_MAX_N = 8
 # Ceiling of the ranged checks (CVTK_MAX_N and verify-paper --n): they compute
-# every minimal polynomial for n <= max_n, which takes about 8 s at max_n = 48
-# and 28 s at 64 on a 2-vCPU Xeon host, and grows faster than max_n^4.
+# every minimal polynomial for n <= max_n, which takes about 5 s at max_n = 48
+# and 20-23 s at 64 on a 2-vCPU Xeon host (wall, Python 3.11), and grows
+# faster than max_n^4.
 MAX_CHECK_N = 64
 
 
@@ -118,8 +119,7 @@ def check_g_polynomials(ctx):
 
 def check_mod2_congruence(ctx):
     for n in range(2, 61):
-        diff = G_poly(n) - f_poly(n) * f_poly(n)
-        if diff.den != 1 or any(c % 2 for c in diff.num):
+        if not square_mod_two(G_poly(n), f_poly(n)):
             return False, f"G_n - f_n^2 has an odd coefficient at n = {n}"
     return True, "G_n = f_n^2 mod 2 for 2 <= n <= 60"
 

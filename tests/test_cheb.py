@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from cvtk.cheb import G_poly, f_poly, f_values, failed_identities, g_poly, identity_checks
+from cvtk.cheb import (
+    G_poly,
+    f_poly,
+    f_values,
+    failed_identities,
+    g_poly,
+    identity_checks,
+    square_mod_two,
+)
 from cvtk.intersect import intersection_loci, x_squared_at
 from cvtk.ratpoly import BiPoly, UniPoly, poly_gcd
 
@@ -105,3 +113,19 @@ def test_identities_through_60():
     start = time.time()
     assert failed_identities(60) == []
     assert time.time() - start < 5.0
+
+
+def test_square_mod_two_matches_the_product():
+    """The Frobenius comparison agrees with multiplying f out, on the family
+    and on inputs whose parities end at either side's degree."""
+    for n in range(2, 61):
+        diff = G_poly(n) - f_poly(n) * f_poly(n)
+        assert square_mod_two(G_poly(n), f_poly(n)) == all(c % 2 == 0 for c in diff.num)
+    one = UniPoly.const(1)
+    f = 2 * U + 1
+    assert square_mod_two(one, f)  # f^2 = 4u^2 + 4u + 1: even above degree 0
+    assert square_mod_two(f * f + 6 * U ** 5, f)
+    assert not square_mod_two(f * f + U ** 5, f)
+    assert not square_mod_two(one, U + 1)
+    assert square_mod_two(UniPoly.const(0), 2 * U)
+    assert not square_mod_two(one, UniPoly.const(Fraction(1, 3)))

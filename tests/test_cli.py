@@ -6,6 +6,7 @@ to exit 1 while naming a failing check.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -21,6 +22,7 @@ from cvtk.cli import (
     MAX_VARIETY_N,
     MAX_WORD,
     SUBCOMMANDS,
+    _parse_fast,
     build_parser,
     canonical_json,
     main,
@@ -451,6 +453,77 @@ def test_named_command_builds_one_parser():
     assert commands(build_parser("detect")) == ["detect"]
     assert commands(build_parser("--help")) == list(SUBCOMMANDS)
     assert commands(build_parser()) == list(SUBCOMMANDS)
+
+
+def _valid_tokens(flag, kwargs):
+    """flag with a value that its type and choices accept."""
+    if "action" in kwargs:
+        return [flag]
+    if "choices" in kwargs:
+        return [flag, kwargs["choices"][-1]]
+    return [flag, "3" if "type" in kwargs else "out.json"]
+
+
+def _parser_corpus(command):
+    """(well-formed argvs, every argv) of one command, built from its option
+    table: all orders of every subset of its options, each value from a pool
+    of good and bad values alone and repeated, --opt=value, abbreviations,
+    missing values, '--', help and stray words."""
+    options = SUBCOMMANDS[command][2]
+    singles = [_valid_tokens(flag, kwargs) for flag, kwargs in options]
+    well_formed = [
+        [command, *itertools.chain(*subset)]
+        for r in range(len(singles) + 1)
+        for subset in itertools.permutations(singles, r)
+    ]
+    choices = {c for _, kwargs in options for c in kwargs.get("choices", ())}
+    ceilings = (MAX_N, MAX_VARIETY_N, MAX_J, MAX_WORD, MAX_CHECK_N)
+    pool = sorted(choices) + [
+        "0", "2", "3", "-3", "", "x", "2.5", " 4", "1e3", "--n", "-", "Z",
+        *(str(c + d) for c in ceilings for d in (0, 1)),
+    ]
+    required = [t for (_, kwargs), tokens in zip(options, singles) if kwargs.get("required")
+                for t in tokens]
+    corpus = list(well_formed)
+    for (flag, kwargs), tokens in zip(options, singles):
+        rest = [t for (f, k), ts in zip(options, singles) if k.get("required") and f != flag
+                for t in ts]
+        for value in ([] if "action" in kwargs else pool):
+            corpus += [
+                [command, *rest, flag, value],
+                [command, flag, value, *rest],
+                [command, *rest, flag, value, *tokens],
+                [command, *tokens, *rest, flag, value],
+            ]
+        corpus += [
+            [command, *required, *tokens, *tokens],
+            [command, *rest, f"{flag}={tokens[-1]}"],
+            [command, *rest, flag[:-1], *tokens[1:]],
+            [command, *rest, flag],
+        ]
+    for extra in (["--"], ["-h"], ["--help"], ["--bogus"], ["x"], ["--", "x"]):
+        corpus += [[command, *required, *extra], [command, *extra, *required]]
+    return well_formed, corpus
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_fast_parse_agrees_with_argparse(capsys, command):
+    """On every argv of the corpus the fast path returns argparse's Namespace
+    or None, and None wherever argparse exits; it reads every well-formed
+    argv that argparse accepts."""
+    well_formed, corpus = _parser_corpus(command)
+    read = 0
+    for argv in corpus:
+        fast = _parse_fast(argv)
+        try:
+            expected = build_parser(command).parse_args(argv)
+        except SystemExit:
+            assert fast is None, argv
+            continue
+        assert fast == expected if argv in well_formed else fast in (None, expected), argv
+        read += fast is not None
+    capsys.readouterr()
+    assert read >= len(SUBCOMMANDS[command][2])
 
 
 DETECT_PINS = sorted(argv for argv in OUTPUT_SHA256 if argv.startswith("detect"))

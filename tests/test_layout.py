@@ -75,3 +75,32 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[] {}\n"
+
+
+def test_detect_builds_no_parser_and_loads_no_locale():
+    """A well-formed argv is read off the option table: argparse's first
+    parser in a process looks up gettext catalogues, which imports locale,
+    and that was the largest cost of a small detect run.  As above, only
+    the modules the run adds count."""
+    code = (
+        "import argparse, contextlib, io, sys\n"
+        "built = []\n"
+        "real = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    real(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "before = set(sys.modules)\n"
+        "import cvtk.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cvtk.cli.main(['detect', '--n', '4', '--json'])\n"
+        "print(code, 'locale' in set(sys.modules) - before, len(built))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False 0\n"

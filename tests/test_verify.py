@@ -3,7 +3,8 @@ exercised end to end by the CLI tests and the acceptance gate)."""
 
 import pytest
 
-from cvtk import verify
+from cvtk import cheb, verify
+from cvtk.ratpoly import UniPoly
 from cvtk.verify import (
     CHECKS,
     MAX_CHECK_N,
@@ -94,3 +95,15 @@ def test_numeric_checks_fail_off_the_points(monkeypatch):
     lines = render_results(results).splitlines()
     for name in numeric:
         assert any(line.startswith("FAIL") and line.split()[1] == name for line in lines)
+
+
+def test_mod_two_checks_fail_on_one_odd_coefficient(monkeypatch):
+    """One odd coefficient added to a cached G_n fails both the mod-two
+    identity and the mod2-congruence check, which names n."""
+    assert cheb.identity_checks(7)["mod-two"]
+    assert verify.check_mod2_congruence(None)[0]
+    monkeypatch.setitem(cheb._G, 7, cheb.G_poly(7) + UniPoly.gen("u") ** 3)
+    assert not cheb.identity_checks(7)["mod-two"]
+    assert verify.check_mod2_congruence(None) == (
+        False, "G_n - f_n^2 has an odd coefficient at n = 7"
+    )
