@@ -139,7 +139,7 @@ def cmd_intersect(args) -> int:
     report = build_intersection_report(args.n)
     text = canonical_json(_augmented_report_json(report))
     print(text)
-    if args.json:
+    if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return 0 if report.status == "ok" else 1

@@ -2,24 +2,30 @@
 
 The r-coordinates of the affine intersection points of the two components
 are exactly the roots of G_n, a squarefree polynomial of degree 2n - 2, and
-at each of them the t-coordinate of the second model equals r.  Working in
-the number field Q[r]/(m) for each irreducible factor m of G_n, the meridian
+at each of them the t-coordinate of the second model equals r.  The
+intersection points fall into Galois orbits, one per irreducible factor of
+G_n, and Musser's certificate (`cvtk.factor.musser_certificate`) proves G_n
+irreducible: one orbit, one number field Q[r]/(G_n).  There the meridian
 trace satisfies x^2 = 2 + r - 1/f_n(r)^2, which is never an algebraic
 integer (2 always divides a denominator), while the longitude trace always
 is one.  That contrast is what detects the slope-0 surface.
 
 The minimal polynomial of x is q(x) = p(x^2), p that of x^2, whenever x^2 is
 not a square in the field (Capelli); a non-square witness from
-`cvtk.numfield` proves that, and q is factored only when none turns up.
+`cvtk.numfield` proves that, and Musser's certificate for q stands in only
+when none turns up.  A certificate that does not hold, for G_n or for q,
+raises VerificationError naming its primes and degree patterns: the
+certificate proves irreducibility and never disproves it, so the input is
+left unproven rather than split.
 
 Slope detection needs only the two certificates of each locus: the mod-2
 identity G_n = f_n^2 proves 2 a bad prime of x (`meridian_certificate`), and
 integer power-basis coordinates prove the longitude trace integral
 (`longitude_certificate`).
 
-`intersection_loci` gives one small `LocusField` per factor: the field and
-its generator r, with x^2 computed on first use.  `build_intersection_report`
-turns each into a frozen `IntersectionLocus` holding x^2, the longitude
+`intersection_loci` gives one small `LocusField`: the field and its
+generator r, with x^2 computed on first use.  `build_intersection_report`
+turns it into a frozen `IntersectionLocus` holding x^2, the longitude
 trace and both certificates; its meridian factors, minimal polynomials,
 verdicts and numeric points are computed on first read, and a verdict that
 contradicts a holding certificate raises.  The frozen `IntersectionReport`
@@ -41,7 +47,7 @@ from math import prod
 
 from . import Record
 from .cheb import G_poly, f_poly, require_family_index
-from .factor import factor_over_rationals
+from .factor import musser_certificate
 from .knotgrp import RootApproximations, sorted_complex
 from .numfield import (
     IntegralityVerdict,
@@ -66,7 +72,8 @@ from .variety import x_relation
 
 
 class LocusField:
-    """One irreducible factor m of G_n: the field Q[r]/(m) and its generator r.
+    """The field Q[r]/(m) of the irreducible modulus m = G_n and its
+    generator r.
 
     x_squared is computed on first use and then kept.
     """
@@ -84,8 +91,8 @@ class LocusField:
 
 
 class IntersectionLocus(Record):
-    """One irreducible factor of G_n, its two certificates and the character
-    data over it.
+    """The field of G_n, its two certificates and the character data over
+    it.
 
     The minimal polynomials, verdicts and points are computed on first read
     (`to_json` reads the verdicts); slope detection needs a verdict only
@@ -179,26 +186,30 @@ class IntersectionLocus(Record):
         }
 
 
+def _require_irreducible(poly: UniPoly, name: str) -> None:
+    """Raise VerificationError unless Musser's certificate proves poly
+    irreducible over Q."""
+    cert = musser_certificate(poly)
+    if not cert.holds:
+        patterns = "; ".join(
+            f"mod {p}: {'+'.join(map(str, pattern))}"
+            for p, pattern in zip(cert.primes, cert.patterns)
+        )
+        raise VerificationError(
+            f"{name} is not proven irreducible: Musser's certificate leaves a "
+            f"proper factor degree at the primes {', '.join(map(str, cert.primes))} "
+            f"(modular factor degrees {patterns})"
+        )
+
+
 def intersection_loci(n: int):
-    """One LocusField per irreducible factor of G_n."""
+    """The one LocusField of G_n, over Q[r]/(G_n) once Musser's certificate
+    proves G_n irreducible."""
     require_family_index(n)
     G = G_poly(n).with_var("r")
-    fac = factor_over_rationals(G)
-    loci = []
-    total = 0
-    for modulus, mult in fac.factors:
-        if mult != 1:
-            raise VerificationError(
-                f"G_{n} is not squarefree: factor {modulus} has multiplicity {mult}"
-            )
-        field = NumberField(modulus)
-        loci.append(LocusField(n=n, field=field, r_elem=field.gen()))
-        total += modulus.degree
-    if total != 2 * n - 2:
-        raise VerificationError(
-            f"factor degrees of G_{n} sum to {total}, expected {2 * n - 2}"
-        )
-    return loci
+    _require_irreducible(G, f"G_{n}")
+    field = NumberField(G.monic())
+    return [LocusField(n=n, field=field, r_elem=field.gen())]
 
 
 def x_squared_at(locus) -> NFElem:
@@ -214,31 +225,20 @@ def x_squared_at(locus) -> NFElem:
 
 
 def meridian_min_poly(locus):
-    """Irreducible monic factors of the minimal polynomial of x over Q.
+    """The minimal polynomial of x over Q, as a one-element tuple.
 
     With p the minimal polynomial of x^2, x is a root of q(x) = p(x^2), and
     q is irreducible exactly when x^2 is not a square in Q(x^2) (Capelli; see
     Schinzel, Polynomials with special regard to reducibility, 2.1).  A
     non-square witness for x^2 in the locus field proves it is no square in
-    that subfield either, so q is returned whole.  Without a witness q is
-    factored; conjugate x-values may then split across several factors, so
-    all of them are returned (their product is the minimal polynomial of the
-    whole +-x orbit over the locus).
+    that subfield either.  Without a witness, Musser's certificate for q
+    must prove it irreducible, or VerificationError is raised.
     """
     p = nf_minimal_polynomial(locus.x_squared, "x")
     q = p.inflate(2)
-    if non_square_witness(locus.x_squared) is not None:
-        return (q,)
-    fac = factor_over_rationals(q)
-    factors = []
-    for f, mult in fac.factors:
-        if mult != 1:
-            raise VerificationError(
-                f"meridian minimal polynomial for n = {locus.n} is not "
-                f"squarefree at factor {f}"
-            )
-        factors.append(f)
-    return tuple(factors)
+    if non_square_witness(locus.x_squared) is None:
+        _require_irreducible(q, f"the meridian polynomial q = p(x^2) at n = {locus.n}")
+    return (q,)
 
 
 def _monic_integral(m: UniPoly) -> bool:

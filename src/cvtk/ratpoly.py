@@ -12,10 +12,10 @@ with UniPoly's integer arithmetic.  Everything here is deterministic and
 exact; no floating point.
 
 Every product of two int coefficient lists runs _conv: UniPoly and BiPoly
-row products, cvtk.numfield's field products and _gf_mul.  It has two
-paths, chosen from operand lengths, nonzero counts and bit lengths only:
-long dense operands of comparable coefficient size take one bignum product
-by Kronecker substitution, and the rest a row loop that skips zero entries.
+row products and cvtk.numfield's field products.  It has two paths, chosen
+from operand lengths, nonzero counts and bit lengths only: long dense
+operands of comparable coefficient size take one bignum product by
+Kronecker substitution, and the rest a row loop that skips zero entries.
 
 Every reduction of one polynomial by another over Z or Z[t] runs the one
 pseudo-division kernel _pseudo_divmod: UniPoly and BiPoly division, the
@@ -27,12 +27,10 @@ one residue per byte, and the _gfb_* kernel computes with bytes.translate
 and bignum adds: a remainder step of two quotient terms is a fixed number
 of C-level operations on whole polynomials, whatever the degree.  It serves
 poly_gcd's coprimality certificate (at 83 and 79, or the next usable
-primes), the distinct-degree split and squarefree tests of the factoring
-code, and the mod-2 meridian certificate.  The _gf_* helpers on int lists
-remain for Hensel lifting, whose modulus is a prime power, and the
-equal-degree split before it (_gf_divmod, _gf_mul, _gf_gcdex,
-_gf_pow_mod), and for the non-square witness, whose primes are unbounded
-(_gf_red, _gf_eval).
+primes), the distinct-degree split and squarefree tests of cvtk.factor's
+irreducibility certificate, and the mod-2 meridian certificate.  Two
+helpers on int lists, _gf_red and _gf_eval, serve the non-square witness,
+whose primes are unbounded.
 This module builds no matrices: cvtk.numfield builds the integer
 multiplication matrices of field elements, and cvtk.factor the Frobenius
 columns of its distinct-degree split.
@@ -564,14 +562,6 @@ def _gf_red(a, p):
     return _trim([c % p for c in a])
 
 
-def _gf_add(a, b, p):
-    return _gf_red([x + y for x, y in zip_longest(a, b, fillvalue=0)], p)
-
-
-def _gf_sub(a, b, p):
-    return _gf_red([x - y for x, y in zip_longest(a, b, fillvalue=0)], p)
-
-
 # Fewest nonzero entries in each operand for which _conv packs the product.
 _KRONECKER_MIN_TERMS = 8
 
@@ -641,10 +631,6 @@ def _kronecker_pack(a, wb):
     return packed - (carries << 8 * wb)
 
 
-def _gf_mul(a, b, p):
-    return _trim([c % p for c in _conv(a, b)])
-
-
 def _pseudo_divmod(a, b):
     """(q, r) with c**e * a = q * b + r and deg r < deg b, for coefficient
     lists over an integral domain (ints, or UniPolys as BiPoly coefficients),
@@ -669,70 +655,12 @@ def _pseudo_divmod(a, b):
     return q, r
 
 
-def _gf_divmod(a, b, p):
-    """Quotient and remainder mod p.  p may also be a prime power, as in
-    Hensel lifting: pow(lc, -1, p) inverts any unit modulo it, and a monic b
-    needs no inverse.
-
-    A quotient of one or two terms, the usual step of a Euclidean remainder
-    sequence, is read off the top two coefficients of a, and the remainder
-    a - (c1*x + c0)*b is built reduced in one pass over a.  A longer quotient
-    (Hensel lifting, exact divisions by a factor) takes one row update per
-    quotient term, reducing the running remainder only once, at the end."""
-    db = len(b) - 1
-    inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
-    e = len(a) - db
-    if 1 <= e <= 2 and db:
-        c1 = a[-1] * inv % p if e == 2 else 0
-        c0 = (a[db] - c1 * b[db - 1]) * inv % p
-        r = [(a[0] - c0 * b[0]) % p]
-        r += [(x - c1 * y - c0 * z) % p for x, y, z in zip(a[1:db], b, b[1:db])]
-        return _trim([c0, c1][:e]), _trim(r)
-    r = list(a)
-    q = [0] * max(e, 0)
-    low = b[:db]
-    for k in range(e - 1, -1, -1):
-        c = r[k + db] * inv % p
-        if c:
-            q[k] = c
-            r[k:k + db] = [s - c * y for s, y in zip(r[k:k + db], low)]
-    return _trim(q), _trim([c % p for c in r[:db]])
-
-
-def _gf_gcdex(a, b, p):
-    """Extended Euclid: returns (s, t) with s*a + t*b = 1; inputs coprime."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _gf_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
-        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
-    if len(r0) != 1:
-        raise ExactArithError("gcdex of non-coprime polynomials")
-    inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
-
-
 def _gf_eval(a, x: int, p: int) -> int:
     """sum(a[i] * x**i) mod p."""
     acc = 0
     for c in reversed(a):
         acc = (acc * x + c) % p
     return acc
-
-
-def _gf_pow_mod(a, e, mod, p):
-    out = [1]
-    base = _gf_divmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            out = _gf_divmod(_gf_mul(out, base, p), mod, p)[1]
-        e >>= 1
-        if e:
-            base = _gf_divmod(_gf_mul(base, base, p), mod, p)[1]
-    return out
 
 
 # GF(p) for the small primes: one residue per byte

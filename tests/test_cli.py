@@ -93,6 +93,13 @@ def test_intersect_json_round_trip(tmp_path, capsys):
     assert len(approx["longitude_roots"]) == 2
 
 
+def test_intersect_empty_json_path_is_an_error(capsys):
+    """An empty --json path names no file: the open fails and the command
+    exits 2 instead of skipping the write."""
+    assert main(["intersect", "--n", "2", "--json", ""]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two(monkeypatch, capsys):
     assert main(["intersect", "--n", "1"]) == 2
     assert main(["cheb", "--kind", "f", "--j", "-1"]) == 2

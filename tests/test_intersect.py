@@ -5,6 +5,7 @@ polynomials, and verdicts; a numeric cross-check re-derives the squared
 meridian trace from isolated roots of the modulus.
 """
 
+import time
 from dataclasses import FrozenInstanceError, make_dataclass
 from fractions import Fraction
 from math import prod
@@ -15,7 +16,7 @@ import pytest
 
 from cvtk import Record
 from cvtk.cheb import G_poly, f_poly
-from cvtk.factor import factor_over_rationals
+from cvtk.factor import musser_certificate
 from cvtk.golden import default_fixtures
 from cvtk.intersect import (
     build_intersection_report,
@@ -118,7 +119,7 @@ def test_meridian_degree_bookkeeping():
 def test_witness_path_matches_factoring():
     """Every x^2 for n = 2..24 has a non-square witness, checked against
     sympy's primality test and Legendre symbol, and the q it proves
-    irreducible is what factoring q gives."""
+    irreducible is irreducible by sympy too."""
     sympy = pytest.importorskip("sympy")
 
     for n in range(2, 25):
@@ -132,8 +133,48 @@ def test_witness_path_matches_factoring():
             value = sum(c * r0 ** i for i, c in enumerate(a.num)) * pow(a.den, -1, ell)
             assert sympy.legendre_symbol(value % ell, ell) == -1
             q = nf_minimal_polynomial(a, "x").inflate(2)
-            fac = factor_over_rationals(q)
-            assert meridian_min_poly(locus) == tuple(f for f, _ in fac.factors)
+            x = sympy.Symbol("x")
+            assert sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                               for c in reversed(q.coeffs)], x).is_irreducible
+            assert meridian_min_poly(locus) == (q,)
+
+
+def test_reducible_g_n_is_a_verification_failure(monkeypatch, capsys):
+    """Negative control: with G_12 replaced by the reducible G_12 * G_13,
+    Musser's certificate cannot hold, and detect exits 1 with a
+    verification failure naming n and the primes, at once and not as a
+    usage error."""
+    from cvtk import intersect
+    from cvtk.cli import main
+
+    monkeypatch.setattr(intersect, "G_poly", lambda n: G_poly(n) * G_poly(n + 1))
+    start = time.monotonic()
+    assert main(["detect", "--n", "12"]) == 1
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failure: G_12 is not proven irreducible")
+    assert "at the primes 7, 11, 17, " in captured.err and "mod 83: " in captured.err
+
+
+def test_unprovable_meridian_polynomial_is_a_verification_failure(monkeypatch, capsys):
+    """Negative control: without a non-square witness, a meridian
+    polynomial that is irreducible but splits mod every prime, here the
+    Swinnerton-Dyer u^4 - 10u^2 + 1 = p(x^2), is left unproven, and
+    intersect exits 1 with a verification failure rather than split it."""
+    from cvtk import intersect
+    from cvtk.cli import main
+
+    real = intersect.nf_minimal_polynomial
+    sd = UniPoly([1, -10, 1], "x")
+    monkeypatch.setattr(intersect, "non_square_witness", lambda a: None)
+    monkeypatch.setattr(intersect, "nf_minimal_polynomial",
+                        lambda elem, var: sd if var == "x" else real(elem, var))
+    assert main(["intersect", "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: the meridian polynomial q = p(x^2) "
+                          "at n = 2 is not proven irreducible")
+    assert "mod 5: 2+2" in err
 
 
 def test_report_without_witness_is_unchanged(monkeypatch):
@@ -278,7 +319,7 @@ def _record_samples() -> list:
     locus = report.loci[0]
     r0, x0, _ = locus.points[0]
     return [
-        factor_over_rationals(G_poly(2)),
+        musser_certificate(G_poly(2)),
         default_fixtures()[2],
         locus,
         report,

@@ -58,17 +58,19 @@ def test_every_public_function_has_a_caller():
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     """Every invocation pays for what `import cvtk.cli` loads, and dataclasses
-    with the inspect, ast and dis it pulls in was most of that.  Only the
-    modules the import adds count, so a site hook that loads them already
-    cannot fail the test.  The GF(p) translate tables are built on first
-    use, so after the import their cache is still empty."""
+    with the inspect, ast and dis it pulls in was most of that; random, with
+    the hashlib and os.urandom seeding it does on import, has no use in
+    exact code.  The interpreter starts with -S, as a site hook may import
+    random before any user code, and only the modules the import adds
+    count.  The GF(p) translate tables are built on first use, so after the
+    import their cache is still empty."""
     code = (
         "import sys; before = set(sys.modules); import cvtk.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)), "
+        "print(sorted({'dataclasses', 'inspect', 'random'} & (set(sys.modules) - before)), "
         "sys.modules['cvtk.ratpoly']._GFB_TABLES)"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,

@@ -372,9 +372,9 @@ def _gf_poly(rng, length, p, monic=False):
 
 
 def test_gf_divmod_and_gcd_match_galoistools():
-    """The byte kernel's _gfb_divmod and _gfb_gcd, and the int-list
-    _gf_divmod, against sympy.polys.galoistools gf_div and gf_gcd at p = 2,
-    3, 37 and 83 (_gf_divmod also at a 30-bit prime): quotients of one, two
+    """The byte kernel's _gfb_divmod and _gfb_gcd against
+    sympy.polys.galoistools gf_div and gf_gcd at p = 2, 3, 37 and 83, on
+    inputs built with galoistools' gf_mul and gf_add: quotients of one, two
     and more terms, pairs with a planted common factor, remainder sequences
     whose degree drops by more than one, and dense operands at residue
     p - 1.  In the last family a = (p-1, ..., p-1, 2, 1) over b = (1, ...,
@@ -389,18 +389,22 @@ def test_gf_divmod_and_gcd_match_galoistools():
     def up(a):
         return [int(c) for c in reversed(a)]
 
+    def mul(a, b, p):
+        return up(gt.gf_mul(down(a), down(b), p, ZZ))
+
+    def add(a, b, p):
+        return up(gt.gf_add(down(a), down(b), p, ZZ))
+
     def check(a, b, p):
         q, r = map(up, gt.gf_div(down(a), down(b), p, ZZ))
-        assert ratpoly._gf_divmod(a, b, p) == (q, r)
-        if p < 256:
-            if len(b) > 1:
-                assert ratpoly._gfb_divmod(bytes(a), bytes(b), p) == (bytes(q), bytes(r))
-            g = up(gt.gf_gcd(down(a), down(b), p, ZZ))
-            assert ratpoly._gfb_gcd(bytes(a), bytes(b), p) == bytes(g)
-            return g
+        if len(b) > 1:
+            assert ratpoly._gfb_divmod(bytes(a), bytes(b), p) == (bytes(q), bytes(r))
+        g = up(gt.gf_gcd(down(a), down(b), p, ZZ))
+        assert ratpoly._gfb_gcd(bytes(a), bytes(b), p) == bytes(g)
+        return g
 
     rng = random.Random(72)
-    for p in GF_PRIMES + (1073741789,):
+    for p in GF_PRIMES:
         for _ in range(40):
             b = _gf_poly(rng, rng.randint(1, 40), p)
             a = _gf_poly(rng, len(b) - 1 + rng.choice((0, 1, 2, 3, 9)), p)
@@ -408,12 +412,10 @@ def test_gf_divmod_and_gcd_match_galoistools():
             # a planted common factor c, and a remainder that drops several degrees
             c = _gf_poly(rng, rng.randint(2, 12), p, monic=True)
             low = _gf_poly(rng, max(len(b) - rng.randint(2, 6), 0), p)
-            a2 = ratpoly._gf_add(ratpoly._gf_mul(_gf_poly(rng, 3, p), b, p), low, p)
+            a2 = add(mul(_gf_poly(rng, 3, p), b, p), low, p)
             check(a2, b, p)
-            g = check(ratpoly._gf_mul(a, c, p), ratpoly._gf_mul(b, c, p), p)
-            assert g is None or len(g) >= len(c)
-        if p > 255:
-            continue
+            g = check(mul(a, c, p), mul(b, c, p), p)
+            assert len(g) >= len(c)
         top = p - 1
         for lb in (1, 2, 3, 17, 40):
             for la in (lb - 1, lb, lb + 1, lb + 2, lb + 9, 2 * lb + 30):

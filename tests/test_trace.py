@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from cvtk.cheb import G_poly, f_poly, f_values
-from cvtk.factor import factor_over_rationals
+from cvtk.factor import musser_certificate
 from cvtk.numfield import NumberField
 from cvtk.ratpoly import UniPoly
 from cvtk.trace import (
@@ -154,18 +154,19 @@ def test_context_formulas_are_slice_identities():
 
 def test_delta_gamma_agree_in_locus_fields():
     for n in range(2, 7):
-        for modulus, _ in factor_over_rationals(UniPoly(G_poly(n).coeffs, "r")).factors:
-            field = NumberField(modulus)
-            r = field.gen()
-            fn = f_poly(n)(r)
-            x2 = 2 + r - (fn * fn) ** -1
-            ctx = TraceContext(n, r, x2)
-            assert ctx.t == r
-            assert (ctx.t_table is ctx.r_table) == (ctx.t == ctx.r)
-            for d in range(0, n + 4):
-                for e in range(0, n + 4):
-                    assert delta(d, e, ctx) == gamma_closed(d, e, ctx)
-            assert gamma_seifert_form(ctx) == tr_s1s2inv(ctx)
+        G = UniPoly(G_poly(n).coeffs, "r")
+        assert musser_certificate(G).holds
+        field = NumberField(G.monic())
+        r = field.gen()
+        fn = f_poly(n)(r)
+        x2 = 2 + r - (fn * fn) ** -1
+        ctx = TraceContext(n, r, x2)
+        assert ctx.t == r
+        assert (ctx.t_table is ctx.r_table) == (ctx.t == ctx.r)
+        for d in range(0, n + 4):
+            for e in range(0, n + 4):
+                assert delta(d, e, ctx) == gamma_closed(d, e, ctx)
+        assert gamma_seifert_form(ctx) == tr_s1s2inv(ctx)
 
 
 def test_delta_11_value_n2():
@@ -194,8 +195,9 @@ def test_longitude_min_polys_frozen():
         (2, UniPoly([772, -28, 1], "l")),
         (3, UniPoly([8647328, -385360, 15768, -212, 1], "l")),
     ):
-        modulus = factor_over_rationals(UniPoly(G_poly(n).coeffs, "r")).factors[0][0]
-        field = NumberField(modulus)
+        G = UniPoly(G_poly(n).coeffs, "r")
+        assert musser_certificate(G).holds
+        field = NumberField(G.monic())
         r = field.gen()
         fn = f_poly(n)(r)
         locus = SimpleNamespace(n=n, r_elem=r, x_squared=2 + r - (fn * fn) ** -1)
