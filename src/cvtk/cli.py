@@ -2,17 +2,19 @@
 
 Commands mirror the library layers: cheb and variety emit polynomials, word
 and rep exercise the group-theoretic layer, intersect runs the full pipeline
-and detect reads its slope verdict off the per-locus certificates,
-alexander and slopes print the classical invariants, and verify-paper
-replays every frozen datum and prints a named check table.  Each command's
-options are declared once, in SUBCOMMANDS: a well-formed argv is read straight
-off that table, and an argparse parser, of the named command only, is built
-just for help and for usage errors, so their texts are argparse's own.
+and detect reads its slope verdict off the two certificates of the report's
+one locus, alexander and slopes print the classical invariants, and
+verify-paper replays every frozen datum and prints a named check table.
+Each command's options are declared once, in SUBCOMMANDS: a well-formed argv
+is read straight off that table, and an argparse parser, of the named
+command only, is built just for help and for usage errors, so their texts
+are argparse's own.
 The x and longitude-trace approximations of intersect, and the r0 and x0
 that rep builds its matrices from, are read off `IntersectionLocus.points`:
-the exact field elements evaluated at the certified roots of the locus
-modulus (an integer Aberth iteration with inclusion discs), each within 1e-20
-relative; no float formula recomputes them.
+the exact field elements evaluated at the certified roots of the modulus G_n
+(an integer Aberth iteration with inclusion discs), each within 1e-20
+relative; no float formula recomputes them.  The report JSON keeps its
+one-element "loci" list, and rep still prints "locus: 0".
 
 Exit codes: 0 success, 1 verification failure or internal error (an exact
 arithmetic invariant that failed inside the library), 2 usage error. JSON
@@ -118,20 +120,20 @@ def _negated(z: complex) -> complex:
 
 
 def _augmented_report_json(report) -> dict:
-    """Report JSON plus 12-digit approximations of every root of each locus,
+    """Report JSON plus 12-digit approximations of every root of the locus,
     read off `IntersectionLocus.points`: only the modulus is root-found, and
     x and the longitude trace at each root r0 are the images of the exact
     elements x^2 and tau under r -> r0, certified to 1e-20.
     """
     obj = report.to_json()
-    for locus, locus_obj in zip(report.loci, obj["loci"]):
-        r0s, x0s, taus = zip(*locus.points)
-        xs = [x for x0 in x0s for x in (x0, _negated(x0))]
-        locus_obj["approx"] = {
-            "modulus_roots": _root_strs(r0s, locus.modulus.degree),
-            "x_roots": _root_strs(xs, locus.x_min_poly.degree),
-            "longitude_roots": _root_strs(taus, locus.longitude_min_poly.degree),
-        }
+    locus = report.locus
+    r0s, x0s, taus = zip(*locus.points)
+    xs = [x for x0 in x0s for x in (x0, _negated(x0))]
+    obj["loci"][0]["approx"] = {
+        "modulus_roots": _root_strs(r0s, locus.modulus.degree),
+        "x_roots": _root_strs(xs, locus.x_min_poly.degree),
+        "longitude_roots": _root_strs(taus, locus.longitude_min_poly.degree),
+    }
     return obj
 
 
@@ -163,10 +165,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_rep(args) -> int:
-    loci = build_intersection_report(args.n).loci
-    if not 0 <= args.locus < len(loci):
-        raise ValueError(f"locus index must be in [0, {len(loci) - 1}]")
-    locus = loci[args.locus]
+    locus = build_intersection_report(args.n).locus
     # one point per root of the modulus: check the index before root-finding
     degree = locus.modulus.degree
     if not 0 <= args.root < degree:
@@ -177,7 +176,7 @@ def cmd_rep(args) -> int:
     p, q = fam.two_bridge
     relators = (("family", fam.relator), (f"two-bridge ({p}, {q})", standard_relator(p, q)))
     verdicts = [(name, *relator_check(rep, word)) for name, word in relators]
-    print(f"n: {args.n}  locus: {args.locus}  root: {args.root}")
+    print(f"n: {args.n}  locus: 0  root: {args.root}")
     print(f"modulus: {locus.modulus}")
     print(f"r0 ~ {complex_str(r0)}")
     print(f"x0 ~ {complex_str(x0)}")
@@ -278,7 +277,6 @@ SUBCOMMANDS = {
     ), ()),
     "rep": ("numeric representation at an intersection point", cmd_rep, (
         _n_option(),
-        ("--locus", {"type": int, "default": 0, "help": "intersection locus index"}),
         ("--root", {"type": int, "default": 0, "help": "root index in the locus"}),
     ), ()),
     "word": ("two-bridge word and relator for (p, q)", cmd_word, (

@@ -2,35 +2,32 @@
 
 The r-coordinates of the affine intersection points of the two components
 are exactly the roots of G_n, a squarefree polynomial of degree 2n - 2, and
-at each of them the t-coordinate of the second model equals r.  The
-intersection points fall into Galois orbits, one per irreducible factor of
-G_n, and Musser's certificate (`cvtk.factor.musser_certificate`) proves G_n
-irreducible: one orbit, one number field Q[r]/(G_n).  There the meridian
-trace satisfies x^2 = 2 + r - 1/f_n(r)^2, which is never an algebraic
-integer (2 always divides a denominator), while the longitude trace always
-is one.  That contrast is what detects the slope-0 surface.
+at each of them the t-coordinate of the second model equals r.  Musser's
+certificate (`cvtk.factor.musser_certificate`) proves G_n irreducible, so
+the points form one Galois orbit, the one locus of the report, in the number
+field Q[r]/(G_n).  There the meridian trace satisfies x^2 = 2 + r -
+1/f_n(r)^2, which is never an algebraic integer (2 always divides a
+denominator), while the longitude trace always is one.  That contrast is
+what detects the slope-0 surface.
 
 The minimal polynomial of x is q(x) = p(x^2), p that of x^2, whenever x^2 is
 not a square in the field (Capelli); a non-square witness from
 `cvtk.numfield` proves that, and Musser's certificate for q stands in only
 when none turns up.  A certificate that does not hold, for G_n or for q,
-raises VerificationError naming its primes and degree patterns: the
-certificate proves irreducibility and never disproves it, so the input is
-left unproven rather than split.
+raises VerificationError naming its primes and degree patterns: it proves
+irreducibility and never disproves it.
 
-Slope detection needs only the two certificates of each locus: the mod-2
+Slope detection needs only the two certificates of the locus: the mod-2
 identity G_n = f_n^2 proves 2 a bad prime of x (`meridian_certificate`), and
 integer power-basis coordinates prove the longitude trace integral
 (`longitude_certificate`).
 
-`intersection_loci` gives one small `LocusField`: the field and its
-generator r, with x^2 computed on first use.  `build_intersection_report`
-turns it into a frozen `IntersectionLocus` holding x^2, the longitude
-trace and both certificates; its meridian factors, minimal polynomials,
-verdicts and numeric points are computed on first read, and a verdict that
-contradicts a holding certificate raises.  The frozen `IntersectionReport`
-computes its slope verdict once, reading a verdict only where a certificate
-fails, so no read of a locus can change its status.
+`build_intersection_report` turns the field and its generator r into the
+frozen `IntersectionLocus`, holding x^2, the longitude trace and both
+certificates; q, both verdicts and the numeric points are computed on first
+read, and a verdict that contradicts a holding certificate raises.  The
+frozen `IntersectionReport` computes its slope verdict once, reading a
+verdict only where a certificate fails, so no read can change its status.
 
 Numeric values at an intersection point are the images of the same exact
 elements under the embedding r -> r0 of the field, r0 a complex root of m:
@@ -43,7 +40,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import prod
 
 from . import Record
 from .cheb import G_poly, f_poly, require_family_index
@@ -75,7 +71,8 @@ class LocusField:
     """The field Q[r]/(m) of the irreducible modulus m = G_n and its
     generator r.
 
-    x_squared is computed on first use and then kept.
+    x_squared is computed on first use and then kept; perfbench/child.py
+    assigns it to time `x_squared_at` on its own.
     """
 
     def __init__(self, n: int, field: NumberField, r_elem: NFElem):
@@ -108,36 +105,29 @@ class IntersectionLocus(Record):
     longitude_certified: bool
 
     @cached_property
-    def x_min_polys(self) -> tuple:
-        return meridian_min_poly(self)
-
-    @cached_property
-    def factor_verdicts(self) -> tuple:
-        """One verdict per meridian factor.  A non-integral factor whose bad
-        primes are all known must have 2 among them."""
-        verdicts = tuple(integrality_verdict(f) for f in self.x_min_polys)
-        for f, v in zip(self.x_min_polys, verdicts):
-            if v.is_algebraic_integer or not v.prime_set_complete:
-                continue
-            if 2 not in v.bad_primes:
-                raise VerificationError(
-                    f"meridian factor {f} at n = {self.n} is non-integral but 2 "
-                    f"does not divide any coefficient denominator"
-                )
-        return verdicts
+    def x_min_poly(self) -> UniPoly:
+        """Monic minimal polynomial q = p(x^2) of the meridian trace."""
+        (q,) = meridian_min_poly(self)
+        return q
 
     @cached_property
     def meridian_verdict(self) -> IntegralityVerdict:
-        """Verdict on the whole meridian minimal polynomial.  An integral
-        verdict beside a holding meridian certificate raises; without one it
+        """Verdict on the meridian minimal polynomial.  A non-integral one
+        with all bad primes known and 2 not among them raises, and so does an
+        integral one beside a holding meridian certificate; without one it
         is the report's "verification-failure" status, slope undetermined.
         """
-        self.factor_verdicts  # the bad-prime check on each factor
         verdict = integrality_verdict(self.x_min_poly)
-        if verdict.is_algebraic_integer and self.meridian_certified:
+        if verdict.is_algebraic_integer:
+            if self.meridian_certified:
+                raise VerificationError(
+                    f"meridian trace at n = {self.n} is an algebraic integer, "
+                    f"contradicting its mod-2 certificate"
+                )
+        elif verdict.prime_set_complete and 2 not in verdict.bad_primes:
             raise VerificationError(
-                f"meridian trace at n = {self.n} is an algebraic integer, "
-                f"contradicting its mod-2 certificate"
+                f"meridian polynomial {self.x_min_poly} at n = {self.n} is non-integral "
+                f"but 2 does not divide any coefficient denominator"
             )
         return verdict
 
@@ -164,20 +154,15 @@ class IntersectionLocus(Record):
     def modulus(self) -> UniPoly:
         return self.field.modulus
 
-    @property
-    def x_min_poly(self) -> UniPoly:
-        """Monic minimal polynomial of the meridian trace (factor product)."""
-        return prod(self.x_min_polys, start=UniPoly.const(1, "x"))
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "modulus": self.modulus.to_json(),
             "degree": self.modulus.degree,
             "x_squared": self.x_squared.to_json(),
-            "x_min_polys": [p.to_json() for p in self.x_min_polys],
+            "x_min_polys": [self.x_min_poly.to_json()],
             "meridian_verdict": self.meridian_verdict.to_json(),
-            "factor_verdicts": [v.to_json() for v in self.factor_verdicts],
+            "factor_verdicts": [self.meridian_verdict.to_json()],
             "longitude": {
                 "element": self.longitude_elem.to_json(),
                 "min_poly": self.longitude_min_poly.to_json(),
@@ -204,7 +189,8 @@ def _require_irreducible(poly: UniPoly, name: str) -> None:
 
 def intersection_loci(n: int):
     """The one LocusField of G_n, over Q[r]/(G_n) once Musser's certificate
-    proves G_n irreducible."""
+    proves G_n irreducible, in a one-element list: perfbench/child.py
+    iterates over it."""
     require_family_index(n)
     G = G_poly(n).with_var("r")
     _require_irreducible(G, f"G_{n}")
@@ -232,7 +218,8 @@ def meridian_min_poly(locus):
     Schinzel, Polynomials with special regard to reducibility, 2.1).  A
     non-square witness for x^2 in the locus field proves it is no square in
     that subfield either.  Without a witness, Musser's certificate for q
-    must prove it irreducible, or VerificationError is raised.
+    must prove it irreducible, or VerificationError is raised.  The tuple
+    stays because perfbench/child.py iterates over it.
     """
     p = nf_minimal_polynomial(locus.x_squared, "x")
     q = p.inflate(2)
@@ -269,41 +256,27 @@ def longitude_certificate(locus, tau: NFElem) -> bool:
     return tau.den == 1 and _monic_integral(locus.modulus)
 
 
-def _certified_locus(base: LocusField) -> IntersectionLocus:
-    """The longitude trace and both certificates over one field."""
-    tau = longitude_value(TraceContext(base.n, base.r_elem, base.x_squared))
-    return IntersectionLocus(
-        base.n,
-        base.field,
-        base.r_elem,
-        base.x_squared,
-        tau,
-        meridian_certificate(base),
-        longitude_certificate(base, tau),
-    )
-
-
 class IntersectionReport(Record):
     """Everything the slope detector and the CLI need for one knot."""
 
     n: int
-    loci: tuple
+    locus: IntersectionLocus
     reducible: ReducibleCharacter
     reducible_on_x_model: bool
     reducible_is_intersection: bool
 
     @cached_property
     def slope(self) -> SlopeVerdict:
-        return detect_surface(self)
+        return detect_surface(self.locus)
 
     @property
     def status(self) -> str:
-        """Either "ok" or "verification-failure" (a meridian trace is integral)."""
+        """Either "ok" or "verification-failure" (the meridian trace is integral)."""
         return "verification-failure" if self.slope.meridian_integral else "ok"
 
     @property
     def d_point_count(self) -> int:
-        return sum(locus.modulus.degree for locus in self.loci)
+        return self.locus.modulus.degree
 
     @property
     def x_point_count(self) -> int:
@@ -315,7 +288,7 @@ class IntersectionReport(Record):
             "status": self.status,
             "d_point_count": self.d_point_count,
             "x_point_count": self.x_point_count,
-            "loci": [locus.to_json() for locus in self.loci],
+            "loci": [self.locus.to_json()],
             "reducible": dict(
                 self.reducible.to_json(),
                 on_x_model=self.reducible_on_x_model,
@@ -326,8 +299,14 @@ class IntersectionReport(Record):
 
 
 def build_intersection_report(n: int) -> IntersectionReport:
-    """Full pipeline for one knot: certified loci and the reducible character."""
-    loci = tuple(_certified_locus(base) for base in intersection_loci(n))
+    """Full pipeline for one knot: the certified locus and the reducible
+    character."""
+    (base,) = intersection_loci(n)
+    tau = longitude_value(TraceContext(n, base.r_elem, base.x_squared))
+    locus = IntersectionLocus(
+        n, base.field, base.r_elem, base.x_squared, tau,
+        meridian_certificate(base), longitude_certificate(base, tau),
+    )
     reducible = reducible_character(n)
     on_model = x_relation(n, Fraction(2), reducible.x_squared) == 0
     if not on_model:
@@ -338,7 +317,7 @@ def build_intersection_report(n: int) -> IntersectionReport:
     is_intersection = G_poly(n)(Fraction(2)) == 0
     return IntersectionReport(
         n=n,
-        loci=loci,
+        locus=locus,
         reducible=reducible,
         reducible_on_x_model=on_model,
         reducible_is_intersection=is_intersection,

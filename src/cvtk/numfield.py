@@ -23,7 +23,7 @@ from operator import add, mul
 
 from . import Record, _set
 from .factor import iter_primes, squarefree_part
-from .ratpoly import (ExactArithError, UniPoly, _conv, _gf_eval, _gf_red, _pseudo_divmod,
+from .ratpoly import (ExactArithError, UniPoly, _conv, _gf_eval, _gfb, _pseudo_divmod,
                       frac_str)
 
 _TRIAL_BOUND = 10 ** 6
@@ -309,7 +309,7 @@ def non_square_witness(a: NFElem):
             return None
         if ell == 2 or a.den % ell == 0:
             continue
-        mq, dq, aq = (_gf_red(cs, ell) for cs in (m, dm, a.num))
+        mq, dq, aq = (_gfb(cs, ell) for cs in (m, dm, a.num))
         inv = pow(a.den, -1, ell)
         for r0 in range(ell):
             if _gf_eval(mq, r0, ell) or not _gf_eval(dq, r0, ell):

@@ -28,9 +28,9 @@ and bignum adds: a remainder step of two quotient terms is a fixed number
 of C-level operations on whole polynomials, whatever the degree.  It serves
 poly_gcd's coprimality certificate (at 83 and 79, or the next usable
 primes), the distinct-degree split and squarefree tests of cvtk.factor's
-irreducibility certificate, and the mod-2 meridian certificate.  Two
-helpers on int lists, _gf_red and _gf_eval, serve the non-square witness,
-whose primes are unbounded.
+irreducibility certificate, and the mod-2 meridian certificate.  The
+non-square witness, at primes below 100, reduces with _gfb (valid for any
+p < 256) and evaluates the bytes with _gf_eval.
 This module builds no matrices: cvtk.numfield builds the integer
 multiplication matrices of field elements, and cvtk.factor the Frobenius
 columns of its distinct-degree split.
@@ -558,10 +558,6 @@ def _trim(a):
     return a
 
 
-def _gf_red(a, p):
-    return _trim([c % p for c in a])
-
-
 # Fewest nonzero entries in each operand for which _conv packs the product.
 _KRONECKER_MIN_TERMS = 8
 
@@ -697,7 +693,8 @@ def _gfb_tables(p):
 
 
 def _gfb(a, p):
-    """Byte polynomial of an int coefficient list reduced mod p."""
+    """Byte polynomial of an int coefficient list reduced mod p; any p < 256,
+    though the _gfb_* arithmetic needs p in _GFB_PRIMES."""
     return bytes([c % p for c in a]).rstrip(b"\0")
 
 

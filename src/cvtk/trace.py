@@ -159,7 +159,8 @@ def gamma_seifert_form(ctx: TraceContext):
 
 
 def _min_poly_any(value, var: str) -> UniPoly:
-    """Minimal polynomial over Q of a Fraction or number-field element."""
+    """Minimal polynomial over Q of a Fraction or number-field element; it
+    serves only `longitude_trace`, and stays while that does."""
     if isinstance(value, NFElem):
         return nf_minimal_polynomial(value, var)
     return UniPoly([-Fraction(value), Fraction(1)], var)
@@ -178,7 +179,8 @@ def longitude_trace(locus):
 
     `locus` needs attributes n, r_elem, x_squared (ring elements of one
     field, or rationals).  Returns (trace, minimal polynomial, verdict),
-    the verdict from `longitude_integrality`.
+    the verdict from `longitude_integrality`.  The report computes them
+    itself; this stays because perfbench/child.py calls it.
     """
     tau = longitude_value(TraceContext(locus.n, locus.r_elem, locus.x_squared))
     min_poly = _min_poly_any(tau, "l")
@@ -325,27 +327,24 @@ class SlopeVerdict(Record):
         }
 
 
-def detect_surface(report) -> SlopeVerdict:
-    """Slope detection from the loci of an intersection report.
+def detect_surface(locus) -> SlopeVerdict:
+    """Slope detection at the intersection locus of a report.
 
     A character whose meridian trace is not an algebraic integer but whose
     longitude trace is one detects an essential surface of slope 0, and any
     connected essential slope-0 surface here is a genus 1 Seifert surface.
 
-    Each locus is read certificate first: a meridian certificate proves the
+    The locus is read certificate first: a meridian certificate proves the
     trace non-integral and a longitude certificate proves it integral, so a
-    minimal-polynomial verdict is read only for a locus whose certificate
-    does not hold.  A holding certificate is final; a verdict computed later
-    that contradicts it raises.
+    minimal-polynomial verdict is read only where a certificate does not
+    hold.  A holding certificate is final; a verdict computed later that
+    contradicts it raises.
     """
-    meridian_integral = any(
-        locus.meridian_verdict.is_algebraic_integer
-        for locus in report.loci
-        if not locus.meridian_certified
+    meridian_integral = (
+        not locus.meridian_certified and locus.meridian_verdict.is_algebraic_integer
     )
-    longitude_integral = all(
+    longitude_integral = (
         locus.longitude_certified or locus.longitude_verdict.is_algebraic_integer
-        for locus in report.loci
     )
     if not meridian_integral and longitude_integral:
         return SlopeVerdict(

@@ -85,19 +85,16 @@ class VerifyContext:
         return self._reports[n]
 
     def numeric_reps(self, n: int) -> list:
-        """The numeric representation at each point of each locus of report n."""
+        """The numeric representation at each point of the locus of report n."""
         if n not in self._reps:
-            self._reps[n] = [numeric_rep(n, r0, x0) for r0, x0 in _loci_points(self, n)]
+            points = self.report(n).locus.points
+            self._reps[n] = [numeric_rep(n, r0, x0) for r0, x0, _ in points]
         return self._reps[n]
 
     def fixture(self, n: int):
         if n not in self.fixtures:
             raise ValueError(f"no fixture for n = {n}")
         return self.fixtures[n]
-
-
-def _loci_points(ctx, n: int):
-    return [(r0, x0) for locus in ctx.report(n).loci for r0, x0, _ in locus.points]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +142,7 @@ def check_d_split(ctx):
 
 def _check_meridian_exact(ctx, n):
     fx = ctx.fixture(n)
-    locus = ctx.report(n).loci[0]
+    locus = ctx.report(n).locus
     if locus.x_min_poly != fx.x_poly.with_var("x").monic():
         return False, "meridian minimal polynomial differs from fixture"
     return True, f"degree {locus.x_min_poly.degree} matches fixture"
@@ -153,29 +150,23 @@ def _check_meridian_exact(ctx, n):
 
 def check_meridian_nonintegral(ctx):
     for n in range(2, ctx.max_n + 1):
-        rep = ctx.report(n)
-        for locus in rep.loci:
-            for verdict in locus.factor_verdicts:
-                if verdict.is_algebraic_integer or 2 not in verdict.bad_primes:
-                    return False, f"meridian trace integral at 2 for n = {n}"
+        verdict = ctx.report(n).locus.meridian_verdict
+        if verdict.is_algebraic_integer or 2 not in verdict.bad_primes:
+            return False, f"meridian trace integral at 2 for n = {n}"
     return True, f"x never integral, 2 always a bad prime, n <= {ctx.max_n}"
 
 
 def _check_longitude_exact(ctx, n):
     fx = ctx.fixture(n)
-    rep = ctx.report(n)
-    for locus in rep.loci:
-        if locus.longitude_min_poly != fx.longitude_min_poly.with_var("l"):
-            return False, "longitude minimal polynomial differs from fixture"
+    if ctx.report(n).locus.longitude_min_poly != fx.longitude_min_poly.with_var("l"):
+        return False, "longitude minimal polynomial differs from fixture"
     return True, f"degree {fx.longitude_min_poly.degree} matches fixture"
 
 
 def check_longitude_integral(ctx):
     for n in range(2, ctx.max_n + 1):
-        rep = ctx.report(n)
-        for locus in rep.loci:
-            if not locus.longitude_verdict.is_algebraic_integer:
-                return False, f"longitude trace not integral for n = {n}"
+        if not ctx.report(n).locus.longitude_verdict.is_algebraic_integer:
+            return False, f"longitude trace not integral for n = {n}"
     return True, f"longitude trace an algebraic integer, n <= {ctx.max_n}"
 
 
@@ -215,12 +206,12 @@ def _check_eliminants(ctx, n):
 
 def check_delta_gamma(ctx):
     for n in range(2, 5):
-        for locus in ctx.report(n).loci:
-            tctx = TraceContext(n, locus.r_elem, locus.x_squared)
-            for d in range(n + 1):
-                for e in range(n + 1):
-                    if delta(d, e, tctx) != gamma_closed(d, e, tctx):
-                        return False, f"delta != gamma at (n, d, e) = ({n}, {d}, {e})"
+        locus = ctx.report(n).locus
+        tctx = TraceContext(n, locus.r_elem, locus.x_squared)
+        for d in range(n + 1):
+            for e in range(n + 1):
+                if delta(d, e, tctx) != gamma_closed(d, e, tctx):
+                    return False, f"delta != gamma at (n, d, e) = ({n}, {d}, {e})"
     return True, "delta(d, e) = gamma(d, e) for 0 <= d, e <= n, n <= 4"
 
 
@@ -315,16 +306,14 @@ def check_alexander(ctx):
 
 def _check_r_poly(ctx, n):
     fx = ctx.fixture(n)
-    product = UniPoly.const(1, "r")
-    for locus in ctx.report(n).loci:
-        product = product * locus.modulus
-    if product != fx.r_poly.with_var("r").monic():
-        return False, "product of intersection moduli differs from fixture"
-    return True, f"modulus product matches fixture (degree {product.degree})"
+    modulus = ctx.report(n).locus.modulus
+    if modulus != fx.r_poly.with_var("r").monic():
+        return False, "intersection modulus differs from fixture"
+    return True, f"modulus product matches fixture (degree {modulus.degree})"
 
 
 def check_x2_element_n2(ctx):
-    locus = ctx.report(2).loci[0]
+    locus = ctx.report(2).locus
     r = locus.r_elem
     if locus.x_squared != (3 * r + 3) / 2:
         return False, "x^2 on the n = 2 locus is not (3r + 3)/2"

@@ -83,11 +83,10 @@ def test_criterion_06_meridian_non_integrality():
     for n in range(2, 9):
         report = build_intersection_report(n)
         assert report.status == "ok"
-        for locus in report.loci:
-            for verdict in locus.factor_verdicts:
-                assert not verdict.is_algebraic_integer
-                assert 2 in verdict.bad_primes
-        products[n] = report.loci[0].x_min_poly if len(report.loci) == 1 else None
+        verdict = report.locus.meridian_verdict
+        assert not verdict.is_algebraic_integer
+        assert 2 in verdict.bad_primes
+        products[n] = report.locus.x_min_poly
     assert products[2] == UniPoly([45, 0, -24, 0, 4], "x").monic()
     assert products[3] == UniPoly([6125, 0, -8400, 0, 5160, 0, -1424, 0, 144], "x").monic()
     assert time.monotonic() - start < 30.0
@@ -101,13 +100,12 @@ def test_criterion_07_longitude_integrality():
     }
     for n in range(2, 9):
         report = build_intersection_report(n)
-        for locus in report.loci:
-            assert locus.longitude_verdict.is_algebraic_integer
-            poly = locus.longitude_min_poly
-            assert poly.lc == 1
-            assert all(c.denominator == 1 for c in poly.coeffs)
-            if n in frozen:
-                assert poly == frozen[n]
+        assert report.locus.longitude_verdict.is_algebraic_integer
+        poly = report.locus.longitude_min_poly
+        assert poly.lc == 1
+        assert all(c.denominator == 1 for c in poly.coeffs)
+        if n in frozen:
+            assert poly == frozen[n]
     assert time.monotonic() - start < 60.0
 
 

@@ -104,7 +104,6 @@ def test_usage_errors_exit_two(monkeypatch, capsys):
     assert main(["intersect", "--n", "1"]) == 2
     assert main(["cheb", "--kind", "f", "--j", "-1"]) == 2
     assert main(["variety", "--n", "2", "--model", "X", "--split"]) == 2
-    assert main(["rep", "--n", "2", "--locus", "5"]) == 2
     assert main(["rep", "--n", "2", "--root", "9"]) == 2
     assert main(["verify-paper", "--fixtures", "/nonexistent/fixtures.json"]) == 2
     with monkeypatch.context() as m:
@@ -114,6 +113,8 @@ def test_usage_errors_exit_two(monkeypatch, capsys):
     for argv in (
         ["no-such-command"],
         ["verify-paper", "--n", "3", "--fixtures", "/nonexistent/fixtures.json"],
+        ["rep", "--n", "2", "--locus", "5"],
+        ["rep", "--n", "2", "--locus", "0"],  # rep has one locus and no --locus
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -224,7 +225,7 @@ def test_one_root_approximation_per_locus(monkeypatch, capsys):
     monkeypatch.setattr(intersect, "RootApproximations",
                         lambda p, elements: built.append(p) or good(p, elements))
     assert main(["intersect", "--n", "5"]) == 0
-    assert built == [locus.modulus for locus in build_intersection_report(5).loci]
+    assert built == [build_intersection_report(5).locus.modulus]
     built.clear()
     monkeypatch.setenv("CVTK_MAX_N", "2")
     assert main(["verify-paper"]) == 0
@@ -281,7 +282,7 @@ def _root_finder_approx(locus):
 
     return {
         "modulus_roots": strs(locus.modulus),
-        "x_roots": [s for f in locus.x_min_polys for s in strs(f)],
+        "x_roots": strs(locus.x_min_poly),
         "longitude_roots": strs(locus.longitude_min_poly),
     }
 
@@ -293,9 +294,7 @@ def test_approximations_match_root_finding_on_min_polys(capsys, n):
     assert main(["intersect", "--n", str(n)]) == 0
     loci = json.loads(capsys.readouterr().out)["loci"]
     report = build_intersection_report(n)
-    assert [obj["approx"] for obj in loci] == [
-        _root_finder_approx(locus) for locus in report.loci
-    ]
+    assert [obj["approx"] for obj in loci] == [_root_finder_approx(report.locus)]
 
 
 def test_wrong_longitude_count_exits_one(monkeypatch, capsys):
@@ -335,6 +334,29 @@ def test_integral_meridian_is_a_verification_failure(monkeypatch, capsys):
     assert obj["status"] == "verification-failure"
     assert obj["slope"]["detected_slope"] == "undetermined"
     assert obj["slope"]["meridian_integral"] is True
+
+
+def test_meridian_without_bad_prime_two_is_a_verification_failure(monkeypatch, capsys):
+    """Negative control: a non-integral meridian verdict whose complete set of
+    bad primes leaves out 2 contradicts the mod-2 argument, so intersect
+    exits 1 naming it, and verify-paper's meridian-nonintegral line fails."""
+    from cvtk import intersect
+    from cvtk.numfield import IntegralityVerdict
+
+    monkeypatch.setattr(intersect, "integrality_verdict",
+                        lambda poly: IntegralityVerdict(False, 3, (3,)))
+    assert main(["intersect", "--n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("verification failure: meridian polynomial ")
+    assert err.rstrip().endswith(
+        "at n = 3 is non-integral but 2 does not divide any coefficient denominator"
+    )
+    monkeypatch.setenv("CVTK_MAX_N", "2")
+    assert main(["verify-paper"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert [line.split()[1] for line in failed] == ["meridian-nonintegral"]
+    assert "does not divide any coefficient denominator" in failed[0]
 
 
 # sha256 of the standard output for each argv. The intersect and detect pins
@@ -597,7 +619,7 @@ def test_contradicted_certificate_is_a_verification_failure(monkeypatch, capsys)
         report = build_intersection_report(3)
         assert report.status == "ok"
         with pytest.raises(VerificationError, match="contradicting its mod-2 certificate"):
-            report.loci[0].meridian_verdict
+            report.locus.meridian_verdict
         assert report.status == "ok" and report.slope.detected_slope == 0
         assert main(["intersect", "--n", "3"]) == 1
         out, err = capsys.readouterr()
@@ -672,7 +694,7 @@ def test_detect_command(capsys):
 
 
 def test_rep_command(capsys):
-    assert main(["rep", "--n", "2", "--locus", "0", "--root", "0"]) == 0
+    assert main(["rep", "--n", "2", "--root", "0"]) == 0
     out = capsys.readouterr().out
     assert "tr(longitude) ~ 14 + 24i" in out
     assert "family relator residual < 1e-09: yes" in out

@@ -8,7 +8,6 @@ meridian trace from isolated roots of the modulus.
 import time
 from dataclasses import FrozenInstanceError, make_dataclass
 from fractions import Fraction
-from math import prod
 from types import SimpleNamespace
 
 import mpmath
@@ -44,10 +43,6 @@ from cvtk.trace import (
 )
 from cvtk.variety import bezout_budget, d_split
 from cvtk.verify import CheckResult
-
-
-def _meridian_product(locus):
-    return prod(meridian_min_poly(locus), start=UniPoly.const(1, "x"))
 
 
 def test_loci_moduli_frozen():
@@ -106,7 +101,7 @@ def test_meridian_min_poly_frozen():
     fx = default_fixtures()
     for n in (2, 3):
         locus = intersection_loci(n)[0]
-        assert _meridian_product(locus) == UniPoly(fx[n].x_poly.coeffs, "x").monic()
+        assert meridian_min_poly(locus) == (UniPoly(fx[n].x_poly.coeffs, "x").monic(),)
 
 
 def test_meridian_degree_bookkeeping():
@@ -195,10 +190,9 @@ def test_report_n2_n3():
         assert rep.slope.surface_description == "genus 1 Seifert surface"
         assert rep.reducible_on_x_model
         assert not rep.reducible_is_intersection
-        for locus in rep.loci:
-            assert not locus.meridian_verdict.is_algebraic_integer
-            assert 2 in locus.meridian_verdict.bad_primes
-            assert locus.longitude_verdict.is_algebraic_integer
+        assert not rep.locus.meridian_verdict.is_algebraic_integer
+        assert 2 in rep.locus.meridian_verdict.bad_primes
+        assert rep.locus.longitude_verdict.is_algebraic_integer
 
 
 def test_certificates_match_min_poly_verdicts():
@@ -208,12 +202,10 @@ def test_certificates_match_min_poly_verdicts():
     for n in range(2, 25):
         rep = build_intersection_report(n)
         certified = rep.slope
-        for locus in rep.loci:
-            mer = locus.meridian_verdict
-            assert locus.meridian_certified == (
-                not mer.is_algebraic_integer and 2 in mer.bad_primes
-            )
-            assert locus.longitude_certified == locus.longitude_verdict.is_algebraic_integer
+        locus = rep.locus
+        mer = locus.meridian_verdict
+        assert locus.meridian_certified == (not mer.is_algebraic_integer and 2 in mer.bad_primes)
+        assert locus.longitude_certified == locus.longitude_verdict.is_algebraic_integer
         assert rep.slope == certified and certified.detected_slope == 0
 
 
@@ -230,20 +222,44 @@ def test_meridian_certificate_needs_a_factor_of_f_n_mod_2():
 
 
 def test_longitude_certificate_needs_integer_coordinates():
-    for locus in build_intersection_report(3).loci:
-        tau = locus.longitude_elem
-        assert longitude_certificate(locus, tau)
-        assert not longitude_certificate(locus, tau + Fraction(1, 2))
+    locus = build_intersection_report(3).locus
+    tau = locus.longitude_elem
+    assert longitude_certificate(locus, tau)
+    assert not longitude_certificate(locus, tau + Fraction(1, 2))
 
 
 def test_meridian_two_adic_range():
     for n in range(2, 9):
         rep = build_intersection_report(n)
         assert rep.status == "ok"
-        for locus in rep.loci:
-            for verdict in locus.factor_verdicts:
-                assert not verdict.is_algebraic_integer
-                assert 2 in verdict.bad_primes
+        verdict = rep.locus.meridian_verdict
+        assert not verdict.is_algebraic_integer
+        assert 2 in verdict.bad_primes
+
+
+def test_report_json_holds_one_orbit():
+    """G_n is proven irreducible, so the report JSON holds one locus, whose
+    list keys "x_min_polys" and "factor_verdicts" keep one element each: the
+    meridian polynomial and its verdict."""
+    for n in range(2, 9):
+        report = build_intersection_report(n)
+        (locus,) = report.to_json()["loci"]
+        assert locus["x_min_polys"] == [report.locus.x_min_poly.to_json()]
+        assert locus["factor_verdicts"] == [locus["meridian_verdict"]]
+        assert report.d_point_count == locus["degree"] == 2 * n - 2
+
+
+def test_report_computes_one_meridian_verdict(monkeypatch):
+    """Building and serializing a report takes one integrality verdict on
+    the meridian polynomial, not one per factor and one for their product."""
+    from cvtk import intersect
+
+    calls = []
+    monkeypatch.setattr(intersect, "integrality_verdict",
+                        lambda poly: calls.append(poly) or integrality_verdict(poly))
+    report = build_intersection_report(3)
+    report.to_json()
+    assert calls == [report.locus.x_min_poly]
 
 
 def _mpc(point, bits):
@@ -257,24 +273,24 @@ def test_numeric_cross_check_roots():
     mpmath square root, and the trace calculus replayed in mpmath at r0."""
     with mpmath.workdps(40):
         for n in range(2, 13):
-            for locus in build_intersection_report(n).loci:
-                x2, tau = locus.x_squared, locus.longitude_elem
-                approx = RootApproximations(locus.modulus, [
-                    (x2.num, x2.den, False),
-                    (x2.num, x2.den, True),
-                    (tau.num, tau.den, False),
-                ])
-                images = approx.fixed_images
-                for i, point in enumerate(approx.points):
-                    r0 = _mpc(point, approx.bits)
-                    x2_value = 2 + r0 - 1 / f_poly(n)(r0) ** 2
-                    values = (
-                        x2_value,
-                        mpmath.sqrt(x2_value),
-                        longitude_value(TraceContext(n, r0, x2_value)),
-                    )
-                    for (bits, got), value in zip(images, values):
-                        assert mpmath.almosteq(_mpc(got[i], bits), value, 1e-30, 1e-30)
+            locus = build_intersection_report(n).locus
+            x2, tau = locus.x_squared, locus.longitude_elem
+            approx = RootApproximations(locus.modulus, [
+                (x2.num, x2.den, False),
+                (x2.num, x2.den, True),
+                (tau.num, tau.den, False),
+            ])
+            images = approx.fixed_images
+            for i, point in enumerate(approx.points):
+                r0 = _mpc(point, approx.bits)
+                x2_value = 2 + r0 - 1 / f_poly(n)(r0) ** 2
+                values = (
+                    x2_value,
+                    mpmath.sqrt(x2_value),
+                    longitude_value(TraceContext(n, r0, x2_value)),
+                )
+                for (bits, got), value in zip(images, values):
+                    assert mpmath.almosteq(_mpc(got[i], bits), value, 1e-30, 1e-30)
 
 
 def test_consistency_with_fixture_elimination():
@@ -288,7 +304,7 @@ def test_consistency_with_fixture_elimination():
     for n in (2, 3):
         locus = intersection_loci(n)[0]
         budget = bezout_budget(n)
-        assert budget.x_eliminant.monic() == _meridian_product(locus)
+        assert (budget.x_eliminant.monic(),) == meridian_min_poly(locus)
         r_roots = set(
             (round(z.real, 9), round(z.imag, 9))
             for z in complex_roots(squarefree_part(budget.r_eliminant))
@@ -316,7 +332,7 @@ def test_report_json_shape():
 def _record_samples() -> list:
     """One instance of every Record subclass, as the pipeline builds it."""
     report = build_intersection_report(2)
-    locus = report.loci[0]
+    locus = report.locus
     r0, x0, _ = locus.points[0]
     return [
         musser_certificate(G_poly(2)),
@@ -340,13 +356,13 @@ def _record_samples() -> list:
 def test_report_records_are_frozen():
     rep = build_intersection_report(2)
     with pytest.raises(FrozenInstanceError):
-        rep.loci[0].x_squared = rep.loci[0].r_elem
+        rep.locus.x_squared = rep.locus.r_elem
     with pytest.raises(FrozenInstanceError):
-        rep.loci[0].meridian_verdict = rep.loci[0].longitude_verdict
+        rep.locus.meridian_verdict = rep.locus.longitude_verdict
     with pytest.raises(FrozenInstanceError):
         rep.n = 3
     with pytest.raises(FrozenInstanceError):
-        rep.loci = ()
+        rep.locus = None
     for record in _record_samples():
         for name in type(record).__annotations__:
             with pytest.raises(FrozenInstanceError):
@@ -379,8 +395,8 @@ def test_records_behave_as_frozen_dataclasses():
 
 
 def _read_every_locus(report):
-    for locus in report.loci:
-        locus.factor_verdicts, locus.meridian_verdict, locus.longitude_verdict, locus.points
+    locus = report.locus
+    locus.x_min_poly, locus.meridian_verdict, locus.longitude_verdict, locus.points
 
 
 def test_status_and_slope_do_not_depend_on_reads():
@@ -402,37 +418,36 @@ def test_points_pair_each_root_with_its_images():
     square root of 2 + r0 - 1/f_n(r0)^2 and tau0 a root of the longitude
     minimal polynomial; it is computed once per locus."""
     for n in range(2, 7):
-        for locus in build_intersection_report(n).loci:
-            points = locus.points
-            assert locus.points is points
-            assert [r0 for r0, _, _ in points] == complex_roots(locus.modulus)
-            taus = complex_roots(locus.longitude_min_poly)
-            for r0, x0, tau0 in points:
-                x2 = 2 + r0 - 1 / complex(f_poly(n)(r0)) ** 2
-                assert abs(x0 - x2 ** 0.5) <= 1e-9 * max(1, abs(x0))
-                assert min(abs(tau0 - t) for t in taus) <= 1e-9 * max(1, abs(tau0))
+        locus = build_intersection_report(n).locus
+        points = locus.points
+        assert locus.points is points
+        assert [r0 for r0, _, _ in points] == complex_roots(locus.modulus)
+        taus = complex_roots(locus.longitude_min_poly)
+        for r0, x0, tau0 in points:
+            x2 = 2 + r0 - 1 / complex(f_poly(n)(r0)) ** 2
+            assert abs(x0 - x2 ** 0.5) <= 1e-9 * max(1, abs(x0))
+            assert min(abs(tau0 - t) for t in taus) <= 1e-9 * max(1, abs(tau0))
 
 
 def test_staged_path_matches_report():
-    """The per-factor path, driven field by field as the benchmark's library
-    workload drives it, gives the data of the built report."""
+    """The staged path, driven step by step as the benchmark's library
+    workload (perfbench/child.py) drives it, gives the data of the built
+    report."""
     for n in range(2, 9):
-        report_loci = build_intersection_report(n).loci
-        staged = intersection_loci(n)
-        assert len(staged) == len(report_loci)
-        for locus, done in zip(staged, report_loci):
-            locus.x_squared = x_squared_at(locus)
-            factors = meridian_min_poly(locus)
-            tau, min_poly, verdict = longitude_trace(locus)
-            assert locus.modulus == done.modulus
-            assert locus.x_squared == done.x_squared
-            assert factors == done.x_min_polys
-            assert [integrality_verdict(f) for f in factors] == list(done.factor_verdicts)
-            assert (tau, min_poly, verdict) == (
-                done.longitude_elem,
-                done.longitude_min_poly,
-                done.longitude_verdict,
-            )
+        done = build_intersection_report(n).locus
+        (locus,) = intersection_loci(n)
+        locus.x_squared = x_squared_at(locus)
+        factors = meridian_min_poly(locus)
+        tau, min_poly, verdict = longitude_trace(locus)
+        assert locus.modulus == done.modulus
+        assert locus.x_squared == done.x_squared
+        assert factors == (done.x_min_poly,)
+        assert [integrality_verdict(f) for f in factors] == [done.meridian_verdict]
+        assert (tau, min_poly, verdict) == (
+            done.longitude_elem,
+            done.longitude_min_poly,
+            done.longitude_verdict,
+        )
 
 
 def test_input_validation():

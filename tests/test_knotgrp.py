@@ -249,8 +249,8 @@ def _random_squarefree(rng, even):
 def test_complex_roots_match_unseeded_polyroots():
     polys = []
     for n in range(2, 9):
-        for locus in build_intersection_report(n).loci:
-            polys.extend([locus.modulus, *locus.x_min_polys, locus.longitude_min_poly])
+        locus = build_intersection_report(n).locus
+        polys.extend([locus.modulus, locus.x_min_poly, locus.longitude_min_poly])
     rng = random.Random(20161)
     polys.extend(_random_squarefree(rng, even=k % 2 == 0) for k in range(100))
     assert sum(p.degree % 2 == 0 and not any(p.coeffs[1::2]) for p in polys) >= 50
@@ -412,27 +412,25 @@ def _parse_complex(s):
 
 
 def test_rep_command_at_every_point(capsys):
-    """`cvtk rep` exits 0 at every locus and root for n = 2..6, prints the
-    r0 and x0 that the float formula of `_loci_points` gives at that point,
-    and prints both relator residuals as verdicts below RELATOR_TOL."""
+    """`cvtk rep` exits 0 at every root for n = 2..6, prints the r0 and x0
+    that the float formula of `_loci_points` gives at that point, and prints
+    both relator residuals as verdicts below RELATOR_TOL."""
     for n in range(2, 7):
         p = 4 * n * n - 1
         verdicts = [
             "family relator residual < 1e-09: yes",
             f"two-bridge ({p}, {p - 2 * n}) relator residual < 1e-09: yes",
         ]
-        expected = iter(_loci_points(n))
-        for li, locus in enumerate(intersection_loci(n)):
-            for ri in range(locus.modulus.degree):
-                argv = ["rep", "--n", str(n), "--locus", str(li), "--root", str(ri)]
-                assert main(argv) == 0
-                out = capsys.readouterr().out.splitlines()
-                printed = dict(line.split(" ~ ") for line in out if " ~ " in line)
-                r0, x0 = next(expected)
-                assert abs(_parse_complex(printed["r0"]) - r0) < 1e-9
-                assert abs(_parse_complex(printed["x0"]) - x0) < 1e-9
-                assert [line for line in out if "residual" in line] == verdicts
-        assert next(expected, None) is None
+        expected = _loci_points(n)
+        assert len(expected) == 2 * n - 2
+        for ri, (r0, x0) in enumerate(expected):
+            assert main(["rep", "--n", str(n), "--root", str(ri)]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[0] == f"n: {n}  locus: 0  root: {ri}"
+            printed = dict(line.split(" ~ ") for line in out if " ~ " in line)
+            assert abs(_parse_complex(printed["r0"]) - r0) < 1e-9
+            assert abs(_parse_complex(printed["x0"]) - x0) < 1e-9
+            assert [line for line in out if "residual" in line] == verdicts
 
 
 def test_relator_tolerance_scales_with_the_word(monkeypatch):
@@ -444,7 +442,7 @@ def test_relator_tolerance_scales_with_the_word(monkeypatch):
     `word_eval` gives: both come from one product."""
     n = 4
     fam = family_words(n)
-    r0, x0, _ = build_intersection_report(n).loci[0].points[0]
+    r0, x0, _ = build_intersection_report(n).locus.points[0]
     rep = numeric_rep(n, r0, x0)
     word = fam.relator ** 400
     monkeypatch.setattr(knotgrp, "RELATOR_TOL", 0.0)  # the raw rounding scale

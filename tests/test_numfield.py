@@ -133,8 +133,8 @@ def test_equal_elements_hash_equal():
     b = k2.from_poly(UniPoly([Fraction(1, 2), 3, Fraction(-2, 3)], "r") + m * (R - 5))
     assert a == b and hash(a) == hash(b)
     assert hash(k1.gen() ** 3) == hash(k2.gen() - 1)
-    (locus,) = build_intersection_report(3).loci
-    assert len({locus, build_intersection_report(3).loci[0]}) == 1
+    locus = build_intersection_report(3).locus
+    assert len({locus, build_intersection_report(3).locus}) == 1
 
 
 def assert_canonical(a):

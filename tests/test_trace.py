@@ -257,21 +257,20 @@ def test_detect_surface_synthetic():
     nonintegral = SimpleNamespace(is_algebraic_integer=False)
     integral = SimpleNamespace(is_algebraic_integer=True)
 
-    def rep(mer, lon):
-        locus = SimpleNamespace(
+    def locus(mer, lon):
+        return SimpleNamespace(
             meridian_certified=False,
             longitude_certified=False,
             meridian_verdict=mer,
             longitude_verdict=lon,
         )
-        return SimpleNamespace(loci=[locus])
 
-    v = detect_surface(rep(nonintegral, integral))
+    v = detect_surface(locus(nonintegral, integral))
     assert v.detected_slope == 0 and v.surface_description == "genus 1 Seifert surface"
     assert isinstance(v, SlopeVerdict)
-    v = detect_surface(rep(integral, integral))
+    v = detect_surface(locus(integral, integral))
     assert v.detected_slope == "undetermined" and v.meridian_integral
-    v = detect_surface(rep(nonintegral, nonintegral))
+    v = detect_surface(locus(nonintegral, nonintegral))
     assert v.detected_slope == "undetermined" and not v.longitude_integral
 
 
@@ -289,16 +288,16 @@ def test_detect_surface_reads_certificates_first():
 
         longitude_verdict = meridian_verdict
 
-    v = detect_surface(SimpleNamespace(loci=[Certified()]))
+    v = detect_surface(Certified())
     assert v.detected_slope == 0
     integral = SimpleNamespace(is_algebraic_integer=True)
     computed = SimpleNamespace(
         meridian_certified=True, longitude_certified=True, meridian_verdict=integral
     )
-    v = detect_surface(SimpleNamespace(loci=[Certified(), computed]))
+    v = detect_surface(computed)
     assert v.detected_slope == 0 and not v.meridian_integral
     uncertified = SimpleNamespace(
         meridian_certified=False, longitude_certified=True, meridian_verdict=integral
     )
-    v = detect_surface(SimpleNamespace(loci=[Certified(), uncertified]))
+    v = detect_surface(uncertified)
     assert v.detected_slope == "undetermined" and v.meridian_integral

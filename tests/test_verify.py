@@ -86,10 +86,8 @@ def test_numeric_checks_fail_off_the_points(monkeypatch):
     its representations once, so the moved points need a new context."""
     numeric = ["relator-numeric", "standard-relators", "longitude-numeric"]
     assert all_passed(verify._run(VerifyContext(max_n=2), numeric))
-    real = verify._loci_points
-    monkeypatch.setattr(
-        verify, "_loci_points", lambda ctx, n: [(r0 + 1e-3, x0) for r0, x0 in real(ctx, n)]
-    )
+    real = verify.numeric_rep
+    monkeypatch.setattr(verify, "numeric_rep", lambda n, r0, x0: real(n, r0 + 1e-3, x0))
     results = verify._run(VerifyContext(max_n=2), [name for name, _ in CHECKS])
     assert [res.name for res in results if not res.ok] == numeric
     lines = render_results(results).splitlines()
