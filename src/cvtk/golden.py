@@ -11,7 +11,6 @@ control for the whole comparison harness.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import Record
 from .ratpoly import BiPoly, UniPoly

@@ -8,7 +8,9 @@ the points form one Galois orbit, the one locus of the report, in the number
 field Q[r]/(G_n).  There the meridian trace satisfies x^2 = 2 + r -
 1/f_n(r)^2, which is never an algebraic integer (2 always divides a
 denominator), while the longitude trace always is one.  That contrast is
-what detects the slope-0 surface.
+what detects the slope-0 surface.  Since f_n(r) V_n(r) = -2n in the field,
+V_n = f_{n+1} - f_{n-1}, x^2 is formed as 2 + r - V_n(r)^2 / (4 n^2), with
+no inverse in the field and the identity checked by one field product.
 
 The minimal polynomial of x is q(x) = p(x^2), p that of x^2, whenever x^2 is
 not a square in the field (Capelli); a non-square witness from
@@ -71,8 +73,9 @@ class LocusField:
     """The field Q[r]/(m) of the irreducible modulus m = G_n and its
     generator r.
 
-    x_squared is computed on first use and then kept; perfbench/child.py
-    assigns it to time `x_squared_at` on its own.
+    x_squared, the closed form of `x_squared_at`, is computed on first use
+    and then kept; perfbench/child.py assigns it to time `x_squared_at` on
+    its own.
     """
 
     def __init__(self, n: int, field: NumberField, r_elem: NFElem):
@@ -199,15 +202,26 @@ def intersection_loci(n: int):
 
 
 def x_squared_at(locus) -> NFElem:
-    """The squared meridian trace 2 + r - 1/f_n(r)^2 at the locus generator r.
+    """The squared meridian trace x^2 = 2 + r - 1/f_n(r)^2 at the locus
+    generator r, in the closed form 2 + r - V_n(r)^2 / (4 n^2).
 
-    r generates the field, so f_n(r) is the image of the polynomial f_n,
-    reduced mod the modulus with no field product.  It is invertible because
-    gcd(G_n, f_n) = 1; a zero f_n(r) would be an invariant violation and
-    raises ZeroDivisionError.
+    V_n = f_{n+1} - f_{n-1} = tr((ab^-1)^n) has f_n V_n = f_{2n}, and
+    (u + 2) G_n = f_{2n} + 2n, so f_n(r) V_n(r) = -2n in Q[r]/(G_n): the
+    inverse of f_n(r) is -V_n(r) / (2n), with no division in the field.  r
+    generates the field, so f_n(r) and V_n(r) are images of polynomials,
+    reduced with no field product.  The one product f_n(r) V_n(r) is
+    checked to be -2n, which also proves f_n(r) != 0; a failure raises
+    VerificationError.
     """
-    fn = locus.field.from_poly(f_poly(locus.n))
-    return 2 + locus.r_elem - (fn * fn).inverse()
+    n, field = locus.n, locus.field
+    fn = field.from_poly(f_poly(n))
+    vn = field.from_poly(f_poly(n + 1) - f_poly(n - 1))
+    if fn * vn != field.elem((-2 * n,)):
+        raise VerificationError(
+            f"f_{n}(r) V_{n}(r) is not -{2 * n} in Q[r]/(G_{n}): the closed form "
+            f"of the squared meridian trace does not hold"
+        )
+    return 2 + locus.r_elem - (vn * vn) * Fraction(1, 4 * n * n)
 
 
 def meridian_min_poly(locus):
@@ -238,10 +252,13 @@ def meridian_certificate(locus) -> bool:
     The modulus m is monic with integer coefficients and divides G_n, and
     G_n = f_n^2 (mod 2), so m mod 2 shares a factor with f_n mod 2; that
     one GF(2) gcd is the certificate.  Then 2 divides Res(m, f_n) =
-    N(f_n(r)), so f_n(r) lies in a prime P above 2, and x^2 = 2 + r -
-    1/f_n(r)^2 has v_P(x^2) = -2 v_P(f_n(r)) < 0: x is no algebraic integer
-    and, integrality being Galois-invariant, 2 is a bad prime of every
-    factor of its minimal polynomial.
+    N(f_n(r)), so f_n(r) lies in a prime P above 2.  The product
+    f_n(r) V_n(r) = -2n that `x_squared_at` checks gives v_P(V_n(r)) =
+    v_P(2n) - v_P(f_n(r)), so the term V_n(r)^2 / (4 n^2) of x^2 = 2 + r -
+    V_n(r)^2 / (4 n^2) has valuation -2 v_P(f_n(r)) < 0, while 2 + r is an
+    algebraic integer: v_P(x^2) = -2 v_P(f_n(r)) < 0.  So x is no algebraic
+    integer and, integrality being Galois-invariant, 2 is a bad prime of
+    every factor of its minimal polynomial.
     """
     m = locus.modulus
     if not _monic_integral(m):

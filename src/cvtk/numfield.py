@@ -156,7 +156,7 @@ class NFElem(Record):
 
     def __pow__(self, e: int):
         if e < 0:
-            return self.inverse() ** (-e)
+            raise ExactArithError("field elements take non-negative powers only")
         out = self.field.one()
         base = self
         while e:
@@ -166,31 +166,6 @@ class NFElem(Record):
             if e:
                 base = base * base
         return out
-
-    def inverse(self) -> "NFElem":
-        """Extended Euclid against the modulus."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero field element")
-        var = self.field.modulus.var
-        a = UniPoly.from_ints(self.num, self.den, var)
-        b = self.field.modulus
-        r0, r1 = a, b
-        s0, s1 = UniPoly.const(1, var), UniPoly.zero(var)
-        while not r1.is_zero:
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        # r0 = gcd = s0*a + t*b, a nonzero mod irreducible b => gcd constant
-        if r0.degree != 0:
-            raise ExactArithError("modulus is not irreducible")
-        inv = s0 * (1 / r0.coeffs[0])
-        return self.field.from_poly(inv)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
 
     def to_json(self) -> dict:
         return {"basis": self.field.modulus.var, "coords": [frac_str(c) for c in self.coeffs]}

@@ -42,9 +42,9 @@ from .variety import bezout_budget, d_split, meridian_derivative_at_two, x_varie
 
 DEFAULT_MAX_N = 8
 # Ceiling of the ranged checks (CVTK_MAX_N and verify-paper --n): they compute
-# every minimal polynomial for n <= max_n, which takes about 5 s at max_n = 48
-# and 20-23 s at 64 on a 2-vCPU Xeon host (wall, Python 3.11), and grows
-# faster than max_n^4.
+# every minimal polynomial for n <= max_n: `verify-paper --n 48` takes about
+# 4 s and `--n 64` about 14 s of wall time (single runs, 2-vCPU Xeon host,
+# Python 3.11.7), and the time grows faster than max_n^4.
 MAX_CHECK_N = 64
 
 
@@ -315,7 +315,7 @@ def _check_r_poly(ctx, n):
 def check_x2_element_n2(ctx):
     locus = ctx.report(2).locus
     r = locus.r_elem
-    if locus.x_squared != (3 * r + 3) / 2:
+    if locus.x_squared != (3 * r + 3) * Fraction(1, 2):
         return False, "x^2 on the n = 2 locus is not (3r + 3)/2"
     return True, "x^2 = (3r + 3)/2 in Q[r]/(r^2 - 2r + 2)"
 

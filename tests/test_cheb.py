@@ -13,7 +13,7 @@ from cvtk.cheb import (
     square_mod_two,
 )
 from cvtk.intersect import intersection_loci, x_squared_at
-from cvtk.ratpoly import BiPoly, UniPoly, poly_gcd
+from cvtk.ratpoly import BiPoly, UniPoly
 
 U = UniPoly.gen("u")
 
@@ -113,6 +113,15 @@ def test_identities_through_60():
     start = time.time()
     assert failed_identities(60) == []
     assert time.time() - start < 5.0
+
+
+def test_meridian_closed_form_identities():
+    """The two identities behind x^2 = 2 + r - V_n(r)^2 / (4 n^2), checked by
+    exact polynomial products: f_n V_n = f_{2n} with V_n = f_{n+1} - f_{n-1},
+    and (u + 2) G_n = f_{2n} + 2n, so f_n V_n = -2n modulo G_n."""
+    for n in range(2, 65):
+        assert f_poly(n) * (f_poly(n + 1) - f_poly(n - 1)) == f_poly(2 * n), n
+        assert (U + 2) * G_poly(n) == f_poly(2 * n) + 2 * n, n
 
 
 def test_square_mod_two_matches_the_product():

@@ -37,6 +37,7 @@ from cvtk.numfield import (
 from cvtk.ratpoly import UniPoly
 from cvtk.trace import (
     TraceContext,
+    VerificationError,
     boundary_slope_candidates,
     longitude_trace,
     longitude_value,
@@ -63,7 +64,7 @@ def test_x_squared_n2_exact():
     locus = intersection_loci(2)[0]
     x2 = x_squared_at(locus)
     r = locus.r_elem
-    assert x2 == (3 * r + 3) / 2
+    assert x2 == (3 * r + 3) * Fraction(1, 2)
 
 
 def test_field_product_counts(monkeypatch):
@@ -95,6 +96,58 @@ def test_x_squared_requires_invertible_f_n():
             x2 = x_squared_at(locus)
             fn = f_poly(n)(locus.r_elem)
             assert (2 + locus.r_elem - x2) * fn * fn == locus.field.one()
+
+
+def test_x_squared_matches_sympy_inverse():
+    """The closed form 2 + r - V_n(r)^2 / (4 n^2) equals 2 + r - 1/f_n(r)^2
+    with the inverse taken by sympy in QQ[r]/(G_n): an independent oracle
+    for the field inverse that x_squared_at does without."""
+    sympy = pytest.importorskip("sympy")
+    r = sympy.Symbol("r")
+
+    def to_sympy(p):
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+        return sympy.Poly(coeffs, r, domain=sympy.QQ)
+
+    for n in range(2, 17):
+        (locus,) = intersection_loci(n)
+        m, fn = to_sympy(locus.modulus), to_sympy(f_poly(n))
+        want = (sympy.Poly(r + 2, r, domain=sympy.QQ) - (fn * fn).invert(m)).rem(m)
+        coords = [Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())]
+        coords += [Fraction(0)] * (locus.modulus.degree - len(coords))
+        assert x_squared_at(locus).coeffs == tuple(coords), n
+
+
+def _perturb_f_above(monkeypatch, n):
+    """Replace intersect's f_{n+1} by f_{n+1} + 1, so that V_n is off by 1."""
+    from cvtk import intersect
+
+    real = intersect.f_poly
+    monkeypatch.setattr(intersect, "f_poly", lambda j: real(j) + 1 if j == n + 1 else real(j))
+
+
+def test_wrong_v_n_fails_the_closed_form_check(monkeypatch):
+    """Negative control: with V_n off by 1, f_n(r) V_n(r) = -2n + f_n(r) is not
+    -2n (f_n(r) != 0), and x_squared_at raises instead of returning x^2."""
+    for n in range(2, 13):
+        (locus,) = intersection_loci(n)
+        with monkeypatch.context() as patch:
+            _perturb_f_above(patch, n)
+            with pytest.raises(VerificationError) as exc:
+                x_squared_at(locus)
+        assert f"f_{n}(r) V_{n}(r) is not -{2 * n} " in str(exc.value)
+
+
+def test_wrong_v_n_is_a_verification_failure(monkeypatch, capsys):
+    """Negative control: detect with V_8 off exits 1 with a verification
+    failure, not 2 as a usage error."""
+    from cvtk.cli import main
+
+    _perturb_f_above(monkeypatch, 8)
+    assert main(["detect", "--n", "8", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failure: f_8(r) V_8(r) is not -16")
 
 
 def test_meridian_min_poly_frozen():

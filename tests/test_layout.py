@@ -33,6 +33,28 @@ def _used_names(tree: ast.Module) -> set:
     return names
 
 
+def unread_imports(root: Path) -> set:
+    """(file, name) for each name that a module of root/src/cvtk or root/tests
+    imports and never reads.  `from __future__` imports are directives, and
+    what the package's __init__ imports is there for its importers."""
+    out = set()
+    for path in sorted([*(root / "src" / "cvtk").glob("*.py"), *(root / "tests").glob("*.py")]):
+        if path == root / "src" / "cvtk" / "__init__.py":
+            continue
+        tree = _parse(path)
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            out.update((path.relative_to(root).as_posix(), name)
+                       for name in bound if name not in used)
+    return out
+
+
 def uncalled_public_functions(root: Path) -> set:
     """Module-level public functions of root/src/cvtk that no src module and
     no call of perfbench/child.py names."""
@@ -54,6 +76,12 @@ def test_every_public_function_has_a_caller():
     as content and to_json belong to several classes, so a use of one cannot
     be told from a use of another by name."""
     assert uncalled_public_functions(ROOT) == set(UNCALLED)
+
+
+def test_every_import_is_read():
+    """An import that nothing reads still costs its load on every run that
+    reaches the module, and hides which dependencies are real."""
+    assert unread_imports(ROOT) == set()
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

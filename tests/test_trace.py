@@ -12,8 +12,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from cvtk.cheb import G_poly, f_poly, f_values
+from cvtk.cheb import G_poly, f_values
 from cvtk.factor import musser_certificate
+from cvtk.intersect import x_squared_at
 from cvtk.numfield import NumberField
 from cvtk.ratpoly import UniPoly
 from cvtk.trace import (
@@ -158,8 +159,7 @@ def test_delta_gamma_agree_in_locus_fields():
         assert musser_certificate(G).holds
         field = NumberField(G.monic())
         r = field.gen()
-        fn = f_poly(n)(r)
-        x2 = 2 + r - (fn * fn) ** -1
+        x2 = x_squared_at(SimpleNamespace(n=n, field=field, r_elem=r))
         ctx = TraceContext(n, r, x2)
         assert ctx.t == r
         assert (ctx.t_table is ctx.r_table) == (ctx.t == ctx.r)
@@ -172,7 +172,7 @@ def test_delta_gamma_agree_in_locus_fields():
 def test_delta_11_value_n2():
     field = NumberField(UniPoly([2, -2, 1], "r"))
     r = field.gen()
-    x2 = (3 * r + 3) / 2
+    x2 = (3 * r + 3) * Fraction(1, 2)
     ctx = TraceContext(2, r, x2)
     assert ctx.t == r
     assert delta(1, 1, ctx) == 2 * r - 1
@@ -199,8 +199,8 @@ def test_longitude_min_polys_frozen():
         assert musser_certificate(G).holds
         field = NumberField(G.monic())
         r = field.gen()
-        fn = f_poly(n)(r)
-        locus = SimpleNamespace(n=n, r_elem=r, x_squared=2 + r - (fn * fn) ** -1)
+        locus = SimpleNamespace(n=n, field=field, r_elem=r)
+        locus.x_squared = x_squared_at(locus)
         tau, min_poly, verdict = longitude_trace(locus)
         assert min_poly == expect
         assert verdict.is_algebraic_integer

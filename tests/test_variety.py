@@ -10,12 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from cvtk.cheb import G_poly, f_poly
+from cvtk.cheb import G_poly
 from cvtk.factor import squarefree_part
 from cvtk.golden import default_fixtures
-from cvtk.numfield import NumberField
 from cvtk import intersect, variety
-from cvtk.intersect import build_intersection_report
+from cvtk.intersect import build_intersection_report, intersection_loci
 from cvtk.ratpoly import BiPoly, UniPoly
 from cvtk.trace import TraceContext
 from cvtk.variety import (
@@ -134,10 +133,9 @@ def test_intersection_points_map_to_diagonal():
     # Over Q[r]/(G_n(r)), the point (r, y) with y = x^2 - 2 = r - 1/f_n(r)^2
     # maps birationally to t = r exactly.
     for n in (2, 3):
-        field = NumberField(UniPoly(G_poly(n).coeffs, "r"))
-        r = field.gen()
-        fn = f_poly(n)(r)
-        y = r - (fn * fn) ** -1
+        (locus,) = intersection_loci(n)
+        r = locus.r_elem
+        y = locus.x_squared - 2
         image = birational_image(n, (r, y))
         assert image[0] == r
         assert image[1] == r
