@@ -44,19 +44,16 @@ from .knotgrp import (
 from .ratpoly import ExactArithError
 from .trace import VerificationError, alexander_poly, boundary_slope_candidates
 from .variety import d_split, d_variety_poly, x_variety_poly
-from .verify import (
-    MAX_CHECK_N,
-    all_passed,
-    render_results,
-    run_checks,
-    run_property_checks,
-)
+from .verify import all_passed, render_results, run_checks, run_property_checks
 
 # Largest value each integer argument accepts, so that a run ends within about
 # a minute on a 2-vCPU Xeon host; above it the command exits 2. The library
 # functions take any value, so a caller who needs more calls them.
 MAX_N = 128  # --n, the family index: detect --n 128 takes about 0.5-0.75 s
-# verify-paper --n and CVTK_MAX_N have their own ceiling, verify.MAX_CHECK_N = 64.
+# verify-paper --n: the ranged checks compute every minimal polynomial for
+# n <= --n; --n 48 takes about 4 s and --n 64 about 14 s (single runs, Python
+# 3.11.7), and the time grows faster than n^4.
+MAX_CHECK_N = 64
 MAX_VARIETY_N = 32  # variety --n: the X model at n = 32 takes about 15-18 s
 MAX_J = 1000  # cheb --j: the polynomials of index 1000 take about 2 s
 MAX_WORD = 10 ** 6  # word --p and --q: a word of length 10^6 takes about 2.5 s

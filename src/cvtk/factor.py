@@ -37,23 +37,6 @@ from .ratpoly import (
 )
 
 
-def iter_primes():
-    """2, 3, 5, 7, ... by trial division; plenty for desk-scale work."""
-    yield 2
-    yield 3
-    found = [3]
-    c = 3
-    while True:
-        c += 2
-        for p in found:
-            if p * p > c:
-                found.append(c)
-                yield c
-                break
-            if c % p == 0:
-                break
-
-
 def _gfb_frobenius(f, p):
     """Column j < deg f of the Frobenius matrix of a monic byte polynomial f
     mod p: x^(j*p) mod f, the remainder of x^p times column j - 1."""

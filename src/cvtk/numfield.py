@@ -18,22 +18,16 @@ not a square in the field.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from operator import add, mul
 
 from . import Record, _set
-from .factor import iter_primes, squarefree_part
-from .ratpoly import (ExactArithError, UniPoly, _conv, _gf_eval, _gfb, _pseudo_divmod,
-                      frac_str)
+from .factor import squarefree_part
+from .ratpoly import (_GFB_PRIMES, ExactArithError, UniPoly, _conv, _gf_eval, _gfb,
+                      _pseudo_divmod, frac_str)
 
 _TRIAL_BOUND = 10 ** 6
-
-# Odd primes below this bound are tried for a non-square witness.  A prime at
-# which the modulus has simple roots gives one with probability about 1/2 for
-# a non-square, and for the x^2 of every factor of G_n measured (n = 2..24, 28
-# and 32) one below 40 does; for a square none does, and the bound ends that
-# search after a few thousand small-int operations.
-WITNESS_PRIME_BOUND = 100
 
 
 class NumberField:
@@ -100,10 +94,6 @@ class NFElem(Record):
     def coeffs(self) -> tuple:
         """Power-basis coordinates as Fractions."""
         return tuple(Fraction(c, self.den) for c in self.num)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.num)
 
     def _coerce(self, other):
         if isinstance(other, NFElem):
@@ -269,20 +259,23 @@ def _vanishes(mp: UniPoly, d: int, krylov) -> bool:
 def non_square_witness(a: NFElem):
     """(l, r0) proving that a is not a square in its field, or None.
 
-    l is an odd prime below WITNESS_PRIME_BOUND that does not divide a.den,
+    l is an odd prime of _GFB_PRIMES (3..83) that does not divide a.den,
     and r0 a simple root of the modulus m mod l: m(r0) = 0 and m'(r0) != 0
     mod l.  By Hensel's lemma r0 lifts to a root of m in Z_l, so the field
     embeds in Q_l with r -> r0 as its residue map, and a goes to an l-adic
     integer with residue a(r0) = num(r0) / den mod l.  When that residue is a
     non-residue mod l (Euler's criterion), a is not a square in Q_l, nor in
-    the field.  None means that no prime below the bound gave a witness.
+    the field.  None means that no prime up to 83 gave a witness.
+
+    A prime at which the modulus has simple roots gives a witness with
+    probability about 1/2 for a non-square; for the x^2 of G_n, n = 2..128,
+    one at most 61 does.  For a square none does, and the 22 primes end that
+    search after a few thousand small-int operations.
     """
     modulus = a.field.modulus
     m, dm = modulus.num, modulus.derivative().num
-    for ell in iter_primes():
-        if ell >= WITNESS_PRIME_BOUND:
-            return None
-        if ell == 2 or a.den % ell == 0:
+    for ell in _GFB_PRIMES[1:]:
+        if a.den % ell == 0:
             continue
         mq, dq, aq = (_gfb(cs, ell) for cs in (m, dm, a.num))
         inv = pow(a.den, -1, ell)
@@ -332,18 +325,15 @@ def integrality_verdict(min_poly: UniPoly) -> IntegralityVerdict:
     primes = []
     rest = denom
     cofactor = None
-    for p in iter_primes():
-        if rest == 1:
-            break
-        if p > _TRIAL_BOUND:
-            cofactor = rest  # reported verbatim, prime set incomplete
-            break
+    for p in chain((2,), range(3, _TRIAL_BOUND + 1, 2)):
         if p * p > rest:
-            primes.append(rest)  # no divisor below its square root: prime
-            rest = 1
+            if rest > 1:
+                primes.append(rest)  # no divisor below its square root: prime
             break
         while rest % p == 0:
             primes.append(p)
             rest //= p
+    else:
+        cofactor = rest  # reported verbatim, prime set incomplete
     bad = tuple(sorted(set(primes)))
     return IntegralityVerdict(False, denom, bad, cofactor)

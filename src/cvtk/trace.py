@@ -33,12 +33,7 @@ from fractions import Fraction
 
 from . import Record
 from .cheb import f_values, require_family_index
-from .numfield import (
-    IntegralityVerdict,
-    NFElem,
-    integrality_verdict,
-    nf_minimal_polynomial,
-)
+from .numfield import IntegralityVerdict, integrality_verdict, nf_minimal_polynomial
 from .ratpoly import UniPoly, frac_str
 
 
@@ -158,14 +153,6 @@ def gamma_seifert_form(ctx: TraceContext):
     )
 
 
-def _min_poly_any(value, var: str) -> UniPoly:
-    """Minimal polynomial over Q of a Fraction or number-field element; it
-    serves only `longitude_trace`, and stays while that does."""
-    if isinstance(value, NFElem):
-        return nf_minimal_polynomial(value, var)
-    return UniPoly([-Fraction(value), Fraction(1)], var)
-
-
 def longitude_value(ctx: TraceContext):
     """The longitude trace tr(s1 s2^-1 s1^-1 s2) at the context's character."""
     gam = tr_s1s2inv(ctx)
@@ -177,13 +164,13 @@ def longitude_value(ctx: TraceContext):
 def longitude_trace(locus):
     """Longitude trace at an intersection character, with certificate.
 
-    `locus` needs attributes n, r_elem, x_squared (ring elements of one
-    field, or rationals).  Returns (trace, minimal polynomial, verdict),
-    the verdict from `longitude_integrality`.  The report computes them
-    itself; this stays because perfbench/child.py calls it.
+    `locus` needs attributes n, r_elem, x_squared (elements of one number
+    field).  Returns (trace, minimal polynomial, verdict), the verdict from
+    `longitude_integrality`.  The report computes them itself; this stays
+    because perfbench/child.py calls it.
     """
     tau = longitude_value(TraceContext(locus.n, locus.r_elem, locus.x_squared))
-    min_poly = _min_poly_any(tau, "l")
+    min_poly = nf_minimal_polynomial(tau, "l")
     return tau, min_poly, longitude_integrality(locus.n, min_poly)
 
 

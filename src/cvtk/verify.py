@@ -9,7 +9,6 @@ line to FAIL; that negative control is itself part of the test suite.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import partial
 
@@ -40,28 +39,7 @@ from .trace import (
 )
 from .variety import bezout_budget, d_split, meridian_derivative_at_two, x_variety_poly
 
-DEFAULT_MAX_N = 8
-# Ceiling of the ranged checks (CVTK_MAX_N and verify-paper --n): they compute
-# every minimal polynomial for n <= max_n: `verify-paper --n 48` takes about
-# 4 s and `--n 64` about 14 s of wall time (single runs, 2-vCPU Xeon host,
-# Python 3.11.7), and the time grows faster than max_n^4.
-MAX_CHECK_N = 64
-
-
-def resolve_max_n(max_n=None) -> int:
-    """Explicit argument, else the CVTK_MAX_N environment variable, else 8;
-    an integer in [2, MAX_CHECK_N]."""
-    if max_n is not None:
-        value = max_n
-    else:
-        value = os.environ.get("CVTK_MAX_N", str(DEFAULT_MAX_N))
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"max_n must be an integer in [2, {MAX_CHECK_N}], got {value!r}")
-    if not 2 <= value <= MAX_CHECK_N:
-        raise ValueError(f"max_n must be an integer in [2, {MAX_CHECK_N}], got {value}")
-    return value
+DEFAULT_MAX_N = 8  # top n of the ranged checks in the full table
 
 
 class CheckResult(Record):
@@ -73,9 +51,10 @@ class CheckResult(Record):
 class VerifyContext:
     """Shared fixtures plus memoized reports so checks reuse heavy work."""
 
-    def __init__(self, fixtures=None, max_n=None):
+    def __init__(self, fixtures=None, max_n=DEFAULT_MAX_N):
+        require_family_index(max_n)
         self.fixtures = default_fixtures() if fixtures is None else fixtures
-        self.max_n = resolve_max_n(max_n)
+        self.max_n = max_n
         self._reports = {}
         self._reps = {}
 
@@ -393,7 +372,6 @@ PROPERTY_CHECKS = (
 
 def run_property_checks(n: int) -> list:
     """Fixture-free invariants for a single n (no frozen data needed)."""
-    require_family_index(n)
     return _run(VerifyContext(max_n=n), PROPERTY_CHECKS)
 
 

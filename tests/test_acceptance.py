@@ -186,8 +186,7 @@ def test_criterion_13_alexander_data():
         assert poly(Fraction(1)) == 1
 
 
-def test_criterion_14_negative_control(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CVTK_MAX_N", "2")
+def test_criterion_14_negative_control(tmp_path, capsys):
     obj = fixtures_to_json(default_fixtures())
     obj["2"]["x_poly"]["coeffs"][2] = "-23"
     path = tmp_path / "perturbed.json"

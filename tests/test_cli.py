@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from cvtk.cli import (
+    MAX_CHECK_N,
     MAX_J,
     MAX_N,
     MAX_VARIETY_N,
@@ -28,7 +29,6 @@ from cvtk.cli import (
     main,
 )
 from cvtk.golden import default_fixtures, fixtures_to_json
-from cvtk.verify import MAX_CHECK_N
 
 
 def _fail_names(out):
@@ -37,8 +37,7 @@ def _fail_names(out):
     }
 
 
-def _run_with_fixtures(tmp_path, monkeypatch, capsys, mutate):
-    monkeypatch.setenv("CVTK_MAX_N", "2")
+def _run_with_fixtures(tmp_path, capsys, mutate):
     obj = fixtures_to_json(default_fixtures())
     mutate(obj)
     path = tmp_path / "fixtures.json"
@@ -58,14 +57,13 @@ PERTURBATIONS = (
 
 
 @pytest.mark.parametrize("label,mutate,expected", PERTURBATIONS, ids=[p[0] for p in PERTURBATIONS])
-def test_negative_control(tmp_path, monkeypatch, capsys, label, mutate, expected):
-    code, out = _run_with_fixtures(tmp_path, monkeypatch, capsys, mutate)
+def test_negative_control(tmp_path, capsys, label, mutate, expected):
+    code, out = _run_with_fixtures(tmp_path, capsys, mutate)
     assert code == 1
     assert expected in _fail_names(out)
 
 
-def test_verify_paper_passes(monkeypatch, capsys):
-    monkeypatch.setenv("CVTK_MAX_N", "2")
+def test_verify_paper_passes(capsys):
     assert main(["verify-paper"]) == 0
     out = capsys.readouterr().out
     assert "28/28 checks passed" in out
@@ -100,15 +98,12 @@ def test_intersect_empty_json_path_is_an_error(capsys):
     assert "error: " in capsys.readouterr().err
 
 
-def test_usage_errors_exit_two(monkeypatch, capsys):
+def test_usage_errors_exit_two(capsys):
     assert main(["intersect", "--n", "1"]) == 2
     assert main(["cheb", "--kind", "f", "--j", "-1"]) == 2
     assert main(["variety", "--n", "2", "--model", "X", "--split"]) == 2
     assert main(["rep", "--n", "2", "--root", "9"]) == 2
     assert main(["verify-paper", "--fixtures", "/nonexistent/fixtures.json"]) == 2
-    with monkeypatch.context() as m:
-        m.setenv("CVTK_MAX_N", str(MAX_CHECK_N + 1))
-        assert main(["verify-paper"]) == 2
     capsys.readouterr()
     for argv in (
         ["no-such-command"],
@@ -227,7 +222,6 @@ def test_one_root_approximation_per_locus(monkeypatch, capsys):
     assert main(["intersect", "--n", "5"]) == 0
     assert built == [build_intersection_report(5).locus.modulus]
     built.clear()
-    monkeypatch.setenv("CVTK_MAX_N", "2")
     assert main(["verify-paper"]) == 0
     capsys.readouterr()
     assert [p.degree for p in built] == [2, 4]  # the n = 2 and n = 3 loci
@@ -352,7 +346,6 @@ def test_meridian_without_bad_prime_two_is_a_verification_failure(monkeypatch, c
     assert err.rstrip().endswith(
         "at n = 3 is non-integral but 2 does not divide any coefficient denominator"
     )
-    monkeypatch.setenv("CVTK_MAX_N", "2")
     assert main(["verify-paper"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert [line.split()[1] for line in failed] == ["meridian-nonintegral"]
@@ -441,7 +434,7 @@ def _pin_id(argv):
 
 @pytest.mark.parametrize("argv", sorted(OUTPUT_SHA256), ids=_pin_id)
 def test_report_output_pinned(capsys, monkeypatch, argv):
-    monkeypatch.delenv("CVTK_MAX_N", raising=False)
+    monkeypatch.setenv("CVTK_MAX_N", "3")  # not read: the output is the default's
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[argv]

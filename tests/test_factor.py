@@ -7,7 +7,7 @@ import pytest
 
 from cvtk import factor
 from cvtk.cheb import G_poly
-from cvtk.factor import iter_primes, musser_certificate, squarefree_part
+from cvtk.factor import musser_certificate, squarefree_part
 from cvtk.intersect import intersection_loci, x_squared_at
 from cvtk.numfield import nf_minimal_polynomial
 from cvtk.ratpoly import (
@@ -211,11 +211,6 @@ def test_factor_large_coeff_swinnerton_dyer_2():
     cert = assert_certificate_agrees_with_sympy(U ** 4 - 10 * U ** 2 + 1)
     assert not cert.holds and degree_set(cert) == {0, 2, 4}
     assert all(max(pattern) <= 2 for pattern in cert.patterns)
-
-
-def test_iter_primes():
-    it = iter_primes()
-    assert [next(it) for _ in range(10)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_factor_degree8_even_poly():

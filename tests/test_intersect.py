@@ -27,14 +27,13 @@ from cvtk.intersect import (
 )
 from cvtk.knotgrp import RootApproximations, complex_roots, family_words, numeric_rep
 from cvtk.numfield import (
-    WITNESS_PRIME_BOUND,
     IntegralityVerdict,
     NFElem,
     integrality_verdict,
     nf_minimal_polynomial,
     non_square_witness,
 )
-from cvtk.ratpoly import UniPoly
+from cvtk.ratpoly import _GFB_PRIMES, UniPoly
 from cvtk.trace import (
     TraceContext,
     VerificationError,
@@ -175,7 +174,7 @@ def test_witness_path_matches_factoring():
             a = locus.x_squared
             ell, r0 = non_square_witness(a)
             m = locus.modulus.num
-            assert sympy.isprime(ell) and 2 < ell < WITNESS_PRIME_BOUND and a.den % ell
+            assert sympy.isprime(ell) and ell in _GFB_PRIMES[1:] and a.den % ell
             assert sum(c * r0 ** i for i, c in enumerate(m)) % ell == 0
             assert sum(i * c * r0 ** (i - 1) for i, c in enumerate(m) if i) % ell
             value = sum(c * r0 ** i for i, c in enumerate(a.num)) * pow(a.den, -1, ell)

@@ -84,6 +84,31 @@ def test_every_import_is_read():
     assert unread_imports(ROOT) == set()
 
 
+def environment_reads(root: Path) -> set:
+    """(file, line) of each read of the process environment in a module of
+    root/src/cvtk: os.environ, os.getenv, or either imported from os."""
+    names = {"environ", "getenv"}
+    out = set()
+    for path in sorted((root / "src" / "cvtk").glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute):
+                hit = isinstance(node.value, ast.Name) and node.value.id == "os" and node.attr in names
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == "os" and any(alias.name in names for alias in node.names)
+            else:
+                continue
+            if hit:
+                out.add((path.relative_to(root).as_posix(), node.lineno))
+    return out
+
+
+def test_src_reads_no_environment():
+    """What a run does is set by its arguments alone: an environment
+    variable is a second, unlisted input that the option table's validation
+    never sees."""
+    assert environment_reads(ROOT) == set()
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     """Every invocation pays for what `import cvtk.cli` loads, and dataclasses
     with the inspect, ast and dis it pulls in was most of that; random, with

@@ -27,7 +27,9 @@ from cvtk.trace import (
     detect_surface,
     gamma_closed,
     gamma_seifert_form,
+    longitude_integrality,
     longitude_trace,
+    longitude_value,
     reducible_character,
     tr_commutator,
     tr_s1s2inv,
@@ -209,11 +211,13 @@ def test_longitude_min_polys_frozen():
 
 
 def test_longitude_rational_path_raises_on_nonintegral():
-    # Synthetic degree-1 "field": r = 1/3 makes the longitude trace a
-    # non-integer rational, which must trip the verification error.
-    locus = SimpleNamespace(n=2, r_elem=Fraction(1, 3), x_squared=Fraction(1, 7))
-    with pytest.raises(VerificationError):
-        longitude_trace(locus)
+    # Synthetic rational character: r = 1/3 makes the longitude trace a
+    # non-integer rational, whose minimal polynomial must trip the
+    # verification error.
+    tau = longitude_value(TraceContext(2, Fraction(1, 3), Fraction(1, 7)))
+    assert tau.denominator > 1
+    with pytest.raises(VerificationError, match="not an algebraic integer"):
+        longitude_integrality(2, UniPoly([-tau, 1], "l"))
 
 
 def test_reducible_character_values():

@@ -4,37 +4,17 @@ exercised end to end by the CLI tests and the acceptance gate)."""
 import pytest
 
 from cvtk import cheb, verify
+from cvtk.cli import MAX_CHECK_N
 from cvtk.ratpoly import UniPoly
 from cvtk.verify import (
     CHECKS,
-    MAX_CHECK_N,
+    DEFAULT_MAX_N,
     CheckResult,
     VerifyContext,
     all_passed,
     render_results,
-    resolve_max_n,
     run_property_checks,
 )
-
-
-def test_resolve_max_n(monkeypatch):
-    assert resolve_max_n(5) == 5
-    monkeypatch.setenv("CVTK_MAX_N", "3")
-    assert resolve_max_n() == 3
-    monkeypatch.delenv("CVTK_MAX_N")
-    assert resolve_max_n() == 8
-    with pytest.raises(ValueError):
-        resolve_max_n(1)
-    monkeypatch.setenv("CVTK_MAX_N", "junk")
-    with pytest.raises(ValueError):
-        resolve_max_n()
-    # Above the ceiling, from either source.
-    assert resolve_max_n(MAX_CHECK_N) == MAX_CHECK_N
-    with pytest.raises(ValueError, match=f"in \\[2, {MAX_CHECK_N}\\], got {MAX_CHECK_N + 1}"):
-        resolve_max_n(MAX_CHECK_N + 1)
-    monkeypatch.setenv("CVTK_MAX_N", str(MAX_CHECK_N + 1))
-    with pytest.raises(ValueError):
-        resolve_max_n()
 
 
 def test_check_names_unique_and_fixed():
@@ -61,6 +41,9 @@ def test_property_checks_validate_n():
         run_property_checks(1)
     with pytest.raises(ValueError):
         run_property_checks("3")
+    assert VerifyContext().max_n == DEFAULT_MAX_N
+    # The CLI ceiling is not the library's.
+    assert VerifyContext(max_n=MAX_CHECK_N + 1).max_n == MAX_CHECK_N + 1
 
 
 def test_property_checks_run_clean():
