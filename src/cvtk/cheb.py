@@ -11,13 +11,22 @@ runs the recurrence once at u, in u's own ring, and gives all of them at the
 cost of one product each; that is how the trace calculus and the X model
 form their f_j values.  f_poly(j), the polynomial itself, reads one such
 table at the generator u, extended under a lock.
+
+identity_checks decides its product identities, such as f_j^2 - f_{j-1}
+f_{j+1} = 1, without a polynomial product.  An integer polynomial whose
+coefficients are all below 2**w / 2 in absolute value is zero exactly when
+its value at u = 2**w is: otherwise its lowest nonzero coefficient would be
+a nonzero multiple of 2**w.  So each entry is packed once into its value at
+such a power of two (the Kronecker substitution of von zur Gathen and
+Gerhard, Modern Computer Algebra, 8.4), w is bounded from the coefficient
+bit lengths of the entries, and each identity is one int equality.
 """
 
 from __future__ import annotations
 
 import threading
 
-from .ratpoly import UniPoly
+from .ratpoly import UniPoly, _kronecker_pack, poly_gcd
 
 _lock = threading.Lock()
 _g: dict = {}
@@ -104,35 +113,57 @@ def square_mod_two(G: UniPoly, f: UniPoly) -> bool:
     return parity + [0] * (size - len(parity)) == square + [0] * (size - len(square))
 
 
+def _max_bits(*polys) -> int:
+    """The largest bit length of a numerator coefficient of polys."""
+    return max(max(max(p.num, default=0), -min(p.num, default=0)).bit_length() for p in polys)
+
+
 def identity_checks(j: int) -> dict:
     """The nine structural identities at index j, as {label: bool}.
 
     These are the working facts the rest of the library leans on: G_j is the
     squarefree intersection polynomial, f_j(2) = j keeps r = 2 off it, and
     the Wronskian relations drive the trace recursions.
+
+    The four product identities (shifted-trace, double-index and the two
+    Wronskians) are decided at u = 2**w.  Each of f_{j-1}, f_j, f_{j+1},
+    g_j, g_{j+1}, G_j and f_{2j} is packed once into its value there, and
+    each identity is an int equality of five products and some shifts.  w
+    is read off the entries themselves, whatever they hold: it is a multiple
+    of 8 with w >= M + 4, where M is the largest of
+
+    - 2*b + bits(l), with b the largest coefficient bit length and l the
+      greatest length of the f and g entries, so every coefficient of a
+      product of two of them is below 2**M;
+    - the coefficient bit lengths of G_j and of f_{2j};
+    - bits(2j).
+
+    Every coefficient of each difference is then below 2**(M + 3), less
+    than half of 2**w, so a nonzero difference cannot vanish at 2**w.  An
+    entry with a denominator other than 1 fails the identities it enters.
     """
-    from fractions import Fraction
-
-    from .ratpoly import poly_gcd
-
     if j < 2:
         raise ValueError("identity_checks needs j >= 2")
-    u = UniPoly.gen("u")
-    fj = f_poly(j)
-    fjm = f_poly(j - 1)
-    fjp = f_poly(j + 1)
-    gj = g_poly(j)
-    gjp = g_poly(j + 1)
+    fg = fjm, fj, fjp, gj, gjp = f_poly(j - 1), f_poly(j), f_poly(j + 1), g_poly(j), g_poly(j + 1)
     Gj = G_poly(j)
-    fj2 = fj * fj
+    f2j = f_poly(2 * j)
+    top = max(
+        2 * _max_bits(*fg) + max(len(p.num) for p in fg).bit_length(),
+        _max_bits(Gj, f2j),
+        (2 * j).bit_length(),
+    )
+    wb = (top + 11) // 8  # w = 8 * wb >= top + 4
+    w = 8 * wb
+    vfjm, vfj, vfjp, vgj, vgjp, vG, vf2j = (_kronecker_pack(p.num, wb) for p in (*fg, Gj, f2j))
+    vfj2 = vfj * vfj
     return {
-        "shifted-trace": (u + 2) * Gj == f_poly(2 * j) + 2 * j,
-        "double-index": f_poly(2 * j) == u * fj2 - 2 * fj * fjm,
-        "value-at-two": fj(Fraction(2)) == j,
+        "shifted-trace": Gj.den == f2j.den == 1 and (vG << w) + 2 * vG == vf2j + 2 * j,
+        "double-index": f2j.den == fj.den == fjm.den == 1 and vf2j == (vfj2 << w) - 2 * vfj * vfjm,
+        "value-at-two": fj(2) == j,
         "f-squarefree": poly_gcd(fj, fj.derivative()).degree == 0,
         "G-f-coprime": poly_gcd(Gj, fj).degree == 0,
-        "f-wronskian": fj2 - fjm * fjp == UniPoly.const(1),
-        "g-wronskian": fj * gj - fjm * gjp == UniPoly.const(1),
+        "f-wronskian": fj.den == fjm.den == fjp.den == 1 and vfj2 - vfjm * vfjp == 1,
+        "g-wronskian": fj.den == fjm.den == gj.den == gjp.den == 1 and vfj * vgj - vfjm * vgjp == 1,
         "mod-two": square_mod_two(Gj, fj),
         "G-squarefree": poly_gcd(Gj, Gj.derivative()).degree == 0,
     }

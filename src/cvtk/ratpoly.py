@@ -16,6 +16,8 @@ row products and cvtk.numfield's field products.  It has two paths, chosen
 from operand lengths, nonzero counts and bit lengths only: long dense
 operands of comparable coefficient size take one bignum product by
 Kronecker substitution, and the rest a row loop that skips zero entries.
+cvtk.cheb's identity checks use the packing step alone, _kronecker_pack,
+to evaluate integer polynomials at one power of two.
 
 Every reduction of one polynomial by another over Z or Z[t] runs the one
 pseudo-division kernel _pseudo_divmod: UniPoly and BiPoly division, the
@@ -616,11 +618,12 @@ def _conv_kronecker(a, b, bits):
 
 
 def _kronecker_pack(a, wb):
-    """sum(a[i] * 2**(8 * wb * i)) for ints |a[i]| < 2**(8 * wb - 1).  A
+    """sum(a[i] * 2**(8 * wb * i)) for ints |a[i]| < 2**(8 * wb - 1), the
+    value at u = 2**(8 * wb) of the polynomial with coefficients a.  A
     negative entry's two's-complement slot reads 2**(8 * wb) too high, which
     is one unit in the next slot up, taken off after the read."""
     packed = int.from_bytes(b"".join(x.to_bytes(wb, "little", signed=True) for x in a), "little")
-    if min(a) >= 0:
+    if min(a, default=0) >= 0:
         return packed
     one, zero = (1).to_bytes(wb, "little"), bytes(wb)
     carries = int.from_bytes(b"".join(one if x < 0 else zero for x in a), "little")
@@ -815,21 +818,23 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
         return p.monic()
     p._check(q)
     var = p.var
-    a = p.primitive()
-    b = q.primitive()
     # A constant gcd modulo one prime that divides neither leading coefficient
-    # certifies coprimality over Q.  A coprime pair has a nonconstant gcd mod
-    # p only when p divides their resultant, so a second prime is tried
+    # certifies coprimality over Q.  It is read off the numerators as they
+    # are: a prime that divides a content also divides that leading
+    # coefficient, so it is skipped.  A coprime pair has a nonconstant gcd
+    # mod p only when p divides their resultant, so a second prime is tried
     # before the PRS.
     usable = 0
     for pr in reversed(_GFB_PRIMES):
-        if a.num[-1] % pr == 0 or b.num[-1] % pr == 0:
+        if p.num[-1] % pr == 0 or q.num[-1] % pr == 0:
             continue
-        if len(_gfb_gcd(_gfb(a.num, pr), _gfb(b.num, pr), pr)) == 1:
+        if len(_gfb_gcd(_gfb(p.num, pr), _gfb(q.num, pr), pr)) == 1:
             return UniPoly.const(1, var)
         usable += 1
         if usable == 2:
             break
+    a = p.primitive()
+    b = q.primitive()
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero:

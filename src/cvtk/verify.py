@@ -14,6 +14,7 @@ from functools import partial
 
 from . import Record
 from .cheb import G_poly, f_poly, failed_identities, require_family_index, square_mod_two
+from .factor import squarefree_part
 from .golden import default_fixtures
 from .intersect import build_intersection_report
 from .knotgrp import (
@@ -49,7 +50,8 @@ class CheckResult(Record):
 
 
 class VerifyContext:
-    """Shared fixtures plus memoized reports so checks reuse heavy work."""
+    """Shared fixtures plus memoized reports and Bezout budgets, so checks
+    reuse heavy work."""
 
     def __init__(self, fixtures=None, max_n=DEFAULT_MAX_N):
         require_family_index(max_n)
@@ -57,11 +59,18 @@ class VerifyContext:
         self.max_n = max_n
         self._reports = {}
         self._reps = {}
+        self._bezout = {}
 
     def report(self, n: int):
         if n not in self._reports:
             self._reports[n] = build_intersection_report(n)
         return self._reports[n]
+
+    def bezout(self, n: int):
+        """bezout_budget(n) on the context's fixtures, computed once."""
+        if n not in self._bezout:
+            self._bezout[n] = bezout_budget(n, fixtures=self.fixtures)
+        return self._bezout[n]
 
     def numeric_reps(self, n: int) -> list:
         """The numeric representation at each point of the locus of report n."""
@@ -161,7 +170,7 @@ def check_slope_verdict(ctx):
 
 def _check_bezout(ctx, n):
     fx = ctx.fixture(n)
-    budget = bezout_budget(n, fixtures=ctx.fixtures)
+    budget = ctx.bezout(n)
     got = (budget.total, budget.affine, budget.ideal)
     if got != tuple(fx.bezout):
         return False, f"counts {got} differ from fixture {tuple(fx.bezout)}"
@@ -169,10 +178,8 @@ def _check_bezout(ctx, n):
 
 
 def _check_eliminants(ctx, n):
-    from .factor import squarefree_part
-
     fx = ctx.fixture(n)
-    budget = bezout_budget(n, fixtures=ctx.fixtures)
+    budget = ctx.bezout(n)
     sqf = squarefree_part(budget.r_eliminant)
     if sqf != G_poly(n).with_var("r").monic():
         return False, "squarefree r-eliminant is not G_n"

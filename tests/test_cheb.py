@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cvtk import cheb, ratpoly
 from cvtk.cheb import (
     G_poly,
     f_poly,
@@ -13,7 +14,7 @@ from cvtk.cheb import (
     square_mod_two,
 )
 from cvtk.intersect import intersection_loci, x_squared_at
-from cvtk.ratpoly import BiPoly, UniPoly
+from cvtk.ratpoly import BiPoly, UniPoly, poly_gcd
 
 U = UniPoly.gen("u")
 
@@ -107,6 +108,121 @@ def test_identity_checks_labels():
     assert all(isinstance(v, bool) for v in checks.values())
     with pytest.raises(ValueError):
         identity_checks(1)
+
+
+def _product_identity_checks(j):
+    """identity_checks(j) with every identity formed by UniPoly products,
+    the oracle for the evaluation at one power of two."""
+    fj, fjm, fjp = f_poly(j), f_poly(j - 1), f_poly(j + 1)
+    gj, gjp, Gj = g_poly(j), g_poly(j + 1), G_poly(j)
+    fj2 = fj * fj
+    return {
+        "shifted-trace": (U + 2) * Gj == f_poly(2 * j) + 2 * j,
+        "double-index": f_poly(2 * j) == U * fj2 - 2 * fj * fjm,
+        "value-at-two": fj(Fraction(2)) == j,
+        "f-squarefree": poly_gcd(fj, fj.derivative()).degree == 0,
+        "G-f-coprime": poly_gcd(Gj, fj).degree == 0,
+        "f-wronskian": fj2 - fjm * fjp == UniPoly.const(1),
+        "g-wronskian": fj * gj - fjm * gjp == UniPoly.const(1),
+        "mod-two": square_mod_two(Gj, fj),
+        "G-squarefree": poly_gcd(Gj, Gj.derivative()).degree == 0,
+    }
+
+
+def test_identity_checks_match_the_products():
+    for j in range(2, 61):
+        got = identity_checks(j)
+        want = _product_identity_checks(j)
+        assert list(got.items()) == list(want.items()), j
+
+
+EVALUATED = ("shifted-trace", "double-index", "f-wronskian", "g-wronskian")
+J = 7
+
+
+def _warm(j):
+    """Fill every cache that identity_checks(j) reads, so that a patched
+    entry is read as it is and no cache is extended from it."""
+    assert identity_checks(j) == _product_identity_checks(j)
+
+
+def _patch(monkeypatch, cache, key, value):
+    """Put value at key of a copy of the cache named `cache` (the f table is
+    a list, the g and G caches are dicts) for the rest of the test."""
+    patched = getattr(cheb, cache).copy()
+    patched[key] = value
+    monkeypatch.setattr(cheb, cache, patched)
+
+
+def _evaluated_failures(j):
+    return {label for label in EVALUATED if not identity_checks(j)[label]}
+
+
+# (cache, key, the evaluated labels that read the entry) at j = J.
+ENTRIES = [
+    ("_f", J, {"double-index", "f-wronskian", "g-wronskian"}),  # f_{j-1}
+    ("_f", J + 1, {"double-index", "f-wronskian", "g-wronskian"}),  # f_j
+    ("_f", J + 2, {"f-wronskian"}),  # f_{j+1}
+    ("_f", 2 * J + 1, {"shifted-trace", "double-index"}),  # f_{2j}
+    ("_g", J, {"g-wronskian"}),
+    ("_g", J + 1, {"g-wronskian"}),
+    ("_G", J, {"shifted-trace"}),
+]
+
+
+@pytest.mark.parametrize("cache, key, labels", ENTRIES)
+def test_a_wrong_entry_fails_its_identities(monkeypatch, cache, key, labels):
+    """A changed integer coefficient fails exactly the identities that read
+    the entry, and so do a zero entry and the same numerator over the
+    denominator 3, which the packed numerators alone would pass."""
+    _warm(J)
+    entry = getattr(cheb, cache)[key]
+    assert _evaluated_failures(J) == set()
+    _patch(monkeypatch, cache, key, entry + 2 * U)
+    assert _evaluated_failures(J) == labels
+    _patch(monkeypatch, cache, key, UniPoly.zero())
+    assert _evaluated_failures(J) == labels
+    _patch(monkeypatch, cache, key, UniPoly.from_ints(entry.num, 3))
+    assert getattr(cheb, cache)[key].den == 3
+    assert _evaluated_failures(J) == labels
+
+
+def test_a_perturbation_vanishing_at_the_old_point_still_fails(monkeypatch):
+    """G_7 + u - 2^k differs from G_7 by a polynomial that vanishes at 2^k.
+    The evaluation point is read off the perturbed entries, so it moves
+    above 2^k, and shifted-trace fails for every k; one of these k is the
+    exponent that the unperturbed j = 7 evaluates at."""
+    _warm(J)
+    widths = []
+    real_pack = cheb._kronecker_pack
+
+    def recording_pack(a, wb):
+        widths.append(wb)
+        return real_pack(a, wb)
+
+    monkeypatch.setattr(cheb, "_kronecker_pack", recording_pack)
+    assert identity_checks(J)["shifted-trace"]
+    assert 8 * widths[0] in range(8, 513, 8)
+    G7 = G_poly(J)
+    for k in range(8, 513, 8):
+        _patch(monkeypatch, "_G", J, G7 + U - 2 ** k)
+        assert not identity_checks(J)["shifted-trace"], k
+
+
+def test_identity_path_forms_no_polynomial_product(monkeypatch):
+    """With the tables filled, the nine identities through j = 60 multiply
+    no two coefficient lists: every product is of packed ints."""
+    f_poly(121)
+    for j in range(1, 62):
+        g_poly(j)
+    for j in range(1, 61):
+        G_poly(j)
+
+    def refuse(a, b):
+        raise AssertionError("polynomial product on the identity path")
+
+    monkeypatch.setattr(ratpoly, "_conv", refuse)
+    assert failed_identities(60) == []
 
 
 def test_identities_through_60():

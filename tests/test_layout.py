@@ -109,6 +109,37 @@ def test_src_reads_no_environment():
     assert environment_reads(ROOT) == set()
 
 
+def function_local_imports(root: Path) -> list:
+    """(file, line, module) of each import inside a function body in a
+    module of root/src/cvtk."""
+    out = []
+    for path in sorted((root / "src" / "cvtk").glob("*.py")):
+        for func in ast.walk(_parse(path)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module]
+                else:
+                    continue
+                out.extend((path.relative_to(root).as_posix(), node.lineno, m) for m in modules)
+    return sorted(set(out))
+
+
+def test_imports_are_at_module_level():
+    """An import inside a function hides a dependency and is paid again on
+    every call.  The one exception is dataclasses in the package's
+    __init__, loaded only when a record is assigned to, since importing it
+    is most of the CLI's start-up (see the next test)."""
+    found = function_local_imports(ROOT)
+    assert [(path, module) for path, _, module in found] == [
+        ("src/cvtk/__init__.py", "dataclasses"),
+        ("src/cvtk/__init__.py", "dataclasses"),
+    ], found
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     """Every invocation pays for what `import cvtk.cli` loads, and dataclasses
     with the inspect, ast and dis it pulls in was most of that; random, with

@@ -63,6 +63,16 @@ def test_numeric_checks_share_one_representation_per_point(monkeypatch):
     assert sorted(built) == [2] * 2 + [3] * 4
 
 
+def test_bezout_and_eliminant_checks_share_one_budget(monkeypatch):
+    """The bezout and eliminants checks read one Bezout budget per n."""
+    real = verify.bezout_budget
+    built = []
+    monkeypatch.setattr(verify, "bezout_budget", lambda n, fixtures: built.append(n) or real(n, fixtures))
+    names = ["bezout-n2", "bezout-n3", "eliminants-n2", "eliminants-n3"]
+    assert all_passed(verify._run(VerifyContext(max_n=2), names))
+    assert sorted(built) == [2, 3]
+
+
 def test_numeric_checks_fail_off_the_points(monkeypatch):
     """Moving every r0 by 1e-3 fails exactly the three checks that evaluate
     words numerically, and each FAIL line names its check.  A context builds
