@@ -6,9 +6,9 @@ and detect reads its slope verdict off the two certificates of the report's
 one locus, alexander and slopes print the classical invariants, and
 verify-paper replays every frozen datum and prints a named check table.
 Each command's options are declared once, in SUBCOMMANDS: a well-formed argv
-is read straight off that table, and an argparse parser, of the named
-command only, is built just for help and for usage errors, so their texts
-are argparse's own.
+is read straight off that table, and the argparse parser of every command
+is built just for help and for usage errors, so their texts are argparse's
+own.
 The x and longitude-trace approximations of intersect, and the r0 and x0
 that rep builds its matrices from, are read off `IntersectionLocus.points`:
 the exact field elements evaluated at the certified roots of the modulus G_n
@@ -49,7 +49,7 @@ from .verify import all_passed, render_results, run_checks, run_property_checks
 # Largest value each integer argument accepts, so that a run ends within about
 # a minute on a 2-vCPU Xeon host; above it the command exits 2. The library
 # functions take any value, so a caller who needs more calls them.
-MAX_N = 128  # --n, the family index: detect --n 128 takes about 0.5-0.75 s
+MAX_N = 128  # --n, the family index: detect --n 128 takes about 0.26 s (4 warm runs)
 # verify-paper --n: the ranged checks compute every minimal polynomial for
 # n <= --n; --n 48 takes about 4 s and --n 64 about 14 s (single runs, Python
 # 3.11.7), and the time grows faster than n^4.
@@ -292,23 +292,16 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The cvtk parser, replayed from SUBCOMMANDS.  When `command` names a
-    subcommand, only that subcommand's parser is built (the usage still
-    lists every command); otherwise all of them are.  main builds it only
-    for the argv that _parse_fast leaves to argparse: help, and every usage
-    error with its message."""
+def build_parser() -> argparse.ArgumentParser:
+    """The cvtk parser, every subcommand replayed from SUBCOMMANDS.  main
+    builds it only for the argv that _parse_fast leaves to argparse: help,
+    and every usage error with its message."""
     parser = argparse.ArgumentParser(
         prog="cvtk",
         description="Exact character variety toolkit for the knot family J(2n, 2n)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    names = list(SUBCOMMANDS)
-    if command in SUBCOMMANDS:
-        sub.metavar = "{" + ",".join(names) + "}"
-        names = [command]
-    for name in names:
-        help_line, handler, options, exclusive = SUBCOMMANDS[name]
+    for name, (help_line, handler, options, exclusive) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         group = p.add_mutually_exclusive_group() if exclusive else p
         for flag, kwargs in options:
@@ -318,24 +311,20 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def _parse_fast(argv):
-    """The Namespace that build_parser(argv[0]).parse_args(argv) returns, read
+    """The Namespace that build_parser().parse_args(argv) returns, read
     straight off SUBCOMMANDS, or None where argparse must answer.
 
     Only `<command> (--flag | --opt value)*` is read: each flag exactly as
     declared, no value starting with '-', each value converted by its type
     and inside its choices, every required option given and at most one
     flag of the exclusive group.  Everything else, help, abbreviations,
-    --opt=value, type, choice, missing and conflicting options, and any
-    add_argument kwarg not read here, is None, so argparse prints its own
-    help and usage errors.
+    --opt=value, type, choice, missing and conflicting options, is None, so
+    argparse prints its own help and usage errors.  A declaration in
+    SUBCOMMANDS that this cannot read fails test_fast_parse_agrees_with_argparse.
     """
     if not argv or argv[0] not in SUBCOMMANDS:
         return None
     _, handler, options, exclusive = SUBCOMMANDS[argv[0]]
-    modeled = {"action", "type", "choices", "required", "default", "help", "metavar"}
-    if any(kwargs.get("action", "store_true") != "store_true" or kwargs.keys() - modeled
-           for _, kwargs in options):
-        return None
     declared = dict(options)
     given = {}
     i = 1
@@ -375,7 +364,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse_fast(argv)
     if args is None:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except VerificationError as exc:

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import Record
-from .cheb import G_poly, f_poly, require_family_index
+from .cheb import G_poly, f_poly, require_family_index, square_mod_two
 from .factor import musser_certificate
 from .knotgrp import RootApproximations, sorted_complex
 from .numfield import (
@@ -55,7 +55,7 @@ from .numfield import (
     nf_minimal_polynomial,
     non_square_witness,
 )
-from .ratpoly import UniPoly, _gfb, _gfb_gcd
+from .ratpoly import UniPoly
 from .trace import (
     ReducibleCharacter,
     SlopeVerdict,
@@ -116,9 +116,11 @@ class IntersectionLocus(Record):
     @cached_property
     def meridian_verdict(self) -> IntegralityVerdict:
         """Verdict on the meridian minimal polynomial.  A non-integral one
-        with all bad primes known and 2 not among them raises, and so does an
-        integral one beside a holding meridian certificate; without one it
-        is the report's "verification-failure" status, slope undetermined.
+        without 2 among its bad primes raises (`integrality_verdict` divides
+        by 2 first, so it knows this even when its prime set is incomplete),
+        and so does an integral one beside a holding meridian certificate;
+        without one it is the report's "verification-failure" status, slope
+        undetermined.
         """
         verdict = integrality_verdict(self.x_min_poly)
         if verdict.is_algebraic_integer:
@@ -127,7 +129,7 @@ class IntersectionLocus(Record):
                     f"meridian trace at n = {self.n} is an algebraic integer, "
                     f"contradicting its mod-2 certificate"
                 )
-        elif verdict.prime_set_complete and 2 not in verdict.bad_primes:
+        elif 2 not in verdict.bad_primes:
             raise VerificationError(
                 f"meridian polynomial {self.x_min_poly} at n = {self.n} is non-integral "
                 f"but 2 does not divide any coefficient denominator"
@@ -249,21 +251,20 @@ def _monic_integral(m: UniPoly) -> bool:
 def meridian_certificate(locus) -> bool:
     """Whether 2 provably divides a denominator of the meridian trace x.
 
-    The modulus m is monic with integer coefficients and divides G_n, and
-    G_n = f_n^2 (mod 2), so m mod 2 shares a factor with f_n mod 2; that
-    one GF(2) gcd is the certificate.  Then 2 divides Res(m, f_n) =
-    N(f_n(r)), so f_n(r) lies in a prime P above 2.  The product
-    f_n(r) V_n(r) = -2n that `x_squared_at` checks gives v_P(V_n(r)) =
-    v_P(2n) - v_P(f_n(r)), so the term V_n(r)^2 / (4 n^2) of x^2 = 2 + r -
-    V_n(r)^2 / (4 n^2) has valuation -2 v_P(f_n(r)) < 0, while 2 + r is an
-    algebraic integer: v_P(x^2) = -2 v_P(f_n(r)) < 0.  So x is no algebraic
-    integer and, integrality being Galois-invariant, 2 is a bad prime of
-    every factor of its minimal polynomial.
+    The certificate is the congruence G_n = f_n^2 (mod 2) for the monic
+    integer modulus m = G_n, read by `cheb.square_mod_two`.  f_n is monic of
+    degree n - 1 >= 1, so f_n mod 2 is not constant and, by the congruence,
+    divides m mod 2.  Then 2 divides Res(m, f_n) = N(f_n(r)), so f_n(r) lies
+    in a prime P above 2.  The product f_n(r) V_n(r) = -2n that
+    `x_squared_at` checks gives v_P(V_n(r)) = v_P(2n) - v_P(f_n(r)), so the
+    term V_n(r)^2 / (4 n^2) of x^2 = 2 + r - V_n(r)^2 / (4 n^2) has
+    valuation -2 v_P(f_n(r)) < 0, while 2 + r is an algebraic integer:
+    v_P(x^2) = -2 v_P(f_n(r)) < 0.  So x is no algebraic integer and,
+    integrality being Galois-invariant, 2 is a bad prime of every factor of
+    its minimal polynomial.
     """
     m = locus.modulus
-    if not _monic_integral(m):
-        return False
-    return len(_gfb_gcd(_gfb(m.num, 2), _gfb(f_poly(locus.n).num, 2), 2)) > 1
+    return _monic_integral(m) and square_mod_two(m, f_poly(locus.n))
 
 
 def longitude_certificate(locus, tau: NFElem) -> bool:

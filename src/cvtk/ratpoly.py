@@ -29,10 +29,10 @@ one residue per byte, and the _gfb_* kernel computes with bytes.translate
 and bignum adds: a remainder step of two quotient terms is a fixed number
 of C-level operations on whole polynomials, whatever the degree.  It serves
 poly_gcd's coprimality certificate (at 83 and 79, or the next usable
-primes), the distinct-degree split and squarefree tests of cvtk.factor's
-irreducibility certificate, and the mod-2 meridian certificate.  The
-non-square witness, at primes below 100, reduces with _gfb (valid for any
-p < 256) and evaluates the bytes with _gf_eval.
+primes), and the distinct-degree split and squarefree tests of
+cvtk.factor's irreducibility certificate.  The non-square witness, at
+primes below 100, reduces with _gfb (valid for any p < 256) and evaluates
+the bytes with _gf_eval.
 This module builds no matrices: cvtk.numfield builds the integer
 multiplication matrices of field elements, and cvtk.factor the Frobenius
 columns of its distinct-degree split.

@@ -129,9 +129,13 @@ def gamma_closed(d: int, e: int, ctx: TraceContext):
     )
 
 
-def tr_s1s2inv(ctx: TraceContext):
-    """gamma = tr(s1 s2^-1) = gamma_closed(n, n)."""
-    return gamma_closed(ctx.n, ctx.n, ctx)
+def seifert_traces(ctx: TraceContext):
+    """(tr s1, tr s2, gamma = tr(s1 s2^-1)) at the context's character: the
+    n-th powers of w and ab^-1 read off the t and r tables, and gamma =
+    gamma_closed(n, n)."""
+    n = ctx.n
+    return (_tr_power_from(ctx.t_table, n), _tr_power_from(ctx.r_table, n),
+            gamma_closed(n, n, ctx))
 
 
 def gamma_seifert_form(ctx: TraceContext):
@@ -140,7 +144,7 @@ def gamma_seifert_form(ctx: TraceContext):
     (2-r)(x^2-2-r) f_{n-1} f_n^3 + r f_n^2 - r f_{n-1} f_n
         - f_{n-1} f_{n+1} + f_{n-1}^2,   all evaluated at r.
 
-    Used as a cross-check against tr_s1s2inv on intersection characters.
+    Used as a cross-check against seifert_traces on intersection characters.
     """
     n, r, x2 = ctx.n, ctx.r, ctx.x_squared
     fm, fn, fp = ctx.r_table[n : n + 3]
@@ -155,10 +159,7 @@ def gamma_seifert_form(ctx: TraceContext):
 
 def longitude_value(ctx: TraceContext):
     """The longitude trace tr(s1 s2^-1 s1^-1 s2) at the context's character."""
-    gam = tr_s1s2inv(ctx)
-    s1 = _tr_power_from(ctx.t_table, ctx.n)
-    s2 = _tr_power_from(ctx.r_table, ctx.n)
-    return tr_commutator(s1, s2, gam)
+    return tr_commutator(*seifert_traces(ctx))
 
 
 def longitude_trace(locus):
@@ -234,9 +235,7 @@ def reducible_character(n: int) -> ReducibleCharacter:
     ctx = TraceContext(n, two, x2)
     if ctx.t != 2:
         raise VerificationError("t != 2 at the reducible character")
-    s1 = _tr_power_from(ctx.t_table, n)
-    s2 = _tr_power_from(ctx.r_table, n)
-    gam = tr_s1s2inv(ctx)
+    s1, s2, gam = seifert_traces(ctx)
     if not (s1 == 2 and s2 == 2 and gam == 2):
         raise VerificationError(
             f"Seifert generator traces at the reducible character of n = {n} "

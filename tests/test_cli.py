@@ -322,7 +322,7 @@ def test_integral_meridian_is_a_verification_failure(monkeypatch, capsys):
 
     integral = IntegralityVerdict(is_algebraic_integer=True, denominator_lcm=1, bad_primes=())
     monkeypatch.setattr(intersect, "integrality_verdict", lambda poly: integral)
-    monkeypatch.setattr(intersect, "_gfb_gcd", lambda a, b, p: b"\1")  # no meridian certificate
+    monkeypatch.setattr(intersect, "square_mod_two", lambda G, f: False)  # no meridian certificate
     assert main(["intersect", "--n", "2"]) == 1
     obj = json.loads(capsys.readouterr().out)
     assert obj["status"] == "verification-failure"
@@ -457,24 +457,14 @@ PARSER_PINS = {
 
 @pytest.mark.parametrize("argv", sorted(PARSER_PINS))
 def test_parser_output_pinned(monkeypatch, capsys, argv):
-    """Building only the named command's parser leaves argparse's answers as
-    they were; the top-level usage still lists every command."""
+    """argparse's answers to help and usage errors stay as pinned; the
+    top-level usage lists every command."""
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     out, err = capsys.readouterr()
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
     assert (exc.value.code, *digests) == PARSER_PINS[argv]
-
-
-def test_named_command_builds_one_parser():
-    def commands(parser):
-        (sub,) = [a for a in parser._actions if a.dest == "command"]
-        return list(sub.choices)
-
-    assert commands(build_parser("detect")) == ["detect"]
-    assert commands(build_parser("--help")) == list(SUBCOMMANDS)
-    assert commands(build_parser()) == list(SUBCOMMANDS)
 
 
 def _valid_tokens(flag, kwargs):
@@ -534,11 +524,12 @@ def test_fast_parse_agrees_with_argparse(capsys, command):
     or None, and None wherever argparse exits; it reads every well-formed
     argv that argparse accepts."""
     well_formed, corpus = _parser_corpus(command)
+    parser = build_parser()
     read = 0
     for argv in corpus:
         fast = _parse_fast(argv)
         try:
-            expected = build_parser(command).parse_args(argv)
+            expected = parser.parse_args(argv)
         except SystemExit:
             assert fast is None, argv
             continue
@@ -573,13 +564,13 @@ def test_detect_computes_no_minimal_polynomial(monkeypatch, capsys):
 
 @pytest.mark.parametrize("failed", ["meridian", "longitude"])
 def test_failed_certificate_falls_back_to_min_polys(monkeypatch, capsys, failed):
-    """A certificate forced to fail (a GF(2) gcd of 1, or the longitude trace
-    read with den 2) sends detect to the minimal-polynomial verdicts, and it
-    still prints its pins."""
+    """A certificate forced to fail (G_n read as not f_n^2 mod 2, or the
+    longitude trace read with den 2) sends detect to the minimal-polynomial
+    verdicts, and it still prints its pins."""
     from cvtk import intersect
 
     if failed == "meridian":
-        monkeypatch.setattr(intersect, "_gfb_gcd", lambda a, b, p: b"\1")
+        monkeypatch.setattr(intersect, "square_mod_two", lambda G, f: False)
     else:
         good = intersect.longitude_certificate
         monkeypatch.setattr(

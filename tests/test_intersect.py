@@ -33,7 +33,7 @@ from cvtk.numfield import (
     nf_minimal_polynomial,
     non_square_witness,
 )
-from cvtk.ratpoly import _GFB_PRIMES, UniPoly
+from cvtk.ratpoly import _GFB_PRIMES, UniPoly, _gfb, _gfb_gcd
 from cvtk.trace import (
     TraceContext,
     VerificationError,
@@ -263,14 +263,45 @@ def test_certificates_match_min_poly_verdicts():
 
 def test_meridian_certificate_needs_a_factor_of_f_n_mod_2():
     """(r^2 + r + 1)^2 + 2 reduces to a square mod 2 that is coprime to
-    f_2 = r, so it shares no factor with f_2 mod 2 (a gcd with its own
-    derivative, zero mod 2, would pass it); a modulus that is not monic over
-    the integers certifies nothing."""
+    f_2 = r, so it is not f_2^2 mod 2 (a test of squares alone would pass
+    it); a modulus that is not monic over the integers certifies nothing."""
     assert meridian_certificate(SimpleNamespace(n=2, modulus=UniPoly([2, -2, 1], "r")))
     square_mod_2 = UniPoly([3, 2, 3, 2, 1], "r")
     assert not meridian_certificate(SimpleNamespace(n=2, modulus=square_mod_2))
     halves = UniPoly([Fraction(1, 2), 0, 1], "r")
     assert not meridian_certificate(SimpleNamespace(n=2, modulus=halves))
+
+
+def test_meridian_certificate_matches_the_gf2_gcd():
+    """Oracle: on the locus modulus G_n the congruence G_n = f_n^2 (mod 2)
+    holds exactly where G_n and f_n share a factor mod 2, for n = 2..128.
+    The monic r(r + 1) shares the factor r with f_2 mod 2 but is not r^2
+    mod 2, so the congruence rejects it where the gcd accepts it."""
+    def shares_a_factor(m, n):
+        return len(_gfb_gcd(_gfb(m.num, 2), _gfb(f_poly(n).num, 2), 2)) > 1
+
+    for n in range(2, 129):
+        G = G_poly(n)
+        assert meridian_certificate(SimpleNamespace(n=n, modulus=G)) == shares_a_factor(G, n)
+        assert shares_a_factor(G, n)
+    r_r1 = UniPoly([0, 1, 1], "r")
+    assert shares_a_factor(r_r1, 2)
+    assert not meridian_certificate(SimpleNamespace(n=2, modulus=r_r1))
+
+
+def test_non_integral_meridian_without_two_raises(monkeypatch):
+    """integrality_verdict divides by 2 before any other prime, so a
+    non-integral meridian verdict without 2 contradicts the mod-2 argument
+    even when its prime set is incomplete."""
+    from cvtk import intersect
+
+    cofactor = 1000003 * 1000033
+    verdict = IntegralityVerdict(False, 3 * cofactor, (3,), cofactor)
+    assert not verdict.prime_set_complete
+    monkeypatch.setattr(intersect, "integrality_verdict", lambda poly: verdict)
+    locus = build_intersection_report(3).locus
+    with pytest.raises(VerificationError, match="2 does not divide"):
+        locus.meridian_verdict
 
 
 def test_longitude_certificate_needs_integer_coordinates():

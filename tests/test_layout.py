@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Public functions that no src code and no benchmark operation calls, each
 # kept for the tests, with the reason.
 UNCALLED = {
-    "gamma_seifert_form": "an independent closed form of gamma, checked against tr_s1s2inv",
+    "gamma_seifert_form": "an independent closed form of gamma, checked against seifert_traces(ctx)[2]",
     "char_poly": "the tests' entry to the power-sum path, checked against sympy and a resultant",
     "fixtures_to_json": "writes the edited fixture files of the verify-paper negative controls",
 }
@@ -107,6 +107,30 @@ def test_src_reads_no_environment():
     variable is a second, unlisted input that the option table's validation
     never sees."""
     assert environment_reads(ROOT) == set()
+
+
+def modular_importers(root: Path) -> set:
+    """The modules of root/src/cvtk, ratpoly aside, that import a name of
+    ratpoly's GF(p) helpers: a _gfb* or _gf_* function, or _GFB_PRIMES."""
+    out = set()
+    for path in sorted((root / "src" / "cvtk").glob("*.py")):
+        if path.name == "ratpoly.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and any(
+                alias.name.startswith(("_gfb", "_gf_")) or alias.name == "_GFB_PRIMES"
+                for alias in node.names
+            ):
+                out.add(path.name)
+    return out
+
+
+def test_one_owner_of_modular_arithmetic():
+    """Modular arithmetic serves two jobs outside ratpoly: factor's
+    irreducibility certificate and numfield's non-square witness.  A fact
+    decided mod p elsewhere, such as the mod-2 meridian certificate, is read
+    from the routine that owns it (cheb.square_mod_two), not derived again."""
+    assert modular_importers(ROOT) == {"factor.py", "numfield.py"}
 
 
 def function_local_imports(root: Path) -> list:

@@ -31,8 +31,8 @@ from cvtk.trace import (
     longitude_trace,
     longitude_value,
     reducible_character,
+    seifert_traces,
     tr_commutator,
-    tr_s1s2inv,
 )
 from cvtk.trace import _tr_power_from
 
@@ -151,7 +151,7 @@ def test_context_formulas_are_slice_identities():
             s1 = _pow(w, n)
             s2 = _pow(ab, n)
             L = _mul(s1, _inv(s2), _inv(s1), s2)
-            tau = tr_commutator(_tr(s1), _tr(s2), tr_s1s2inv(ctx))
+            tau = tr_commutator(_tr(s1), _tr(s2), seifert_traces(ctx)[2])
             assert tau == _tr(L)
 
 
@@ -168,7 +168,7 @@ def test_delta_gamma_agree_in_locus_fields():
         for d in range(0, n + 4):
             for e in range(0, n + 4):
                 assert delta(d, e, ctx) == gamma_closed(d, e, ctx)
-        assert gamma_seifert_form(ctx) == tr_s1s2inv(ctx)
+        assert gamma_seifert_form(ctx) == seifert_traces(ctx)[2]
 
 
 def test_delta_11_value_n2():
