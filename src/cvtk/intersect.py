@@ -35,7 +35,11 @@ Numeric values at an intersection point are the images of the same exact
 elements under the embedding r -> r0 of the field, r0 a complex root of m:
 one `knotgrp.RootApproximations` certifies the roots and evaluates the
 power-basis coordinates of x^2 and tau at them with error bounds, and
-`IntersectionLocus.points` holds (r0, x0 = sqrt(x^2(r0)), tau(r0)).
+`IntersectionLocus.points` holds (r0, x0 = sqrt(x^2(r0)), tau(r0)).  m has
+integer coefficients, so its roots come in conjugate pairs: where the float
+seeds pair up (n = 2..24), one root of each pair is refined, bounded and
+evaluated, and the other is its exact conjugate, with the conjugate x^2 and
+tau and its own principal square root.
 """
 
 from __future__ import annotations

@@ -21,9 +21,12 @@ are multiplied out left to right, once per relator for residual and tolerance.
 The points come from the constructor of `RootApproximations`: every root of
 an integer polynomial by an Aberth-Ehrlich iteration on Gaussian fixed-point
 integers, each certified by an inclusion disc, and the images of the given
-number-field elements at those roots with error bounds.  Precision is derived
-from the polynomial and doubled only when a certificate or a bound fails, so
-no module needs a multiprecision float library.
+number-field elements at those roots with error bounds.  The roots come in
+conjugate pairs, so when the float seeds pair up, one root of each pair is
+refined, bounded and evaluated, and its conjugate is mirrored; a failed
+paired run is retried unpaired.  Precision is derived from the polynomial and
+doubled only when a certificate or a bound fails, so no module needs a
+multiprecision float library.
 """
 
 from __future__ import annotations
@@ -279,7 +282,7 @@ def mu_from_x(x: complex) -> complex:
 # Certified root approximations on Gaussian fixed-point integers.
 
 TARGET_BITS = 200  # fractional bits beyond the Horner bound of the polynomial
-SWEEP_CAP = 200  # Aberth sweeps over the life of one RootApproximations
+SWEEP_CAP = 200  # Aberth sweeps of one run, paired or unpaired, of RootApproximations
 MAX_DOUBLINGS = 4  # precision doublings before giving up
 CLEANUP_BITS = 135  # parts below 2^-135 are zero (polyroots' rule at 40 digits)
 ROOT_RADIUS = 2.0 ** -(CLEANUP_BITS + 1)  # every inclusion radius is below this
@@ -425,44 +428,96 @@ def _sqrt_fixed(re: int, im: int, bits: int):
     return other, s if im > 0 else -s
 
 
+def _conjugate_pairs(seeds) -> tuple:
+    """(i, j) for each seed z_i above the real axis and the seed z_j nearest
+    conj(z_i), when every such match is mutual and closer than a quarter of
+    the least distance between two seeds; then z_j lies below the axis, and
+    no seed is in two pairs.  A seed nearest its own conjugate is on the real
+    axis and stays free.  One match that fails means seeds too coarse to
+    pair, and no pairs."""
+    def nearest(w):
+        return min(range(len(seeds)), key=lambda k: abs(seeds[k] - w))
+
+    gap = min((abs(z - y) for i, z in enumerate(seeds) for y in seeds[:i]), default=inf)
+    pairs = []
+    for i, z in enumerate(seeds):
+        j = nearest(z.conjugate())
+        if z.imag <= 0 or j == i:
+            continue
+        if nearest(seeds[j].conjugate()) != i or 4 * abs(seeds[j] - z.conjugate()) >= gap:
+            return ()
+        pairs.append((i, j))
+    return tuple(pairs)
+
+
+def _mirrored(pairs, points) -> dict:
+    """{mirror: representative} over the pairs whose points are exact
+    conjugates: only those may share a bound or a value."""
+    return {j: i for i, j in pairs if points[j] == (points[i][0], -points[i][1])}
+
+
 class RootApproximations:
     """Certified approximations of every complex root of a squarefree
     polynomial, as Gaussian fixed-point integers (re + i im) 2^-bits, and the
     images there of field elements given as (num, den, sqrt) triples.
 
-    The Aberth-Ehrlich iteration runs in ints from float `_aberth_seeds`,
-    Gauss-Seidel over the roots, and stops at each root once |p(z)| is below
-    the rounding bound of its Horner sum (Bini's test).  bits is derived from
-    the polynomial: TARGET_BITS plus log2 of the Horner bound sum |a_k| R^k,
-    R just above the largest seed, minus log2 |lc|.  Each root is certified
-    by a Weierstrass inclusion disc D(z_i, d |p(z_i)| / |lc prod (z_i - z_j)|)
-    (Braess-Hadeler; Neumaier, J. Comput. Appl. Math. 156, 2003), with the
-    Horner rounding in |p(z_i)|: pairwise disjoint discs hold one root each.
-    The radii must be below ROOT_RADIUS; then polyroots' clean-up rule zeroes
-    the parts below 2^-CLEANUP_BITS and widens the radii by the move.  When
-    the discs fail, or an image is not within VALUE_TOL, bits doubles, up to
-    MAX_DOUBLINGS times; past that, or past SWEEP_CAP sweeps, ExactArithError.
+    The roots of an integer polynomial are closed under conjugation, so the
+    float `_aberth_seeds` are paired first (`_conjugate_pairs`): `pairs`
+    holds (representative, mirror) indices, and the seeds in no pair are
+    free points.  The Aberth-Ehrlich iteration runs in ints over the
+    representatives and the free points, Gauss-Seidel, and stops at each
+    once |p(z)| is below the rounding bound of its Horner sum (Bini's test);
+    each mirror moves with its representative as its exact conjugate
+    (re, -im).  bits is derived from the polynomial: TARGET_BITS plus log2 of
+    the Horner bound sum |a_k| R^k, R just above the largest seed, minus
+    log2 |lc|.  Each root is certified by a Weierstrass inclusion disc
+    D(z_i, d |p(z_i)| / |lc prod (z_i - z_j)|) (Braess-Hadeler; Neumaier,
+    J. Comput. Appl. Math. 156, 2003), with the Horner rounding in |p(z_i)|:
+    pairwise disjoint discs hold one root each.  |p(conj z)| = |p(z)|, so
+    one bound on |p| serves both points of a pair that are exact conjugates
+    (`_mirrored`); each radius keeps its own product of distances.  The radii
+    must be below ROOT_RADIUS; then polyroots' clean-up rule zeroes the parts
+    below 2^-CLEANUP_BITS and widens the radii by the move.
+
+    A paired run whose discs fail, or that does not converge in SWEEP_CAP
+    sweeps, drops its pairs and restarts every point from its seed at the
+    same bits: the unpaired run, with every seed a free point, is the
+    fallback for any wrong pairing, so pairing never adds a failure.  When
+    unpaired discs fail, or an image is not within VALUE_TOL, bits doubles,
+    up to MAX_DOUBLINGS times; past that, or past SWEEP_CAP sweeps of an
+    unpaired run, ExactArithError.
 
     The constructor settles the roots, then each image in order (an image may
     refine the roots), and keeps the final `roots`, `images` and `fixed_images`.
+    An element is evaluated once per representative and free point; each
+    mirror takes the conjugate value (see `_fixed_images`).
     """
 
     def __init__(self, p: UniPoly, elements=()):
         if p.degree < 1:
             raise ExactArithError("root isolation needs a nonconstant polynomial")
         self.coeffs = list(reversed(p.primitive().num))
-        seeds = _aberth_seeds(self.coeffs) or _circle_seeds(self.coeffs)
-        reach = 1.0625 * max(abs(z) for z in seeds) + 2.0 ** -20
+        self._seeds = _aberth_seeds(self.coeffs) or _circle_seeds(self.coeffs)
+        reach = 1.0625 * max(abs(z) for z in self._seeds) + 2.0 ** -20
         horner_bound = _log2_sum(
             log2(abs(c)) + k * log2(reach) for k, c in enumerate(reversed(self.coeffs)) if c
         )
         self.bits = TARGET_BITS + max(0, ceil(horner_bound - log2(abs(self.coeffs[0]))))
-        self.points = [(_fixed(z.real, self.bits), _fixed(z.imag, self.bits)) for z in seeds]
-        self._sweeps = self._doublings = 0
+        self._doublings = 0
+        self._start(_conjugate_pairs(self._seeds))
         self._settle()
         self.fixed_images = tuple(self._fixed_images(*element) for element in elements)
         self.images = tuple(tuple(_complexes(pts, bits)) for bits, pts in self.fixed_images)
         self.roots = tuple(_complexes(self.points, self.bits))
+
+    def _start(self, pairs: tuple) -> None:
+        """Every point at its seed, each mirror at the conjugate of its
+        representative's, and a fresh count of sweeps."""
+        self.pairs = pairs
+        self.points = [(_fixed(z.real, self.bits), _fixed(z.imag, self.bits)) for z in self._seeds]
+        for i, j in pairs:
+            self.points[j] = (self.points[i][0], -self.points[i][1])
+        self._sweeps = 0
 
     def _failure(self, why: str) -> ExactArithError:
         bits = max(abs(c).bit_length() for c in self.coeffs)
@@ -480,30 +535,40 @@ class RootApproximations:
         self.bits = 2 * b
 
     def _settle(self) -> None:
-        """Sweep to the rounding floor, then certify; double bits until the
-        certificate holds."""
+        """Sweep to the rounding floor, then certify; retry a failed paired
+        run unpaired, and double bits until the certificate holds."""
         while True:
             self._sweep()
             why = self._certify()
             if why is None:
                 return
-            self._double(why)
+            if self.pairs:
+                self._start(())
+            else:
+                self._double(why)
 
     def _sweep(self) -> None:
-        """Gauss-Seidel Aberth sweeps at self.bits until every point is at
-        its rounding floor or its step is at most one unit."""
+        """Gauss-Seidel Aberth sweeps at self.bits over the representatives
+        and free points until each is at its rounding floor or its step is at
+        most one unit; each mirror moves with its representative."""
         bits, pts, deg = self.bits, self.points, len(self.coeffs) - 1
         scale = 1 << bits
         cs = [c << bits for c in self.coeffs]
-        done = [False] * deg
-        while not all(done):
+        mirror = dict(self.pairs)
+        mirrors = set(mirror.values())
+        done = {i: False for i in range(deg) if i not in mirrors}
+        while not all(done.values()):
             if self._sweeps >= SWEEP_CAP:
+                if self.pairs:  # retried unpaired, from the seeds
+                    self._start(())
+                    return self._sweep()
                 raise self._failure(f"no convergence in {SWEEP_CAP} sweeps")
             self._sweeps += 1
             zf = _complexes(pts, bits)
-            for i, (zr, zi) in enumerate(pts):
+            for i in done:
                 if done[i]:
                     continue
+                zr, zi = pts[i]
                 pr, pi_, dr, di = _horner_fixed(cs, zr, zi, bits)
                 if _log2_abs(pr, pi_) <= _log2_rounding(deg, log2(abs(zf[i]) or 1.0)):
                     done[i] = True
@@ -530,6 +595,9 @@ class RootApproximations:
                 wi = ni + ((nr * hi + ni * hr) >> 53)
                 pts[i] = (zr - wr, zi - wi)
                 zf[i] = complex(pts[i][0] / scale, pts[i][1] / scale)
+                if i in mirror:
+                    pts[mirror[i]] = (pts[i][0], -pts[i][1])
+                    zf[mirror[i]] = zf[i].conjugate()
                 done[i] = abs(wr) <= 1 and abs(wi) <= 1
 
     def _certify(self):
@@ -538,24 +606,29 @@ class RootApproximations:
         bits, pts, coeffs = self.bits, self.points, self.coeffs
         deg, scale = len(coeffs) - 1, 1 << bits
         cs = [c << bits for c in coeffs]
+        rep = _mirrored(self.pairs, pts)
         dist = [[0.0] * deg for _ in range(deg)]
         for i in range(deg):
             for j in range(i):
                 d = hypot((pts[i][0] - pts[j][0]) / scale, (pts[i][1] - pts[j][1]) / scale)
                 dist[i][j] = dist[j][i] = d
+        log2_p = {}  # log2 of the bound on |p|, once per representative
         radii = []
-        for i, (zr, zi) in enumerate(pts):
+        for i in range(deg):
             others = [dist[i][j] for j in range(deg) if j != i]
             if min(others, default=1.0) == 0.0:
                 radii.append(inf)
                 continue
-            log2_z = log2(hypot(zr / scale, zi / scale) or 1.0)
-            # |p(z_i)| <= |computed| + rounding, then the Weierstrass radius;
-            # the factor 2 covers the float rounding of the radius itself.
-            log2_p = _log2_sum((_log2_abs(*_value_fixed(cs, zr, zi, bits)),
-                                _log2_rounding(deg, log2_z))) - bits
+            k = rep.get(i, i)
+            if k not in log2_p:
+                zr, zi = pts[k]
+                log2_z = log2(hypot(zr / scale, zi / scale) or 1.0)
+                # |p(z_k)| <= |computed| + rounding, then the Weierstrass
+                # radius; the factor 2 covers the float rounding of the radius.
+                log2_p[k] = _log2_sum((_log2_abs(*_value_fixed(cs, zr, zi, bits)),
+                                       _log2_rounding(deg, log2_z))) - bits
             log2_den = log2(abs(coeffs[0])) + sum(log2(d) for d in others)
-            radii.append(_pow2(1 + log2(deg) + log2_p - log2_den))
+            radii.append(_pow2(1 + log2(deg) + log2_p[k] - log2_den))
         for i in range(deg):
             for j in range(i):
                 if dist[i][j] * (1 - 2.0 ** -40) <= radii[i] + radii[j]:
@@ -584,22 +657,36 @@ class RootApproximations:
         rounding and the disc radius rho times sum k |num[k]| (|z| + rho)^(k-1)
         over den; a square root divides it by sqrt|v|, and bounds the pair
         +-sqrt(v), so the sign of a root near the branch cut is not certified.
-        bits doubles until the bound holds."""
+        A mirror takes the conjugate of its representative's value, before
+        any square root, and the bound of the pair's larger radius, which |z|
+        shares; each then takes its own principal root, since that branch is
+        not symmetric under conjugation on the negative real axis.  bits
+        doubles until the bound holds."""
         deriv = [(k, log2(k * abs(c))) for k, c in enumerate(num) if k and c]
         log2_den = log2(den)
         while True:
             bits = self.bits
             cs = [c << bits for c in reversed(num)]
-            out = []
-            for (zr, zi), rho in zip(self.points, self.radii):
+            rep = _mirrored(self.pairs, self.points)
+            mirror = {i: j for j, i in rep.items()}
+            values, errs = {}, {}
+            for i, (zr, zi) in enumerate(self.points):
+                if i in rep:
+                    continue
+                rho = max(self.radii[i], self.radii[mirror.get(i, i)])
                 z_abs = hypot(zr / (1 << bits), zi / (1 << bits))
                 log2_reach = log2(z_abs + rho)
-                vr, vi = _value_fixed(cs, zr, zi, bits)
-                vr, vi = _rdiv(vr, den), _rdiv(vi, den)
                 err = (_pow2(log2(rho) + _log2_sum(l + (k - 1) * log2_reach for k, l in deriv)
                              - log2_den)
                        + _pow2(_log2_rounding(len(num) - 1, log2(z_abs or 1.0)) - log2_den - bits)
                        + _pow2(1 - bits))
+                vr, vi = _value_fixed(cs, zr, zi, bits)
+                values[i], errs[i] = (_rdiv(vr, den), _rdiv(vi, den)), err
+                if i in mirror:
+                    values[mirror[i]], errs[mirror[i]] = (values[i][0], -values[i][1]), err
+            out = []
+            for i in range(len(self.points)):
+                (vr, vi), err = values[i], errs[i]
                 log2_v = _log2_abs(vr, vi) - bits
                 if sqrt:
                     err = (err + _pow2(2 - bits)) * _pow2(-log2_v / 2) + _pow2(2 - bits)

@@ -240,6 +240,21 @@ def test_meridian_closed_form_identities():
         assert (U + 2) * G_poly(n) == f_poly(2 * n) + 2 * n, n
 
 
+def test_g_n_is_four_terms_in_z():
+    """With r = z + 1/z and the Laurent terms cleared,
+    z^(2n-2) (z - 1)(z + 1)^3 G_n(r) = z^(4n) + 2n z^(2n+1) - 2n z^(2n-1) - 1,
+    as an exact polynomial identity for n = 2..64."""
+    z = UniPoly.gen("z")
+    for n in range(2, 65):
+        g, d = G_poly(n).coeffs, 2 * n - 2
+        # Horner in r: z^m H_m(r) = z^(m-1) H_(m-1)(r) (z^2 + 1) + g_(d-m) z^m
+        cleared = UniPoly.const(g[d], "z")
+        for m in range(1, d + 1):
+            cleared = cleared * (z * z + 1) + g[d - m] * z ** m
+        expected = z ** (4 * n) + 2 * n * z ** (2 * n + 1) - 2 * n * z ** (2 * n - 1) - 1
+        assert (z - 1) * (z + 1) ** 3 * cleared == expected, n
+
+
 def test_square_mod_two_matches_the_product():
     """The Frobenius comparison agrees with multiplying f out, on the family
     and on inputs whose parities end at either side's degree."""

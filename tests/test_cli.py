@@ -266,6 +266,39 @@ def test_overlapping_inclusion_discs_exit_one(monkeypatch, capsys):
     assert "inclusion discs overlap" in err
 
 
+@pytest.mark.parametrize("mispair, retried", [
+    # the second representative mirrored onto the first, which is not its
+    # conjugate: the first pair's mirror never moves, and its disc fails
+    (lambda pairs: (pairs[0], (pairs[1][0], pairs[0][0]), *pairs[2:]), True),
+    # a seed above the axis mirrored onto another one above it: the sweeps
+    # move the two free seeds onto the roots left over
+    (lambda pairs: ((pairs[0][0], pairs[1][0]), *pairs[2:]), False),
+], ids=["chain", "upper-onto-upper"])
+def test_mispaired_seeds_print_the_certified_roots(monkeypatch, capsys, mispair, retried):
+    """Conjugate pairs that mirror a seed onto one that is not its conjugate
+    leave the stdout of intersect byte-identical: the last certificate holds,
+    unpaired where the paired one failed."""
+    from cvtk import knotgrp
+
+    assert main(["intersect", "--n", "5"]) == 0
+    expected = capsys.readouterr().out
+    good_pairs, good_certify = knotgrp._conjugate_pairs, knotgrp.RootApproximations._certify
+    certified = []
+
+    def certify(self):
+        why = good_certify(self)
+        certified.append((self.pairs, why))
+        return why
+
+    monkeypatch.setattr(knotgrp, "_conjugate_pairs", lambda seeds: mispair(good_pairs(seeds)))
+    monkeypatch.setattr(knotgrp.RootApproximations, "_certify", certify)
+    assert main(["intersect", "--n", "5"]) == 0
+    assert capsys.readouterr().out == expected
+    assert certified[0][0] and certified[-1][1] is None
+    assert (certified[-1][0] == ()) == retried
+    assert [why is None for _, why in certified] == [False] * retried + [True]
+
+
 def _root_finder_approx(locus):
     """The approx block as root-finding on each minimal polynomial would give it."""
     from cvtk.cli import complex_str

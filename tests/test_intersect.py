@@ -6,6 +6,7 @@ meridian trace from isolated roots of the modulus.
 """
 
 import time
+from collections import Counter
 from dataclasses import FrozenInstanceError, make_dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -374,6 +375,31 @@ def test_numeric_cross_check_roots():
                 )
                 for (bits, got), value in zip(images, values):
                     assert mpmath.almosteq(_mpc(got[i], bits), value, 1e-30, 1e-30)
+
+
+def test_paired_points_halve_the_fixed_point_evaluations(monkeypatch):
+    """`IntersectionLocus.points` at n = 4, 8, 12 calls `_horner_fixed` and
+    `_value_fixed` at most half as often (rounded up) as with the conjugate
+    pairs switched off; the counts repeat exactly, so no clock is read."""
+    from cvtk import knotgrp
+
+    calls = Counter()
+    for name in ("_horner_fixed", "_value_fixed"):
+        good = getattr(knotgrp, name)
+        monkeypatch.setattr(knotgrp, name,
+                            lambda *args, good=good, name=name: calls.update([name]) or good(*args))
+
+    def counts(n):
+        calls.clear()
+        build_intersection_report(n).locus.points
+        return calls["_horner_fixed"], calls["_value_fixed"]
+
+    paired = {n: counts(n) for n in (4, 8, 12)}
+    assert paired[12][0] <= 49 and paired[12][1] <= 33
+    monkeypatch.setattr(knotgrp, "_conjugate_pairs", lambda seeds: ())
+    for n, (horner, value) in paired.items():
+        unpaired_horner, unpaired_value = counts(n)
+        assert horner <= -(-unpaired_horner // 2) and value <= -(-unpaired_value // 2), n
 
 
 def test_consistency_with_fixture_elimination():

@@ -300,6 +300,48 @@ def test_inclusion_radii_are_weierstrass_bounds():
             assert abs(z - mpmath.nint(z.real)) <= radius
 
 
+def _certified_strs(p, elements):
+    """The 12-digit roots and images of one RootApproximations, in
+    `complex_roots` order, after checking its discs pairwise disjoint."""
+    approx = RootApproximations(p, elements)
+    scale, pts, radii = 1 << approx.bits, approx.points, approx.radii
+    for i in range(len(pts)):
+        for j in range(i):
+            gap = abs(complex(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]) / scale)
+            assert gap > radii[i] + radii[j], (p, i, j)
+    rows = zip(approx.roots, *approx.images)
+    rows = sorted(rows, key=lambda row: (round(row[0].real, 12), round(row[0].imag, 12)))
+    return approx.pairs, [[complex_str(v) for v in row] for row in rows]
+
+
+def test_paired_roots_match_unpaired_roots(monkeypatch):
+    """Refining one root of each conjugate pair gives the 12-digit roots and
+    images of the unpaired run, on G_n (n = 2..24) with x0 and tau0, and on
+    real polynomials that mix real roots and conjugate pairs, of odd and even
+    degree, with x^2 (-1 at +-i, on the branch cut of the square root) and
+    x - 5 (negative at each real root) under square roots."""
+    x = UniPoly.gen("x")
+    cases = []
+    for n in range(2, 25):
+        locus = build_intersection_report(n).locus
+        x2, tau = locus.x_squared, locus.longitude_elem
+        cases.append((locus.modulus, ((x2.num, x2.den, True), (tau.num, tau.den, False))))
+    real = [
+        (x - 2) * (x ** 2 + 1) * (x ** 2 - 3),
+        (x ** 2 - 2) * (x ** 2 + 1) * (x ** 2 + 2 * x + 5),
+        (x ** 3 - 2) * (x ** 2 + x + 1) * (x + 1),
+        (x ** 4 - 10 * x ** 2 + 1) * (x ** 2 + 3) * (x ** 2 - 4 * x + 13),
+    ]
+    elements = (((0, 0, 1), 1, True), ((-5, 1), 1, True), ((1, 2, 0, 3), 7, False))
+    cases.extend((p, elements) for p in real)
+    paired = [_certified_strs(p, el) for p, el in cases]
+    assert all(pairs for pairs, _ in paired)
+    assert all(2 * len(pairs) < p.degree for (pairs, _), (p, _) in zip(paired[-4:], cases[-4:]))
+    monkeypatch.setattr(knotgrp, "_conjugate_pairs", lambda seeds: ())
+    for (p, el), (_, strs) in zip(cases, paired):
+        assert _certified_strs(p, el) == ((), strs), p
+
+
 def test_fixed_square_roots_take_mpmath_branches():
     """The principal square root with mpmath's conventions: +i sqrt(-a) on
     the negative real axis, and the sign of the imaginary part kept."""
