@@ -51,8 +51,8 @@ from .verify import all_passed, render_results, run_checks, run_property_checks
 # functions take any value, so a caller who needs more calls them.
 MAX_N = 128  # --n, the family index: detect --n 128 takes about 0.26 s (4 warm runs)
 # verify-paper --n: the ranged checks compute every minimal polynomial for
-# n <= --n; --n 48 takes about 4 s and --n 64 about 14 s (single runs, Python
-# 3.11.7), and the time grows faster than n^4.
+# n <= --n; --n 48 takes about 1.5 s and --n 64 about 5.6 s (medians of 3 fresh
+# processes, 2-vCPU Xeon, Python 3.11.7), and the time grows faster than n^4.
 MAX_CHECK_N = 64
 MAX_VARIETY_N = 32  # variety --n: the X model at n = 32 takes about 15-18 s
 MAX_J = 1000  # cheb --j: the polynomials of index 1000 take about 2 s

@@ -19,17 +19,21 @@ when none turns up.  A certificate that does not hold, for G_n or for q,
 raises VerificationError naming its primes and degree patterns: it proves
 irreducibility and never disproves it.
 
-Slope detection needs only the two certificates of the locus: the mod-2
-identity G_n = f_n^2 proves 2 a bad prime of x (`meridian_certificate`), and
-integer power-basis coordinates prove the longitude trace integral
-(`longitude_certificate`).
+Slope detection needs only the meridian certificate: the mod-2 identity
+G_n = f_n^2 proves 2 a bad prime of x (`meridian_certificate`).  The
+longitude trace tau (`trace.longitude_value`) is checked, by scalar
+operations alone, to equal -2 - 4n^2 (x^2 - 4) = V_n(r)^2 - 2 + 4n^2 (2 - r),
+which lies in Z[r] as G_n is monic over the integers; a failure raises
+VerificationError.  The affine map carries p to the minimal polynomial of
+tau, so one Krylov minimal polynomial serves both traces.
 
 `build_intersection_report` turns the field and its generator r into the
-frozen `IntersectionLocus`, holding x^2, the longitude trace and both
-certificates; q, both verdicts and the numeric points are computed on first
-read, and a verdict that contradicts a holding certificate raises.  The
-frozen `IntersectionReport` computes its slope verdict once, reading a
-verdict only where a certificate fails, so no read can change its status.
+frozen `IntersectionLocus`, holding x^2, the checked tau and the meridian
+certificate; q, both verdicts and the numeric points are computed on first
+read, and a verdict that contradicts the certificate or the identity
+raises.  The frozen `IntersectionReport` computes its slope verdict once,
+reading a verdict only where the certificate fails, so no read can change
+its status.
 
 Numeric values at an intersection point are the images of the same exact
 elements under the embedding r -> r0 of the field, r0 a complex root of m:
@@ -95,12 +99,12 @@ class LocusField:
 
 
 class IntersectionLocus(Record):
-    """The field of G_n, its two certificates and the character data over
-    it.
+    """The field of G_n, its meridian certificate and the character data
+    over it, tau already checked against x^2.
 
     The minimal polynomials, verdicts and points are computed on first read
     (`to_json` reads the verdicts); slope detection needs a verdict only
-    where a certificate does not hold, and a holding certificate is final.
+    where the certificate does not hold, and a holding certificate is final.
     """
 
     n: int
@@ -109,7 +113,6 @@ class IntersectionLocus(Record):
     x_squared: NFElem
     longitude_elem: NFElem
     meridian_certified: bool
-    longitude_certified: bool
 
     @cached_property
     def x_min_poly(self) -> UniPoly:
@@ -142,7 +145,12 @@ class IntersectionLocus(Record):
 
     @cached_property
     def longitude_min_poly(self) -> UniPoly:
-        return nf_minimal_polynomial(self.longitude_elem, "l")
+        """Monic minimal polynomial of tau = -2 - 4n^2 (x^2 - 4): with p the
+        even part of q = p(x^2), p(4 - (l + 2) / (4n^2)) made monic, exact
+        because the affine map is invertible."""
+        q, s = self.x_min_poly, 4 * self.n * self.n
+        p = UniPoly.from_ints(q.num[::2], q.den, "l")
+        return p(UniPoly([Fraction(4 * s - 2, s), Fraction(-1, s)], "l")).monic()
 
     @cached_property
     def longitude_verdict(self) -> IntegralityVerdict:
@@ -248,10 +256,6 @@ def meridian_min_poly(locus):
     return (q,)
 
 
-def _monic_integral(m: UniPoly) -> bool:
-    return m.den == 1 and m.lc == 1
-
-
 def meridian_certificate(locus) -> bool:
     """Whether 2 provably divides a denominator of the meridian trace x.
 
@@ -268,14 +272,7 @@ def meridian_certificate(locus) -> bool:
     its minimal polynomial.
     """
     m = locus.modulus
-    return _monic_integral(m) and square_mod_two(m, f_poly(locus.n))
-
-
-def longitude_certificate(locus, tau: NFElem) -> bool:
-    """Whether the longitude trace tau is provably an algebraic integer: its
-    power-basis coordinates are integers (den = 1) and r is a root of the
-    monic integer modulus, so tau lies in Z[r], inside the ring of integers."""
-    return tau.den == 1 and _monic_integral(locus.modulus)
+    return m.den == 1 and m.lc == 1 and square_mod_two(m, f_poly(locus.n))
 
 
 class IntersectionReport(Record):
@@ -324,10 +321,15 @@ def build_intersection_report(n: int) -> IntersectionReport:
     """Full pipeline for one knot: the certified locus and the reducible
     character."""
     (base,) = intersection_loci(n)
-    tau = longitude_value(TraceContext(n, base.r_elem, base.x_squared))
+    x2 = base.x_squared
+    tau = longitude_value(TraceContext(n, base.r_elem, x2))
+    if tau != -2 - 4 * n * n * (x2 - 4):
+        raise VerificationError(
+            f"longitude trace at n = {n} is not -2 - 4n^2 (x^2 - 4) in "
+            f"Q[r]/(G_{n}), so it is not proven an algebraic integer"
+        )
     locus = IntersectionLocus(
-        n, base.field, base.r_elem, base.x_squared, tau,
-        meridian_certificate(base), longitude_certificate(base, tau),
+        n, base.field, base.r_elem, x2, tau, meridian_certificate(base)
     )
     reducible = reducible_character(n)
     on_model = x_relation(n, Fraction(2), reducible.x_squared) == 0

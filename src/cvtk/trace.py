@@ -19,12 +19,13 @@ formulas comes from one `cheb.f_values` table per evaluation point, built
 by the recurrence f_{j+1} = u f_j - f_{j-1} (at r, and at t only where
 t != r), never from a separate evaluation of each f_j.  All of it works over
 any commutative ring handle: exact rationals, number-field elements, or
-complex floats.  Integrality certificates, or the verdicts on the minimal
-polynomials where a certificate does not hold, feed the boundary-slope
-detection: a character whose meridian trace is not an algebraic integer
-while its longitude trace is one detects an essential surface of slope 0,
-and for these knots any connected essential surface of slope 0 is a genus 1
-Seifert surface.
+complex floats.  A character whose meridian trace is not an algebraic
+integer while its longitude trace is one detects an essential surface of
+slope 0, and for these knots any connected essential surface of slope 0 is
+a genus 1 Seifert surface.  The intersection report proves the longitude
+trace integral when it builds the locus (`cvtk.intersect`), so the
+detection here reads only the meridian: its certificate, or the verdict on
+its minimal polynomial where the certificate does not hold.
 """
 
 from __future__ import annotations
@@ -163,12 +164,12 @@ def longitude_value(ctx: TraceContext):
 
 
 def longitude_trace(locus):
-    """Longitude trace at an intersection character, with certificate.
+    """Longitude trace at an intersection character, with its verdict.
 
     `locus` needs attributes n, r_elem, x_squared (elements of one number
-    field).  Returns (trace, minimal polynomial, verdict), the verdict from
-    `longitude_integrality`.  The report computes them itself; this stays
-    because perfbench/child.py calls it.
+    field).  Returns (trace, minimal polynomial by Krylov, verdict from
+    `longitude_integrality`).  The report reads its polynomial off the
+    meridian's; this stays because perfbench/child.py calls it.
     """
     tau = longitude_value(TraceContext(locus.n, locus.r_elem, locus.x_squared))
     min_poly = nf_minimal_polynomial(tau, "l")
@@ -320,31 +321,14 @@ def detect_surface(locus) -> SlopeVerdict:
     longitude trace is one detects an essential surface of slope 0, and any
     connected essential slope-0 surface here is a genus 1 Seifert surface.
 
-    The locus is read certificate first: a meridian certificate proves the
-    trace non-integral and a longitude certificate proves it integral, so a
-    minimal-polynomial verdict is read only where a certificate does not
-    hold.  A holding certificate is final; a verdict computed later that
-    contradicts it raises.
+    The report proves the longitude trace integral before it builds the
+    locus, so only the meridian is read, certificate first: the verdict is
+    read only where the certificate does not hold.  A holding certificate
+    is final; a verdict computed later that contradicts it raises.
     """
-    meridian_integral = (
-        not locus.meridian_certified and locus.meridian_verdict.is_algebraic_integer
-    )
-    longitude_integral = (
-        locus.longitude_certified or locus.longitude_verdict.is_algebraic_integer
-    )
-    if not meridian_integral and longitude_integral:
-        return SlopeVerdict(
-            meridian_integral=False,
-            longitude_integral=True,
-            detected_slope=0,
-            surface_description="genus 1 Seifert surface",
-        )
+    if locus.meridian_certified or not locus.meridian_verdict.is_algebraic_integer:
+        return SlopeVerdict(False, True, 0, "genus 1 Seifert surface")
     return SlopeVerdict(
-        meridian_integral=meridian_integral,
-        longitude_integral=longitude_integral,
-        detected_slope="undetermined",
-        surface_description=(
-            "no slope detected: meridian integral status "
-            f"{meridian_integral}, longitude integral status {longitude_integral}"
-        ),
+        True, True, "undetermined",
+        "no slope detected: meridian integral status True, longitude integral status True",
     )

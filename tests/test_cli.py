@@ -11,7 +11,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -325,14 +324,15 @@ def test_approximations_match_root_finding_on_min_polys(capsys, n):
 
 
 def test_wrong_longitude_count_exits_one(monkeypatch, capsys):
-    """The longitude element 1 beside the true degree-4 minimal polynomial."""
-    from cvtk import intersect, trace
+    """One longitude image at every point beside the true degree-4 minimal
+    polynomial."""
+    from cvtk import intersect
 
-    monkeypatch.setattr(intersect, "longitude_value", lambda ctx: ctx.r * 0 + 1)
+    points = intersect.IntersectionLocus.points.func
     monkeypatch.setattr(
         intersect.IntersectionLocus,
-        "longitude_min_poly",
-        property(lambda locus: trace.longitude_trace(locus)[1]),
+        "points",
+        property(lambda locus: tuple((r0, x0, 1j) for r0, x0, _ in points(locus))),
     )
     assert main(["intersect", "--n", "3"]) == 1
     err = capsys.readouterr().err
@@ -595,28 +595,49 @@ def test_detect_computes_no_minimal_polynomial(monkeypatch, capsys):
     assert calls == []
 
 
-@pytest.mark.parametrize("failed", ["meridian", "longitude"])
-def test_failed_certificate_falls_back_to_min_polys(monkeypatch, capsys, failed):
-    """A certificate forced to fail (G_n read as not f_n^2 mod 2, or the
-    longitude trace read with den 2) sends detect to the minimal-polynomial
-    verdicts, and it still prints its pins."""
+def test_intersect_computes_one_minimal_polynomial(monkeypatch, capsys):
+    """intersect runs the general minimal polynomial once, for x^2; the
+    longitude polynomial is read off the meridian's."""
+    pins = sorted(argv for argv in OUTPUT_SHA256 if argv.startswith("intersect"))
+    calls = _count_min_polys(monkeypatch)
+    for argv in pins:
+        assert main(argv.split()) == 0
+        capsys.readouterr()
+        assert calls == ["x"], argv
+        calls.clear()
+
+
+def test_failed_meridian_certificate_falls_back_to_min_poly(monkeypatch, capsys):
+    """A meridian certificate forced to fail (G_n read as not f_n^2 mod 2)
+    sends detect to the minimal-polynomial verdict, and it still prints its
+    pins."""
     from cvtk import intersect
 
-    if failed == "meridian":
-        monkeypatch.setattr(intersect, "square_mod_two", lambda G, f: False)
-    else:
-        good = intersect.longitude_certificate
-        monkeypatch.setattr(
-            intersect,
-            "longitude_certificate",
-            lambda locus, tau: good(locus, tau + Fraction(1, 2)),
-        )
+    monkeypatch.setattr(intersect, "square_mod_two", lambda G, f: False)
     calls = _count_min_polys(monkeypatch)
     for argv in DETECT_PINS:
         assert main(argv.split()) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[argv]
-    assert set(calls) == {"x" if failed == "meridian" else "l"}
+    assert set(calls) == {"x"}
+
+
+@pytest.mark.parametrize("argv", ["detect --n 8 --json", "intersect --n 3"])
+def test_failed_longitude_identity_exits_one(monkeypatch, capsys, argv):
+    """A longitude trace of -2 - (4n^2 + 1)(x^2 - 4), with 4n^2 + 1 in place
+    of 4n^2, fails the identity that proves it integral: a verification
+    failure, exit 1, before anything is printed."""
+    from cvtk import intersect
+
+    monkeypatch.setattr(
+        intersect,
+        "longitude_value",
+        lambda ctx: -2 - (4 * ctx.n * ctx.n + 1) * (ctx.x_squared - 4),
+    )
+    assert main(argv.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("verification failure: longitude trace at n = ")
 
 
 def test_contradicted_certificate_is_a_verification_failure(monkeypatch, capsys):

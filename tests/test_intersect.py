@@ -21,7 +21,6 @@ from cvtk.golden import default_fixtures
 from cvtk.intersect import (
     build_intersection_report,
     intersection_loci,
-    longitude_certificate,
     meridian_certificate,
     meridian_min_poly,
     x_squared_at,
@@ -30,6 +29,7 @@ from cvtk.knotgrp import RootApproximations, complex_roots, family_words, numeri
 from cvtk.numfield import (
     IntegralityVerdict,
     NFElem,
+    NumberField,
     integrality_verdict,
     nf_minimal_polynomial,
     non_square_witness,
@@ -41,6 +41,7 @@ from cvtk.trace import (
     boundary_slope_candidates,
     longitude_trace,
     longitude_value,
+    reducible_character,
 )
 from cvtk.variety import bezout_budget, d_split
 from cvtk.verify import CheckResult
@@ -249,17 +250,40 @@ def test_report_n2_n3():
 
 
 def test_certificates_match_min_poly_verdicts():
-    """Oracle: each certificate holds exactly where the minimal-polynomial
-    verdict gives its conclusion, and the slope read from the certificates
-    alone is the slope read once every verdict is computed, n = 2..24."""
+    """Oracle: the meridian certificate holds exactly where the
+    minimal-polynomial verdict gives its conclusion, and the slope read from
+    the certificate alone is the slope read once every verdict is computed,
+    n = 2..24."""
     for n in range(2, 25):
         rep = build_intersection_report(n)
         certified = rep.slope
         locus = rep.locus
         mer = locus.meridian_verdict
         assert locus.meridian_certified == (not mer.is_algebraic_integer and 2 in mer.bad_primes)
-        assert locus.longitude_certified == locus.longitude_verdict.is_algebraic_integer
         assert rep.slope == certified and certified.detected_slope == 0
+
+
+def test_longitude_is_affine_in_x_squared():
+    """tau = -2 - 4n^2 (x^2 - 4) with integer power-basis coordinates in
+    Q[r]/(G_n), n = 2..128, from the field, x^2 and the trace formula alone;
+    at the reducible character x^2 = (4n^2 - 1)/n^2 the map gives tau = 2."""
+    for n in range(2, 129):
+        field = NumberField(G_poly(n).with_var("r"))
+        locus = SimpleNamespace(n=n, field=field, r_elem=field.gen())
+        x2 = x_squared_at(locus)
+        tau = longitude_value(TraceContext(n, locus.r_elem, x2))
+        assert tau == -2 - 4 * n * n * (x2 - 4), n
+        assert tau.den == 1, n
+        rc = reducible_character(n)
+        assert -2 - 4 * n * n * (rc.x_squared - 4) == rc.longitude_trace == 2
+
+
+def test_longitude_min_poly_matches_krylov():
+    """Oracle: the longitude minimal polynomial read off the meridian's
+    equals the Krylov minimal polynomial of tau, n = 2..40 and n = 64."""
+    for n in [*range(2, 41), 64]:
+        locus = build_intersection_report(n).locus
+        assert locus.longitude_min_poly == nf_minimal_polynomial(locus.longitude_elem, "l"), n
 
 
 def test_meridian_certificate_needs_a_factor_of_f_n_mod_2():
@@ -303,13 +327,6 @@ def test_non_integral_meridian_without_two_raises(monkeypatch):
     locus = build_intersection_report(3).locus
     with pytest.raises(VerificationError, match="2 does not divide"):
         locus.meridian_verdict
-
-
-def test_longitude_certificate_needs_integer_coordinates():
-    locus = build_intersection_report(3).locus
-    tau = locus.longitude_elem
-    assert longitude_certificate(locus, tau)
-    assert not longitude_certificate(locus, tau + Fraction(1, 2))
 
 
 def test_meridian_two_adic_range():

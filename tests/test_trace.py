@@ -258,24 +258,22 @@ def test_boundary_slopes():
 
 
 def test_detect_surface_synthetic():
+    """The verdict read off the meridian alone; the locus carries no
+    longitude attribute, so detection reads none."""
     nonintegral = SimpleNamespace(is_algebraic_integer=False)
     integral = SimpleNamespace(is_algebraic_integer=True)
 
-    def locus(mer, lon):
-        return SimpleNamespace(
-            meridian_certified=False,
-            longitude_certified=False,
-            meridian_verdict=mer,
-            longitude_verdict=lon,
-        )
+    def locus(mer):
+        return SimpleNamespace(meridian_certified=False, meridian_verdict=mer)
 
-    v = detect_surface(locus(nonintegral, integral))
+    v = detect_surface(locus(nonintegral))
     assert v.detected_slope == 0 and v.surface_description == "genus 1 Seifert surface"
-    assert isinstance(v, SlopeVerdict)
-    v = detect_surface(locus(integral, integral))
+    assert isinstance(v, SlopeVerdict) and v.longitude_integral
+    v = detect_surface(locus(integral))
     assert v.detected_slope == "undetermined" and v.meridian_integral
-    v = detect_surface(locus(nonintegral, nonintegral))
-    assert v.detected_slope == "undetermined" and not v.longitude_integral
+    assert v.surface_description == (
+        "no slope detected: meridian integral status True, longitude integral status True"
+    )
 
 
 def test_detect_surface_reads_certificates_first():
@@ -284,24 +282,18 @@ def test_detect_surface_reads_certificates_first():
     verdict itself); an uncertified locus is read by its verdict."""
 
     class Certified:
-        meridian_certified = longitude_certified = True
+        meridian_certified = True
 
         @property
         def meridian_verdict(self):
             raise AssertionError("the verdict of a certified locus was read")
 
-        longitude_verdict = meridian_verdict
-
     v = detect_surface(Certified())
     assert v.detected_slope == 0
     integral = SimpleNamespace(is_algebraic_integer=True)
-    computed = SimpleNamespace(
-        meridian_certified=True, longitude_certified=True, meridian_verdict=integral
-    )
+    computed = SimpleNamespace(meridian_certified=True, meridian_verdict=integral)
     v = detect_surface(computed)
     assert v.detected_slope == 0 and not v.meridian_integral
-    uncertified = SimpleNamespace(
-        meridian_certified=False, longitude_certified=True, meridian_verdict=integral
-    )
+    uncertified = SimpleNamespace(meridian_certified=False, meridian_verdict=integral)
     v = detect_surface(uncertified)
     assert v.detected_slope == "undetermined" and v.meridian_integral
