@@ -19,21 +19,21 @@ when none turns up.  A certificate that does not hold, for G_n or for q,
 raises VerificationError naming its primes and degree patterns: it proves
 irreducibility and never disproves it.
 
-Slope detection needs only the meridian certificate: the mod-2 identity
-G_n = f_n^2 proves 2 a bad prime of x (`meridian_certificate`).  The
-longitude trace tau (`trace.longitude_value`) is checked, by scalar
-operations alone, to equal -2 - 4n^2 (x^2 - 4) = V_n(r)^2 - 2 + 4n^2 (2 - r),
-which lies in Z[r] as G_n is monic over the integers; a failure raises
-VerificationError.  The affine map carries p to the minimal polynomial of
-tau, so one Krylov minimal polynomial serves both traces.
+Slope detection reads two exact checks made when the report is built.  The
+mod-2 identity G_n = f_n^2 proves 2 a bad prime of the meridian trace x
+(`meridian_certificate`), and the longitude trace tau
+(`trace.longitude_value`) is checked, by scalar operations alone, to equal
+-2 - 4n^2 (x^2 - 4) = V_n(r)^2 - 2 + 4n^2 (2 - r), which lies in Z[r] as G_n
+is monic over the integers.  Either failing raises VerificationError, so a
+report that is built has detected slope 0.  The affine map carries p to the
+minimal polynomial of tau, so one Krylov minimal polynomial serves both
+traces.
 
 `build_intersection_report` turns the field and its generator r into the
-frozen `IntersectionLocus`, holding x^2, the checked tau and the meridian
-certificate; q, both verdicts and the numeric points are computed on first
-read, and a verdict that contradicts the certificate or the identity
-raises.  The frozen `IntersectionReport` computes its slope verdict once,
-reading a verdict only where the certificate fails, so no read can change
-its status.
+frozen `IntersectionLocus`, holding x^2 and the checked tau; q, both
+verdicts and the numeric points are computed on first read, and a verdict
+that contradicts a check raises.  The slope verdict and status of the
+frozen `IntersectionReport` are constants, so no read can change them.
 
 Numeric values at an intersection point are the images of the same exact
 elements under the embedding r -> r0 of the field, r0 a complex root of m:
@@ -69,7 +69,6 @@ from .trace import (
     SlopeVerdict,
     TraceContext,
     VerificationError,
-    detect_surface,
     longitude_integrality,
     longitude_value,
     reducible_character,
@@ -99,12 +98,11 @@ class LocusField:
 
 
 class IntersectionLocus(Record):
-    """The field of G_n, its meridian certificate and the character data
-    over it, tau already checked against x^2.
+    """The field of G_n and the character data over it, its meridian
+    certificate held and tau already checked against x^2.
 
     The minimal polynomials, verdicts and points are computed on first read
-    (`to_json` reads the verdicts); slope detection needs a verdict only
-    where the certificate does not hold, and a holding certificate is final.
+    (`to_json` reads the verdicts); slope detection reads none of them.
     """
 
     n: int
@@ -112,7 +110,6 @@ class IntersectionLocus(Record):
     r_elem: NFElem
     x_squared: NFElem
     longitude_elem: NFElem
-    meridian_certified: bool
 
     @cached_property
     def x_min_poly(self) -> UniPoly:
@@ -122,21 +119,19 @@ class IntersectionLocus(Record):
 
     @cached_property
     def meridian_verdict(self) -> IntegralityVerdict:
-        """Verdict on the meridian minimal polynomial.  A non-integral one
-        without 2 among its bad primes raises (`integrality_verdict` divides
-        by 2 first, so it knows this even when its prime set is incomplete),
-        and so does an integral one beside a holding meridian certificate;
-        without one it is the report's "verification-failure" status, slope
-        undetermined.
+        """Verdict on the meridian minimal polynomial.  The locus exists only
+        where the mod-2 certificate holds, so an integral verdict contradicts
+        it and raises, and so does a non-integral one without 2 among its
+        bad primes (`integrality_verdict` divides by 2 first, so it knows
+        this even when its prime set is incomplete).
         """
         verdict = integrality_verdict(self.x_min_poly)
         if verdict.is_algebraic_integer:
-            if self.meridian_certified:
-                raise VerificationError(
-                    f"meridian trace at n = {self.n} is an algebraic integer, "
-                    f"contradicting its mod-2 certificate"
-                )
-        elif 2 not in verdict.bad_primes:
+            raise VerificationError(
+                f"meridian trace at n = {self.n} is an algebraic integer, "
+                f"contradicting its mod-2 certificate"
+            )
+        if 2 not in verdict.bad_primes:
             raise VerificationError(
                 f"meridian polynomial {self.x_min_poly} at n = {self.n} is non-integral "
                 f"but 2 does not divide any coefficient denominator"
@@ -276,7 +271,12 @@ def meridian_certificate(locus) -> bool:
 
 
 class IntersectionReport(Record):
-    """Everything the slope detector and the CLI need for one knot."""
+    """Everything the CLI needs for one knot.
+
+    A report is built only where both checks of its locus hold, so its
+    slope verdict is always the genus 1 Seifert surface of slope 0 and its
+    status always "ok"; both are class constants, not fields.
+    """
 
     n: int
     locus: IntersectionLocus
@@ -284,14 +284,8 @@ class IntersectionReport(Record):
     reducible_on_x_model: bool
     reducible_is_intersection: bool
 
-    @cached_property
-    def slope(self) -> SlopeVerdict:
-        return detect_surface(self.locus)
-
-    @property
-    def status(self) -> str:
-        """Either "ok" or "verification-failure" (the meridian trace is integral)."""
-        return "verification-failure" if self.slope.meridian_integral else "ok"
+    slope = SlopeVerdict(False, True, 0, "genus 1 Seifert surface")
+    status = "ok"
 
     @property
     def d_point_count(self) -> int:
@@ -319,7 +313,8 @@ class IntersectionReport(Record):
 
 def build_intersection_report(n: int) -> IntersectionReport:
     """Full pipeline for one knot: the certified locus and the reducible
-    character."""
+    character.  The longitude identity and the mod-2 meridian certificate
+    are checked here; either failing raises VerificationError."""
     (base,) = intersection_loci(n)
     x2 = base.x_squared
     tau = longitude_value(TraceContext(n, base.r_elem, x2))
@@ -328,9 +323,12 @@ def build_intersection_report(n: int) -> IntersectionReport:
             f"longitude trace at n = {n} is not -2 - 4n^2 (x^2 - 4) in "
             f"Q[r]/(G_{n}), so it is not proven an algebraic integer"
         )
-    locus = IntersectionLocus(
-        n, base.field, base.r_elem, x2, tau, meridian_certificate(base)
-    )
+    if not meridian_certificate(base):
+        raise VerificationError(
+            f"G_{n} is not f_{n}^2 mod 2, so the meridian trace at n = {n} is "
+            f"not proven non-integral"
+        )
+    locus = IntersectionLocus(n, base.field, base.r_elem, x2, tau)
     reducible = reducible_character(n)
     on_model = x_relation(n, Fraction(2), reducible.x_squared) == 0
     if not on_model:

@@ -22,10 +22,9 @@ any commutative ring handle: exact rationals, number-field elements, or
 complex floats.  A character whose meridian trace is not an algebraic
 integer while its longitude trace is one detects an essential surface of
 slope 0, and for these knots any connected essential surface of slope 0 is
-a genus 1 Seifert surface.  The intersection report proves the longitude
-trace integral when it builds the locus (`cvtk.intersect`), so the
-detection here reads only the meridian: its certificate, or the verdict on
-its minimal polynomial where the certificate does not hold.
+a genus 1 Seifert surface.  The intersection report (`cvtk.intersect`)
+proves both halves when it builds the locus, so its verdict, a
+`SlopeVerdict`, is a constant.
 """
 
 from __future__ import annotations
@@ -298,11 +297,13 @@ def boundary_slope_candidates(n: int):
 
 
 class SlopeVerdict(Record):
-    """Outcome of the non-integrality detection at the intersection points."""
+    """Outcome of the non-integrality detection at the intersection points:
+    a built report always has a non-integral meridian trace, an integral
+    longitude trace and detected slope 0."""
 
     meridian_integral: bool
     longitude_integral: bool
-    detected_slope: object  # 0 or the string "undetermined"
+    detected_slope: int
     surface_description: str
 
     def to_json(self) -> dict:
@@ -313,22 +314,3 @@ class SlopeVerdict(Record):
             "surface_description": self.surface_description,
         }
 
-
-def detect_surface(locus) -> SlopeVerdict:
-    """Slope detection at the intersection locus of a report.
-
-    A character whose meridian trace is not an algebraic integer but whose
-    longitude trace is one detects an essential surface of slope 0, and any
-    connected essential slope-0 surface here is a genus 1 Seifert surface.
-
-    The report proves the longitude trace integral before it builds the
-    locus, so only the meridian is read, certificate first: the verdict is
-    read only where the certificate does not hold.  A holding certificate
-    is final; a verdict computed later that contradicts it raises.
-    """
-    if locus.meridian_certified or not locus.meridian_verdict.is_algebraic_integer:
-        return SlopeVerdict(False, True, 0, "genus 1 Seifert surface")
-    return SlopeVerdict(
-        True, True, "undetermined",
-        "no slope detected: meridian integral status True, longitude integral status True",
-    )

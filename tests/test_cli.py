@@ -97,6 +97,27 @@ def test_intersect_empty_json_path_is_an_error(capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_unwritable_json_path_exits_two_at_once(tmp_path, capsys):
+    """intersect opens --json PATH before it builds the report, so a PATH in
+    a missing directory is a usage error with nothing printed."""
+    assert main(["intersect", "--n", "24", "--json", str(tmp_path / "missing" / "x.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_verification_failure_leaves_json_path_empty(monkeypatch, tmp_path, capsys):
+    """PATH is opened before the report is built, so a failed certificate
+    leaves it empty."""
+    from cvtk import intersect
+
+    monkeypatch.setattr(intersect, "square_mod_two", lambda G, f: False)
+    path = tmp_path / "report.json"
+    assert main(["intersect", "--n", "3", "--json", str(path)]) == 1
+    assert capsys.readouterr().out == ""
+    assert path.read_text(encoding="utf-8") == ""
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["intersect", "--n", "1"]) == 2
     assert main(["cheb", "--kind", "f", "--j", "-1"]) == 2
@@ -349,20 +370,6 @@ def test_d_split_invariant_failure_exits_one(monkeypatch, capsys):
     assert err.startswith("verification failure: hard invariant violated")
 
 
-def test_integral_meridian_is_a_verification_failure(monkeypatch, capsys):
-    from cvtk import intersect
-    from cvtk.numfield import IntegralityVerdict
-
-    integral = IntegralityVerdict(is_algebraic_integer=True, denominator_lcm=1, bad_primes=())
-    monkeypatch.setattr(intersect, "integrality_verdict", lambda poly: integral)
-    monkeypatch.setattr(intersect, "square_mod_two", lambda G, f: False)  # no meridian certificate
-    assert main(["intersect", "--n", "2"]) == 1
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["status"] == "verification-failure"
-    assert obj["slope"]["detected_slope"] == "undetermined"
-    assert obj["slope"]["meridian_integral"] is True
-
-
 def test_meridian_without_bad_prime_two_is_a_verification_failure(monkeypatch, capsys):
     """Negative control: a non-integral meridian verdict whose complete set of
     bad primes leaves out 2 contradicts the mod-2 argument, so intersect
@@ -405,6 +412,9 @@ def test_meridian_without_bad_prime_two_is_a_verification_failure(monkeypatch, c
 # The rep --n 24 pin was recorded while each relator was multiplied out twice,
 # once for its residual and once for its tolerance; it is the first rep pin
 # whose tolerances (1.22107e-09 and 2.20679e-09) are above the 1e-9 floor.
+# The text form detect --n 5, which prints every SlopeVerdict field, and
+# verify-paper --n 16, whose slope-verdict and meridian-nonintegral rows read
+# the report's verdicts, were recorded before the verdict fallback went.
 # The printed output must stay byte-identical under refactors.
 OUTPUT_SHA256 = {
     "intersect --n 2": "84c4c0cdd549437ddc247d4401e1679db4a0910ac88b08b54677c2bf3c993403",
@@ -421,12 +431,14 @@ OUTPUT_SHA256 = {
     "detect --n 6 --json": "3e2e8deb64b4bf901a0995e8ce72db28b65338c201a7e890c9c42a8095e521ed",
     "detect --n 9 --json": "ed71000b4e872c9d0a37101f9a682364e35bd2115737d308f46ef346a9aa6882",
     "detect --n 19 --json": "1416793bdd83136e4fbe05f948ca8918faa0beb4ec940b53240c17ce5d88bd30",
+    "detect --n 5": "5f9ce89f47aa925b3af20ee80e1ed7ac9db097bcc3d47b3bb8eadcd6a846fa29",
     "rep --n 2": "b71a6844bf9d52b7b8232fe6904673eca02ef676b0d947d9a91c3fb5232b6d14",
     "rep --n 3 --root 1": "45c74ffc391093090ef252b90e0da4d9498276c03c3e5b67e234215f4301f746",
     "rep --n 8 --root 5": "c94769dbd5a21eba8a8660af16d86b5fc8214b2a88905c6434f99efc6eb969e5",
     "rep --n 12 --root 3": "ad5a59062d11d0468b0df4ccda76694ead49e2a7dac274ba3dbb1c5946185c74",
     "rep --n 24 --root 3": "0f7f27e4d7928343ae5867a100b851b8f0a78c057a2487064481f845fe203338",
     "verify-paper": "c14dd7cde19c1a9acd043ff6943b61c4ec3ab33b4b7ff48dceabb974fc106ae8",
+    "verify-paper --n 16": "183476b7de33743474b5eeba1a0bbb42486201da9bcca7b6c12623bb07f27770",
     "cheb --kind f --j 5 --format pretty": "41dfec809e528fba88bd9491e3dd560ea15e228272fdddc9acbe16399eab510a",
     "cheb --kind f --j 5 --format json": "d22fbba7c34f4e8f4dd3c21e0cdd4e556987e66a8e6cf88b96f0b4df5f8528a5",
     "cheb --kind f --j 30 --format pretty": "89a5e3c2624d3f0aa6894af43369e2f73af5fdcefc7d7df20c6f22aff4bc77ad",
@@ -461,8 +473,12 @@ OUTPUT_SHA256 = {
 
 
 def _pin_id(argv):
-    """"intersect --n 2" -> "intersect-2": the argv without its option names."""
-    return "-".join(w for w in argv.split() if not w.startswith("--"))
+    """"intersect --n 2" -> "intersect-2": the argv without its option names;
+    a detect pin without --json, its text form, ends in "-text"."""
+    words = [w for w in argv.split() if not w.startswith("--")]
+    if words[0] == "detect" and "--json" not in argv:
+        words.append("text")
+    return "-".join(words)
 
 
 @pytest.mark.parametrize("argv", sorted(OUTPUT_SHA256), ids=_pin_id)
@@ -607,19 +623,20 @@ def test_intersect_computes_one_minimal_polynomial(monkeypatch, capsys):
         calls.clear()
 
 
-def test_failed_meridian_certificate_falls_back_to_min_poly(monkeypatch, capsys):
-    """A meridian certificate forced to fail (G_n read as not f_n^2 mod 2)
-    sends detect to the minimal-polynomial verdict, and it still prints its
-    pins."""
+@pytest.mark.parametrize("argv", ["detect --n 8 --json", "intersect --n 3"])
+def test_failed_meridian_certificate_exits_one(monkeypatch, capsys, argv):
+    """A meridian certificate forced to fail (G_n read as not f_n^2 mod 2) is
+    a verification failure when the report is built: exit 1, nothing
+    printed, and no minimal polynomial computed in its place."""
     from cvtk import intersect
 
     monkeypatch.setattr(intersect, "square_mod_two", lambda G, f: False)
     calls = _count_min_polys(monkeypatch)
-    for argv in DETECT_PINS:
-        assert main(argv.split()) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[argv]
-    assert set(calls) == {"x"}
+    assert main(argv.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("verification failure:")
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", ["detect --n 8 --json", "intersect --n 3"])
@@ -641,11 +658,11 @@ def test_failed_longitude_identity_exits_one(monkeypatch, capsys, argv):
 
 
 def test_contradicted_certificate_is_a_verification_failure(monkeypatch, capsys):
-    """A holding certificate is final: a verdict that contradicts it raises
-    when it is computed, an integral meridian verdict as well as a
-    non-integral longitude one, and the report's status stays as the
-    certificates made it.  detect, which computes neither verdict, still
-    exits 0; intersect, which computes both, exits 1."""
+    """A report exists only where its certificates hold: a verdict that
+    contradicts them raises when it is computed, an integral meridian
+    verdict as well as a non-integral longitude one, and the report's status
+    stays "ok".  detect, which computes neither verdict, still exits 0;
+    intersect, which computes both, exits 1."""
     from cvtk import intersect, trace
     from cvtk.intersect import build_intersection_report
     from cvtk.numfield import IntegralityVerdict

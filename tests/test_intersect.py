@@ -250,17 +250,15 @@ def test_report_n2_n3():
 
 
 def test_certificates_match_min_poly_verdicts():
-    """Oracle: the meridian certificate holds exactly where the
-    minimal-polynomial verdict gives its conclusion, and the slope read from
-    the certificate alone is the slope read once every verdict is computed,
-    n = 2..24."""
+    """Oracle: the meridian certificate agrees with the minimal-polynomial
+    verdict, non-integral with 2 among its bad primes, and the report's
+    slope is the one the certificate gives, n = 2..24."""
     for n in range(2, 25):
         rep = build_intersection_report(n)
-        certified = rep.slope
-        locus = rep.locus
-        mer = locus.meridian_verdict
-        assert locus.meridian_certified == (not mer.is_algebraic_integer and 2 in mer.bad_primes)
-        assert rep.slope == certified and certified.detected_slope == 0
+        mer = rep.locus.meridian_verdict
+        assert meridian_certificate(rep.locus)
+        assert not mer.is_algebraic_integer and 2 in mer.bad_primes
+        assert not rep.slope.meridian_integral and rep.slope.detected_slope == 0
 
 
 def test_longitude_is_affine_in_x_squared():

@@ -18,13 +18,11 @@ from cvtk.intersect import x_squared_at
 from cvtk.numfield import NumberField
 from cvtk.ratpoly import UniPoly
 from cvtk.trace import (
-    SlopeVerdict,
     TraceContext,
     VerificationError,
     alexander_poly,
     boundary_slope_candidates,
     delta,
-    detect_surface,
     gamma_closed,
     gamma_seifert_form,
     longitude_integrality,
@@ -255,45 +253,3 @@ def test_boundary_slopes():
     assert c2[0].expansion == (-2, -2, -3, -2, -2)
     assert c2[1].expansion == (-2, -2, -2, 3)
     assert c2[2].expansion == (3, -2, -2, -2)
-
-
-def test_detect_surface_synthetic():
-    """The verdict read off the meridian alone; the locus carries no
-    longitude attribute, so detection reads none."""
-    nonintegral = SimpleNamespace(is_algebraic_integer=False)
-    integral = SimpleNamespace(is_algebraic_integer=True)
-
-    def locus(mer):
-        return SimpleNamespace(meridian_certified=False, meridian_verdict=mer)
-
-    v = detect_surface(locus(nonintegral))
-    assert v.detected_slope == 0 and v.surface_description == "genus 1 Seifert surface"
-    assert isinstance(v, SlopeVerdict) and v.longitude_integral
-    v = detect_surface(locus(integral))
-    assert v.detected_slope == "undetermined" and v.meridian_integral
-    assert v.surface_description == (
-        "no slope detected: meridian integral status True, longitude integral status True"
-    )
-
-
-def test_detect_surface_reads_certificates_first():
-    """A holding certificate is final: no verdict of a certified locus is
-    read, not even one already computed (the locus raises on a contradicting
-    verdict itself); an uncertified locus is read by its verdict."""
-
-    class Certified:
-        meridian_certified = True
-
-        @property
-        def meridian_verdict(self):
-            raise AssertionError("the verdict of a certified locus was read")
-
-    v = detect_surface(Certified())
-    assert v.detected_slope == 0
-    integral = SimpleNamespace(is_algebraic_integer=True)
-    computed = SimpleNamespace(meridian_certified=True, meridian_verdict=integral)
-    v = detect_surface(computed)
-    assert v.detected_slope == 0 and not v.meridian_integral
-    uncertified = SimpleNamespace(meridian_certified=False, meridian_verdict=integral)
-    v = detect_surface(uncertified)
-    assert v.detected_slope == "undetermined" and v.meridian_integral
