@@ -10,7 +10,7 @@ Where the values f_j(u) at one point u are wanted for several j, f_values
 runs the recurrence once at u, in u's own ring, and gives all of them at the
 cost of one product each; that is how the trace calculus and the X model
 form their f_j values.  f_poly(j), the polynomial itself, reads one such
-table at the generator u, extended under a lock.
+table at the generator u, extended in place.
 
 identity_checks decides its product identities, such as f_j^2 - f_{j-1}
 f_{j+1} = 1, without a polynomial product.  An integer polynomial whose
@@ -24,11 +24,8 @@ bit lengths of the entries, and each identity is one int equality.
 
 from __future__ import annotations
 
-import threading
-
 from .ratpoly import UniPoly, _kronecker_pack, poly_gcd
 
-_lock = threading.Lock()
 _g: dict = {}
 _G: dict = {}
 
@@ -44,8 +41,7 @@ def f_poly(j: int) -> UniPoly:
     if j < 0:
         raise ValueError("f_poly needs j >= 0")
     if j + 2 > len(_f):
-        with _lock:
-            f_values(UniPoly.gen("u"), j, _f)
+        f_values(UniPoly.gen("u"), j, _f)
     return _f[j + 1]
 
 
@@ -77,9 +73,7 @@ def g_poly(j: int) -> UniPoly:
     if j < 1:
         raise ValueError("g_poly needs j >= 1")
     if j not in _g:
-        val = f_poly(j) - f_poly(j - 1)
-        with _lock:
-            _g.setdefault(j, val)
+        _g[j] = f_poly(j) - f_poly(j - 1)
     return _g[j]
 
 
@@ -90,9 +84,7 @@ def G_poly(j: int) -> UniPoly:
     if j not in _G:
         gj = g_poly(j)
         gj1 = g_poly(j + 1)
-        val = gj1.derivative() * gj - gj1 * gj.derivative()
-        with _lock:
-            _G.setdefault(j, val)
+        _G[j] = gj1.derivative() * gj - gj1 * gj.derivative()
     return _G[j]
 
 

@@ -32,8 +32,11 @@ traces.
 `build_intersection_report` turns the field and its generator r into the
 frozen `IntersectionLocus`, holding x^2 and the checked tau; q, both
 verdicts and the numeric points are computed on first read, and a verdict
-that contradicts a check raises.  The slope verdict and status of the
-frozen `IntersectionReport` are constants, so no read can change them.
+that contradicts a check raises.  The slope verdict, status and reducible
+flags of the frozen `IntersectionReport` are constants, so no read can
+change them: the build checks that the reducible character lies on the X
+model, and G_n(2) = n (f_{2n}(2) = 2n in (u + 2) G_n = f_{2n} + 2n) keeps
+it off the locus.
 
 Numeric values at an intersection point are the images of the same exact
 elements under the embedding r -> r0 of the field, r0 a complex root of m:
@@ -275,17 +278,18 @@ class IntersectionReport(Record):
 
     A report is built only where both checks of its locus hold, so its
     slope verdict is always the genus 1 Seifert surface of slope 0 and its
-    status always "ok"; both are class constants, not fields.
+    status always "ok"; the reducible flags are fixed too (see the module
+    docstring).  All four are class constants, not fields.
     """
 
     n: int
     locus: IntersectionLocus
     reducible: ReducibleCharacter
-    reducible_on_x_model: bool
-    reducible_is_intersection: bool
 
     slope = SlopeVerdict(False, True, 0, "genus 1 Seifert surface")
     status = "ok"
+    reducible_on_x_model = True
+    reducible_is_intersection = False
 
     @property
     def d_point_count(self) -> int:
@@ -330,17 +334,8 @@ def build_intersection_report(n: int) -> IntersectionReport:
         )
     locus = IntersectionLocus(n, base.field, base.r_elem, x2, tau)
     reducible = reducible_character(n)
-    on_model = x_relation(n, Fraction(2), reducible.x_squared) == 0
-    if not on_model:
+    if x_relation(n, Fraction(2), reducible.x_squared) != 0:
         raise VerificationError(
             f"the reducible character of n = {n} does not lie on the variety"
         )
-    # G_n(2) = n != 0, so r = 2 is never an intersection r-coordinate.
-    is_intersection = G_poly(n)(Fraction(2)) == 0
-    return IntersectionReport(
-        n=n,
-        locus=locus,
-        reducible=reducible,
-        reducible_on_x_model=on_model,
-        reducible_is_intersection=is_intersection,
-    )
+    return IntersectionReport(n=n, locus=locus, reducible=reducible)

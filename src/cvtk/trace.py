@@ -60,8 +60,7 @@ class TraceContext:
     r through f_{n+1}, built once, and t_table, which is r_table itself when
     t == r (as at every intersection character) and a second table
     otherwise.  A read past a table's end extends it in place.  The tables
-    and the delta memo are private to the context, so distinct contexts can
-    be used from different threads, but a single context must not be shared.
+    and the delta memo are private to the context.
     """
 
     def __init__(self, n: int, r, x_squared):

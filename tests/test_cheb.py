@@ -81,6 +81,8 @@ def test_G_values():
     assert G_poly(1) == UniPoly.const(1)
     assert G_poly(2) == U ** 2 - 2 * U + 2
     assert G_poly(3) == U ** 4 - 2 * U ** 3 + 3
+    # (u + 2) G_n = f_{2n} + 2n and f_j(2) = j: r = 2 is never on the locus.
+    assert [G_poly(n)(2) for n in range(2, 129)] == list(range(2, 129))
 
 
 def test_degrees_and_monic():

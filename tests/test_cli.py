@@ -627,7 +627,8 @@ def test_intersect_computes_one_minimal_polynomial(monkeypatch, capsys):
 def test_failed_meridian_certificate_exits_one(monkeypatch, capsys, argv):
     """A meridian certificate forced to fail (G_n read as not f_n^2 mod 2) is
     a verification failure when the report is built: exit 1, nothing
-    printed, and no minimal polynomial computed in its place."""
+    printed, and no minimal polynomial computed in its place.  verify-paper
+    fails exactly the rows that read a report, each with the build's error."""
     from cvtk import intersect
 
     monkeypatch.setattr(intersect, "square_mod_two", lambda G, f: False)
@@ -637,6 +638,15 @@ def test_failed_meridian_certificate_exits_one(monkeypatch, capsys, argv):
     assert out == ""
     assert err.startswith("verification failure:")
     assert calls == []
+    if argv.startswith("intersect"):
+        assert main(["verify-paper", "--n", "3"]) == 1
+        out = capsys.readouterr().out
+        assert _fail_names(out) == {
+            "meridian-nonintegral", "longitude-integral", "slope-verdict", "reducible-character"
+        }
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert all("raised VerificationError: G_2 is not f_2^2 mod 2" in line for line in failed)
+        assert out.endswith("\n1/5 checks passed\n")
 
 
 @pytest.mark.parametrize("argv", ["detect --n 8 --json", "intersect --n 3"])
@@ -687,6 +697,8 @@ def test_contradicted_certificate_is_a_verification_failure(monkeypatch, capsys)
     assert main(["intersect", "--n", "3"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("verification failure: longitude trace at n = 3 is not an algebraic integer")
+    assert main(["verify-paper", "--n", "3"]) == 1
+    assert _fail_names(capsys.readouterr().out) == {"longitude-integral"}
 
 
 def test_cheb_command(capsys):

@@ -244,6 +244,7 @@ def test_report_n2_n3():
         assert rep.slope.surface_description == "genus 1 Seifert surface"
         assert rep.reducible_on_x_model
         assert not rep.reducible_is_intersection
+        assert rep._fields == ("n", "locus", "reducible")
         assert not rep.locus.meridian_verdict.is_algebraic_integer
         assert 2 in rep.locus.meridian_verdict.bad_primes
         assert rep.locus.longitude_verdict.is_algebraic_integer

@@ -109,6 +109,31 @@ def test_src_reads_no_environment():
     assert environment_reads(ROOT) == set()
 
 
+def concurrency_imports(root: Path) -> set:
+    """(file, module) for each import of threading, multiprocessing or
+    concurrent, or of a submodule of one, in a module of root/src/cvtk."""
+    banned = {"threading", "multiprocessing", "concurrent"}
+    out = set()
+    for path in sorted((root / "src" / "cvtk").glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module]
+            else:
+                continue
+            out.update((path.relative_to(root).as_posix(), m)
+                       for m in modules if m.split(".")[0] in banned)
+    return out
+
+
+def test_src_starts_no_threads_or_processes():
+    """cvtk is single-process: nothing starts a thread or a worker, so its
+    module caches (cheb's polynomial tables among them) are filled without
+    a lock."""
+    assert concurrency_imports(ROOT) == set()
+
+
 def modular_importers(root: Path) -> set:
     """The modules of root/src/cvtk, ratpoly aside, that import a name of
     ratpoly's GF(p) helpers: a _gfb* or _gf_* function, or _GFB_PRIMES."""
