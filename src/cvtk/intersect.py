@@ -43,10 +43,11 @@ elements under the embedding r -> r0 of the field, r0 a complex root of m:
 one `knotgrp.RootApproximations` certifies the roots and evaluates the
 power-basis coordinates of x^2 and tau at them with error bounds, and
 `IntersectionLocus.points` holds (r0, x0 = sqrt(x^2(r0)), tau(r0)).  m has
-integer coefficients, so its roots come in conjugate pairs: where the float
-seeds pair up (n = 2..24), one root of each pair is refined, bounded and
-evaluated, and the other is its exact conjugate, with the conjugate x^2 and
-tau and its own principal square root.
+integer coefficients, so its roots come in conjugate pairs.  The float
+seeds come from the four-term form of G_n in z, r = z + 1/z
+(`knotgrp._zform_seeds`), and pair up at every n tried: one root of each
+pair is refined, bounded and evaluated, and the other is its exact
+conjugate, with the conjugate x^2 and tau and its own principal square root.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from functools import cached_property
 from . import Record
 from .cheb import G_poly, f_poly, require_family_index, square_mod_two
 from .factor import musser_certificate
-from .knotgrp import RootApproximations, sorted_complex
+from .knotgrp import RootApproximations, _zform_seeds, sorted_complex
 from .numfield import (
     IntegralityVerdict,
     NFElem,
@@ -161,7 +162,7 @@ class IntersectionLocus(Record):
         from one `RootApproximations`."""
         x2, tau = self.x_squared, self.longitude_elem
         elements = ((x2.num, x2.den, True), (tau.num, tau.den, False))
-        approx = RootApproximations(self.modulus, elements)
+        approx = RootApproximations(self.modulus, elements, _zform_seeds(self.n))
         by_root = dict(zip(approx.roots, zip(*approx.images)))
         return tuple((r0, *by_root[r0]) for r0 in sorted_complex(by_root))
 

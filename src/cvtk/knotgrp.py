@@ -21,12 +21,14 @@ are multiplied out left to right, once per relator for residual and tolerance.
 The points come from the constructor of `RootApproximations`: every root of
 an integer polynomial by an Aberth-Ehrlich iteration on Gaussian fixed-point
 integers, each certified by an inclusion disc, and the images of the given
-number-field elements at those roots with error bounds.  The roots come in
-conjugate pairs, so when the float seeds pair up, one root of each pair is
-refined, bounded and evaluated, and its conjugate is mirrored; a failed
-paired run is retried unpaired.  Precision is derived from the polynomial and
-doubled only when a certificate or a bound fails, so no module needs a
-multiprecision float library.
+number-field elements at those roots with error bounds.  The float seeds
+are generic (`_aberth_seeds`) or, for G_n, from its four-term form in z,
+r = z + 1/z (`_zform_seeds`).  The roots come in conjugate pairs, so when
+the float seeds pair up, one root of each pair is refined, bounded and
+evaluated, and its conjugate is mirrored; a failed paired run is retried
+unpaired.  Precision is derived from the polynomial and doubled only when a
+certificate or a bound fails, so no module needs a multiprecision float
+library.
 """
 
 from __future__ import annotations
@@ -335,6 +337,61 @@ def _aberth_seeds(coeffs: list):
     return None
 
 
+def _zform_seeds(n: int):
+    """Float approximations of the 2n - 2 roots of G_n, from its four-term
+    form in z, r = z + 1/z:
+
+        z^(2n-2) (z - 1) (z + 1)^3 G_n(r) = z^(4n) + 2n z^(2n+1) - 2n z^(2n-1) - 1.
+
+    The roots of Q(z) = z^(2n-2) G_n(z + 1/z) are the points z_j and their
+    reciprocals, so the Aberth-Ehrlich iteration on Q moves only the points,
+    kept at |z| >= 1 (a point inside the unit circle is reflected to 1/z),
+    and sums over the other points and every reciprocal.  With w = 1/z and
+    F(z) = z^(2n) - z^(-2n) + 2n (z - 1/z), whose terms over z^(2n) are
+    powers of w, Q'/Q = F'/F + 2n/z - 1/(z - 1) - 3/(z + 1).  Each point
+    stops at Bini's test, once |F(z)| is within rounding error of the sum of
+    the absolute values of its four terms, or after 100 sweeps.  The points
+    start on |z| = 1.05, off the real axis and symmetric under conjugation,
+    as the roots of G_n are.  r = z + 1/z at each point, or None if one is
+    not finite.
+    """
+    deg, m = 2 * n - 2, 2 * n
+    zs = [1.05 * cmath.exp(2j * pi * (k + 0.5) / deg) for k in range(deg)]
+    invs = [1 / z for z in zs]
+    done = [False] * deg
+    for _ in range(100):
+        for i, z in enumerate(zs):
+            if done[i]:
+                continue
+            w = invs[i]
+            w2 = w * w
+            wm1 = w ** (m - 1)
+            wm = wm1 * w
+            w2m = wm * wm
+            # F(z) / z^(2n) and F'(z) / z^(2n), every power of w at most 1
+            f = 1 - w2m + m * wm1 * (1 - w2)
+            df = m * (w + w2m * w + wm * (1 + w2))
+            bound = 1 + abs(w2m) + m * abs(wm1) * (1 + abs(w2))
+            if abs(f) <= 4 * (2 * m) * 2.0 ** -53 * bound:  # 2m = 4n, the degree in z
+                done[i] = True
+                continue
+            try:
+                log_deriv = df / f + m * w - 1 / (z - 1) - 3 / (z + 1)
+                s = sum([1 / (z - y) for y in zs[:i] + zs[i + 1:] + invs])
+                z = z - 1 / (log_deriv - s)
+                if abs(z) < 1:
+                    z = 1 / z
+            except ZeroDivisionError:
+                continue
+            zs[i], invs[i] = z, 1 / z
+        if all(done):
+            break
+    rs = [z + v for z, v in zip(zs, invs)]
+    if all(cmath.isfinite(r) for r in rs):
+        return rs
+    return None
+
+
 def _circle_seeds(coeffs: list) -> list:
     """Points on the circle of the Cauchy bound 1 + max |a_k / a_deg|."""
     deg = len(coeffs) - 1
@@ -461,10 +518,14 @@ class RootApproximations:
     polynomial, as Gaussian fixed-point integers (re + i im) 2^-bits, and the
     images there of field elements given as (num, den, sqrt) triples.
 
-    The roots of an integer polynomial are closed under conjugation, so the
-    float `_aberth_seeds` are paired first (`_conjugate_pairs`): `pairs`
-    holds (representative, mirror) indices, and the seeds in no pair are
-    free points.  The Aberth-Ehrlich iteration runs in ints over the
+    The float seeds are the given ones, one per root (G_n passes
+    `_zform_seeds`), or else `_aberth_seeds`, or the Cauchy circle when those
+    are not finite; a seed list of another length is an ExactArithError.
+    Seeds only start the iteration, so they can cost time but never a wrong
+    root.  The roots of an integer polynomial are closed under conjugation,
+    so the seeds are paired first (`_conjugate_pairs`): `pairs` holds
+    (representative, mirror) indices, and the seeds in no pair are free
+    points.  The Aberth-Ehrlich iteration runs in ints over the
     representatives and the free points, Gauss-Seidel, and stops at each
     once |p(z)| is below the rounding bound of its Horner sum (Bini's test);
     each mirror moves with its representative as its exact conjugate
@@ -493,11 +554,17 @@ class RootApproximations:
     mirror takes the conjugate value (see `_fixed_images`).
     """
 
-    def __init__(self, p: UniPoly, elements=()):
+    def __init__(self, p: UniPoly, elements=(), seeds=None):
         if p.degree < 1:
             raise ExactArithError("root isolation needs a nonconstant polynomial")
         self.coeffs = list(reversed(p.primitive().num))
-        self._seeds = _aberth_seeds(self.coeffs) or _circle_seeds(self.coeffs)
+        if seeds is None:
+            seeds = _aberth_seeds(self.coeffs) or _circle_seeds(self.coeffs)
+        elif len(seeds) != p.degree:
+            raise ExactArithError(
+                f"{len(seeds)} root seeds given for a degree-{p.degree} polynomial"
+            )
+        self._seeds = list(seeds)
         reach = 1.0625 * max(abs(z) for z in self._seeds) + 2.0 ** -20
         horner_bound = _log2_sum(
             log2(abs(c)) + k * log2(reach) for k, c in enumerate(reversed(self.coeffs)) if c
@@ -708,7 +775,7 @@ def sorted_complex(values) -> list:
 
 
 def complex_roots(p: UniPoly):
-    """All complex roots of the squarefree polynomial p, certified by
-    disjoint inclusion discs of radius below ROOT_RADIUS and sorted by
-    (real, imaginary) lexicographically."""
+    """All complex roots of the squarefree polynomial p, from the generic
+    `_aberth_seeds`, certified by disjoint inclusion discs of radius below
+    ROOT_RADIUS and sorted by (real, imaginary) lexicographically."""
     return sorted_complex(RootApproximations(p).roots)

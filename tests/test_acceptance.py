@@ -223,7 +223,11 @@ def test_criterion_17_intersect_n32(capsys):
     start = time.monotonic()
     assert main(["intersect", "--n", "32"]) == 0
     assert time.monotonic() - start < 15.0
-    obj = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f3d26b6cdee13718ee45af09b85c8c82a6bab2dad9de38f6082b71a63628b4b1"
+    )
+    obj = json.loads(out)
     assert obj["status"] == "ok"
     for locus in obj["loci"]:
         approx = locus["approx"]
@@ -260,6 +264,19 @@ def test_criterion_20_intersect_n48(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "f323ddad3c98e7978ca4f5348f4c4051531eff832e118127de1f885d2b92cb3f"
+    )
+
+
+def test_criterion_22_intersect_n64(capsys):
+    """intersect --n 64 exits 0 within 4 s and prints the output recorded
+    while G_n was seeded by the generic float seeds, which paired no roots
+    at this n; that path also ran within this budget."""
+    start = time.monotonic()
+    assert main(["intersect", "--n", "64"]) == 0
+    assert time.monotonic() - start < 4.0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bcd39b8432de628a2ec616cfa248400a5850f7a1fd62a3bc06bea0b1b1e80370"
     )
 
 

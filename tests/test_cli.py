@@ -217,7 +217,7 @@ def test_rep_checks_root_index_before_root_finding(monkeypatch, capsys):
     the command never root-finds the locus to learn it."""
     from cvtk import intersect
 
-    def no_root_finding(p, elements):
+    def no_root_finding(p, elements, seeds):
         raise AssertionError("rep root-found the modulus for a usage error")
 
     monkeypatch.setattr(intersect, "RootApproximations", no_root_finding)
@@ -238,13 +238,43 @@ def test_one_root_approximation_per_locus(monkeypatch, capsys):
     good = intersect.RootApproximations
     built = []
     monkeypatch.setattr(intersect, "RootApproximations",
-                        lambda p, elements: built.append(p) or good(p, elements))
+                        lambda p, elements, seeds: built.append(p) or good(p, elements, seeds))
     assert main(["intersect", "--n", "5"]) == 0
     assert built == [build_intersection_report(5).locus.modulus]
     built.clear()
     assert main(["verify-paper"]) == 0
     capsys.readouterr()
     assert [p.degree for p in built] == [2, 4]  # the n = 2 and n = 3 loci
+
+
+def test_intersect_seeds_from_the_z_form(monkeypatch, capsys):
+    """intersect seeds G_n from its z-form and never runs the generic seeds;
+    z-form seeds that are not finite (None) fall back to them, and print the
+    same output."""
+    from cvtk import intersect, knotgrp
+
+    good = knotgrp._aberth_seeds
+    calls = []
+    monkeypatch.setattr(knotgrp, "_aberth_seeds", lambda coeffs: calls.append(coeffs) or good(coeffs))
+    assert main(["intersect", "--n", "5"]) == 0
+    expected = capsys.readouterr().out
+    assert calls == []
+    monkeypatch.setattr(intersect, "_zform_seeds", lambda n: None)
+    assert main(["intersect", "--n", "5"]) == 0
+    assert capsys.readouterr().out == expected
+    assert len(calls) == 1
+
+
+def test_wrong_seed_count_exits_one(monkeypatch, capsys):
+    """A seed list whose length is not the degree of the modulus is an
+    internal error, before any seed is read."""
+    from cvtk import intersect
+
+    monkeypatch.setattr(intersect, "_zform_seeds", lambda n: [1j] * (2 * n - 3))
+    assert main(["intersect", "--n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: 3 root seeds given for a degree-4 polynomial\n"
 
 
 def test_internal_error_exits_one(monkeypatch, capsys):

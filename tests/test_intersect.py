@@ -19,6 +19,7 @@ from cvtk.cheb import G_poly, f_poly
 from cvtk.factor import musser_certificate
 from cvtk.golden import default_fixtures
 from cvtk.intersect import (
+    IntersectionReport,
     build_intersection_report,
     intersection_loci,
     meridian_certificate,
@@ -235,16 +236,16 @@ def test_report_without_witness_is_unchanged(monkeypatch):
 
 
 def test_report_n2_n3():
+    assert IntersectionReport.status == "ok"
+    assert IntersectionReport.slope.detected_slope == 0
+    assert IntersectionReport.slope.surface_description == "genus 1 Seifert surface"
+    assert IntersectionReport.reducible_on_x_model
+    assert not IntersectionReport.reducible_is_intersection
+    assert IntersectionReport._fields == ("n", "locus", "reducible")
     for n in (2, 3):
         rep = build_intersection_report(n)
-        assert rep.status == "ok"
         assert rep.d_point_count == 2 * n - 2
         assert rep.x_point_count == 2 * (2 * n - 2)
-        assert rep.slope.detected_slope == 0
-        assert rep.slope.surface_description == "genus 1 Seifert surface"
-        assert rep.reducible_on_x_model
-        assert not rep.reducible_is_intersection
-        assert rep._fields == ("n", "locus", "reducible")
         assert not rep.locus.meridian_verdict.is_algebraic_integer
         assert 2 in rep.locus.meridian_verdict.bad_primes
         assert rep.locus.longitude_verdict.is_algebraic_integer

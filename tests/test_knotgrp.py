@@ -300,10 +300,10 @@ def test_inclusion_radii_are_weierstrass_bounds():
             assert abs(z - mpmath.nint(z.real)) <= radius
 
 
-def _certified_strs(p, elements):
+def _certified_strs(p, elements, seeds=None):
     """The 12-digit roots and images of one RootApproximations, in
     `complex_roots` order, after checking its discs pairwise disjoint."""
-    approx = RootApproximations(p, elements)
+    approx = RootApproximations(p, elements, seeds)
     scale, pts, radii = 1 << approx.bits, approx.points, approx.radii
     for i in range(len(pts)):
         for j in range(i):
@@ -314,18 +314,23 @@ def _certified_strs(p, elements):
     return approx.pairs, [[complex_str(v) for v in row] for row in rows]
 
 
+def _g_n_case(n):
+    """G_n with the (num, den, sqrt) triples of x0 and tau0 at its roots."""
+    locus = build_intersection_report(n).locus
+    x2, tau = locus.x_squared, locus.longitude_elem
+    return locus.modulus, ((x2.num, x2.den, True), (tau.num, tau.den, False))
+
+
 def test_paired_roots_match_unpaired_roots(monkeypatch):
     """Refining one root of each conjugate pair gives the 12-digit roots and
     images of the unpaired run, on G_n (n = 2..24) with x0 and tau0, and on
     real polynomials that mix real roots and conjugate pairs, of odd and even
     degree, with x^2 (-1 at +-i, on the branch cut of the square root) and
-    x - 5 (negative at each real root) under square roots."""
+    x - 5 (negative at each real root) under square roots.  The seeds from
+    the z-form of G_n pair up, n = 2..24 and n = 32 (where the generic seeds
+    do not), and certify the same strings as the generic ones."""
     x = UniPoly.gen("x")
-    cases = []
-    for n in range(2, 25):
-        locus = build_intersection_report(n).locus
-        x2, tau = locus.x_squared, locus.longitude_elem
-        cases.append((locus.modulus, ((x2.num, x2.den, True), (tau.num, tau.den, False))))
+    cases = [_g_n_case(n) for n in range(2, 25)]
     real = [
         (x - 2) * (x ** 2 + 1) * (x ** 2 - 3),
         (x ** 2 - 2) * (x ** 2 + 1) * (x ** 2 + 2 * x + 5),
@@ -337,9 +342,54 @@ def test_paired_roots_match_unpaired_roots(monkeypatch):
     paired = [_certified_strs(p, el) for p, el in cases]
     assert all(pairs for pairs, _ in paired)
     assert all(2 * len(pairs) < p.degree for (pairs, _), (p, _) in zip(paired[-4:], cases[-4:]))
+    z_seeded = [(n, p, el, strs) for n, (p, el), (_, strs) in zip(range(2, 25), cases, paired)]
+    p, el = _g_n_case(32)
+    z_seeded.append((32, p, el, _certified_strs(p, el)[1]))
+    for n, p, el, strs in z_seeded:
+        z_pairs, z_strs = _certified_strs(p, el, knotgrp._zform_seeds(n))
+        assert len(z_pairs) == n - 1 and z_strs == strs, n
     monkeypatch.setattr(knotgrp, "_conjugate_pairs", lambda seeds: ())
     for (p, el), (_, strs) in zip(cases, paired):
         assert _certified_strs(p, el) == ((), strs), p
+
+
+def test_zform_seeds_pair_up():
+    """Every z-form seed of G_n falls into one of n - 1 conjugate pairs,
+    n = 2..48 and 64."""
+    for n in [*range(2, 49), 64]:
+        seeds = knotgrp._zform_seeds(n)
+        assert len(seeds) == 2 * n - 2
+        assert len(knotgrp._conjugate_pairs(seeds)) == n - 1, n
+
+
+def test_zform_seeded_g64_stays_paired():
+    """At n = 64 the z-form seeds certify G_n and both images on the paired
+    run: no unpaired retry, no precision doubling, at most 10 sweeps."""
+    p, elements = _g_n_case(64)
+    approx = RootApproximations(p, elements, knotgrp._zform_seeds(64))
+    assert len(approx.pairs) == 63
+    assert approx._doublings == 0
+    assert approx._sweeps <= 10
+
+
+def test_moved_seeds_certify_the_same_roots():
+    """Seeds only start the iteration: the z-form seeds of G_12 in another
+    order, or each moved off its conjugate by up to 1e-3, certify the same
+    12-digit roots and images as the generic seeds."""
+    p, elements = _g_n_case(12)
+    _, strs = _certified_strs(p, elements)
+    seeds = knotgrp._zform_seeds(12)
+    rng = random.Random(12)
+    moved = [z + complex(rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3)) for z in seeds]
+    for variant in (seeds[5:] + seeds[:5], moved):
+        assert _certified_strs(p, elements, variant)[1] == strs
+
+
+def test_seed_count_must_match_the_degree():
+    p = UniPoly([2, -2, 1], "x")
+    for seeds in ([1 + 1j], [1 + 1j, 1 - 1j, 0j]):
+        with pytest.raises(ExactArithError, match="root seeds given for a degree-2"):
+            RootApproximations(p, seeds=seeds)
 
 
 def test_fixed_square_roots_take_mpmath_branches():
