@@ -6,12 +6,14 @@ coefficient and F mod p is squarefree; then F is squarefree over Q too.
 Split F by distinct degree modulo each usable prime up to 83, in the byte
 kernel of cvtk.ratpoly (_gfb_*).  The Frobenius columns x^(j p) mod f are
 built once per prime, each the remainder (_gfb_rem) of x^p times the one
-before, and h -> h^p is a sum of translated columns.  A factor of F over Q
-has a degree that is a subset sum of the modular factor degrees for every
-prime, so when the intersection of these degree sets is {0, n}, F is
-irreducible.  The primes are tried in increasing order until that holds;
-the bound 83 is the byte kernel's.  An input with no usable prime up to 83
-raises ExactArithError.
+before, and h -> h^p is a sum of translated columns.  The squarefree test
+and the split's gcds with h - x run _gfb_gcd, one Euclid loop with its
+remainder steps inline and the inverses mod p read from the kernel's
+per-prime tables.  A factor of F over Q has a degree that is a subset sum
+of the modular factor degrees for every prime, so when the intersection of
+these degree sets is {0, n}, F is irreducible.  The primes are tried in
+increasing order until that holds; the bound 83 is the byte kernel's.  An
+input with no usable prime up to 83 raises ExactArithError.
 
 The certificate proves irreducibility and never disproves it: a reducible
 F, or an irreducible one that splits modulo every prime (a Swinnerton-Dyer
@@ -53,7 +55,7 @@ def _gfb_frobenius_map(h, cols, p):
     The sum keeps every residue in its byte: after a reduction a byte holds
     at most p - 1, and each added column at most p - 1 more, so the sum is
     reduced after every 255 // (p - 1) - 1 columns."""
-    rows = _gfb_tables(p)
+    rows = _gfb_tables(p)[0]
     mod = rows[1]
     n = len(cols)
     headroom = 255 // (p - 1) - 1

@@ -673,26 +673,31 @@ def _gf_eval(a, x: int, p: int) -> int:
 # next (Lamport, "Multiple byte processing with full-word instructions",
 # CACM 1975).  A remainder step with a two-term quotient adds two multiples
 # of the divisor to the dividend, so three residues share a byte:
-# 3 (p - 1) <= 255, that is p <= 86.
+# 3 (p - 1) <= 255, that is p <= 86.  The quotient terms are read off
+# translate rows as well, through the inverses mod p that _gfb_tables(p)
+# keeps beside the rows, so a step computes no residue in Python.  _gfb_rem
+# runs the step for division and the Frobenius columns; _gfb_gcd runs the
+# same step inline in its Euclid loop.
 _GFB_PRIMES = tuple(p for p in range(2, 255 // 3 + 2) if all(p % d for d in range(2, p)))
 
 _GFB_TABLES = {}
 
 
 def _gfb_tables(p):
-    """The translate rows mod p: row c < p maps every byte v to c*v mod p.
+    """The translate rows and the inverses mod p: row c < p maps every byte
+    v to c*v mod p, and byte c of the inverses is 1/c mod p (byte 0 is 0).
 
     Built on the first use of p and kept; row c is row c - 1 plus row 1,
     added as ints (each byte below 2p) and reduced by row 1."""
-    rows = _GFB_TABLES.get(p)
-    if rows is None:
+    tables = _GFB_TABLES.get(p)
+    if tables is None:
         mod = bytes(v % p for v in range(256))
         one = int.from_bytes(mod, "little")
         rows = [bytes(256), mod]
         for _ in range(2, p):
             rows.append((int.from_bytes(rows[-1], "little") + one).to_bytes(256, "little").translate(mod))
-        _GFB_TABLES[p] = rows
-    return rows
+        tables = _GFB_TABLES[p] = rows, bytes([0] + [pow(c, -1, p) for c in range(1, p)])
+    return tables
 
 
 def _gfb(a, p):
@@ -702,7 +707,10 @@ def _gfb(a, p):
 
 
 def _gfb_monic(a, p):
-    return a.translate(_gfb_tables(p)[pow(a[-1], -1, p)]) if a and a[-1] != 1 else a
+    if not a or a[-1] == 1:
+        return a
+    rows, inv = _gfb_tables(p)
+    return a.translate(rows[inv[a[-1]]])
 
 
 def _gfb_deriv(a, p):
@@ -713,25 +721,27 @@ def _gfb_rem(a, b, p, q=None):
     """Remainder of byte polynomials mod p, b of degree at least 1; the
     quotient's terms go into the bytearray q when one is given.
 
-    Two quotient terms at a time: c1 and c0 are read off the top two bytes
-    of the running remainder, and r - (c1 x + c0) x^k b is one add of r and
-    two translated, shifted copies of b, then one reduction."""
-    rows = _gfb_tables(p)
+    Two quotient terms at a time, both negated and read through the row of
+    -1/lc(b): n1 = -c1 off the top byte of the running remainder, n0 = -c0
+    off the next byte plus b1 * n1.  Then r - (c1 x + c0) x^k b is one add
+    of r and two translated, shifted copies of b, and one reduction; each
+    byte of the sum holds at most 3 (p - 1)."""
+    rows, inv = _gfb_tables(p)
     mod = rows[1]
     db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    b1 = b[-2]
+    neg = rows[p - inv[b[-1]]]
+    b1 = rows[b[-2]]
     while len(a) > db:
         k = len(a) - 1 - db
-        c1 = a[-1] * inv % p
-        s = int.from_bytes(a, "little") + (int.from_bytes(b.translate(rows[-c1]), "little") << 8 * k)
+        n1 = neg[a[-1]]
+        s = int.from_bytes(a, "little") + (int.from_bytes(b.translate(rows[n1]), "little") << 8 * k)
         if k:
-            c0 = (a[-2] - c1 * b1) * inv % p
-            s += int.from_bytes(b.translate(rows[-c0]), "little") << 8 * k - 8
+            n0 = neg[a[-2] + b1[n1]]
+            s += int.from_bytes(b.translate(rows[n0]), "little") << 8 * k - 8
         if q is not None:
-            q[k] = c1
+            q[k] = -n1 % p
             if k:
-                q[k - 1] = c0
+                q[k - 1] = -n0 % p
         a = s.to_bytes(len(a), "little").translate(mod).rstrip(b"\0")
     return a
 
@@ -745,9 +755,28 @@ def _gfb_divmod(a, b, p):
 
 
 def _gfb_gcd(a, b, p):
-    """Monic gcd of byte polynomials mod p."""
+    """Monic gcd of byte polynomials mod p.
+
+    Euclid's loop with _gfb_rem's step written out inline.  Most remainders
+    of a gcd take one step, so a call to _gfb_rem, with its table lookup and
+    set-up, cost about as much as the step; here the rows of each divisor
+    are read once, and a step reads its two quotient terms off them, then
+    adds two translates and reduces."""
+    rows, inv = _gfb_tables(p)
+    mod = rows[1]
     while len(b) > 1:
-        a, b = b, _gfb_rem(a, b, p)
+        db = len(b) - 1
+        neg = rows[p - inv[b[-1]]]
+        b1 = rows[b[-2]]
+        while len(a) > db:
+            k = len(a) - 1 - db
+            n1 = neg[a[-1]]
+            s = int.from_bytes(a, "little") + (int.from_bytes(b.translate(rows[n1]), "little") << 8 * k)
+            if k:
+                n0 = neg[a[-2] + b1[n1]]
+                s += int.from_bytes(b.translate(rows[n0]), "little") << 8 * k - 8
+            a = s.to_bytes(len(a), "little").translate(mod).rstrip(b"\0")
+        a, b = b, a
     return b"\1" if b else _gfb_monic(a, p)
 
 

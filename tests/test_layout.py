@@ -195,8 +195,9 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     the hashlib and os.urandom seeding it does on import, has no use in
     exact code.  The interpreter starts with -S, as a site hook may import
     random before any user code, and only the modules the import adds
-    count.  The GF(p) translate tables are built on first use, so after the
-    import their cache is still empty."""
+    count.  The GF(p) translate rows and inverses are built on first use,
+    into one per-prime cache, so after the import that cache is still
+    empty."""
     code = (
         "import sys; before = set(sys.modules); import cvtk.cli; "
         "print(sorted({'dataclasses', 'inspect', 'random'} & (set(sys.modules) - before)), "

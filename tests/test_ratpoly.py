@@ -361,7 +361,8 @@ def test_conv_kronecker_slots_hold_extreme_coefficients():
                 assert ratpoly._conv(a, b) == ratpoly._conv_rows(a, b)
 
 
-GF_PRIMES = (2, 3, 37, 83)
+# 7 is last so that the random draws for the other primes stay as they were.
+GF_PRIMES = (2, 3, 37, 83, 7)
 
 
 def _gf_poly(rng, length, p, monic=False):
@@ -373,7 +374,8 @@ def _gf_poly(rng, length, p, monic=False):
 
 def test_gf_divmod_and_gcd_match_galoistools():
     """The byte kernel's _gfb_divmod and _gfb_gcd against
-    sympy.polys.galoistools gf_div and gf_gcd at p = 2, 3, 37 and 83, on
+    sympy.polys.galoistools gf_div and gf_gcd at p = 2, 3, 7, 37 and 83 (7
+    is a prime of Musser's certificate for G_n at n = 8, 12 and 19), on
     inputs built with galoistools' gf_mul and gf_add: quotients of one, two
     and more terms, pairs with a planted common factor, remainder sequences
     whose degree drops by more than one, and dense operands at residue
@@ -431,14 +433,15 @@ def test_gf_divmod_and_gcd_match_galoistools():
 
 def test_gfb_kernel_edges():
     """Byte-kernel conversions and edge cases: zero and constant operands,
-    translate rows, monic, derivative, and the prime list the byte-slot
-    bound gives (every prime p with 3 (p - 1) <= 255)."""
+    translate rows and cached inverses, monic, derivative, and the prime
+    list the byte-slot bound gives (every prime p with 3 (p - 1) <= 255)."""
     assert ratpoly._GFB_PRIMES == tuple(
         p for p in range(2, 100) if all(p % d for d in range(2, p)) and 3 * (p - 1) <= 255)
     assert ratpoly._GFB_PRIMES[-1] == 83
     for p in ratpoly._GFB_PRIMES:
-        rows = ratpoly._gfb_tables(p)
+        rows, inv = ratpoly._gfb_tables(p)
         assert [list(r) for r in rows] == [[c * v % p for v in range(256)] for c in range(p)]
+        assert len(inv) == p and all(c * inv[c] % p == 1 for c in range(1, p))
     p = 83
     assert ratpoly._gfb([83, -1, 166, 0, 2 * 83], p) == bytes([0, 82])
     assert ratpoly._gfb([83, 166], p) == b""
