@@ -101,10 +101,6 @@ def default_fixtures() -> dict:
     return {2: _N2, 3: _N3}
 
 
-def fixtures_to_json(fixtures: dict) -> dict:
-    return {str(n): fx.to_json() for n, fx in sorted(fixtures.items())}
-
-
 def load_fixtures(path: str) -> dict:
     """Fixtures from a JSON file (the verify command's override hook).
 

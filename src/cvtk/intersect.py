@@ -158,8 +158,8 @@ class IntersectionLocus(Record):
     @cached_property
     def points(self) -> tuple:
         """(r0, x0 = sqrt(x^2(r0)), tau(r0)) at each root r0 of the modulus, as
-        Python complexes in `complex_roots` order (x0 the principal root), all
-        from one `RootApproximations`."""
+        Python complexes in `sorted_complex` order of r0 (x0 the principal
+        root), all from one `RootApproximations` seeded by `_zform_seeds`."""
         x2, tau = self.x_squared, self.longitude_elem
         elements = ((x2.num, x2.den, True), (tau.num, tau.den, False))
         approx = RootApproximations(self.modulus, elements, _zform_seeds(self.n))

@@ -20,22 +20,22 @@ are multiplied out left to right, once per relator for residual and tolerance.
 
 The points come from the constructor of `RootApproximations`: every root of
 an integer polynomial by an Aberth-Ehrlich iteration on Gaussian fixed-point
-integers, each certified by an inclusion disc, and the images of the given
-number-field elements at those roots with error bounds.  The float seeds
-are generic (`_aberth_seeds`) or, for G_n, from its four-term form in z,
-r = z + 1/z (`_zform_seeds`).  The roots come in conjugate pairs, so when
-the float seeds pair up, one root of each pair is refined, bounded and
-evaluated, and its conjugate is mirrored; a failed paired run is retried
-unpaired.  Precision is derived from the polynomial and doubled only when a
-certificate or a bound fails, so no module needs a multiprecision float
-library.
+integers from the caller's float seeds, each certified by an inclusion disc,
+and the images of the given number-field elements at those roots with error
+bounds.  The one polynomial cvtk root-finds is G_n, seeded from its
+four-term form in z, r = z + 1/z (`_zform_seeds`).  The roots come in
+conjugate pairs, so when the float seeds pair up, one root of each pair is
+refined, bounded and evaluated, and its conjugate is mirrored; a failed
+paired run is retried unpaired.  Precision is derived from the polynomial
+and doubled only when a certificate or a bound fails, so no module needs a
+multiprecision float library.
 """
 
 from __future__ import annotations
 
 import cmath
 from functools import cached_property
-from math import ceil, exp, gcd, hypot, inf, isqrt, log, log2, pi, sqrt
+from math import ceil, gcd, hypot, inf, isqrt, log2, pi, sqrt
 
 from . import Record
 from .cheb import require_family_index
@@ -291,53 +291,7 @@ ROOT_RADIUS = 2.0 ** -(CLEANUP_BITS + 1)  # every inclusion radius is below this
 VALUE_TOL = 1e-20  # every image is within VALUE_TOL * max(1, |v|)
 
 
-def _horner(coeffs, z):
-    """(p(z), p'(z)) for coefficients listed highest degree first."""
-    p = dp = 0j
-    for c in coeffs:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
-def _aberth_seeds(coeffs: list):
-    """Float approximations of the roots of an integer polynomial (highest
-    degree first) by the Aberth-Ehrlich iteration, to start the integer one.
-
-    The sweeps stop once every |p(z)| is within rounding error of the Horner
-    sum of |a_k| |z|^k (Bini's test): floats cannot place the roots better.
-    None if a seed is not finite.
-    """
-    deg = len(coeffs) - 1
-    scale = 1 << max(abs(c).bit_length() for c in coeffs)
-    fwd = [c / scale for c in coeffs]  # int true division: never overflows
-    rev = fwd[::-1]
-    abs_fwd, abs_rev = [abs(c) for c in fwd], [abs(c) for c in rev]
-    lo = abs(coeffs[-1]) or 1
-    radius = exp((log(lo) - log(abs(coeffs[0]))) / deg)
-    zs = [radius * cmath.exp(2j * pi * (k + 0.25) / deg) for k in range(deg)]
-    for _ in range(100):
-        converged = True
-        for i, z in enumerate(zs):
-            if abs(z) <= 1:
-                (den, num), bound = _horner(fwd, z), _horner(abs_fwd, abs(z))[0]
-            else:  # p(z) = z^deg rev(w) with w = 1/z keeps the powers bounded
-                w = 1 / z
-                (den, dr), bound = _horner(rev, w), _horner(abs_rev, abs(w))[0]
-                num = w * (deg * den - w * dr)
-            # num / den = p'(z) / p(z)
-            converged = converged and abs(den) <= 4 * deg * 2.0 ** -53 * bound.real
-            denom = num - den * sum(1 / (z - y) for y in zs if y != z)
-            if den != 0 and denom != 0:
-                zs[i] = z - den / denom
-        if converged:
-            break
-    if all(cmath.isfinite(z) for z in zs):
-        return zs
-    return None
-
-
-def _zform_seeds(n: int):
+def _zform_seeds(n: int) -> list:
     """Float approximations of the 2n - 2 roots of G_n, from its four-term
     form in z, r = z + 1/z:
 
@@ -352,8 +306,7 @@ def _zform_seeds(n: int):
     stops at Bini's test, once |F(z)| is within rounding error of the sum of
     the absolute values of its four terms, or after 100 sweeps.  The points
     start on |z| = 1.05, off the real axis and symmetric under conjugation,
-    as the roots of G_n are.  r = z + 1/z at each point, or None if one is
-    not finite.
+    as the roots of G_n are.  r = z + 1/z at each point.
     """
     deg, m = 2 * n - 2, 2 * n
     zs = [1.05 * cmath.exp(2j * pi * (k + 0.5) / deg) for k in range(deg)]
@@ -386,17 +339,7 @@ def _zform_seeds(n: int):
             zs[i], invs[i] = z, 1 / z
         if all(done):
             break
-    rs = [z + v for z, v in zip(zs, invs)]
-    if all(cmath.isfinite(r) for r in rs):
-        return rs
-    return None
-
-
-def _circle_seeds(coeffs: list) -> list:
-    """Points on the circle of the Cauchy bound 1 + max |a_k / a_deg|."""
-    deg = len(coeffs) - 1
-    radius = 1 + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0])
-    return [radius * cmath.exp(2j * pi * (k + 0.25) / deg) for k in range(deg)]
+    return [z + v for z, v in zip(zs, invs)]
 
 
 def _fixed(x: float, bits: int) -> int:
@@ -518,18 +461,17 @@ class RootApproximations:
     polynomial, as Gaussian fixed-point integers (re + i im) 2^-bits, and the
     images there of field elements given as (num, den, sqrt) triples.
 
-    The float seeds are the given ones, one per root (G_n passes
-    `_zform_seeds`), or else `_aberth_seeds`, or the Cauchy circle when those
-    are not finite; a seed list of another length is an ExactArithError.
-    Seeds only start the iteration, so they can cost time but never a wrong
-    root.  The roots of an integer polynomial are closed under conjugation,
-    so the seeds are paired first (`_conjugate_pairs`): `pairs` holds
-    (representative, mirror) indices, and the seeds in no pair are free
-    points.  The Aberth-Ehrlich iteration runs in ints over the
-    representatives and the free points, Gauss-Seidel, and stops at each
-    once |p(z)| is below the rounding bound of its Horner sum (Bini's test);
-    each mirror moves with its representative as its exact conjugate
-    (re, -im).  bits is derived from the polynomial: TARGET_BITS plus log2 of
+    The float seeds are the caller's, one per root (G_n passes
+    `_zform_seeds`); a seed list of another length, or a seed that is not
+    finite, is an ExactArithError.  Seeds only start the iteration, so they
+    can cost time but never a wrong root.  The roots of an integer
+    polynomial are closed under conjugation, so the seeds are paired first
+    (`_conjugate_pairs`): `pairs` holds (representative, mirror) indices,
+    and the seeds in no pair are free points.  The Aberth-Ehrlich iteration
+    runs in ints over the representatives and the free points, Gauss-Seidel,
+    and stops at each once |p(z)| is below the rounding bound of its Horner
+    sum (Bini's test); each mirror moves with its representative as its
+    exact conjugate (re, -im).  bits is derived from the polynomial: TARGET_BITS plus log2 of
     the Horner bound sum |a_k| R^k, R just above the largest seed, minus
     log2 |lc|.  Each root is certified by a Weierstrass inclusion disc
     D(z_i, d |p(z_i)| / |lc prod (z_i - z_j)|) (Braess-Hadeler; Neumaier,
@@ -554,15 +496,17 @@ class RootApproximations:
     mirror takes the conjugate value (see `_fixed_images`).
     """
 
-    def __init__(self, p: UniPoly, elements=(), seeds=None):
+    def __init__(self, p: UniPoly, elements, seeds):
         if p.degree < 1:
             raise ExactArithError("root isolation needs a nonconstant polynomial")
         self.coeffs = list(reversed(p.primitive().num))
-        if seeds is None:
-            seeds = _aberth_seeds(self.coeffs) or _circle_seeds(self.coeffs)
-        elif len(seeds) != p.degree:
+        if len(seeds) != p.degree:
             raise ExactArithError(
                 f"{len(seeds)} root seeds given for a degree-{p.degree} polynomial"
+            )
+        if not all(cmath.isfinite(z) for z in seeds):
+            raise ExactArithError(
+                f"a root seed given for a degree-{p.degree} polynomial is not finite"
             )
         self._seeds = list(seeds)
         reach = 1.0625 * max(abs(z) for z in self._seeds) + 2.0 ** -20
@@ -773,9 +717,3 @@ def sorted_complex(values) -> list:
     out = [complex(z) for z in values]
     return sorted(out, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
 
-
-def complex_roots(p: UniPoly):
-    """All complex roots of the squarefree polynomial p, from the generic
-    `_aberth_seeds`, certified by disjoint inclusion discs of radius below
-    ROOT_RADIUS and sorted by (real, imaginary) lexicographically."""
-    return sorted_complex(RootApproximations(p).roots)

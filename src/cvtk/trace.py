@@ -137,25 +137,6 @@ def seifert_traces(ctx: TraceContext):
             gamma_closed(n, n, ctx))
 
 
-def gamma_seifert_form(ctx: TraceContext):
-    """Independent closed form of gamma valid where t = r:
-
-    (2-r)(x^2-2-r) f_{n-1} f_n^3 + r f_n^2 - r f_{n-1} f_n
-        - f_{n-1} f_{n+1} + f_{n-1}^2,   all evaluated at r.
-
-    Used as a cross-check against seifert_traces on intersection characters.
-    """
-    n, r, x2 = ctx.n, ctx.r, ctx.x_squared
-    fm, fn, fp = ctx.r_table[n : n + 3]
-    return (
-        (2 - r) * (x2 - 2 - r) * fm * fn * fn * fn
-        + r * fn * fn
-        - r * fm * fn
-        - fm * fp
-        + fm * fm
-    )
-
-
 def longitude_value(ctx: TraceContext):
     """The longitude trace tr(s1 s2^-1 s1^-1 s2) at the context's character."""
     return tr_commutator(*seifert_traces(ctx))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from math import inf
 
 from . import Record
 from .cheb import G_poly, f_poly, failed_identities, require_family_index, square_mod_two
@@ -24,13 +25,11 @@ from .golden import default_fixtures
 from .intersect import build_intersection_report
 from .knotgrp import (
     FreeWord,
-    complex_roots,
     family_words,
     mat_trace,
     numeric_rep,
     relation_residual,
     relator_check,
-    sorted_complex,
     standard_relator,
     two_bridge_word,
     word_eval,
@@ -231,6 +230,14 @@ def check_standard_relators(ctx):
     return True, f"{held} hold, worst residual {worst:.2e}"
 
 
+def _root_radius(p: UniPoly, t: complex) -> float:
+    """deg |p(t) / p'(t)|, inf where p'(t) = 0: p'/p = sum 1 / (t - zeta) over
+    the roots zeta of p, so some root lies within it of t.  deg p pairwise
+    disjoint such discs hold one root each."""
+    dp = complex(p.derivative()(t))
+    return p.degree * abs(complex(p(t)) / dp) if dp else inf
+
+
 def check_longitude_numeric(ctx):
     fam = family_words(2)
     sample = None
@@ -242,14 +249,13 @@ def check_longitude_numeric(ctx):
     tau = mat_trace(word_eval(sample, fam.longitude))
     if abs(tau - (14 + 24j)) >= 1e-6:
         return False, f"longitude trace {tau:.6f} != 14+24i at the sample point"
-    fx3 = ctx.fixture(3)
+    p = ctx.fixture(3).longitude_min_poly
     fam3 = family_words(3)
-    traces = sorted_complex(
-        mat_trace(word_eval(rep, fam3.longitude)) for rep in ctx.numeric_reps(3)
-    )
-    expected = complex_roots(fx3.longitude_min_poly)
-    if len(traces) != len(expected) or any(
-        abs(u - v) >= 1e-6 for u, v in zip(traces, expected)
+    traces = [mat_trace(word_eval(rep, fam3.longitude)) for rep in ctx.numeric_reps(3)]
+    radii = [_root_radius(p, t) for t in traces]
+    if len(traces) != p.degree or not all(rho < 1e-6 for rho in radii) or any(
+        abs(traces[i] - traces[j]) <= radii[i] + radii[j]
+        for i in range(len(traces)) for j in range(i)
     ):
         return False, "n = 3 longitude traces do not match the fixture roots"
     return True, "trace 14+24i at the n = 2 sample; n = 3 traces match fixture roots"

@@ -15,10 +15,9 @@ from fractions import Fraction
 from cvtk.cheb import G_poly, f_poly, failed_identities
 from cvtk.cli import main
 from cvtk.factor import squarefree_part
-from cvtk.golden import default_fixtures, fixtures_to_json
+from cvtk.golden import default_fixtures
 from cvtk.intersect import build_intersection_report, intersection_loci, x_squared_at
 from cvtk.knotgrp import (
-    complex_roots,
     family_words,
     mat_trace,
     numeric_rep,
@@ -40,6 +39,7 @@ from cvtk.variety import (
     meridian_derivative_at_two,
     x_variety_poly,
 )
+from roots import complex_roots
 
 U = UniPoly.gen("u")
 
@@ -187,7 +187,7 @@ def test_criterion_13_alexander_data():
 
 
 def test_criterion_14_negative_control(tmp_path, capsys):
-    obj = fixtures_to_json(default_fixtures())
+    obj = {str(n): fx.to_json() for n, fx in default_fixtures().items()}
     obj["2"]["x_poly"]["coeffs"][2] = "-23"
     path = tmp_path / "perturbed.json"
     path.write_text(json.dumps(obj), encoding="utf-8")

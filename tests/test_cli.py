@@ -27,7 +27,12 @@ from cvtk.cli import (
     canonical_json,
     main,
 )
-from cvtk.golden import default_fixtures, fixtures_to_json
+from cvtk.golden import default_fixtures
+
+
+def _fixtures_json():
+    """The frozen fixtures as the JSON object that `--fixtures` reads."""
+    return {str(n): fx.to_json() for n, fx in default_fixtures().items()}
 
 
 def _fail_names(out):
@@ -37,7 +42,7 @@ def _fail_names(out):
 
 
 def _run_with_fixtures(tmp_path, capsys, mutate):
-    obj = fixtures_to_json(default_fixtures())
+    obj = _fixtures_json()
     mutate(obj)
     path = tmp_path / "fixtures.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -45,13 +50,16 @@ def _run_with_fixtures(tmp_path, capsys, mutate):
     return code, capsys.readouterr().out
 
 
+# Each edit of one frozen coefficient, with the rows that must FAIL on it.
 PERTURBATIONS = (
-    ("component", lambda o: o["2"]["X0"]["terms"][0].update(coeff="99"), "x-variety-n2"),
-    ("x-poly", lambda o: o["2"]["x_poly"]["coeffs"].__setitem__(0, "44"), "meridian-n2-exact"),
-    ("r-poly", lambda o: o["2"]["r_poly"]["coeffs"].__setitem__(1, "-3"), "r-poly-n2"),
-    ("longitude", lambda o: o["2"]["longitude_min_poly"]["coeffs"].__setitem__(0, "771"), "longitude-n2-exact"),
-    ("bezout", lambda o: o["2"]["bezout"].__setitem__(0, 21), "bezout-n2"),
-    ("longitude-n3", lambda o: o["3"]["longitude_min_poly"]["coeffs"].__setitem__(1, "-385361"), "longitude-n3-exact"),
+    ("component", lambda o: o["2"]["X0"]["terms"][0].update(coeff="99"), {"x-variety-n2"}),
+    ("x-poly", lambda o: o["2"]["x_poly"]["coeffs"].__setitem__(0, "44"), {"meridian-n2-exact"}),
+    ("r-poly", lambda o: o["2"]["r_poly"]["coeffs"].__setitem__(1, "-3"), {"r-poly-n2"}),
+    ("longitude", lambda o: o["2"]["longitude_min_poly"]["coeffs"].__setitem__(0, "771"),
+     {"longitude-n2-exact"}),
+    ("bezout", lambda o: o["2"]["bezout"].__setitem__(0, 21), {"bezout-n2"}),
+    ("longitude-n3", lambda o: o["3"]["longitude_min_poly"]["coeffs"].__setitem__(1, "-385361"),
+     {"longitude-n3-exact", "longitude-numeric"}),
 )
 
 
@@ -59,7 +67,7 @@ PERTURBATIONS = (
 def test_negative_control(tmp_path, capsys, label, mutate, expected):
     code, out = _run_with_fixtures(tmp_path, capsys, mutate)
     assert code == 1
-    assert expected in _fail_names(out)
+    assert expected <= _fail_names(out)
 
 
 def test_verify_paper_passes(capsys):
@@ -158,7 +166,7 @@ def test_usage_errors_exit_two(capsys):
 
 @pytest.mark.parametrize("fault", ["coeffs-not-a-list", "missing-key"])
 def test_malformed_fixture_file_exits_two(tmp_path, capsys, fault):
-    obj = fixtures_to_json(default_fixtures())
+    obj = _fixtures_json()
     if fault == "coeffs-not-a-list":
         obj["2"]["r_poly"] = {"coeffs": 5}
     else:
@@ -189,7 +197,7 @@ def test_ill_typed_fixture_file_exits_two(tmp_path, capsys, label, mutate, fault
     """A fixture under the wrong key, with a variable name that is not a
     string, a bezout that is not three ints or a zero denominator is a usage
     error, not a failed paper check or an internal error."""
-    obj = fixtures_to_json(default_fixtures())
+    obj = _fixtures_json()
     mutate(obj)
     path = tmp_path / "fixtures.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -230,15 +238,20 @@ def test_rep_checks_root_index_before_root_finding(monkeypatch, capsys):
 
 
 def test_one_root_approximation_per_locus(monkeypatch, capsys):
-    """intersect and the numeric checks of verify-paper root-find each locus
-    modulus once, through `IntersectionLocus.points`."""
-    from cvtk import intersect
+    """intersect and verify-paper root-find each locus modulus once, through
+    `IntersectionLocus.points`, and nothing else: every `RootApproximations`
+    that is built counts."""
+    from cvtk import knotgrp
     from cvtk.intersect import build_intersection_report
 
-    good = intersect.RootApproximations
+    good = knotgrp.RootApproximations.__init__
     built = []
-    monkeypatch.setattr(intersect, "RootApproximations",
-                        lambda p, elements, seeds: built.append(p) or good(p, elements, seeds))
+
+    def counted(self, p, *args):
+        built.append(p)
+        good(self, p, *args)
+
+    monkeypatch.setattr(knotgrp.RootApproximations, "__init__", counted)
     assert main(["intersect", "--n", "5"]) == 0
     assert built == [build_intersection_report(5).locus.modulus]
     built.clear()
@@ -248,33 +261,32 @@ def test_one_root_approximation_per_locus(monkeypatch, capsys):
 
 
 def test_intersect_seeds_from_the_z_form(monkeypatch, capsys):
-    """intersect seeds G_n from its z-form and never runs the generic seeds;
-    z-form seeds that are not finite (None) fall back to them, and print the
-    same output."""
-    from cvtk import intersect, knotgrp
+    """intersect seeds G_n from its z-form, once for its one locus."""
+    from cvtk import intersect
 
-    good = knotgrp._aberth_seeds
+    good = intersect._zform_seeds
     calls = []
-    monkeypatch.setattr(knotgrp, "_aberth_seeds", lambda coeffs: calls.append(coeffs) or good(coeffs))
+    monkeypatch.setattr(intersect, "_zform_seeds", lambda n: calls.append(n) or good(n))
     assert main(["intersect", "--n", "5"]) == 0
-    expected = capsys.readouterr().out
-    assert calls == []
-    monkeypatch.setattr(intersect, "_zform_seeds", lambda n: None)
-    assert main(["intersect", "--n", "5"]) == 0
-    assert capsys.readouterr().out == expected
-    assert len(calls) == 1
+    capsys.readouterr()
+    assert calls == [5]
 
 
 def test_wrong_seed_count_exits_one(monkeypatch, capsys):
-    """A seed list whose length is not the degree of the modulus is an
-    internal error, before any seed is read."""
+    """A seed list whose length is not the degree of the modulus, or with a
+    seed that is not finite, is an internal error, not a usage error."""
     from cvtk import intersect
 
-    monkeypatch.setattr(intersect, "_zform_seeds", lambda n: [1j] * (2 * n - 3))
-    assert main(["intersect", "--n", "3"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "internal error: 3 root seeds given for a degree-4 polynomial\n"
+    for seeds, why in (
+        (lambda n: [1j] * (2 * n - 3), "3 root seeds given for a degree-4 polynomial"),
+        (lambda n: [1j, -1j, 1 + 1j, complex(float("nan"), 1)],
+         "a root seed given for a degree-4 polynomial is not finite"),
+    ):
+        monkeypatch.setattr(intersect, "_zform_seeds", seeds)
+        assert main(["intersect", "--n", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"internal error: {why}\n"
 
 
 def test_internal_error_exits_one(monkeypatch, capsys):
@@ -352,7 +364,7 @@ def test_mispaired_seeds_print_the_certified_roots(monkeypatch, capsys, mispair,
 def _root_finder_approx(locus):
     """The approx block as root-finding on each minimal polynomial would give it."""
     from cvtk.cli import complex_str
-    from cvtk.knotgrp import complex_roots
+    from roots import complex_roots
 
     def strs(poly):
         return [complex_str(z) for z in complex_roots(poly)]

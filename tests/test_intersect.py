@@ -26,7 +26,7 @@ from cvtk.intersect import (
     meridian_min_poly,
     x_squared_at,
 )
-from cvtk.knotgrp import RootApproximations, complex_roots, family_words, numeric_rep
+from cvtk.knotgrp import RootApproximations, _zform_seeds, family_words, numeric_rep
 from cvtk.numfield import (
     IntegralityVerdict,
     NFElem,
@@ -46,6 +46,7 @@ from cvtk.trace import (
 )
 from cvtk.variety import bezout_budget, d_split
 from cvtk.verify import CheckResult
+from roots import complex_roots
 
 
 def test_loci_moduli_frozen():
@@ -380,7 +381,7 @@ def test_numeric_cross_check_roots():
                 (x2.num, x2.den, False),
                 (x2.num, x2.den, True),
                 (tau.num, tau.den, False),
-            ])
+            ], _zform_seeds(n))
             images = approx.fixed_images
             for i, point in enumerate(approx.points):
                 r0 = _mpc(point, approx.bits)

@@ -26,7 +26,6 @@ from cvtk.knotgrp import (
     _fixed,
     _reduce,
     _sqrt_fixed,
-    complex_roots,
     family_words,
     mat_det,
     mat_diff_norm,
@@ -35,11 +34,13 @@ from cvtk.knotgrp import (
     numeric_rep,
     relation_residual,
     relator_check,
+    sorted_complex,
     standard_relator,
     two_bridge_word,
     word_eval,
 )
 from cvtk.ratpoly import ExactArithError, UniPoly, poly_gcd
+from roots import circle_seeds, complex_roots, generic_seeds
 
 TOL = 1e-9
 
@@ -223,8 +224,8 @@ def test_complex_roots_sorted_and_complete():
     for z in roots:
         val = sum(complex(c) * z ** k for k, c in enumerate(p.coeffs))
         assert abs(val) < 1e-9
-    with pytest.raises(ExactArithError):
-        complex_roots(UniPoly([3], "x"))
+    with pytest.raises(ExactArithError, match="nonconstant"):
+        RootApproximations(UniPoly([3], "x"), (), [])
 
 
 def _unseeded_root_strs(p):
@@ -267,16 +268,15 @@ def test_complex_roots_of_even_polynomials_stay_on_the_axes():
     assert real == _unseeded_root_strs(UniPoly([1, 0, -10, 0, 1], "x"))
 
 
-def test_complex_roots_from_the_cauchy_circle(monkeypatch):
-    """Without float seeds the iteration starts from the Cauchy-bound circle
-    and reaches the same certified roots."""
-    from cvtk import knotgrp
-
+def test_complex_roots_from_the_cauchy_circle():
+    """Seeds on the Cauchy-bound circle, far from the roots, reach the same
+    certified roots as the Aberth seeds."""
     polys = [locus.modulus for n in range(2, 7) for locus in intersection_loci(n)]
     polys.append(UniPoly([45, 0, -24, 0, 4], "x"))
-    expected = [[complex_str(z) for z in complex_roots(p)] for p in polys]
-    monkeypatch.setattr(knotgrp, "_aberth_seeds", lambda coeffs: None)
-    assert [[complex_str(z) for z in complex_roots(p)] for p in polys] == expected
+    for p in polys:
+        seeds = circle_seeds(list(reversed(p.primitive().num)))
+        got = sorted_complex(RootApproximations(p, (), seeds).roots)
+        assert [complex_str(z) for z in got] == [complex_str(z) for z in complex_roots(p)], p
 
 
 def test_inclusion_radii_are_weierstrass_bounds():
@@ -285,7 +285,7 @@ def test_inclusion_radii_are_weierstrass_bounds():
     d |p(z_i)| / |lc prod_{j != i} (z_i - z_j)|, worked out in mpmath, and the
     disc holds its root."""
     p = prod((UniPoly([-k, 1], "x") for k in range(1, 7)), start=UniPoly.const(1, "x"))
-    approx = RootApproximations(p)
+    approx = RootApproximations(p, (), generic_seeds(p))
     bits, d = approx.bits, p.degree
     step = 1 << (bits - 150)
     approx.points = [(re + (i + 1) * step, im - step) for i, (re, im) in enumerate(approx.points)]
@@ -301,9 +301,10 @@ def test_inclusion_radii_are_weierstrass_bounds():
 
 
 def _certified_strs(p, elements, seeds=None):
-    """The 12-digit roots and images of one RootApproximations, in
-    `complex_roots` order, after checking its discs pairwise disjoint."""
-    approx = RootApproximations(p, elements, seeds)
+    """The 12-digit roots and images of one RootApproximations, from the
+    given seeds or else `generic_seeds`, in `complex_roots` order, after
+    checking its discs pairwise disjoint."""
+    approx = RootApproximations(p, elements, generic_seeds(p) if seeds is None else seeds)
     scale, pts, radii = 1 << approx.bits, approx.points, approx.radii
     for i in range(len(pts)):
         for j in range(i):
@@ -389,7 +390,7 @@ def test_seed_count_must_match_the_degree():
     p = UniPoly([2, -2, 1], "x")
     for seeds in ([1 + 1j], [1 + 1j, 1 - 1j, 0j]):
         with pytest.raises(ExactArithError, match="root seeds given for a degree-2"):
-            RootApproximations(p, seeds=seeds)
+            RootApproximations(p, (), seeds)
 
 
 def test_fixed_square_roots_take_mpmath_branches():

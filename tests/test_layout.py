@@ -11,9 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Public functions that no src code and no benchmark operation calls, each
 # kept for the tests, with the reason.
 UNCALLED = {
-    "gamma_seifert_form": "an independent closed form of gamma, checked against seifert_traces(ctx)[2]",
     "char_poly": "the tests' entry to the power-sum path, checked against sympy and a resultant",
-    "fixtures_to_json": "writes the edited fixture files of the verify-paper negative controls",
 }
 
 
@@ -24,13 +22,15 @@ def _parse(path: Path) -> ast.Module:
 def _used_names(tree: ast.Module) -> set:
     """Every name read as a variable or an attribute; import aliases,
     docstrings and comments are not among them."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+    names = _read_names(tree)
+    names.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
     return names
+
+
+def _read_names(tree: ast.Module) -> set:
+    """Every name read as a variable.  An attribute such as cmath.exp is not
+    a read of an imported exp, so it cannot hide one that is never read."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def unread_imports(root: Path) -> set:
@@ -42,7 +42,7 @@ def unread_imports(root: Path) -> set:
         if path == root / "src" / "cvtk" / "__init__.py":
             continue
         tree = _parse(path)
-        used = _used_names(tree)
+        used = _read_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]

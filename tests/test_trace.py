@@ -24,7 +24,6 @@ from cvtk.trace import (
     boundary_slope_candidates,
     delta,
     gamma_closed,
-    gamma_seifert_form,
     longitude_integrality,
     longitude_trace,
     longitude_value,
@@ -151,6 +150,25 @@ def test_context_formulas_are_slice_identities():
             L = _mul(s1, _inv(s2), _inv(s1), s2)
             tau = tr_commutator(_tr(s1), _tr(s2), seifert_traces(ctx)[2])
             assert tau == _tr(L)
+
+
+def gamma_seifert_form(ctx: TraceContext):
+    """Independent closed form of gamma valid where t = r:
+
+    (2-r)(x^2-2-r) f_{n-1} f_n^3 + r f_n^2 - r f_{n-1} f_n
+        - f_{n-1} f_{n+1} + f_{n-1}^2,   all evaluated at r.
+
+    Used as a cross-check against seifert_traces on intersection characters.
+    """
+    n, r, x2 = ctx.n, ctx.r, ctx.x_squared
+    fm, fn, fp = ctx.r_table[n : n + 3]
+    return (
+        (2 - r) * (x2 - 2 - r) * fm * fn * fn * fn
+        + r * fn * fn
+        - r * fm * fn
+        - fm * fp
+        + fm * fm
+    )
 
 
 def test_delta_gamma_agree_in_locus_fields():
