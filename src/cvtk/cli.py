@@ -54,7 +54,7 @@ from .verify import all_passed, render_results, run_checks, run_property_checks
 # functions take any value, so a caller who needs more calls them.
 MAX_N = 128  # --n, the family index: detect --n 128 takes about 0.26 s (4 warm runs)
 # verify-paper --n: the ranged checks compute every minimal polynomial for
-# n <= --n; --n 48 takes about 1.5 s and --n 64 about 5.6 s (medians of 3 fresh
+# n <= --n; --n 48 takes about 1.9 s and --n 64 about 5.4 s (medians of 3 fresh
 # processes, 2-vCPU Xeon, Python 3.11.7), and the time grows faster than n^4.
 MAX_CHECK_N = 64
 MAX_VARIETY_N = 32  # variety --n: the X model at n = 32 takes about 15-18 s

@@ -26,8 +26,8 @@ mod-2 identity G_n = f_n^2 proves 2 a bad prime of the meridian trace x
 -2 - 4n^2 (x^2 - 4) = V_n(r)^2 - 2 + 4n^2 (2 - r), which lies in Z[r] as G_n
 is monic over the integers.  Either failing raises VerificationError, so a
 report that is built has detected slope 0.  The affine map carries p to the
-minimal polynomial of tau, so one Krylov minimal polynomial serves both
-traces.
+minimal polynomial of tau, so one power-sum minimal polynomial
+(`numfield.nf_minimal_polynomial`) serves both traces.
 
 `build_intersection_report` turns the field and its generator r into the
 frozen `IntersectionLocus`, holding x^2 and the checked tau; q, both

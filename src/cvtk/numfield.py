@@ -8,9 +8,12 @@ a matrix: A = D*M as int rows, M the matrix of multiplication by a.  Minimal
 polynomials come from the characteristic polynomial of M: the modulus is
 irreducible, so it is a power of the minimal polynomial and the squarefree
 part recovers it exactly.  The characteristic polynomial comes from power
-sums (traces) in the field, not from a determinant (Cohen, GTM 138, ch. 4);
-the traces are read off the Krylov vectors A^j e_0, and the check that the
-result vanishes at a sums the same vectors.  A non-square witness (a prime l
+sums (traces) in the field, not from a determinant (Cohen, GTM 138, ch. 4).
+The power sums Tr(b^j), b = D*a, j <= k, are read off K = isqrt(2k) baby
+steps b^i and about k/K giant steps in B = b^K (power projection), and the
+check that the result vanishes at a evaluates it at b by Horner in B over the
+same baby steps (Paterson-Stockmeyer): about 2 sqrt(2k) mat-vecs in all,
+where the powers b^j one by one would take k.  A non-square witness (a prime l
 and a simple root of m mod l at which a is a non-residue) proves that a is
 not a square in the field.
 """
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, isqrt
 from operator import add, mul
 
 from . import Record, _set
@@ -176,48 +179,63 @@ def _reduced(field: NumberField, num: list, den: int) -> NFElem:
 def multiplication_matrix(a: NFElem):
     """(D, A): A = D*M as int rows, M the matrix of x -> a*x in the power basis.
 
-    D is a's denominator.  Column i of A is D*a*r^i: each column is the
-    previous one times r, reduced by the monic modulus with _pseudo_divmod.
+    D is a's denominator.  Column i of A is D*a*r^i (see _columns).
     """
-    m = a.field.modulus.num
-    cols = [list(a.num)]
-    for _ in range(1, a.field.degree):
-        cols.append(_pseudo_divmod([0] + cols[-1], m)[1])
-    return a.den, list(zip(*cols))
+    return a.den, list(zip(*_columns(a.num, a.field.modulus.num)))
 
 
-def char_poly(a: NFElem, var: str = "u") -> UniPoly:
-    """Monic characteristic polynomial of x -> a*x on the field."""
+def _columns(first, m) -> list:
+    """The columns b*r^i mod m, i < deg m, of the multiplication matrix of the
+    element b with integer coordinates first: each is the previous one times
+    r, less its top entry t times the monic modulus m."""
+    cols = [list(first)]
+    low = m[1:-1]
+    for _ in low:
+        col = cols[-1]
+        t = col[-1]
+        cols.append([-t * m[0], *(c - t * y for c, y in zip(col, low))])
+    return cols
+
+
+def _power_steps(a: NFElem):
+    """(D, baby, giant) for b = D*a, A = D*M the rows of multiplication_matrix:
+    baby holds v_i = A^i e_0, the coordinates of b^i, for i < K = isqrt(2k),
+    and giant the columns of the multiplication matrix of B = b^K.  Every
+    b^(qK + i) is B^q b^i, so K + 1 mat-vecs and the columns of B stand in for
+    the k + 1 powers of b (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).
+    """
     d, rows = multiplication_matrix(a)
-    return _char_poly(a.field.modulus, d, _krylov(rows), var)
+    baby = [[1] + [0] * (len(rows) - 1)]
+    for _ in range(isqrt(2 * len(rows))):
+        baby.append([sum(map(mul, row, baby[-1])) for row in rows])
+    return d, baby[:-1], _columns(baby[-1], a.field.modulus.num)
 
 
-def _krylov(rows) -> list:
-    """v_0, ..., v_k with v_j = A^j e_0 for A = rows: the coordinates of (D*a)^j."""
-    v = [1] + [0] * (len(rows) - 1)
-    out = [v]
-    for _ in rows:
-        v = [sum(map(mul, row, v)) for row in rows]
-        out.append(v)
-    return out
+def char_poly(a: NFElem, var: str = "u", steps=None) -> UniPoly:
+    """Monic characteristic polynomial of x -> a*x on the field.
 
-
-def _char_poly(modulus: UniPoly, d: int, krylov, var: str) -> UniPoly:
-    """det(var*I - M) from the traces s_j = Tr(A^j), A = D*M.
-
-    Newton's identities on the integer modulus give tau_i = Tr(r^i), so
-    s_j = <v_j, tau> over the Krylov vectors v_j = A^j e_0 (the coordinates
-    of (D*a)^j).  Newton's identities again turn s_1..s_k into the integer
-    char poly of A, each step an exact division by j, and
-    det(var*I - M) = D**-k * det(D*var*I - A) multiplies its coefficient j by
-    D**j over the one denominator D**k.
+    steps is _power_steps(a), given by a caller that reuses it.  The char
+    poly of M is det(var*I - M) = D**-k det(D*var*I - A), read off the power
+    sums s_j = Tr(b^j), b = D*a, j <= k.  Newton's identities on the integer
+    modulus give tau_i = Tr(r^i), and Tr(x) = <x, tau> on coordinates, so
+    s_(qK + i) = <tau, M_B^q v_i> = <u_q, v_i> with u_0 = tau and u_(q+1)
+    = M_B^T u_q: entry i of u_(q+1) is <column i of M_B, u_q> (Shoup, ISSAC
+    1999).  Newton's identities again turn s_1..s_k into the integer char
+    poly of A, each step an exact division by j, and coefficient j of
+    det(D*var*I - A) carries D**j over the one denominator D**k.
     """
-    k = len(krylov) - 1
-    m = modulus.num
+    d, baby, giant = steps or _power_steps(a)
+    k = len(giant)
+    m = a.field.modulus.num
     tau = [k]
     for i in range(1, k):
         tau.append(-i * m[k - i] - sum(m[k - j] * tau[i - j] for j in range(1, i)))
-    s = [sum(map(mul, v, tau)) for v in krylov]
+    s, u = [], tau
+    while True:
+        s.extend(sum(map(mul, u, v)) for v in baby[:k + 1 - len(s)])
+        if len(s) > k:
+            break
+        u = [sum(map(mul, col, u)) for col in giant]
     c = [1]  # descending coefficients of det(var*I - A)
     for j in range(1, k + 1):
         q, rem = divmod(-sum(c[j - i] * s[i] for i in range(1, j + 1)), j)
@@ -228,32 +246,32 @@ def _char_poly(modulus: UniPoly, d: int, krylov, var: str) -> UniPoly:
 
 
 def nf_minimal_polynomial(a: NFElem, var: str = "u") -> UniPoly:
-    """Monic minimal polynomial of a over Q, checked to vanish at a."""
-    d, rows = multiplication_matrix(a)
-    krylov = _krylov(rows)
-    mp = squarefree_part(_char_poly(a.field.modulus, d, krylov, var))
-    # the char poly of an element of a field is a power of one irreducible
-    if not _vanishes(mp, d, krylov):
+    """Monic minimal polynomial of a over Q, checked to vanish at a.
+
+    The char poly of an element of a field is a power of one irreducible, so
+    its squarefree part mp is the minimal polynomial.  The check evaluates
+    P(u) = mp.den * D**deg * mp(u / D), whose coefficients P_j = mp.num[j] *
+    D**(deg - j) are integers, at b = D*a: P(b) = mp.den * D**deg * mp(a) is
+    the sum over q of B^q (sum_i P_(qK + i) v_i), by Horner in B with the rows
+    of M_B, from the same steps as the traces.
+    """
+    d, baby, giant = steps = _power_steps(a)
+    mp = squarefree_part(char_poly(a, var, steps))
+    deg = mp.degree
+    p = [c * d ** (deg - j) for j, c in enumerate(mp.num)]
+    rows = list(zip(*giant))
+    acc = [0] * len(rows)
+    for q in reversed(range(0, deg + 1, len(baby))):
+        if any(acc):
+            acc = [sum(map(mul, row, acc)) for row in rows]
+        for c, v in zip(p[q:], baby):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, v)]
+    if any(acc):
         raise ExactArithError("minimal polynomial does not vanish; bad modulus?")
-    if a.field.degree % mp.degree != 0:
+    if a.field.degree % deg != 0:
         raise ExactArithError("minimal polynomial degree must divide field degree")
     return mp
-
-
-def _vanishes(mp: UniPoly, d: int, krylov) -> bool:
-    """Whether mp(a) = 0, for the Krylov vectors v_j = A^j e_0 of A = D*M.
-
-    P(u) = mp.den * D**deg * mp(u / D) has the integer coefficients
-    mp.num[j] * D**(deg - j) and P(D*a) = mp.den * D**deg * mp(a), whose
-    coordinates are the sum of P's coefficient j times v_j.
-    """
-    deg = mp.degree
-    acc = [0] * (len(krylov) - 1)
-    for j, c in enumerate(mp.num):
-        if c:
-            c *= d ** (deg - j)
-            acc = [s + c * x for s, x in zip(acc, krylov[j])]
-    return not any(acc)
 
 
 def non_square_witness(a: NFElem):

@@ -146,7 +146,7 @@ def longitude_trace(locus):
     """Longitude trace at an intersection character, with its verdict.
 
     `locus` needs attributes n, r_elem, x_squared (elements of one number
-    field).  Returns (trace, minimal polynomial by Krylov, verdict from
+    field).  Returns (trace, minimal polynomial by power sums, verdict from
     `longitude_integrality`).  The report reads its polynomial off the
     meridian's; this stays because perfbench/child.py calls it.
     """

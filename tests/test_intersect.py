@@ -279,9 +279,9 @@ def test_longitude_is_affine_in_x_squared():
         assert -2 - 4 * n * n * (rc.x_squared - 4) == rc.longitude_trace == 2
 
 
-def test_longitude_min_poly_matches_krylov():
+def test_longitude_min_poly_matches_power_sums():
     """Oracle: the longitude minimal polynomial read off the meridian's
-    equals the Krylov minimal polynomial of tau, n = 2..40 and n = 64."""
+    equals the power-sum minimal polynomial of tau, n = 2..40 and n = 64."""
     for n in [*range(2, 41), 64]:
         locus = build_intersection_report(n).locus
         assert locus.longitude_min_poly == nf_minimal_polynomial(locus.longitude_elem, "l"), n

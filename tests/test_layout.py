@@ -10,9 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Public functions that no src code and no benchmark operation calls, each
 # kept for the tests, with the reason.
-UNCALLED = {
-    "char_poly": "the tests' entry to the power-sum path, checked against sympy and a resultant",
-}
+UNCALLED = {}
 
 
 def _parse(path: Path) -> ast.Module:

@@ -17,6 +17,7 @@ from cvtk.numfield import (
 from cvtk.intersect import build_intersection_report, intersection_loci, x_squared_at
 from cvtk.ratpoly import ExactArithError, UniPoly
 from cvtk.trace import longitude_trace
+from krylov import krylov_char_poly, krylov_min_poly
 
 U = UniPoly.gen("u")
 R = UniPoly.gen("r")
@@ -205,11 +206,15 @@ def test_min_poly_of_subfield_element():
 
 
 def test_min_poly_vanishing_check_catches_a_wrong_polynomial(monkeypatch):
+    """The Horner sum in B = b^K has to catch the wrong polynomial: over three
+    blocks of baby steps at n = 3 (k = 4, K = 2), over four at n = 10 (k = 18,
+    K = 6)."""
     good = numfield.squarefree_part
     monkeypatch.setattr(numfield, "squarefree_part", lambda p: good(p) + 1)
-    (locus,) = intersection_loci(3)
-    with pytest.raises(ExactArithError, match="does not vanish"):
-        nf_minimal_polynomial(x_squared_at(locus))
+    for n in (3, 10):
+        (locus,) = intersection_loci(n)
+        with pytest.raises(ExactArithError, match="does not vanish"):
+            nf_minimal_polynomial(x_squared_at(locus))
 
 
 def test_non_square_witness_examples():
@@ -326,6 +331,58 @@ def test_char_poly_agrees_with_sympy_on_family_elements():
 def test_char_poly_agrees_with_resultant_on_family_elements():
     for a in family_elements(8):
         assert list(char_poly(a).coeffs) == resultant_char_poly(a)
+
+
+# -- the giant-step path against the Krylov sequence (tests/krylov.py) --------
+
+
+def eisenstein_field(rng, degree, step=1):
+    """Q[r]/(g(r^step)) for a random monic g of the given degree whose lower
+    coefficients are even and whose constant is 2 mod 4: g(r^step) is then
+    Eisenstein at 2, so irreducible."""
+    g = [4 * rng.randint(-20, 20) + 2] + [2 * rng.randint(-20, 20) for _ in range(degree - 1)]
+    m = [0] * (degree * step + 1)
+    m[::step] = g + [1]
+    return NumberField(UniPoly(m, "r"))
+
+
+def assert_matches_krylov(a):
+    assert char_poly(a) == krylov_char_poly(a)
+    assert nf_minimal_polynomial(a) == krylov_min_poly(a)
+
+
+def test_power_sums_match_krylov_on_family_elements():
+    for a in family_elements(30):
+        assert_matches_krylov(a)
+
+
+def test_power_sums_match_krylov_on_random_fields():
+    """Degrees 13..40 run at least two giant steps, and the minimal
+    polynomial of a random element has degree k, so the Horner check runs
+    over at least three blocks of baby steps."""
+    rng = random.Random(71)
+    for degree in (13, 17, 24, 31, 40):
+        field = eisenstein_field(rng, degree)
+        d, baby, giant = numfield._power_steps(field.gen())
+        assert len(giant) == degree and 2 * len(baby) <= degree
+        for _ in range(2):
+            a = field.elem([Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 7, 12, 35]))
+                            for _ in range(degree)])
+            assert_matches_krylov(a)
+            assert nf_minimal_polynomial(a).degree == degree
+
+
+def test_power_sums_match_krylov_on_subfield_elements():
+    """An element of Q(r^step) in a field of degree 16 or 18: its char poly
+    is a proper power of its minimal polynomial."""
+    rng = random.Random(72)
+    for degree, step in ((8, 2), (6, 3)):
+        field = eisenstein_field(rng, degree, step)
+        s = field.gen() ** step
+        a = s * Fraction(1, 6) + s ** 2 * Fraction(-2, 5) + 3 + s ** (degree - 1)
+        mp = nf_minimal_polynomial(a)
+        assert mp.degree == degree and char_poly(a) == mp ** step
+        assert_matches_krylov(a)
 
 
 def test_integrality_verdicts():
