@@ -9,8 +9,10 @@ r-coordinates where the two components of the character variety meet.
 Where the values f_j(u) at one point u are wanted for several j, f_values
 runs the recurrence once at u, in u's own ring, and gives all of them at the
 cost of one product each; that is how the trace calculus and the X model
-form their f_j values.  f_poly(j), the polynomial itself, reads one such
-table at the generator u, extended in place.
+form their f_j values.  The polynomials themselves, f_poly(j), g_poly(j)
+and G_poly(j), all lie in Z[u] and are built on integer coefficient lists:
+the recurrence, the difference and the Wronskian run on the numerators, and
+each cached entry is one UniPoly built at the end.
 
 identity_checks decides its product identities, such as f_j^2 - f_{j-1}
 f_{j+1} = 1, without a polynomial product.  An integer polynomial whose
@@ -24,7 +26,9 @@ bit lengths of the entries, and each identity is one int equality.
 
 from __future__ import annotations
 
-from .ratpoly import UniPoly, _kronecker_pack, poly_gcd
+from operator import sub
+
+from .ratpoly import UniPoly, _conv, _kronecker_pack, poly_gcd
 
 _g: dict = {}
 _G: dict = {}
@@ -36,12 +40,32 @@ def require_family_index(n) -> None:
         raise ValueError(f"the knot family is indexed by integers n >= 2, got {n!r}")
 
 
+def _minus(a, b) -> list:
+    """a - b for integer coefficient lists with len(b) <= len(a)."""
+    out = list(a)
+    out[:len(b)] = map(sub, out, b)
+    return out
+
+
+def _deriv(a) -> list:
+    """The derivative of the integer polynomial with coefficient list a."""
+    return [k * c for k, c in enumerate(a)][1:]
+
+
 def f_poly(j: int) -> UniPoly:
-    """f_j, degree j-1 for j >= 1; f_0 = 0."""
+    """f_j, degree j-1 for j >= 1; f_0 = 0.
+
+    The table _f (entry j + 1 is f_j) is extended on the numerators:
+    f_{j+1} = u f_j - f_{j-1} is f_j's coefficients moved up one degree
+    minus f_{j-1}'s, and one UniPoly is built per entry.  A new entry reads
+    only the numerators of the two below it.  The identity tests replace
+    entries only in a table already filled past them, so no entry is ever
+    extended from a replaced one.
+    """
     if j < 0:
         raise ValueError("f_poly needs j >= 0")
-    if j + 2 > len(_f):
-        f_values(UniPoly.gen("u"), j, _f)
+    while j + 2 > len(_f):
+        _f.append(UniPoly.from_ints(_minus([0, *_f[-1].num], _f[-2].num), 1, "u"))
     return _f[j + 1]
 
 
@@ -64,8 +88,8 @@ def f_values(value, top: int, table: list = None) -> list:
     return table
 
 
-# The f_values table at u that f_poly reads: entry j + 1 is f_j.
-_f: list = f_values(UniPoly.gen("u"), 0)
+# f_poly's table at u: entry j + 1 is f_j, from f_{-1} = -1 and f_0 = 0.
+_f: list = [UniPoly.from_ints([-1]), UniPoly.from_ints([])]
 
 
 def g_poly(j: int) -> UniPoly:
@@ -73,18 +97,26 @@ def g_poly(j: int) -> UniPoly:
     if j < 1:
         raise ValueError("g_poly needs j >= 1")
     if j not in _g:
-        _g[j] = f_poly(j) - f_poly(j - 1)
+        _g[j] = UniPoly.from_ints(_minus(f_poly(j).num, f_poly(j - 1).num), 1, "u")
     return _g[j]
 
 
 def G_poly(j: int) -> UniPoly:
-    """G_j = g_{j+1}'*g_j - g_{j+1}*g_j', monic of degree 2j-2; needs j >= 1."""
+    """G_j = g_{j+1}'*g_j - g_{j+1}*g_j', monic of degree 2j-2; needs j >= 1.
+
+    The Wronskian is formed on the integer numerators, two products and one
+    difference of coefficient lists, and one UniPoly is built from it.  It
+    reads only g_j and g_{j+1}, so a single cold G_n pays for no smaller
+    index.  The identity G_j = G_{j-1} + g_j^2, which would, is the tests'
+    independent oracle; with G_1 = g_1^2 = 1 it gives
+    G_n = 1 + g_2^2 + ... + g_n^2 >= 1 on the real line, so G_n has no real
+    root and its 2n - 2 roots are n - 1 pairs of complex conjugates.
+    """
     if j < 1:
         raise ValueError("G_poly needs j >= 1")
     if j not in _G:
-        gj = g_poly(j)
-        gj1 = g_poly(j + 1)
-        _G[j] = gj1.derivative() * gj - gj1 * gj.derivative()
+        a, b = g_poly(j + 1).num, g_poly(j).num
+        _G[j] = UniPoly.from_ints(_minus(_conv(_deriv(a), b), _conv(a, _deriv(b))), 1, "u")
     return _G[j]
 
 

@@ -58,7 +58,7 @@ MAX_N = 128  # --n, the family index: detect --n 128 takes about 0.26 s (4 warm 
 # processes, 2-vCPU Xeon, Python 3.11.7), and the time grows faster than n^4.
 MAX_CHECK_N = 64
 MAX_VARIETY_N = 32  # variety --n: the X model at n = 32 takes about 15-18 s
-MAX_J = 1000  # cheb --j: the polynomials of index 1000 take about 2 s
+MAX_J = 1000  # cheb --j: G_1000, the slowest kind, takes about 0.5 s
 MAX_WORD = 10 ** 6  # word --p and --q: a word of length 10^6 takes about 2.5 s
 
 

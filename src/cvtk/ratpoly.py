@@ -41,9 +41,9 @@ columns of its distinct-degree split.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from math import gcd as _int_gcd, lcm
-from typing import Iterable
+from operator import add
 
 
 class ExactArithError(ValueError):
@@ -85,7 +85,7 @@ class UniPoly:
 
     __slots__ = ("var", "num", "den")
 
-    def __init__(self, coeffs: Iterable = (), var: str = "u"):
+    def __init__(self, coeffs=(), var: str = "u"):
         cs = [c if type(c) is int else _frac(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         # den is the least common denominator, so the numerators are coprime to it
@@ -458,7 +458,7 @@ class BiPoly:
         """Inverse of coeff_list_in: coeffs[k] multiplies var**k."""
         vars = _two_vars(vars)
         if vars.index(var):
-            return cls._from_rows([p.with_var(vars[0]) for p in coeffs], vars)
+            return cls._from_rows([p if p.var == vars[0] else p.with_var(vars[0]) for p in coeffs], vars)
         return cls._from_rows(_transpose(coeffs, vars[0]), vars)
 
     def eval(self, v0, v1):
@@ -619,15 +619,14 @@ def _conv_kronecker(a, b, bits):
 
 def _kronecker_pack(a, wb):
     """sum(a[i] * 2**(8 * wb * i)) for ints |a[i]| < 2**(8 * wb - 1), the
-    value at u = 2**(8 * wb) of the polynomial with coefficients a.  A
-    negative entry's two's-complement slot reads 2**(8 * wb) too high, which
-    is one unit in the next slot up, taken off after the read."""
-    packed = int.from_bytes(b"".join(x.to_bytes(wb, "little", signed=True) for x in a), "little")
-    if min(a, default=0) >= 0:
-        return packed
-    one, zero = (1).to_bytes(wb, "little"), bytes(wb)
-    carries = int.from_bytes(b"".join(one if x < 0 else zero for x in a), "little")
-    return packed - (carries << 8 * wb)
+    value at u = 2**(8 * wb) of the polynomial with coefficients a.  Each
+    entry goes into its slot biased by 2**(8 * wb - 1), which makes it
+    nonnegative and below 2**(8 * wb), so the slots are written unsigned
+    with no borrow between them, and the packed bias is taken off after
+    the read."""
+    bias = (bytes(wb - 1) + b"\x80") * len(a)
+    raw = b"".join(map(int.to_bytes, map(add, a, repeat(1 << 8 * wb - 1)), repeat(wb), repeat("little")))
+    return int.from_bytes(raw, "little") - int.from_bytes(bias, "little")
 
 
 def _pseudo_divmod(a, b):

@@ -35,6 +35,8 @@ sits at ideal points.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import lcm
 
 from . import Record
 from .cheb import f_values, g_poly, require_family_index
@@ -70,13 +72,19 @@ def x_variety_poly(n: int) -> BiPoly:
 
 
 def d_variety_poly(n: int) -> BiPoly:
-    """Defining polynomial D(r, t) = g_{n+1}(r) g_n(t) - g_n(r) g_{n+1}(t)."""
+    """Defining polynomial D(r, t) = g_{n+1}(r) g_n(t) - g_n(r) g_{n+1}(t).
+
+    Built row by row on the integer numerators: with A = g_{n+1} and
+    B = g_n, the coefficient of t^j is b_j A(r) - a_j B(r), where a_j and
+    b_j are the coefficients of u^j in A and B.
+    """
     require_family_index(n)
-    gn_r = BiPoly.from_uni(g_poly(n).with_var("r"), RT)
-    gn1_r = BiPoly.from_uni(g_poly(n + 1).with_var("r"), RT)
-    gn_t = BiPoly.from_uni(g_poly(n).with_var("t"), RT)
-    gn1_t = BiPoly.from_uni(g_poly(n + 1).with_var("t"), RT)
-    return gn1_r * gn_t - gn_r * gn1_t
+    A, B = g_poly(n + 1).num, g_poly(n).num
+    rows = [
+        UniPoly.from_ints([bj * x - aj * y for x, y in zip_longest(A, B, fillvalue=0)], 1, "r")
+        for aj, bj in zip_longest(A, B, fillvalue=0)
+    ]
+    return BiPoly.from_coeff_list(rows, "t", RT)
 
 
 class ComponentPair(Record):
@@ -89,18 +97,31 @@ class ComponentPair(Record):
 
 
 def d_split(n: int) -> ComponentPair:
-    """Split (r - t) off D(r, t); the division must be exact."""
+    """Split (r - t) off D(r, t); the division must be exact.
+
+    D = sum D_i(t) r^i is brought to one common denominator and divided by
+    r - t on its integer grid, by synthetic division in r at r = t:
+    q_{m-1} = D_m and q_{i-1} = D_i + t q_i, each a coefficient list in t.
+    The remainder D_0 + t q_0 must be zero.
+    """
     D = d_variety_poly(n)
-    r = BiPoly.gen("r", RT)
-    t = BiPoly.gen("t", RT)
-    line = r - t
-    q, rem = D.divmod_in(line, "r")
-    if not rem.is_zero:
+    den = lcm(*(row.den for row in D.rows))
+    # cols[i] lists the coefficients of D_i(t), the coefficient of r^i
+    cols = zip_longest(*([c * (den // row.den) for c in row.num] for row in D.rows), fillvalue=0)
+    acc, quot = [], []
+    for col in reversed(list(cols)):
+        acc = [c + s for c, s in zip_longest(col, [0, *acc], fillvalue=0)]
+        quot.append(acc)
+    if any(acc):
         raise VerificationError(
             "hard invariant violated: (r - t) does not divide D(r, t) "
             f"for n = {n}"
         )
-    return ComponentPair(n, D, line, q)
+    # quot holds q_{m-1}, ..., q_0 and then the remainder; row k of the
+    # quotient is its t^k coefficient
+    rows = [UniPoly.from_ints(row, den, "r") for row in zip_longest(*reversed(quot[:-1]), fillvalue=0)]
+    line = BiPoly.gen("r", RT) - BiPoly.gen("t", RT)
+    return ComponentPair(n, D, line, BiPoly.from_coeff_list(rows, "t", RT))
 
 
 def birational_image(n: int, point):

@@ -70,6 +70,40 @@ def test_f_values_short_tables_and_extension_in_place():
         f_values(U, -2)
 
 
+def test_f_table_matches_the_generic_recurrence():
+    """f_poly's integer recurrence against f_values run on UniPolys."""
+    table = f_values(U, 300)
+    for j in range(301):
+        assert f_poly(j) == table[j + 1], j
+
+
+def _wronskian(j):
+    """G_j = g_{j+1}' g_j - g_{j+1} g_j' by UniPoly products."""
+    gj, gj1 = g_poly(j), g_poly(j + 1)
+    return gj1.derivative() * gj - gj1 * gj.derivative()
+
+
+@pytest.mark.parametrize("order", [range(130, 0, -1), range(1, 131)], ids=["descending", "ascending"])
+def test_G_table_matches_the_unipoly_wronskian(monkeypatch, order):
+    """G_poly filled from empty tables, from the top index down and from the
+    bottom up, against the Wronskian formed by UniPoly products."""
+    monkeypatch.setattr(cheb, "_f", cheb._f[:2])
+    monkeypatch.setattr(cheb, "_g", {})
+    monkeypatch.setattr(cheb, "_G", {})
+    for j in order:
+        assert G_poly(j) == _wronskian(j), j
+    assert sorted(cheb._G) == list(range(1, 131))
+
+
+def test_G_is_the_sum_of_the_squares_of_g():
+    """G_j = G_{j-1} + g_j^2 with G_0 = 0, so G_j = g_1^2 + ... + g_j^2:
+    an oracle that shares no step with the Wronskian."""
+    total = UniPoly.zero()
+    for j in range(1, 201):
+        total = total + g_poly(j) * g_poly(j)
+        assert G_poly(j) == total, j
+
+
 def test_g_small_values():
     assert g_poly(1) == UniPoly.const(1)
     assert g_poly(2) == U - 1

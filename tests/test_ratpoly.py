@@ -361,6 +361,40 @@ def test_conv_kronecker_slots_hold_extreme_coefficients():
                 assert ratpoly._conv(a, b) == ratpoly._conv_rows(a, b)
 
 
+def test_kronecker_pack_is_the_value_at_a_power_of_two():
+    """_kronecker_pack(a, wb) = sum(a[i] * 2**(8 * wb * i)) on random signed
+    lists, zeros, single entries, all-negative lists and entries at the slot
+    bound +-(2**(8 * wb - 1) - 1)."""
+    rng = random.Random(72)
+
+    def value(a, wb):
+        return sum(x << 8 * wb * i for i, x in enumerate(a))
+
+    for wb in (1, 2, 3, 8, 17, 40):
+        top = (1 << 8 * wb - 1) - 1
+        cases = [[], [0], [0] * 9, [top], [-top], [-1], [-top] * 12, [top, -top] * 5,
+                 [-rng.randint(1, top) for _ in range(20)]]
+        for _ in range(20):
+            bits = rng.randint(0, 8 * wb - 1)
+            cases.append(_kernel_operand(rng, rng.randint(1, 60), bits, rng.choice((0.0, 0.5))))
+        for a in cases:
+            a = [max(-top, min(top, x)) for x in a]
+            assert ratpoly._kronecker_pack(a, wb) == value(a, wb), (wb, a)
+            assert ratpoly._kronecker_pack(tuple(a), wb) == value(a, wb)
+
+
+def test_conv_kronecker_matches_the_row_loop():
+    """The Kronecker product against the schoolbook loop on seeded random
+    pairs, lengths 1-80 and coefficients of 1-400 bits, ungated."""
+    rng = random.Random(73)
+    for _ in range(300):
+        ba, bb = rng.randint(1, 400), rng.randint(1, 400)
+        a = _kernel_operand(rng, rng.randint(1, 80), ba, rng.choice((0.0, 0.3)))
+        b = _kernel_operand(rng, rng.randint(1, 80), bb, rng.choice((0.0, 0.3)))
+        bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+        assert ratpoly._conv_kronecker(a, b, bits) == ratpoly._conv_rows(a, b)
+
+
 # 7 is last so that the random draws for the other primes stay as they were.
 GF_PRIMES = (2, 3, 37, 83, 7)
 

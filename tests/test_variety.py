@@ -10,13 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from cvtk.cheb import G_poly
+from cvtk.cheb import G_poly, g_poly
 from cvtk.factor import squarefree_part
 from cvtk.golden import default_fixtures
 from cvtk import intersect, variety
 from cvtk.intersect import build_intersection_report, intersection_loci
 from cvtk.ratpoly import BiPoly, UniPoly
-from cvtk.trace import TraceContext
+from cvtk.trace import TraceContext, VerificationError
 from cvtk.variety import (
     bezout_budget,
     birational_image,
@@ -26,6 +26,9 @@ from cvtk.variety import (
     x_relation,
     x_variety_poly,
 )
+
+RT = ("r", "t")
+R, T = BiPoly.gen("r", RT), BiPoly.gen("t", RT)
 
 
 def test_x_variety_matches_frozen_components():
@@ -80,6 +83,40 @@ def test_d_split_against_evaluation():
             lhs = pair.d_poly.eval(r0, t0)
             rhs = (r0 - t0) * pair.quotient.eval(r0, t0)
             assert lhs == rhs
+
+
+def test_d_matches_the_bipoly_products():
+    """The rows of D against g_{n+1}(r) g_n(t) - g_n(r) g_{n+1}(t) formed by
+    BiPoly products."""
+    for n in range(2, 31):
+        gn, gn1 = g_poly(n), g_poly(n + 1)
+        A_r, B_r = (BiPoly.from_uni(p.with_var("r"), RT) for p in (gn1, gn))
+        A_t, B_t = (BiPoly.from_uni(p.with_var("t"), RT) for p in (gn1, gn))
+        assert d_variety_poly(n) == A_r * B_t - B_r * A_t, n
+
+
+def test_d_split_matches_long_division():
+    """The synthetic division on the integer grid against BiPoly.divmod_in."""
+    for n in range(2, 41):
+        pair = d_split(n)
+        q, rem = pair.d_poly.divmod_in(R - T, "r")
+        assert rem.is_zero
+        assert pair.quotient == q, n
+        assert pair.line == R - T
+
+
+def test_d_split_over_a_denominator_and_with_a_remainder(monkeypatch):
+    """A D with rational coefficients is split over its common denominator,
+    and one that r - t does not divide raises the invariant failure."""
+    good = variety.d_variety_poly
+    thirds = {n: d_split(n).quotient * Fraction(1, 3) for n in (2, 5, 9)}
+    monkeypatch.setattr(variety, "d_variety_poly", lambda n: good(n) * Fraction(1, 3))
+    for n, want in thirds.items():
+        pair = d_split(n)
+        assert pair.quotient == want == pair.d_poly.divmod_in(R - T, "r")[0], n
+    monkeypatch.setattr(variety, "d_variety_poly", lambda n: good(n) + Fraction(1, 2) * T)
+    with pytest.raises(VerificationError, match=r"\(r - t\) does not divide D\(r, t\) for n = 4"):
+        d_split(4)
 
 
 def test_d_matches_definition_n2():
