@@ -31,7 +31,7 @@ import json
 import sys
 from contextlib import nullcontext
 
-from .cheb import G_poly, f_poly, g_poly
+from .cheb import G_poly, f_poly, g_poly, require_family_index
 from .golden import load_fixtures
 from .intersect import build_intersection_report
 from .knotgrp import (
@@ -165,11 +165,12 @@ def cmd_detect(args) -> int:
 
 
 def cmd_rep(args) -> int:
+    # one point per root of the modulus G_n, of degree 2n - 2: check the
+    # index before any work
+    require_family_index(args.n)
+    if not 0 <= args.root < 2 * args.n - 2:
+        raise ValueError(f"root index must be in [0, {2 * args.n - 3}]")
     locus = build_intersection_report(args.n).locus
-    # one point per root of the modulus: check the index before root-finding
-    degree = locus.modulus.degree
-    if not 0 <= args.root < degree:
-        raise ValueError(f"root index must be in [0, {degree - 1}]")
     r0, x0, _ = locus.points[args.root]
     rep = numeric_rep(args.n, r0, x0)
     fam = family_words(args.n)

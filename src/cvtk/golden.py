@@ -4,8 +4,10 @@ Integer primitive forms of the two irreducible components of the character
 variety, the intersection r- and x-polynomials, the longitude trace minimal
 polynomials, and the intersection-count budget (total, affine, ideal). The
 verify command recomputes everything from scratch and compares against these;
-pointing it at an edited JSON copy must make it fail, which is the negative
-control for the whole comparison harness.
+pointing it at an edited JSON copy (`verify-paper --fixtures`, read by
+load_fixtures) must make it fail, which is the negative control for the whole
+comparison harness.  This module only reads that JSON: the tests write it
+(tests/golden_json.py), from the fixtures below.
 """
 
 from __future__ import annotations
@@ -35,28 +37,33 @@ class GoldenFixture(Record):
         if [type(c) for c in self.bezout] != [int] * 3:
             raise ValueError(f"n = {self.n}: bezout {list(self.bezout)} is not three ints")
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "X0": self.X0.to_json(),
-            "X1": self.X1.to_json(),
-            "r_poly": self.r_poly.to_json(),
-            "x_poly": self.x_poly.to_json(),
-            "longitude_min_poly": self.longitude_min_poly.to_json(),
-            "bezout": list(self.bezout),
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "GoldenFixture":
+        n = obj["n"]
         return cls(
-            n=obj["n"],
-            X0=BiPoly.from_json(obj["X0"]),
-            X1=BiPoly.from_json(obj["X1"]),
+            n=n,
+            X0=_x_factor_from_json(obj["X0"], n),
+            X1=_x_factor_from_json(obj["X1"], n),
             r_poly=UniPoly.from_json(obj["r_poly"]),
             x_poly=UniPoly.from_json(obj["x_poly"]),
             longitude_min_poly=UniPoly.from_json(obj["longitude_min_poly"]),
             bezout=tuple(obj["bezout"]),
         )
+
+
+def _x_factor_from_json(obj: dict, n) -> BiPoly:
+    """BiPoly.from_json(obj) for a factor of the X model at n.  A BiPoly
+    allocates its rows up to the largest exponent, so every exponent is
+    first checked to be a pair of ints within the model's bidegree
+    (2n^2 - 1, 2n), which bounds every factor of F."""
+    top = (2 * n * n - 1, 2 * n)
+    for term in obj["terms"]:
+        exp = term["exp"]
+        if not (type(exp) is list and len(exp) == 2
+                and all(type(e) is int and 0 <= e <= t for e, t in zip(exp, top))):
+            raise ValueError(f"n = {n}: exponent {exp!r} is not a pair of ints within "
+                             f"the X model's bidegree {top}")
+    return BiPoly.from_json(obj)
 
 
 def _even_x_poly(*coeff_rows) -> BiPoly:
@@ -104,17 +111,23 @@ def default_fixtures() -> dict:
 def load_fixtures(path: str) -> dict:
     """Fixtures from a JSON file (the verify command's override hook).
 
+    Each polynomial is read as the to_json methods write it: a coefficient
+    is a string "num" or "num/den" of int literals, and an X0 or X1
+    exponent a pair of ints within the X model's bidegree at the entry's n.
     A file that is not JSON, or whose fixtures lack a key, hold a value of
     the wrong shape or type, or sit under a key other than their "n", raises
-    one ValueError naming the path and the fault.
+    one ValueError naming the path and the fault.  Every check on the size
+    of a polynomial comes before it is built.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        fixtures = {int(k): GoldenFixture.from_json(v) for k, v in json.loads(text).items()}
-        for k, fx in fixtures.items():
-            if fx.n != k:
-                raise ValueError(f"entry {k} has n = {fx.n!r}")
+        fixtures = {}
+        for key, obj in json.loads(text).items():
+            n = int(key)
+            if obj["n"] != n:
+                raise ValueError(f"entry {n} has n = {obj['n']!r}")
+            fixtures[n] = GoldenFixture.from_json(obj)
     except KeyError as exc:
         raise ValueError(f"malformed fixture file {path}: missing key {exc}") from None
     except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -20,9 +20,11 @@ cvtk.cheb's identity checks use the packing step alone, _kronecker_pack,
 to evaluate integer polynomials at one power of two.
 
 Every reduction of one polynomial by another over Z or Z[t] runs the one
-pseudo-division kernel _pseudo_divmod: UniPoly and BiPoly division, the
-subresultant PRS of resultant_in, the remainder sequence of poly_gcd, and
-cvtk.numfield's field products and multiplication matrices.
+pseudo-division kernel _pseudo_divmod: UniPoly division, the subresultant
+PRS of resultant_in (over Z[t], a BiPoly's rows as coefficients), the
+remainder sequence of poly_gcd, and cvtk.numfield's field products and
+multiplication matrices.  No BiPoly is divided by another: cvtk.variety
+splits r - t off D by synthetic division on its integer rows.
 
 Over GF(p) for the primes p <= 83 (_GFB_PRIMES) a polynomial is `bytes`,
 one residue per byte, and the _gfb_* kernel computes with bytes.translate
@@ -64,6 +66,16 @@ def frac_str(c) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
+
+
+def _parse_frac(s) -> Fraction:
+    """The rational that frac_str writes as the string s, "num" or
+    "num/den", each part read by int, so the interpreter's cap on the digits
+    of an int bounds its size; Fraction(s) would also read "1e1000000"."""
+    if not isinstance(s, str):
+        raise TypeError(f"coefficient {s!r} is not a string")
+    num, slash, den = s.partition("/")
+    return Fraction(int(num), int(den) if slash else 1)
 
 
 def _exact_div(x, y):
@@ -119,7 +131,7 @@ class UniPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "UniPoly":
-        return cls([Fraction(s) for s in obj["coeffs"]], obj["var"])
+        return cls([_parse_frac(s) for s in obj["coeffs"]], obj["var"])
 
     def to_json(self) -> dict:
         return {"var": self.var, "coeffs": [frac_str(c) for c in self.coeffs]}
@@ -306,11 +318,11 @@ class BiPoly:
     __slots__ = ("vars", "rows")
 
     def __init__(self, terms=None, vars=("r", "x")):
-        """terms maps (i, j) to the coefficient of vars[0]**i * vars[1]**j."""
+        """terms maps (i, j), two ints >= 0, to the coefficient of
+        vars[0]**i * vars[1]**j."""
         vars = _two_vars(vars)
         grid = []
         for (i, j), c in (terms or {}).items():
-            i, j = int(i), int(j)
             grid.extend([] for _ in range(j + 1 - len(grid)))
             grid[j].extend([0] * (i + 1 - len(grid[j])))
             grid[j][i] = c
@@ -338,15 +350,8 @@ class BiPoly:
         raise ExactArithError(f"{name} is not one of {vars}")
 
     @classmethod
-    def from_uni(cls, p: UniPoly, vars=("r", "x")) -> "BiPoly":
-        if p.var not in vars:
-            raise ExactArithError(f"{p.var} is not one of {vars}")
-        # p is the coefficient of the other variable's zeroth power
-        return cls.from_coeff_list([p], vars[1 - tuple(vars).index(p.var)], vars)
-
-    @classmethod
     def from_json(cls, obj: dict) -> "BiPoly":
-        terms = {tuple(t["exp"]): Fraction(t["coeff"]) for t in obj["terms"]}
+        terms = {tuple(t["exp"]): _parse_frac(t["coeff"]) for t in obj["terms"]}
         return cls(terms, tuple(obj["vars"]))
 
     def to_json(self) -> dict:
@@ -360,10 +365,6 @@ class BiPoly:
         return sorted(((i, j), Fraction(c, row.den))
                       for j, row in enumerate(self.rows)
                       for i, c in enumerate(row.num) if c)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.rows
 
     def __bool__(self) -> bool:
         return bool(self.rows)
@@ -461,14 +462,6 @@ class BiPoly:
             return cls._from_rows([p if p.var == vars[0] else p.with_var(vars[0]) for p in coeffs], vars)
         return cls._from_rows(_transpose(coeffs, vars[0]), vars)
 
-    def eval(self, v0, v1):
-        """Evaluate at (vars[0], vars[1]) = (v0, v1) over any commutative ring."""
-        acc = None
-        for row in reversed(self.rows):
-            c = row(v0)
-            acc = c if acc is None else acc * v1 + c
-        return Fraction(0) if acc is None else acc
-
     def exchange_vars(self) -> "BiPoly":
         """Substitute vars[0] <-> vars[1], keeping the variable order."""
         return BiPoly._from_rows(_transpose(self.rows, self.vars[0]), self.vars)
@@ -489,17 +482,6 @@ class BiPoly:
         if not self.rows:
             return self
         return self * (1 / self.content())
-
-    def divmod_in(self, other: "BiPoly", var: str):
-        """Long division in `var` by a divisor monic in `var`: (q, r) with
-        self = q * other + r and deg_var r < deg_var other."""
-        self._check(other)
-        B = other.coeff_list_in(var)
-        if not B or B[-1] != 1:
-            raise ExactArithError(f"divisor is not monic in {var}")
-        q, r = _pseudo_divmod(self.coeff_list_in(var), B)
-        return (BiPoly.from_coeff_list(q, var, self.vars),
-                BiPoly.from_coeff_list(r, var, self.vars))
 
     def __str__(self) -> str:
         def mono(e):
@@ -631,7 +613,7 @@ def _kronecker_pack(a, wb):
 
 def _pseudo_divmod(a, b):
     """(q, r) with c**e * a = q * b + r and deg r < deg b, for coefficient
-    lists over an integral domain (ints, or UniPolys as BiPoly coefficients),
+    lists over an integral domain (ints, or UniPolys as the PRS's coefficients),
     c = b[-1] and e = len(a) - len(b) + 1 (Knuth, TAOCP 2, 4.6.1, Algorithm R).
     r is the low len(b) - 1 entries, untrimmed, or a itself when e <= 0 (then
     q = []).  With c == 1 it is long division, exact over any ring."""

@@ -40,7 +40,6 @@ from math import lcm
 
 from . import Record
 from .cheb import f_values, g_poly, require_family_index
-from .golden import default_fixtures
 from .ratpoly import BiPoly, UniPoly, poly_gcd, resultant_in
 from .trace import VerificationError
 
@@ -171,15 +170,17 @@ def _strip_common_lc_roots(elim: UniPoly, lc0: UniPoly, lc1: UniPoly) -> UniPoly
     return elim
 
 
-def bezout_budget(n: int, fixtures: dict = None) -> BezoutBudget:
+def bezout_budget(n: int, fixtures: dict) -> BezoutBudget:
     """Total/affine/ideal intersection counts of the two component curves.
 
-    The component pair is only known in closed form for n = 2 and n = 3
-    (the frozen fixtures); the total is the product of the total degrees,
-    the affine count is the degree of the cleaned r-eliminant, and the ideal
-    count is the difference.
+    The component pair is only known in closed form for n = 2 and n = 3:
+    fixtures maps n to a GoldenFixture (cvtk.golden's frozen ones, or those
+    a --fixtures file gives), and an n it does not hold, an empty fixtures
+    included, is a ValueError.  The total is the product of the total
+    degrees, the affine count is the degree of the cleaned r-eliminant, and
+    the ideal count is the difference.
     """
-    fx = (fixtures or default_fixtures()).get(n)
+    fx = fixtures.get(n)
     if fx is None:
         raise ValueError(f"no frozen component pair for n = {n}")
     X0, X1 = fx.X0, fx.X1

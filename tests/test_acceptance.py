@@ -39,6 +39,7 @@ from cvtk.variety import (
     meridian_derivative_at_two,
     x_variety_poly,
 )
+from golden_json import fixtures_to_json
 from roots import complex_roots
 
 U = UniPoly.gen("u")
@@ -121,7 +122,7 @@ def test_criterion_08_slope_verdict():
 def test_criterion_09_bezout_budgets():
     expected = {2: (20, 4, 16), 3: (84, 8, 76)}
     for n, counts in expected.items():
-        budget = bezout_budget(n)
+        budget = bezout_budget(n, default_fixtures())
         assert (budget.total, budget.affine, budget.ideal) == counts
         assert squarefree_part(budget.r_eliminant) == UniPoly(
             G_poly(n).coeffs, "r"
@@ -187,7 +188,7 @@ def test_criterion_13_alexander_data():
 
 
 def test_criterion_14_negative_control(tmp_path, capsys):
-    obj = {str(n): fx.to_json() for n, fx in default_fixtures().items()}
+    obj = fixtures_to_json(default_fixtures())
     obj["2"]["x_poly"]["coeffs"][2] = "-23"
     path = tmp_path / "perturbed.json"
     path.write_text(json.dumps(obj), encoding="utf-8")

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,12 +28,14 @@ from cvtk.cli import (
     canonical_json,
     main,
 )
-from cvtk.golden import default_fixtures
+from cvtk import cli
+from cvtk.golden import GoldenFixture, default_fixtures, load_fixtures
+from golden_json import fixtures_to_json
 
 
 def _fixtures_json():
     """The frozen fixtures as the JSON object that `--fixtures` reads."""
-    return {str(n): fx.to_json() for n, fx in default_fixtures().items()}
+    return fixtures_to_json(default_fixtures())
 
 
 def _fail_names(out):
@@ -50,10 +53,12 @@ def _run_with_fixtures(tmp_path, capsys, mutate):
     return code, capsys.readouterr().out
 
 
-# Each edit of one frozen coefficient, with the rows that must FAIL on it.
+# Each edit of one frozen coefficient, with exactly the rows that FAIL on it.
 PERTURBATIONS = (
-    ("component", lambda o: o["2"]["X0"]["terms"][0].update(coeff="99"), {"x-variety-n2"}),
-    ("x-poly", lambda o: o["2"]["x_poly"]["coeffs"].__setitem__(0, "44"), {"meridian-n2-exact"}),
+    ("component", lambda o: o["2"]["X0"]["terms"][0].update(coeff="99"),
+     {"x-variety-n2", "eliminants-n2"}),
+    ("x-poly", lambda o: o["2"]["x_poly"]["coeffs"].__setitem__(0, "44"),
+     {"meridian-n2-exact", "eliminants-n2"}),
     ("r-poly", lambda o: o["2"]["r_poly"]["coeffs"].__setitem__(1, "-3"), {"r-poly-n2"}),
     ("longitude", lambda o: o["2"]["longitude_min_poly"]["coeffs"].__setitem__(0, "771"),
      {"longitude-n2-exact"}),
@@ -67,7 +72,21 @@ PERTURBATIONS = (
 def test_negative_control(tmp_path, capsys, label, mutate, expected):
     code, out = _run_with_fixtures(tmp_path, capsys, mutate)
     assert code == 1
-    assert expected <= _fail_names(out)
+    assert _fail_names(out) == expected
+
+
+def test_written_fixtures_load_back_field_for_field(tmp_path):
+    """The tests' writer and load_fixtures are inverses on the frozen data,
+    so the negative control edits exactly what verify-paper reads."""
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps(_fixtures_json()), encoding="utf-8")
+    loaded, frozen = load_fixtures(str(path)), default_fixtures()
+    assert sorted(loaded) == sorted(frozen) == [2, 3]
+    for n, fx in frozen.items():
+        for field in GoldenFixture._fields:
+            got, want = getattr(loaded[n], field), getattr(fx, field)
+            assert type(got) is type(want) and got == want, (n, field)
+        assert loaded[n].X0.vars == fx.X0.vars and loaded[n].r_poly.var == fx.r_poly.var
 
 
 def test_verify_paper_passes(capsys):
@@ -188,24 +207,64 @@ ILL_TYPED_FIXTURES = (
     ("vars-not-strings", lambda o: o["2"]["X0"].update(vars=[1, 2]), "variable names"),
     ("bezout-too-short", lambda o: o["3"]["bezout"].pop(), "is not three ints"),
     ("bezout-not-ints", lambda o: o["3"]["bezout"].__setitem__(0, "84"), "is not three ints"),
+    # X0 and X1 exponents: a pair of ints within the X model's bidegree
+    # (2n^2 - 1, 2n), checked before a row is built
+    ("exponent-negative", lambda o: _set_exp(o, "2", "X0", [-1, 0]), "exponent [-1, 0]"),
+    ("exponent-float", lambda o: _set_exp(o, "2", "X0", [1.5, 0]), "exponent [1.5, 0]"),
+    ("exponent-string", lambda o: _set_exp(o, "2", "X1", ["1", 0]), "exponent ['1', 0]"),
+    ("exponent-bool", lambda o: _set_exp(o, "2", "X0", [True, 0]), "exponent [True, 0]"),
+    ("exponent-triple", lambda o: _set_exp(o, "3", "X0", [1, 0, 0]), "exponent [1, 0, 0]"),
+    ("exponent-above-r-degree", lambda o: _set_exp(o, "2", "X0", [8, 0]),
+     "exponent [8, 0] is not a pair of ints within the X model's bidegree (7, 4)"),
+    ("exponent-above-x-degree", lambda o: _set_exp(o, "3", "X1", [0, 7]), "bidegree (17, 6)"),
+    ("exponent-huge", lambda o: _set_exp(o, "2", "X0", [2000, 0]), "exponent [2000, 0]"),
+    # coefficients: the strings that frac_str writes, "num" or "num/den"
+    ("coeff-exponent-notation",
+     lambda o: o["2"]["X0"]["terms"][0].update(coeff="1e1000000"), "invalid literal for int()"),
+    ("coeff-not-a-string", lambda o: o["2"]["X0"]["terms"][0].update(coeff=5), "coefficient 5 is not a string"),
+    ("coeff-list-entry-not-a-string", lambda o: o["3"]["x_poly"]["coeffs"].__setitem__(0, 6125),
+     "coefficient 6125 is not a string"),
+    ("coeff-two-slashes", lambda o: o["2"]["r_poly"]["coeffs"].__setitem__(0, "1/2/3"),
+     "invalid literal for int() with base 10: '2/3'"),
+    ("coeff-decimal", lambda o: o["2"]["longitude_min_poly"]["coeffs"].__setitem__(0, "772.0"),
+     "invalid literal for int()"),
 )
+
+
+def _set_exp(obj, n, poly, exp):
+    obj[n][poly]["terms"][0]["exp"] = exp
 
 
 @pytest.mark.parametrize("label,mutate,fault", ILL_TYPED_FIXTURES,
                          ids=[c[0] for c in ILL_TYPED_FIXTURES])
 def test_ill_typed_fixture_file_exits_two(tmp_path, capsys, label, mutate, fault):
     """A fixture under the wrong key, with a variable name that is not a
-    string, a bezout that is not three ints or a zero denominator is a usage
-    error, not a failed paper check or an internal error."""
+    string, a bezout that is not three ints, a zero denominator, an exponent
+    out of the X model's bidegree or a coefficient that frac_str does not
+    write is a usage error, not a failed paper check or an internal error,
+    and it is found before any large allocation or parse."""
     obj = _fixtures_json()
     mutate(obj)
     path = tmp_path / "fixtures.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
+    start = time.monotonic()
     assert main(["verify-paper", "--fixtures", str(path)]) == 2
+    assert time.monotonic() - start < 5.0
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: malformed fixture file {path}: ")
     assert fault in err and err.count("\n") == 1
+
+
+def test_fixture_exponents_at_the_bound_load(tmp_path, capsys):
+    """An exponent exactly at the X model's bidegree is within bounds: the
+    file loads and the edited factor fails its paper checks, and a
+    4,300-digit coefficient is read as the int it is."""
+    code, out = _run_with_fixtures(tmp_path, capsys, lambda o: _set_exp(o, "3", "X1", [17, 6]))
+    assert code == 1 and "x-variety-n3" in _fail_names(out)
+    code, out = _run_with_fixtures(
+        tmp_path, capsys, lambda o: o["2"]["X0"]["terms"][0].update(coeff="9" * 4300))
+    assert code == 1 and "x-variety-n2" in _fail_names(out)
 
 
 def test_rep_numeric_failure_is_internal(monkeypatch, capsys):
@@ -221,20 +280,21 @@ def test_rep_numeric_failure_is_internal(monkeypatch, capsys):
 
 
 def test_rep_checks_root_index_before_root_finding(monkeypatch, capsys):
-    """An out-of-range --root is a usage error read off the modulus degree;
-    the command never root-finds the locus to learn it."""
-    from cvtk import intersect
+    """An out-of-range --root is a usage error read off the degree 2n - 2
+    of G_n: the command exits 2 before it builds the report, so before it
+    root-finds the modulus.  An n out of the family still gets the
+    family-index message first."""
+    def no_report(n):
+        raise AssertionError("rep built the report for a usage error")
 
-    def no_root_finding(p, elements, seeds):
-        raise AssertionError("rep root-found the modulus for a usage error")
-
-    monkeypatch.setattr(intersect, "RootApproximations", no_root_finding)
-    # G_3 and G_12 are irreducible, of degree 2n - 2
-    for n, root, top in ((3, 4, 3), (3, -1, 3), (12, 22, 21)):
+    monkeypatch.setattr(cli, "build_intersection_report", no_report)
+    for n, root, top in ((3, 4, 3), (3, -1, 3), (12, 22, 21), (128, 999, 253)):
         assert main(["rep", "--n", str(n), "--root", str(root)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: root index must be in [0, {top}]\n"
+    assert main(["rep", "--n", "1", "--root", "0"]) == 2
+    assert capsys.readouterr().err == "error: the knot family is indexed by integers n >= 2, got 1\n"
 
 
 def test_one_root_approximation_per_locus(monkeypatch, capsys):

@@ -430,7 +430,7 @@ def test_consistency_with_fixture_elimination():
     fx = default_fixtures()
     for n in (2, 3):
         locus = intersection_loci(n)[0]
-        budget = bezout_budget(n)
+        budget = bezout_budget(n, fx)
         assert (budget.x_eliminant.monic(),) == meridian_min_poly(locus)
         r_roots = set(
             (round(z.real, 9), round(z.imag, 9))
@@ -475,7 +475,7 @@ def _record_samples() -> list:
         boundary_slope_candidates(2)[0],
         report.slope,
         d_split(2),
-        bezout_budget(2),
+        bezout_budget(2, default_fixtures()),
         CheckResult("name", True, "detail"),
     ]
 

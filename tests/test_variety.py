@@ -26,6 +26,7 @@ from cvtk.variety import (
     x_relation,
     x_variety_poly,
 )
+from bipoly import divmod_in, evaluate
 
 RT = ("r", "t")
 R, T = BiPoly.gen("r", RT), BiPoly.gen("t", RT)
@@ -80,8 +81,8 @@ def test_d_split_against_evaluation():
         for _ in range(8):
             r0 = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             t0 = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-            lhs = pair.d_poly.eval(r0, t0)
-            rhs = (r0 - t0) * pair.quotient.eval(r0, t0)
+            lhs = evaluate(pair.d_poly, r0, t0)
+            rhs = (r0 - t0) * evaluate(pair.quotient, r0, t0)
             assert lhs == rhs
 
 
@@ -90,17 +91,18 @@ def test_d_matches_the_bipoly_products():
     BiPoly products."""
     for n in range(2, 31):
         gn, gn1 = g_poly(n), g_poly(n + 1)
-        A_r, B_r = (BiPoly.from_uni(p.with_var("r"), RT) for p in (gn1, gn))
-        A_t, B_t = (BiPoly.from_uni(p.with_var("t"), RT) for p in (gn1, gn))
+        A_r, B_r = (BiPoly.from_coeff_list([p.with_var("r")], "t", RT) for p in (gn1, gn))
+        A_t, B_t = (BiPoly.from_coeff_list([p.with_var("t")], "r", RT) for p in (gn1, gn))
         assert d_variety_poly(n) == A_r * B_t - B_r * A_t, n
 
 
 def test_d_split_matches_long_division():
-    """The synthetic division on the integer grid against BiPoly.divmod_in."""
+    """The synthetic division on the integer grid against the tests' long
+    division, bipoly.divmod_in."""
     for n in range(2, 41):
         pair = d_split(n)
-        q, rem = pair.d_poly.divmod_in(R - T, "r")
-        assert rem.is_zero
+        q, rem = divmod_in(pair.d_poly, R - T, "r")
+        assert not rem
         assert pair.quotient == q, n
         assert pair.line == R - T
 
@@ -113,7 +115,7 @@ def test_d_split_over_a_denominator_and_with_a_remainder(monkeypatch):
     monkeypatch.setattr(variety, "d_variety_poly", lambda n: good(n) * Fraction(1, 3))
     for n, want in thirds.items():
         pair = d_split(n)
-        assert pair.quotient == want == pair.d_poly.divmod_in(R - T, "r")[0], n
+        assert pair.quotient == want == divmod_in(pair.d_poly, R - T, "r")[0], n
     monkeypatch.setattr(variety, "d_variety_poly", lambda n: good(n) + Fraction(1, 2) * T)
     with pytest.raises(VerificationError, match=r"\(r - t\) does not divide D\(r, t\) for n = 4"):
         d_split(4)
@@ -153,7 +155,7 @@ def test_x_relation_at_points_matches_expanded_model():
         for _ in range(6):
             r0 = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             x0 = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            assert x_relation(n, r0, x0 * x0) == F.eval(r0, x0)
+            assert x_relation(n, r0, x0 * x0) == evaluate(F, r0, x0)
 
 
 def test_point_checks_do_not_expand_the_x_model(monkeypatch):
@@ -178,6 +180,14 @@ def test_intersection_points_map_to_diagonal():
         assert image[1] == r
 
 
+def test_x_model_bidegree_bounds_the_fixture_exponents():
+    """cvtk.golden reads an X0 or X1 exponent only within (2n^2 - 1, 2n),
+    the bidegree of F in (r, x), which no factor of F exceeds."""
+    for n in range(2, 7):
+        F = x_variety_poly(n)
+        assert (F.degree_in("r"), F.degree_in("x")) == (2 * n * n - 1, 2 * n), n
+
+
 def test_meridian_derivative_at_two():
     for n in range(2, 13):
         expected = UniPoly([0, -2 * n * n], "x")
@@ -187,7 +197,7 @@ def test_meridian_derivative_at_two():
 def test_bezout_budget_counts():
     fx = default_fixtures()
     for n in (2, 3):
-        b = bezout_budget(n)
+        b = bezout_budget(n, fx)
         assert (b.total, b.affine, b.ideal) == fx[n].bezout
         assert b.ideal == b.total - b.affine
 
@@ -195,7 +205,7 @@ def test_bezout_budget_counts():
 def test_bezout_eliminants():
     fx = default_fixtures()
     for n in (2, 3):
-        b = bezout_budget(n)
+        b = bezout_budget(n, fx)
         # Affine r-coordinates are exactly the roots of G_n.
         assert squarefree_part(b.r_eliminant) == UniPoly(G_poly(n).coeffs, "r").monic()
         # The x-eliminant is squarefree and equals the frozen x-polynomial.
@@ -204,7 +214,7 @@ def test_bezout_eliminants():
 
 
 def test_bezout_budget_counts_n2():
-    b = bezout_budget(2)
+    b = bezout_budget(2, default_fixtures())
     assert (b.total, b.affine, b.ideal) == (20, 4, 16)
     assert b.r_eliminant.var == "r"
 
@@ -215,4 +225,4 @@ def test_input_validation():
     with pytest.raises(ValueError):
         d_variety_poly(0)
     with pytest.raises(ValueError):
-        bezout_budget(4)
+        bezout_budget(4, default_fixtures())
